@@ -6,7 +6,7 @@ arithmetic is elementwise.
 """
 from __future__ import annotations
 
-__all__ = ["c2_d1", "c4_d1", "c4_d2", "c4_d1_nested"]
+__all__ = ["c2_d1", "c4_d1", "c4_grad", "c4_d2", "c4_d1_nested"]
 
 
 def c2_d1(f, x, h):
@@ -17,6 +17,12 @@ def c2_d1(f, x, h):
 def c4_d1(f, x, h):
     """Fourth-order central first derivative."""
     return (-f(x + 2 * h) + 8.0 * f(x + h) - 8.0 * f(x - h) + f(x - 2 * h)) / (12.0 * h)
+
+
+def c4_grad(f2, y1, y2, h):
+    """Both fourth-order central partials (d/dy1, d/dy2) of a callable of two
+    real arguments at (y1, y2)."""
+    return c4_d1(lambda a: f2(a, y2), y1, h), c4_d1(lambda b: f2(y1, b), y2, h)
 
 
 def c4_d2(f, x, h):

@@ -11,13 +11,13 @@ jet evaluated on a grid of shape S has ``X: (3,)+S``, ``dX: (3,2)+S`` with
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from ._fd import c4_d1, c4_d2
-from .errors import ConfigError, DomainError, InversionError, NonEmbeddingError
+from ._fd import c4_d1, c4_d1_nested, c4_d2, c4_grad
+from .errors import ConfigError, DomainError, InversionError
 from .util import det2, inv2
 
 __all__ = [
@@ -171,19 +171,17 @@ class MovingSurface:
         pos = self.chart
 
         X = pos(t, y1, y2)
-        d1 = c4_d1(lambda a: pos(t, a, y2), y1, h)
-        d2 = c4_d1(lambda b: pos(t, y1, b), y2, h)
-        dX = np.stack([d1, d2], axis=1)
+        dX = np.stack(c4_grad(lambda a, b: pos(t, a, b), y1, y2, h), axis=1)
         d11 = c4_d2(lambda a: pos(t, a, y2), y1, h)
         d22 = c4_d2(lambda b: pos(t, y1, b), y2, h)
-        d12 = c4_d1(lambda a: c4_d1(lambda b: pos(t, a, b), y2, h), y1, h)
+        d12 = c4_d1_nested(lambda a, b: pos(t, a, b), y1, h, y2, h)
         ddX = np.stack(
             [np.stack([d11, d12], axis=1), np.stack([d12, d22], axis=1)], axis=1
         )
         Vt = c4_d1(lambda s: pos(s, y1, y2), t, ht)
-        dVt1 = c4_d1(lambda a: c4_d1(lambda s: pos(s, a, y2), t, ht), y1, h)
-        dVt2 = c4_d1(lambda b: c4_d1(lambda s: pos(s, y1, b), t, ht), y2, h)
-        dVt = np.stack([dVt1, dVt2], axis=1)
+        dVt = np.stack(
+            c4_grad(lambda a, b: c4_d1(lambda s: pos(s, a, b), t, ht), y1, y2, h), axis=1
+        )
         return ChartJet(X=X, dX=dX, ddX=ddX, Vt=Vt, dVt=dVt)
 
     def u(self, t, y1, y2):
@@ -195,25 +193,18 @@ class MovingSurface:
         y1, y2 = self.domain.wrap(y1, y2)
         if self.u_jets is not None:
             return self.u_jets(t, y1, y2)
-        h = self.space_step
-        du1 = c4_d1(lambda a: self.u_field(t, a, y2), y1, h)
-        du2 = c4_d1(lambda b: self.u_field(t, y1, b), y2, h)
-        du = np.stack([du1, du2], axis=1)
+        du = np.stack(
+            c4_grad(lambda a, b: self.u_field(t, a, b), y1, y2, self.space_step), axis=1
+        )
         dtu = c4_d1(lambda s: self.u_field(s, y1, y2), t, self.fd_time_step)
         return du, dtu
 
 
 def eval_jet(surface: MovingSurface, event: Event) -> ChartJet:
-    """Evaluate the chart jet at one event, with domain and embedding checks."""
+    """Evaluate the chart jet at one event, with a domain check (geometry_from_jet checks det g)."""
     pad = 0.0 if surface.diff_mode == "analytic" else 2.5 * surface.space_step
     surface.domain.require_inside(event.y1, event.y2, pad)
-    jet = surface.jet(event.t, event.y1, event.y2)
-    g = np.einsum("ai...,aj...->ij...", jet.dX, jet.dX)
-    if np.any(det2(g) < 1e-12):
-        raise NonEmbeddingError(
-            f"chart Jacobian rank-deficient at {event} (det g < 1e-12)"
-        )
-    return jet
+    return surface.jet(event.t, event.y1, event.y2)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +429,9 @@ def _const_u(c1: float, c2: float):
     return u_field, u_jets
 
 
-def _plane_static() -> MovingSurface:
+def _flat(name: str, domain: Domain) -> MovingSurface:
+    """Static plane z = 0 with the identity chart (y1, y2) -> (y1, y2, 0)."""
+
     def chart(t, y1, y2):
         y1 = np.asarray(y1, float)
         y2 = np.asarray(y2, float)
@@ -461,13 +454,7 @@ def _plane_static() -> MovingSurface:
             dVt=np.zeros((3, 2) + s),
         )
 
-    return MovingSurface(
-        name="plane-static",
-        chart=chart,
-        domain=Domain((-1.0, 1.0), (-1.0, 1.0)),
-        jets=jets,
-        static=True,
-    )
+    return MovingSurface(name=name, chart=chart, domain=domain, jets=jets, static=True)
 
 
 def _plane_shear() -> MovingSurface:
@@ -592,42 +579,8 @@ def _torus_breathing_drift() -> MovingSurface:
     )
 
 
-def _flat_torus() -> MovingSurface:
-    def chart(t, y1, y2):
-        y1 = np.asarray(y1, float)
-        y2 = np.asarray(y2, float)
-        return np.stack([y1, y2, np.zeros_like(y1)])
-
-    def jets(t, y1, y2):
-        y1 = np.asarray(y1, float)
-        y2 = np.asarray(y2, float)
-        zero = np.zeros_like(y1)
-        one = np.ones_like(y1)
-        s = np.shape(y1)
-        dX = np.stack(
-            [np.stack([one, zero, zero]), np.stack([zero, one, zero])], axis=1
-        )
-        return ChartJet(
-            X=np.stack([y1, y2, zero]),
-            dX=dX,
-            ddX=np.zeros((3, 2, 2) + s),
-            Vt=np.zeros((3,) + s),
-            dVt=np.zeros((3, 2) + s),
-        )
-
-    return MovingSurface(
-        name="flat-torus",
-        chart=chart,
-        domain=Domain(
-            (0.0, 2 * np.pi), (0.0, 2 * np.pi), periodic1=True, periodic2=True
-        ),
-        jets=jets,
-        static=True,
-    )
-
-
 _REGISTRY: dict[str, Callable[[], MovingSurface]] = {
-    "plane-static": _plane_static,
+    "plane-static": lambda: _flat("plane-static", Domain((-1.0, 1.0), (-1.0, 1.0))),
     "plane-shear": _plane_shear,
     "sphere-static": _sphere_static,
     "sphere-expanding": _sphere_expanding,
@@ -635,7 +588,7 @@ _REGISTRY: dict[str, Callable[[], MovingSurface]] = {
     "torus-static": _torus_static,
     "torus-breathing": _torus_breathing,
     "torus-breathing-drift": _torus_breathing_drift,
-    "flat-torus": _flat_torus,
+    "flat-torus": lambda: _flat("flat-torus", _torus_domain()),
 }
 
 

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from ._fd import c4_d1, c4_d1_nested, c4_d2
+from ._fd import c4_grad
 from .chart_kernel import (
     Event,
     fd_variant,
@@ -56,6 +56,10 @@ __all__ = [
 ]
 
 SUITES = ("geometry", "derivatives", "qtensor", "laplace", "all")
+
+# Largest conforming-Laplacian cross-route residual a flow may report
+# (acceptance criterion 08).
+CROSSCHECK_TOL = 1e-5
 
 
 def _outdir(arg_out: str | None) -> str:
@@ -287,18 +291,8 @@ def _suite_laplace(surface, events, rows: _Rows):
         lap_f = scalar_laplace(surface, probe_scalar, ev, geom)
         lap_g = scalar_laplace(surface, probe_scalar_b, ev, geom)
         lap_p = scalar_laplace(surface, prod, ev, geom)
-        df = np.stack(
-            [
-                c4_d1(lambda a: probe_scalar(t, a, y2), y1, h),
-                c4_d1(lambda b: probe_scalar(t, y1, b), y2, h),
-            ]
-        )
-        dg = np.stack(
-            [
-                c4_d1(lambda a: probe_scalar_b(t, a, y2), y1, h),
-                c4_d1(lambda b: probe_scalar_b(t, y1, b), y2, h),
-            ]
-        )
+        df = np.stack(c4_grad(lambda a, b: probe_scalar(t, a, b), y1, y2, h))
+        dg = np.stack(c4_grad(lambda a, b: probe_scalar_b(t, a, b), y1, y2, h))
         rhs = fv * lap_g + gv * lap_f + 2.0 * float(df @ geom.ginv @ dg)
         rows.add(
             "laplace-scalar-leibniz",
@@ -401,35 +395,18 @@ def run_converge_thinfilm(scenario: str, seed: int = 7) -> dict:
     }
 
 
-def _batched_beltrami(surface, t, Y1, Y2, f, geom):
-    h = surface.space_step
-    f1 = c4_d1(lambda a: f(a, Y2), Y1, h)
-    f2 = c4_d1(lambda b: f(Y1, b), Y2, h)
-    f11 = c4_d2(lambda a: f(a, Y2), Y1, h)
-    f22 = c4_d2(lambda b: f(Y1, b), Y2, h)
-    f12 = c4_d1_nested(f, Y1, h, Y2, h)
-    hess = ((f11, f12), (f12, f22))
-    grad = (f1, f2)
-    out = 0.0
-    for i in range(2):
-        for j in range(2):
-            corr = sum(geom.Gamma[k, i, j] * grad[k] for k in range(2))
-            out = out + geom.ginv[i, j] * (hess[i][j] - corr)
-    return out
-
-
 def run_converge_laplace(scenario: str) -> dict:
     surface = get_scenario(scenario)
     t0 = surface.t_range[0]
 
-    def f(a, b):
+    def f(t, a, b):
         return np.sin(a) * np.cos(b) + 0.3 * np.cos(2.0 * b)
 
     rows = []
     for n in (16, 32, 64, 128):
         gg = make_grid(surface, t0, n)
-        F = f(gg.Y1, gg.Y2)
-        ref = _batched_beltrami(surface, t0, gg.Y1, gg.Y2, f, gg.geom)
+        F = f(t0, gg.Y1, gg.Y2)
+        ref = scalar_laplace(surface, f, Event(t0, gg.Y1, gg.Y2), gg.geom)
         err = _maxabs(grid_laplace(gg, F) - ref)
         rows.append((gg.h1, err))
     order = fit_order(rows)
@@ -446,9 +423,12 @@ def run_converge_laplace(scenario: str) -> dict:
 
 
 def _dump_json(obj: dict, path: str):
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise SurfratesError(f"non-finite value in report {path}; nothing written") from None
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def cmd_verify(args) -> int:
@@ -521,6 +501,10 @@ def cmd_flow(args) -> int:
         f"energy {first[4]:.6g} -> {last[4]:.6g}, monotone={monotone}"
     )
     print(f"energy trace: {os.path.join(out, 'energy.csv')}; report: {path}")
+    worst = report["crosscheck_max_residual"]
+    if worst is not None and worst > CROSSCHECK_TOL:
+        print(f"crosscheck FAIL: worst residual {worst:.3e} > {CROSSCHECK_TOL:g}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -19,12 +19,12 @@ from typing import Callable
 
 import numpy as np
 
-from ._fd import c4_d1, c4_d1_nested, c4_d2
+from ._fd import c4_d1_nested, c4_d2, c4_grad
 from .chart_kernel import Event, MovingSurface
 from .errors import ConfigError, NotConformingError, RankError, StencilError
-from .fields import QSplit, TensorSplit, TensorValue, pi_q_components
+from .fields import QSplit, TensorSplit, TensorValue
 from .geometry import GeometrySample, geometry_at, geometry_from_jet, geometry_grid
-from .timederiv import FieldClosure, QFieldClosure, _split_closures
+from .timederiv import FieldClosure, QFieldClosure, _covariant_derivative, _split_closures
 
 __all__ = [
     "scalar_laplace",
@@ -32,7 +32,6 @@ __all__ = [
     "surface_laplace",
     "conforming_laplace",
     "GridGeometry",
-    "GridField",
     "make_grid",
     "grid_gradient",
     "grid_laplace",
@@ -48,8 +47,7 @@ def _scalar_laplace(surface: MovingSurface, fun: Callable, event: Event, geom: G
     """Laplace-Beltrami of a chart closure; elementwise on array values."""
     t, y1, y2 = event.t, event.y1, event.y2
     h = surface.space_step
-    f1 = c4_d1(lambda a: fun(t, a, y2), y1, h)
-    f2 = c4_d1(lambda b: fun(t, y1, b), y2, h)
+    f1, f2 = c4_grad(lambda a, b: fun(t, a, b), y1, y2, h)
     f11 = c4_d2(lambda a: fun(t, a, y2), y1, h)
     f22 = c4_d2(lambda b: fun(t, y1, b), y2, h)
     f12 = c4_d1_nested(lambda a, b: fun(t, a, b), y1, h, y2, h)
@@ -66,19 +64,12 @@ def _scalar_laplace(surface: MovingSurface, fun: Callable, event: Event, geom: G
 def _comp_cov_deriv(surface: MovingSurface, comp_eval: Callable, rank: int, t, a, b):
     """Covariant derivative array of a tangential component closure at (a, b);
     the differentiation index is last."""
-    h = surface.space_step
     geom = geometry_from_jet(surface.jet(t, a, b))
     v = np.asarray(comp_eval(t, a, b), dtype=float)
-    d1 = c4_d1(lambda x: comp_eval(t, x, b), a, h)
-    d2 = c4_d1(lambda x: comp_eval(t, a, x), b, h)
-    dv = np.stack([d1, d2], axis=-1)
-    if rank == 1:
-        return dv + np.einsum("ikl,l->ik", geom.Gamma, v)
-    return (
-        dv
-        + np.einsum("ikl,lj->ijk", geom.Gamma, v)
-        + np.einsum("jkl,il->ijk", geom.Gamma, v)
+    dv = np.stack(
+        c4_grad(lambda x, y: comp_eval(t, x, y), a, b, surface.space_step), axis=-1
     )
+    return _covariant_derivative(geom, rank, v, dv)
 
 
 def _tangential_laplace(
@@ -86,15 +77,12 @@ def _tangential_laplace(
 ):
     """Bochner Laplacian of tangential components by two covariant sweeps."""
     t, y1, y2 = event.t, event.y1, event.y2
-    h = surface.space_step
 
     def T_of(a, b):
         return _comp_cov_deriv(surface, comp_eval, rank, t, a, b)
 
     T0 = T_of(y1, y2)
-    dT1 = c4_d1(lambda x: T_of(x, y2), y1, h)
-    dT2 = c4_d1(lambda x: T_of(y1, x), y2, h)
-    dT = np.stack([dT1, dT2], axis=-1)
+    dT = np.stack(c4_grad(T_of, y1, y2, surface.space_step), axis=-1)
     G = geom.Gamma
     if rank == 1:
         full = (
@@ -125,26 +113,17 @@ def surface_gradient(surface: MovingSurface, f: Callable, event: Event) -> np.nd
     """Tangential gradient of a scalar chart closure, as a Cartesian vector."""
     t, y1, y2 = event.t, event.y1, event.y2
     geom = geometry_at(surface, event)
-    h = surface.space_step
-    df = np.stack(
-        [
-            c4_d1(lambda a: f(t, a, y2), y1, h),
-            c4_d1(lambda b: f(t, y1, b), y2, h),
-        ]
-    )
+    df = np.stack(c4_grad(lambda a, b: f(t, a, b), y1, y2, surface.space_step))
     return geom.lift_cov(df)
 
 
 def _grad_H_cov(surface: MovingSurface, event: Event) -> np.ndarray:
-    t, y1, y2 = event.t, event.y1, event.y2
-    h = surface.space_step
+    t = event.t
 
     def H_of(a, b):
         return geometry_from_jet(surface.jet(t, a, b)).H
 
-    return np.stack(
-        [c4_d1(lambda a: H_of(a, y2), y1, h), c4_d1(lambda b: H_of(y1, b), y2, h)]
-    )
+    return np.stack(c4_grad(H_of, event.y1, event.y2, surface.space_step))
 
 
 def surface_laplace(
@@ -170,7 +149,6 @@ def surface_laplace(
         raise RankError("the Decomposed Laplacian path applies to rank-2 fields")
 
     t, y1, y2 = event.t, event.y1, event.y2
-    h = surface.space_step
     rcl, eLcl, eRcl, phicl = _split_closures(closure)
 
     r = np.asarray(rcl(t, y1, y2), dtype=float)
@@ -186,12 +164,7 @@ def surface_laplace(
     Dr = _comp_cov_deriv(surface, rcl, 2, t, y1, y2)
     DeL = _comp_cov_deriv(surface, eLcl, 1, t, y1, y2)
     DeR = _comp_cov_deriv(surface, eRcl, 1, t, y1, y2)
-    dphi_cov = np.stack(
-        [
-            c4_d1(lambda a: phicl(t, a, y2), y1, h),
-            c4_d1(lambda b: phicl(t, y1, b), y2, h),
-        ]
-    )
+    dphi_cov = np.stack(c4_grad(lambda a, b: phicl(t, a, b), y1, y2, surface.space_step))
     dH_cov = _grad_H_cov(surface, event)
     gradH_up = geom.ginv @ dH_cov
     gradphi_up = geom.ginv @ dphi_cov
@@ -246,7 +219,7 @@ def surface_laplace(
     split = TensorSplit(
         rank=2, r2=tangential, phi=np.asarray(nunu), etaL2=left, etaR2=right
     )
-    return TensorValue(rank=2, cart=cart, split=split, in_sync=True)
+    return TensorValue(rank=2, cart=cart, split=split)
 
 
 def conforming_laplace(
@@ -317,16 +290,6 @@ class GridGeometry:
     h2: float
     geom: GeometrySample
     weights: np.ndarray
-
-    def at_time(self, t: float) -> "GridGeometry":
-        return make_grid(self.surface, t, self.n1, self.n2)
-
-
-@dataclass
-class GridField:
-    """Values of a field on a periodic chart grid; grid axes last."""
-
-    values: np.ndarray
 
 
 def make_grid(surface: MovingSurface, t: float, n1: int, n2: int | None = None) -> GridGeometry:

@@ -9,11 +9,11 @@ Chart components are stored contravariant, component axes first.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotQTensorError, NotTangentialError, RankError
+from .errors import NotQTensorError, RankError
 from .geometry import GeometrySample
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "q_from_cart",
     "q_to_cart",
     "q_identity_part",
-    "g_inner_vec",
     "g_inner_rank2",
 ]
 
@@ -49,17 +48,6 @@ class TensorValue:
     rank: int
     cart: np.ndarray | None = None
     split: TensorSplit | None = None
-    in_sync: bool = False
-
-    def ensure_cart(self, geom: GeometrySample) -> "TensorValue":
-        if self.cart is not None:
-            return self
-        return replace(self, cart=reconstruct(geom, self.split), in_sync=True)
-
-    def ensure_split(self, geom: GeometrySample) -> "TensorValue":
-        if self.split is not None:
-            return self
-        return replace(self, split=split_tensor(geom, self.cart, self.rank), in_sync=True)
 
 
 def _check_rank(rank: int):
@@ -101,9 +89,7 @@ def reconstruct(geom: GeometrySample, split: TensorSplit) -> np.ndarray:
 
 def tangential_projector(geom: GeometrySample) -> np.ndarray:
     """Pi_S = Id - nu otimes nu as a 3x3 Cartesian matrix."""
-    eye = np.zeros(geom.nu.shape[:1] + geom.nu.shape, dtype=float)
-    for a in range(3):
-        eye[a, a] = 1.0
+    eye = np.eye(3).reshape((3, 3) + (1,) * (geom.nu.ndim - 1))
     return eye - np.einsum("a...,b...->ab...", geom.nu, geom.nu)
 
 
@@ -219,10 +205,6 @@ def q_identity_part(geom: GeometrySample) -> np.ndarray:
     """The proxy of nu nu - Pi_S/2, the unit basis element along beta."""
     nu = geom.nu
     return np.einsum("a...,b...->ab...", nu, nu) - 0.5 * tangential_projector(geom)
-
-
-def g_inner_vec(geom: GeometrySample, a2: np.ndarray, b2: np.ndarray) -> np.ndarray:
-    return np.einsum("ij...,i...,j...->...", geom.g, a2, b2)
 
 
 def g_inner_rank2(geom: GeometrySample, a2: np.ndarray, b2: np.ndarray) -> np.ndarray:

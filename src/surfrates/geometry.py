@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fd import c4_d1
+from ._fd import c4_d1, c4_grad
 from .chart_kernel import ChartJet, Event, MovingSurface, eval_jet
 from .errors import NonEmbeddingError
 from .util import det2, inv2
@@ -77,6 +77,12 @@ class GeometrySample:
         return self.embed_vec(np.einsum("ij...,j...->i...", self.ginv, w_cov))
 
 
+def _unit_normal(dX: np.ndarray) -> np.ndarray:
+    """Unit normal d_1 X x d_2 X / |d_1 X x d_2 X| from the chart tangents."""
+    cross = np.cross(dX[:, 0], dX[:, 1], axis=0)
+    return cross / np.sqrt(np.einsum("a...,a...->...", cross, cross))
+
+
 def geometry_from_jet(jet: ChartJet) -> GeometrySample:
     g = np.einsum("ai...,aj...->ij...", jet.dX, jet.dX)
     detg = det2(g)
@@ -85,8 +91,7 @@ def geometry_from_jet(jet: ChartJet) -> GeometrySample:
     ginv = inv2(g)
     Gamma_low = np.einsum("aij...,ak...->ijk...", jet.ddX, jet.dX)
     Gamma = np.einsum("kl...,ijl...->kij...", ginv, Gamma_low)
-    cross = np.cross(jet.dX[:, 0], jet.dX[:, 1], axis=0)
-    nu = cross / np.sqrt(np.einsum("a...,a...->...", cross, cross))
+    nu = _unit_normal(jet.dX)
     II = np.einsum("aij...,a...->ij...", jet.ddX, nu)
     B_mixed = np.einsum("ik...,kj...->ij...", ginv, II)
     H = np.einsum("ii...->...", B_mixed)
@@ -323,45 +328,24 @@ def check_identities(
     )
     add("gauss-formula", _maxabs(gauss))
 
-    def nu_at(a, b):
-        jet = surface.jet(t, a, b)
-        cross = np.cross(jet.dX[:, 0], jet.dX[:, 1], axis=0)
-        return cross / np.sqrt(np.einsum("a...,a...->...", cross, cross))
+    def nu_at(s, a, b):
+        return _unit_normal(surface.jet(s, a, b).dX)
 
-    fd_dnu = np.stack(
-        [
-            c4_d1(lambda a: nu_at(a, y2), y1, h),
-            c4_d1(lambda b: nu_at(y1, b), y2, h),
-        ],
-        axis=1,
-    )
+    fd_dnu = np.stack(c4_grad(lambda a, b: nu_at(t, a, b), y1, y2, h), axis=1)
     add("weingarten", _maxabs(fd_dnu - geom.dnu))
 
     def g_at(tt, a, b):
         jet = surface.jet(tt, a, b)
         return np.einsum("ai...,aj...->ij...", jet.dX, jet.dX)
 
-    fd_dg = np.stack(
-        [
-            c4_d1(lambda a: g_at(t, a, y2), y1, h),
-            c4_d1(lambda b: g_at(t, y1, b), y2, h),
-        ]
-    )
+    fd_dg = np.stack(c4_grad(lambda a, b: g_at(t, a, b), y1, y2, h))
     # d_l g_ij = Gamma_low[l,i,j] + Gamma_low[l,j,i]
     add(
         "metric-compat-lower",
         _maxabs(fd_dg - (geom.Gamma_low + np.einsum("lij...->lji...", geom.Gamma_low))),
     )
 
-    def ginv_at(a, b):
-        return inv2(g_at(t, a, b))
-
-    fd_dginv = np.stack(
-        [
-            c4_d1(lambda a: ginv_at(a, y2), y1, h),
-            c4_d1(lambda b: ginv_at(y1, b), y2, h),
-        ]
-    )
+    fd_dginv = np.stack(c4_grad(lambda a, b: inv2(g_at(t, a, b)), y1, y2, h))
     expected = -(
         np.einsum("ik...,jlk...->lij...", geom.ginv, geom.Gamma)
         + np.einsum("jk...,ilk...->lij...", geom.ginv, geom.Gamma)
@@ -395,7 +379,7 @@ def check_identities(
         add(f"velocity-gradient-split-{tag}", _maxabs(resid))
 
     # normal rates
-    fd_dtnu = c4_d1(lambda s: nu_at_time(surface, s, y1, y2), t, ht)
+    fd_dtnu = c4_d1(lambda s: nu_at(s, y1, y2), t, ht)
     add("normal-rate", _maxabs(fd_dtnu + mot.b_obs3))
     adv = np.einsum("k...,ak...->a...", mot.u2, geom.dnu)
     add("normal-rate-advected", _maxabs(fd_dtnu + adv + mot.b3))
@@ -432,9 +416,3 @@ def check_identities(
     add("2-tensor-rate-compat", _maxabs(lhs - rhs))
 
     return IdentityReport(items)
-
-
-def nu_at_time(surface: MovingSurface, t, y1, y2):
-    jet = surface.jet(t, y1, y2)
-    cross = np.cross(jet.dX[:, 0], jet.dX[:, 1], axis=0)
-    return cross / np.sqrt(np.einsum("a...,a...->...", cross, cross))

@@ -12,6 +12,7 @@ discrete gradient flow and the total energy is monotone for stable steps.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -177,9 +178,7 @@ def bulk_gradient(params: LdGParams, Q: np.ndarray):
     """Traceless-symmetric gradient of the bulk density."""
     tr2 = np.einsum("ab...,ab...->...", Q, Q)
     Q2 = np.einsum("ac...,cb...->ab...", Q, Q)
-    eye = np.zeros(Q.shape, dtype=float)
-    for aa in range(3):
-        eye[aa, aa] = 1.0
+    eye = np.eye(3).reshape((3, 3) + (1,) * (Q.ndim - 2))
     return 2.0 * (
         params.a * Q
         + params.b * (Q2 - (tr2 / 3.0) * eye)
@@ -231,6 +230,16 @@ def stability_bound(gg: GridGeometry, params: LdGParams) -> float:
     return 0.2 * dymin * dymin / params.L
 
 
+def _checked_bound(gg: GridGeometry, params: LdGParams, dt: float) -> float:
+    """The stability bound of the grid; StabilityError if dt exceeds it."""
+    bound = stability_bound(gg, params)
+    if dt > bound:
+        raise StabilityError(
+            f"dt={dt:g} exceeds the explicit stability bound {bound:g} at t={gg.t:g}"
+        )
+    return bound
+
+
 # ---------------------------------------------------------------------------
 # transport terms (explicit time derivative of the stepped state arrays)
 
@@ -255,7 +264,7 @@ def _full_state_rate(gg, mot, params, Q, jaumann: bool):
     if jaumann:
         dQ = dQ + np.einsum("ac...,cb...->ab...", mot.Acal, Q)
         dQ = dQ - np.einsum("ac...,cb...->ab...", Q, mot.Acal)
-    return dQ
+    return (dQ,)
 
 
 def _conf_state_rate(gg, mot, params, q, beta, jaumann: bool):
@@ -365,56 +374,50 @@ def run_flow(
 ) -> FlowResult:
     """Integrate the gradient flow; returns energies, residuals and the final state.
 
-    Raises StabilityError if dt exceeds the mesh bound, or if the total energy
-    rises along a static-surface run.
+    The state is a tuple of grid arrays: ``(q, beta)`` in the conforming
+    modes, ``(Q,)`` in the full-tensor modes.  Raises StabilityError if dt
+    exceeds the mesh bound on any grid of the run, if an energy or the state
+    turns non-finite, or if the total energy rises along a static-surface run.
     """
     conforming = config.mode.startswith("Conforming")
     jaumann = config.mode.endswith("Jaumann")
     gg0 = make_grid(surface, config.t0, config.n)
-    bound = stability_bound(gg0, params)
-    if config.dt > bound:
-        raise StabilityError(
-            f"dt={config.dt:g} exceeds the explicit stability bound {bound:g}"
-        )
+    bound = _checked_bound(gg0, params, config.dt)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
 
     q, beta = initial_state(gg0, config)
     if conforming:
-        state = (q, beta)
+        names, state = ("q", "beta"), (q, beta)
+        state_rate, to_proxy = _conf_state_rate, conforming_to_proxy
     else:
-        state = conforming_to_proxy(gg0, q, beta)
+        names, state = ("Q",), (conforming_to_proxy(gg0, q, beta),)
+        state_rate, to_proxy = _full_state_rate, lambda gg, Q: Q
 
     def grid_at(t):
         if surface.static:
             return gg0
-        return make_grid(surface, t, config.n)
+        gg = make_grid(surface, t, config.n)
+        _checked_bound(gg, params, config.dt)
+        return gg
 
     def rate(t, st):
         gg = grid_at(t)
         mot = motion_grid(surface, t, gg.Y1, gg.Y2, gg.geom)
-        if conforming:
-            return _conf_state_rate(gg, mot, params, st[0], st[1], jaumann)
-        return _full_state_rate(gg, mot, params, st, jaumann)
+        return state_rate(gg, mot, params, *st, jaumann)
 
     def axpy(st, ds, h):
-        if conforming:
-            return (st[0] + h * ds[0], st[1] + h * ds[1])
-        return st + h * ds
+        return tuple(s + h * d for s, d in zip(st, ds))
 
     def combine_rk4(st, k1, k2, k3, k4, h):
-        if conforming:
-            return (
-                st[0] + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-                st[1] + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
-            )
-        return st + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        return tuple(
+            s + (h / 6.0) * (a + 2 * b + 2 * c + d)
+            for s, a, b, c, d in zip(st, k1, k2, k3, k4)
+        )
 
     def proxy_of(t, st):
         gg = grid_at(t)
-        if conforming:
-            return gg, conforming_to_proxy(gg, st[0], st[1])
-        return gg, st
+        return gg, to_proxy(gg, *st)
 
     energy_rows = []
     crosschecks = []
@@ -425,6 +428,11 @@ def run_flow(
         gg, Q = proxy_of(t, state)
         e_el, e_bulk, e_tot = energy(gg, params, Q)
         tr_res, sym_res = _state_residuals(Q)
+        if not all(map(math.isfinite, (e_el, e_bulk, e_tot, tr_res, sym_res))):
+            raise StabilityError(
+                f"energy or state is not finite at step {step} (t={t:g}); "
+                "reduce dt or the initial amplitude"
+            )
         energy_rows.append((step, t, e_el, e_bulk, e_tot, tr_res, sym_res))
         if surface.static and prev_total is not None and e_tot > prev_total + 1e-10:
             raise StabilityError(
@@ -433,10 +441,7 @@ def run_flow(
             )
         prev_total = e_tot
         if config.snapshot_every and step % config.snapshot_every == 0 and out_dir:
-            if conforming:
-                arrays = {"q": state[0], "beta": state[1]}
-            else:
-                arrays = {"Q": state}
+            arrays = dict(zip(names, state))
             snapshots.append(_write_snapshot(out_dir, step, t, config.mode, arrays))
         if (
             config.crosscheck_every

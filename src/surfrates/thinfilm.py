@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fd import c4_d1
+from ._fd import c4_d1, c4_grad
 from .chart_kernel import Event, MovingSurface
 from .errors import ConfigError, ShellDegenerateError
 from .geometry import geometry_from_jet, motion_from_jet, geometry_at, motion_at
@@ -60,22 +60,24 @@ def _surface_data(surface: MovingSurface, t, y1, y2):
     return jet, geom, mot
 
 
-def shell_chart(surface: MovingSurface, sev: ShellEvent):
-    """Shell position and frame columns (d1 chi, d2 chi, nu) at the event.
+def _shell_frame(jet, geom, xi):
+    """Frame columns (d1 chi, d2 chi, nu) of the shell at offset xi.
 
     Raises ShellDegenerateError when the offset reaches a focal point,
     i.e. det(Id - xi B) is not positive.
     """
-    jet, geom, _ = _surface_data(surface, sev.t, sev.y1, sev.y2)
-    M = np.eye(2) - sev.xi * geom.B_mixed
-    if det2(M) <= 1e-12:
+    if det2(np.eye(2) - xi * geom.B_mixed) <= 1e-12:
         raise ShellDegenerateError(
-            f"offset xi={sev.xi:g} degenerates the shell chart (focal point)"
+            f"offset xi={xi:g} degenerates the shell chart (focal point)"
         )
-    pos = jet.X + sev.xi * geom.nu
-    dchi = jet.dX + sev.xi * geom.dnu
-    frame = np.column_stack([dchi[:, 0], dchi[:, 1], geom.nu])
-    return pos, frame
+    dchi = jet.dX + xi * geom.dnu
+    return np.column_stack([dchi[:, 0], dchi[:, 1], geom.nu])
+
+
+def shell_chart(surface: MovingSurface, sev: ShellEvent):
+    """Shell position and frame columns (d1 chi, d2 chi, nu) at the event."""
+    jet, geom, _ = _surface_data(surface, sev.t, sev.y1, sev.y2)
+    return jet.X + sev.xi * geom.nu, _shell_frame(jet, geom, sev.xi)
 
 
 def shell_velocity(surface: MovingSurface, sev: ShellEvent) -> np.ndarray:
@@ -98,19 +100,12 @@ def shell_velocity_gradient(surface: MovingSurface, sev: ShellEvent) -> np.ndarr
     """
     t, y1, y2, xi = sev.t, sev.y1, sev.y2, sev.xi
     jet, geom, mot = _surface_data(surface, t, y1, y2)
-    M = np.eye(2) - xi * geom.B_mixed
-    if det2(M) <= 1e-12:
-        raise ShellDegenerateError(
-            f"offset xi={xi:g} degenerates the shell chart (focal point)"
-        )
-    h = surface.space_step
-    d1 = c4_d1(lambda a: shell_velocity(surface, ShellEvent(t, a, y2, xi)), y1, h)
-    d2 = c4_d1(lambda b: shell_velocity(surface, ShellEvent(t, y1, b, xi)), y2, h)
+    frame = _shell_frame(jet, geom, xi)
+    velocity = lambda a, b: shell_velocity(surface, ShellEvent(t, a, b, xi))
+    d1, d2 = c4_grad(velocity, y1, y2, surface.space_step)
     # d_xi V = d_t nu + u^k d_k nu = -(lift of b[V_m])
     dxi = -mot.b3
     dV = np.column_stack([d1, d2, dxi])
-    dchi = jet.dX + xi * geom.dnu
-    frame = np.column_stack([dchi[:, 0], dchi[:, 1], geom.nu])
     return dV @ np.linalg.inv(frame)
 
 

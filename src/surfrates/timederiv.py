@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._fd import c2_d1, c4_d1
+from ._fd import c2_d1, c4_grad
 from .chart_kernel import Event, MovingSurface
 from .errors import ConfigError, MissingSplitError, NotConformingError, NotTangentialError, RankError
 from .fields import (
@@ -35,7 +35,14 @@ from .fields import (
     reconstruct,
     split_tensor,
 )
-from .geometry import GeometrySample, MotionSample, geometry_from_jet, geometry_at, motion_at
+from .geometry import (
+    GeometrySample,
+    MotionSample,
+    _g_adjoint,
+    geometry_at,
+    geometry_from_jet,
+    motion_at,
+)
 
 __all__ = [
     "DT_TIME_STEP",
@@ -141,8 +148,7 @@ def advected_rate(surface: MovingSurface, fun: Callable, event: Event):
     t, y1, y2 = event.t, event.y1, event.y2
     h = surface.space_step
     dt = c2_d1(lambda s: fun(s, y1, y2), t, DT_TIME_STEP)
-    d1 = c4_d1(lambda a: fun(t, a, y2), y1, h)
-    d2 = c4_d1(lambda b: fun(t, y1, b), y2, h)
+    d1, d2 = c4_grad(lambda a, b: fun(t, a, b), y1, y2, h)
     u = surface.u(t, y1, y2)
     return dt + u[0] * d1 + u[1] * d2
 
@@ -162,9 +168,8 @@ def _comp_parts(surface: MovingSurface, comp_eval: Callable, event: Event):
     h = surface.space_step
     v = np.asarray(comp_eval(t, y1, y2), dtype=float)
     vt = c2_d1(lambda s: comp_eval(s, y1, y2), t, DT_TIME_STEP)
-    d1 = c4_d1(lambda a: comp_eval(t, a, y2), y1, h)
-    d2 = c4_d1(lambda b: comp_eval(t, y1, b), y2, h)
-    return v, np.asarray(vt, dtype=float), np.stack([d1, d2], axis=-1)
+    dv = np.stack(c4_grad(lambda a, b: comp_eval(t, a, b), y1, y2, h), axis=-1)
+    return v, np.asarray(vt, dtype=float), dv
 
 
 def _covariant_derivative(geom: GeometrySample, rank: int, v, dv):
@@ -259,7 +264,7 @@ def tangential_dt(
         if kind == DerivKind.Upper:
             M1 = mot.G
         elif kind == DerivKind.Lower:
-            M1 = -_adjoint(geom, mot.G)
+            M1 = -_g_adjoint(geom, mot.G)
         else:
             M1 = mot.A
         if closure.rank == 1:
@@ -290,25 +295,20 @@ def tangential_dt(
     raise ConfigError(f"unsupported kind {kind}")
 
 
-def _adjoint(geom: GeometrySample, M: np.ndarray) -> np.ndarray:
-    return geom.ginv @ M.T @ geom.g
-
-
 # ---------------------------------------------------------------------------
 # full-field derivatives
 
 
 def _split_closures(closure: FieldClosure):
+    """Per-block closures (r, etaL, etaR, phi); the couplings are None for rank 1."""
     split_eval = closure.require_split()
+
+    def block(name):
+        return lambda t, a, b: getattr(split_eval(t, a, b), name)
+
     if closure.rank == 1:
-        r = lambda t, a, b: split_eval(t, a, b).r2
-        phi = lambda t, a, b: split_eval(t, a, b).phi
-        return r, None, None, phi
-    r = lambda t, a, b: split_eval(t, a, b).r2
-    eL = lambda t, a, b: split_eval(t, a, b).etaL2
-    eR = lambda t, a, b: split_eval(t, a, b).etaR2
-    phi = lambda t, a, b: split_eval(t, a, b).phi
-    return r, eL, eR, phi
+        return block("r2"), None, None, block("phi")
+    return block("r2"), block("etaL2"), block("etaR2"), block("phi")
 
 
 def material_dt(
@@ -349,7 +349,7 @@ def material_dt(
     if closure.rank == 1:
         cart = geom.embed_vec(rdot) - phi * b3 + (phidot + r @ b) * nu
         split = TensorSplit(rank=1, r2=rdot - phi * (geom.ginv @ b), phi=float(phidot + r @ b))
-        return TensorValue(rank=1, cart=cart, split=split, in_sync=True)
+        return TensorValue(rank=1, cart=cart, split=split)
 
     eL = np.asarray(eLcl(t, y1, y2), dtype=float)
     eR = np.asarray(eRcl(t, y1, y2), dtype=float)
@@ -411,21 +411,15 @@ def convected_dt(
     if path == "ViaMaterial":
         R = np.asarray(closure.eval(event.t, event.y1, event.y2), dtype=float)
         Dm = advected_rate(surface, closure.eval, event)
-        Gc, Ac = mot.Gcal, mot.Acal
-        if closure.rank == 1:
-            if kind == DerivKind.Upper:
-                cart = Dm - Gc @ R
-            elif kind == DerivKind.Lower:
-                cart = Dm + Gc.T @ R
-            else:
-                cart = Dm - Ac @ R
-        else:
-            if kind == DerivKind.Upper:
-                cart = Dm - Gc @ R - R @ Gc.T
-            elif kind == DerivKind.Lower:
-                cart = Dm + Gc.T @ R + R @ Gc
-            else:
-                cart = Dm - Ac @ R + R @ Ac
+        # D R - M R (- R M^T) with M = Gcal, -Gcal^T or Acal (Acal^T = -Acal)
+        M = {
+            DerivKind.Upper: mot.Gcal,
+            DerivKind.Lower: -mot.Gcal.T,
+            DerivKind.Jaumann: mot.Acal,
+        }[kind]
+        cart = Dm - M @ R
+        if closure.rank == 2:
+            cart = cart - R @ M.T
         return TensorValue(rank=closure.rank, cart=cart)
 
     if path != "Decomposed":
@@ -449,7 +443,6 @@ def convected_dt(
             rank=1,
             cart=cart,
             split=TensorSplit(rank=1, r2=rblock, phi=np.asarray(phidot)),
-            in_sync=True,
         )
     eLblock = tangential_dt(
         surface, TangentialFieldClosure(1, eLcl), event, kind, "Decomposed", geom, mot
@@ -466,7 +459,7 @@ def convected_dt(
     split = TensorSplit(
         rank=2, r2=rblock, phi=np.asarray(phidot), etaL2=eLblock, etaR2=eRblock
     )
-    return TensorValue(rank=2, cart=cart, split=split, in_sync=True)
+    return TensorValue(rank=2, cart=cart, split=split)
 
 
 # ---------------------------------------------------------------------------

@@ -148,3 +148,66 @@ def test_outdir_env_override(tmp_path, monkeypatch):
     )
     assert rc == 0
     assert (tmp_path / "envout" / "verify_flat-torus_geometry.json").exists()
+
+
+def _strict_json(path):
+    def reject(constant):
+        raise ValueError(f"{constant} in {path}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_flow_non_finite_exit_one_without_nan_json(tmp_path, capsys):
+    # the cubic bulk term blows this run up within a few steps
+    rc = main(
+        [
+            "flow",
+            "--scenario",
+            "torus-breathing",
+            "--n",
+            "24",
+            "--steps",
+            "50",
+            "--amplitude",
+            "300",
+            "--out",
+            str(tmp_path),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "not finite at step" in err
+    for path in tmp_path.rglob("*.json"):
+        _strict_json(path)
+
+
+def _crosscheck_flow_args(out):
+    return [
+        "flow",
+        "--scenario",
+        "torus-static",
+        "--n",
+        "16",
+        "--steps",
+        "2",
+        "--crosscheck-every",
+        "1",
+        "--out",
+        str(out),
+    ]
+
+
+def test_flow_crosscheck_failure_exit_one(tmp_path, monkeypatch, capsys):
+    import surfrates.landau as landau
+
+    monkeypatch.setattr(landau, "_crosscheck_residual", lambda *args: 2.5e-5)
+    assert main(_crosscheck_flow_args(tmp_path)) == 1
+    assert "2.500e-05" in capsys.readouterr().err
+    report = _strict_json(tmp_path / "flow_report.json")
+    assert report["crosscheck_max_residual"] == 2.5e-5
+
+
+def test_flow_crosscheck_pass_exit_zero(tmp_path):
+    assert main(_crosscheck_flow_args(tmp_path)) == 0
+    report = _strict_json(tmp_path / "flow_report.json")
+    assert report["crosscheck_max_residual"] < 1e-5

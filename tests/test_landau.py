@@ -61,6 +61,21 @@ def test_stability_bound_and_guard(torus_static):
         run_flow(torus_static, LdGParams(), FlowConfig(n=48, dt=10.0 * bound, steps=2))
 
 
+def test_stability_bound_rechecked_along_moving_run():
+    # the breathing torus thickens, so the bound falls below this dt near t = 0.23
+    surface = get_scenario("torus-breathing")
+    params = LdGParams()
+    dt = 0.95 * stability_bound(make_grid(surface, 0.0, 24), params)
+    with pytest.raises(StabilityError, match="stability bound"):
+        run_flow(surface, params, FlowConfig(n=24, dt=dt, steps=40))
+
+
+def test_non_finite_state_stops_static_run(torus_static):
+    cfg = FlowConfig(n=16, steps=3, ic="constant-beta", beta0=float("nan"))
+    with pytest.raises(StabilityError, match="not finite at step 0"):
+        run_flow(torus_static, LdGParams(), cfg)
+
+
 def test_params_validation():
     with pytest.raises(ConfigError):
         LdGParams(L=0.0)
