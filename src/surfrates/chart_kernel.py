@@ -128,7 +128,9 @@ class MovingSurface:
 
     ``u_field`` returns the two contravariant components of u = V_m - V_o;
     the material observer has u = 0.  ``diff_mode`` selects closed-form jets
-    ("analytic", requires ``jets``) or finite differences ("fd").
+    ("analytic", requires ``jets``) or finite differences ("fd").  ``static``
+    declares that neither the chart nor ``u_field`` depends on t, so the
+    geometry and motion at t0 hold at every time.
     """
 
     name: str

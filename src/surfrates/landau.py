@@ -256,29 +256,35 @@ def _grid_cov_q(gg: GridGeometry, q: np.ndarray) -> np.ndarray:
     )
 
 
-def _full_state_rate(gg, mot, params, Q, jaumann: bool):
+# The motion arrays each state rate reads, by MotionSample field name.  A
+# flow frame keeps only these, not the whole MotionSample.
+_FULL_MOTION = ("u2", "Acal")
+_CONF_MOTION = ("u2", "G_obs", "A")
+
+
+def _full_state_rate(gg, params, jaumann: bool, u2, Acal, Q):
     F = rhs_full(gg, params, Q)
     d1, d2 = grid_gradient(gg, Q)
-    adv = np.einsum("k...,kab...->ab...", mot.u2, np.stack([d1, d2]))
+    adv = np.einsum("k...,kab...->ab...", u2, np.stack([d1, d2]))
     dQ = F - adv
     if jaumann:
-        dQ = dQ + np.einsum("ac...,cb...->ab...", mot.Acal, Q)
-        dQ = dQ - np.einsum("ac...,cb...->ab...", Q, mot.Acal)
+        dQ = dQ + np.einsum("ac...,cb...->ab...", Acal, Q)
+        dQ = dQ - np.einsum("ac...,cb...->ab...", Q, Acal)
     return (dQ,)
 
 
-def _conf_state_rate(gg, mot, params, q, beta, jaumann: bool):
+def _conf_state_rate(gg, params, jaumann: bool, u2, G_obs, A, q, beta):
     q_rhs, beta_rhs = rhs_conforming(gg, params, q, beta)
     covq = _grid_cov_q(gg, q)
-    adv_q = np.einsum("k...,kij...->ij...", mot.u2, covq)
-    Gq = np.einsum("ik...,kj...->ij...", mot.G_obs, q)
-    qGT = np.einsum("ik...,jk...->ij...", q, mot.G_obs)
+    adv_q = np.einsum("k...,kij...->ij...", u2, covq)
+    Gq = np.einsum("ik...,kj...->ij...", G_obs, q)
+    qGT = np.einsum("ik...,jk...->ij...", q, G_obs)
     dq = q_rhs - adv_q - Gq - qGT
     if jaumann:
-        dq = dq + np.einsum("ik...,kj...->ij...", mot.A, q)
-        dq = dq + np.einsum("ik...,jk...->ij...", q, mot.A)
+        dq = dq + np.einsum("ik...,kj...->ij...", A, q)
+        dq = dq + np.einsum("ik...,jk...->ij...", q, A)
     d1, d2 = grid_gradient(gg, beta)
-    dbeta = beta_rhs - (mot.u2[0] * d1 + mot.u2[1] * d2)
+    dbeta = beta_rhs - (u2[0] * d1 + u2[1] * d2)
     return dq, dbeta
 
 
@@ -375,36 +381,50 @@ def run_flow(
     """Integrate the gradient flow; returns energies, residuals and the final state.
 
     The state is a tuple of grid arrays: ``(q, beta)`` in the conforming
-    modes, ``(Q,)`` in the full-tensor modes.  Raises StabilityError if dt
-    exceeds the mesh bound on any grid of the run, if an energy or the state
-    turns non-finite, or if the total energy rises along a static-surface run.
+    modes, ``(Q,)`` in the full-tensor modes.  Each stage's grid and motion
+    are built once per stage time, and once per run on a static surface.
+    Raises StabilityError if dt exceeds the mesh bound on any grid of the
+    run, if an energy or the state turns non-finite, or if the total energy
+    rises along a static-surface run.
     """
     conforming = config.mode.startswith("Conforming")
     jaumann = config.mode.endswith("Jaumann")
-    gg0 = make_grid(surface, config.t0, config.n)
-    bound = _checked_bound(gg0, params, config.dt)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-
-    q, beta = initial_state(gg0, config)
     if conforming:
-        names, state = ("q", "beta"), (q, beta)
+        names, motion_names = ("q", "beta"), _CONF_MOTION
         state_rate, to_proxy = _conf_state_rate, conforming_to_proxy
     else:
-        names, state = ("Q",), (conforming_to_proxy(gg0, q, beta),)
+        names, motion_names = ("Q",), _FULL_MOTION
         state_rate, to_proxy = _full_state_rate, lambda gg, Q: Q
 
-    def grid_at(t):
+    # Frames (grid, motion arrays) by stage time.  An RK4 step reuses at most
+    # two times (t + h/2 for k2 and k3, t + h for k4 and the next step), so
+    # two frames suffice; the oldest is evicted before a new one is built.
+    # A static surface has one frame for the whole run, built at t0.
+    frames = {}
+
+    def frame_at(t):
         if surface.static:
-            return gg0
-        gg = make_grid(surface, t, config.n)
-        _checked_bound(gg, params, config.dt)
-        return gg
+            t = config.t0
+        if t not in frames:
+            if len(frames) == 2:
+                del frames[next(iter(frames))]
+            gg = make_grid(surface, t, config.n)
+            _checked_bound(gg, params, config.dt)
+            mot = motion_grid(surface, t, gg.Y1, gg.Y2, gg.geom)
+            frames[t] = gg, tuple(getattr(mot, k) for k in motion_names)
+        return frames[t]
+
+    gg, _ = frame_at(config.t0)
+    bound = stability_bound(gg, params)
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+    state = initial_state(gg, config)
+    if not conforming:
+        state = (conforming_to_proxy(gg, *state),)
 
     def rate(t, st):
-        gg = grid_at(t)
-        mot = motion_grid(surface, t, gg.Y1, gg.Y2, gg.geom)
-        return state_rate(gg, mot, params, *st, jaumann)
+        gg, mot = frame_at(t)
+        return state_rate(gg, params, jaumann, *mot, *st)
 
     def axpy(st, ds, h):
         return tuple(s + h * d for s, d in zip(st, ds))
@@ -416,7 +436,7 @@ def run_flow(
         )
 
     def proxy_of(t, st):
-        gg = grid_at(t)
+        gg, _ = frame_at(t)
         return gg, to_proxy(gg, *st)
 
     energy_rows = []

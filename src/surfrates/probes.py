@@ -36,16 +36,23 @@ def probe_scalar_b(t, a, b):
     return np.cos(a) + 0.4 * np.sin(b) * np.sin(a) - 0.3 * t
 
 
+def _stack(*comps):
+    """Components stacked on a new first axis, after broadcasting them
+    against each other, so scalar and array coordinates may mix."""
+    return np.array(np.broadcast_arrays(*comps))
+
+
+def _matrix(m11, m12, m21, m22):
+    m = _stack(m11, m12, m21, m22)
+    return m.reshape((2, 2) + m.shape[1:])
+
+
 def probe_vector_comps(t, a, b):
-    return np.stack(
-        [0.5 * np.sin(a) + 0.2 * t, 0.4 * np.cos(b) + 0.1 * t * t]
-    )
+    return _stack(0.5 * np.sin(a) + 0.2 * t, 0.4 * np.cos(b) + 0.1 * t * t)
 
 
 def probe_vector_comps_b(t, a, b):
-    return np.stack(
-        [0.3 * np.cos(a + b) - 0.1 * t, 0.5 * np.sin(b) + 0.2 * t]
-    )
+    return _stack(0.3 * np.cos(a + b) - 0.1 * t, 0.5 * np.sin(b) + 0.2 * t)
 
 
 def probe_matrix_comps(t, a, b):
@@ -53,7 +60,7 @@ def probe_matrix_comps(t, a, b):
     m12 = 0.3 * np.cos(b) + 0.2 * t * t
     m21 = 0.2 * np.sin(a + b)
     m22 = 0.4 * np.cos(a) * np.cos(b) - 0.1 * t
-    return np.stack([np.stack([m11, m12]), np.stack([m21, m22])])
+    return _matrix(m11, m12, m21, m22)
 
 
 def _matrix_comps_b(t, a, b):
@@ -61,7 +68,7 @@ def _matrix_comps_b(t, a, b):
     m12 = 0.2 * np.sin(a) + 0.1 * t
     m21 = 0.3 * np.cos(a + b) + 0.1 * t * t
     m22 = 0.5 * np.sin(b)
-    return np.stack([np.stack([m11, m12]), np.stack([m21, m22])])
+    return _matrix(m11, m12, m21, m22)
 
 
 def _split_rank1(t, a, b):

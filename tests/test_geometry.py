@@ -1,12 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from surfrates.chart_kernel import Domain, Event, MovingSurface, get_scenario, sample_events
+from surfrates.chart_kernel import (
+    Domain,
+    Event,
+    MovingSurface,
+    get_scenario,
+    list_scenarios,
+    sample_events,
+)
 from surfrates.errors import NonEmbeddingError
-from surfrates.geometry import check_identities, geometry_at, motion_at
+from surfrates.geometry import MotionSample, check_identities, geometry_at, motion_at, motion_grid
 
 
 def test_torus_geometry_literals(torus_static):
@@ -130,3 +139,22 @@ def test_gcal_antisymmetric_block_structure(torus_drift, torus_events):
     assert_allclose(geom.nu @ mot.Gcal @ geom.nu, 0.0, atol=1e-12)
     # Acal is antisymmetric
     assert_allclose(mot.Acal + mot.Acal.T, 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in list_scenarios() if get_scenario(name).static]
+)
+def test_static_scenario_motion_is_time_independent(name):
+    # a flow on a static surface builds its motion once, at t0
+    surface = get_scenario(name)
+    dom = surface.domain
+    frac = np.array([0.2, 0.5, 0.8])
+    Y1, Y2 = np.meshgrid(
+        dom.y1_range[0] + frac * dom.spans[0],
+        dom.y2_range[0] + frac * dom.spans[1],
+        indexing="ij",
+    )
+    m0 = motion_grid(surface, 0.0, Y1, Y2)
+    m1 = motion_grid(surface, 0.7, Y1, Y2)
+    for f in dataclasses.fields(MotionSample):
+        assert np.array_equal(getattr(m0, f.name), getattr(m1, f.name)), f.name

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from surfrates import landau
 from surfrates.chart_kernel import get_scenario
 from surfrates.diffops import make_grid
 from surfrates.errors import ConfigError, StabilityError
@@ -74,6 +75,38 @@ def test_non_finite_state_stops_static_run(torus_static):
     cfg = FlowConfig(n=16, steps=3, ic="constant-beta", beta0=float("nan"))
     with pytest.raises(StabilityError, match="not finite at step 0"):
         run_flow(torus_static, LdGParams(), cfg)
+
+
+def _record_frame_builds(monkeypatch):
+    """Times passed to landau.make_grid and landau.motion_grid, by name."""
+    times = {"make_grid": [], "motion_grid": []}
+    for name, log in times.items():
+        original = getattr(landau, name)
+
+        def recorded(surface, t, *args, _original=original, _log=log):
+            _log.append(t)
+            return _original(surface, t, *args)
+
+        monkeypatch.setattr(landau, name, recorded)
+    return times
+
+
+@pytest.mark.parametrize("mode", ["FullQ_Jaumann", "Conforming_Jaumann"])
+def test_moving_flow_builds_each_stage_time_once(monkeypatch, torus_drift, mode):
+    times = _record_frame_builds(monkeypatch)
+    cfg = FlowConfig(mode=mode, n=16, dt=1e-3, steps=6, method="rk4")
+    run_flow(torus_drift, LdGParams(), cfg)
+    for name, ts in times.items():
+        assert len(ts) == len(set(ts)), name
+        # t0 and two new stage times per step (t + h/2, t + h)
+        assert len(ts) >= 1 + 2 * cfg.steps, name
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_static_flow_builds_one_frame(monkeypatch, torus_static, method):
+    times = _record_frame_builds(monkeypatch)
+    run_flow(torus_static, LdGParams(), FlowConfig(n=16, steps=5, method=method))
+    assert times == {"make_grid": [0.0], "motion_grid": [0.0]}
 
 
 def test_params_validation():
