@@ -191,15 +191,13 @@ class MovingSurface:
         return self.u_field(t, y1, y2)
 
     def u_jet(self, t, y1, y2):
-        """Return (du, dtu): du[i, j] = d_j u^i and dtu[i] = d_t u^i."""
+        """Return du with du[i, j] = d_j u^i."""
         y1, y2 = self.domain.wrap(y1, y2)
         if self.u_jets is not None:
             return self.u_jets(t, y1, y2)
-        du = np.stack(
+        return np.stack(
             c4_grad(lambda a, b: self.u_field(t, a, b), y1, y2, self.space_step), axis=1
         )
-        dtu = c4_d1(lambda s: self.u_field(s, y1, y2), t, self.fd_time_step)
-        return du, dtu
 
 
 def eval_jet(surface: MovingSurface, event: Event) -> ChartJet:
@@ -426,7 +424,7 @@ def _const_u(c1: float, c2: float):
 
     def u_jets(t, y1, y2):
         s = np.shape(np.asarray(y1, float))
-        return np.zeros((2, 2) + s), np.zeros((2,) + s)
+        return np.zeros((2, 2) + s)
 
     return u_field, u_jets
 

@@ -22,7 +22,7 @@ import numpy as np
 from ._fd import c4_d1_nested, c4_d2, c4_grad
 from .chart_kernel import Event, MovingSurface
 from .errors import ConfigError, NotConformingError, RankError, StencilError
-from .fields import QSplit, TensorSplit, TensorValue
+from .fields import QSplit, TensorSplit, TensorValue, reconstruct
 from .geometry import GeometrySample, geometry_at, geometry_from_jet, geometry_grid
 from .timederiv import FieldClosure, QFieldClosure, _covariant_derivative, _split_closures
 
@@ -209,17 +209,10 @@ def surface_laplace(
         - 2.0 * phi * trB2
     )
 
-    nu = geom.nu
-    cart = (
-        geom.embed_contra(tangential)
-        + np.einsum("a,b->ab", geom.embed_vec(left), nu)
-        + np.einsum("a,b->ab", nu, geom.embed_vec(right))
-        + nunu * np.einsum("a,b->ab", nu, nu)
-    )
     split = TensorSplit(
         rank=2, r2=tangential, phi=np.asarray(nunu), etaL2=left, etaR2=right
     )
-    return TensorValue(rank=2, cart=cart, split=split)
+    return TensorValue(rank=2, cart=reconstruct(geom, split), split=split)
 
 
 def conforming_laplace(

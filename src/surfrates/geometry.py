@@ -129,11 +129,7 @@ class MotionSample:
     dV_o: np.ndarray
     dV_m: np.ndarray
     u2: np.ndarray
-    u3: np.ndarray
     Du: np.ndarray
-    dtu: np.ndarray
-    v2: np.ndarray
-    v3: np.ndarray
     vperp: np.ndarray
     G: np.ndarray
     b_cov: np.ndarray
@@ -142,7 +138,6 @@ class MotionSample:
     b_obs_cov: np.ndarray
     b_obs3: np.ndarray
     A: np.ndarray
-    S: np.ndarray
     Gcal: np.ndarray
     Acal: np.ndarray
 
@@ -155,18 +150,17 @@ def _gradient_blocks(geom: GeometrySample, V: np.ndarray, dV: np.ndarray):
     direction; b_j = <nu, d_j V>.
     """
     P = np.einsum("ak...,aj...->kj...", geom.dX, dV)
-    vcov = np.einsum("a...,ai...->i...", V, geom.dX)
     vperp = np.einsum("a...,a...->...", V, geom.nu)
     G = np.einsum("ik...,kj...->ij...", geom.ginv, P)
     b_cov = np.einsum("a...,aj...->j...", geom.nu, dV)
-    return G, b_cov, vcov, vperp
+    return G, b_cov, vperp
 
 
 def _g_adjoint(geom: GeometrySample, M: np.ndarray) -> np.ndarray:
     return np.einsum("ik...,lk...,lj...->ij...", geom.ginv, M, geom.g)
 
 
-def motion_from_jet(geom: GeometrySample, u2, du, dtu) -> MotionSample:
+def motion_from_jet(geom: GeometrySample, u2, du) -> MotionSample:
     jet = geom.jet
     V_o = jet.Vt
     dV_o = jet.dVt
@@ -177,16 +171,12 @@ def motion_from_jet(geom: GeometrySample, u2, du, dtu) -> MotionSample:
         + np.einsum("kj...,ak...->aj...", du, jet.dX)
         + np.einsum("k...,akj...->aj...", u2, jet.ddX)
     )
-    G_m, b_m, vcov_m, vperp_m = _gradient_blocks(geom, V_m, dV_m)
-    G_o, b_o, _, _ = _gradient_blocks(geom, V_o, dV_o)
-    v2 = np.einsum("ij...,j...->i...", geom.ginv, vcov_m)
-    v3 = V_m - vperp_m * geom.nu
+    G_m, b_m, vperp_m = _gradient_blocks(geom, V_m, dV_m)
+    G_o, b_o, _ = _gradient_blocks(geom, V_o, dV_o)
     b3 = geom.lift_cov(b_m)
     b_obs3 = geom.lift_cov(b_o)
     Du = du + np.einsum("ijl...,l...->ij...", geom.Gamma, u2)
-    adjG = _g_adjoint(geom, G_m)
-    A = 0.5 * (G_m - adjG)
-    S = 0.5 * (G_m + adjG)
+    A = 0.5 * (G_m - _g_adjoint(geom, G_m))
     Gcal = (
         geom.embed_mixed(G_m)
         + np.einsum("a...,b...->ab...", geom.nu, b3)
@@ -199,11 +189,7 @@ def motion_from_jet(geom: GeometrySample, u2, du, dtu) -> MotionSample:
         dV_o=dV_o,
         dV_m=dV_m,
         u2=u2,
-        u3=u3,
         Du=Du,
-        dtu=dtu,
-        v2=v2,
-        v3=v3,
         vperp=vperp_m,
         G=G_m,
         b_cov=b_m,
@@ -212,7 +198,6 @@ def motion_from_jet(geom: GeometrySample, u2, du, dtu) -> MotionSample:
         b_obs_cov=b_o,
         b_obs3=b_obs3,
         A=A,
-        S=S,
         Gcal=Gcal,
         Acal=Acal,
     )
@@ -224,8 +209,8 @@ def motion_at(
     if geom is None:
         geom = geometry_at(surface, event)
     u2 = surface.u(event.t, event.y1, event.y2)
-    du, dtu = surface.u_jet(event.t, event.y1, event.y2)
-    return motion_from_jet(geom, u2, du, dtu)
+    du = surface.u_jet(event.t, event.y1, event.y2)
+    return motion_from_jet(geom, u2, du)
 
 
 def motion_grid(
@@ -234,8 +219,8 @@ def motion_grid(
     if geom is None:
         geom = geometry_grid(surface, t, Y1, Y2)
     u2 = surface.u(t, Y1, Y2)
-    du, dtu = surface.u_jet(t, Y1, Y2)
-    return motion_from_jet(geom, u2, du, dtu)
+    du = surface.u_jet(t, Y1, Y2)
+    return motion_from_jet(geom, u2, du)
 
 
 # ---------------------------------------------------------------------------

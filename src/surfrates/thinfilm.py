@@ -3,8 +3,8 @@
 The shell chart is chi(t, y, xi) = X(t, y) + xi nu(t, y), with fields and
 motion extended constant in xi.  Bulk (3D) time derivatives of the extended
 fields, evaluated at offset xi, converge to the corresponding surface
-derivatives at rate O(xi); the scalar and plain material rates agree
-identically, which is reported as infinite fitted order.
+derivatives at rate O(xi); the Jaumann rate agrees identically, which is
+reported as infinite fitted order.
 """
 from __future__ import annotations
 
@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fd import c4_d1, c4_grad
+from ._fd import c4_grad
 from .chart_kernel import Event, MovingSurface
 from .errors import ConfigError, ShellDegenerateError
-from .geometry import geometry_from_jet, motion_from_jet, geometry_at, motion_at
-from .timederiv import FieldClosure, advected_rate, convected_dt, material_dt, DerivKind
+from .geometry import geometry_at, motion_at
+from .timederiv import FieldClosure, advected_rate, convected_dt, DerivKind
 from .util import det2, frobenius
 
 __all__ = [
@@ -32,8 +32,6 @@ __all__ = [
 ]
 
 LIMIT_QUANTITIES = (
-    "ScalarDot",
-    "MaterialDt",
     "UpperDt",
     "LowerDt",
     "JaumannDt",
@@ -51,16 +49,7 @@ class ShellEvent:
     xi: float
 
 
-def _surface_data(surface: MovingSurface, t, y1, y2):
-    jet = surface.jet(t, y1, y2)
-    geom = geometry_from_jet(jet)
-    u2 = surface.u(t, y1, y2)
-    du, dtu = surface.u_jet(t, y1, y2)
-    mot = motion_from_jet(geom, u2, du, dtu)
-    return jet, geom, mot
-
-
-def _shell_frame(jet, geom, xi):
+def _shell_frame(geom, xi):
     """Frame columns (d1 chi, d2 chi, nu) of the shell at offset xi.
 
     Raises ShellDegenerateError when the offset reaches a focal point,
@@ -70,14 +59,14 @@ def _shell_frame(jet, geom, xi):
         raise ShellDegenerateError(
             f"offset xi={xi:g} degenerates the shell chart (focal point)"
         )
-    dchi = jet.dX + xi * geom.dnu
+    dchi = geom.dX + xi * geom.dnu
     return np.column_stack([dchi[:, 0], dchi[:, 1], geom.nu])
 
 
 def shell_chart(surface: MovingSurface, sev: ShellEvent):
     """Shell position and frame columns (d1 chi, d2 chi, nu) at the event."""
-    jet, geom, _ = _surface_data(surface, sev.t, sev.y1, sev.y2)
-    return jet.X + sev.xi * geom.nu, _shell_frame(jet, geom, sev.xi)
+    geom = geometry_at(surface, Event(sev.t, sev.y1, sev.y2))
+    return geom.jet.X + sev.xi * geom.nu, _shell_frame(geom, sev.xi)
 
 
 def shell_velocity(surface: MovingSurface, sev: ShellEvent) -> np.ndarray:
@@ -86,7 +75,10 @@ def shell_velocity(surface: MovingSurface, sev: ShellEvent) -> np.ndarray:
     V = V_chart + xi d_t nu + u^k d_k chi, with d_t nu = -(lift of the chart
     normal-coupling covector), all analytic from the jet.
     """
-    jet, geom, mot = _surface_data(surface, sev.t, sev.y1, sev.y2)
+    event = Event(sev.t, sev.y1, sev.y2)
+    geom = geometry_at(surface, event)
+    mot = motion_at(surface, event, geom)
+    jet = geom.jet
     dnu_t = -mot.b_obs3
     dchi = jet.dX + sev.xi * geom.dnu
     return jet.Vt + sev.xi * dnu_t + np.einsum("k,ak->a", mot.u2, dchi)
@@ -99,8 +91,10 @@ def shell_velocity_gradient(surface: MovingSurface, sev: ShellEvent) -> np.ndarr
     xi-partial is analytic because the extension is affine in xi.
     """
     t, y1, y2, xi = sev.t, sev.y1, sev.y2, sev.xi
-    jet, geom, mot = _surface_data(surface, t, y1, y2)
-    frame = _shell_frame(jet, geom, xi)
+    event = Event(t, y1, y2)
+    geom = geometry_at(surface, event)
+    mot = motion_at(surface, event, geom)
+    frame = _shell_frame(geom, xi)
     velocity = lambda a, b: shell_velocity(surface, ShellEvent(t, a, b, xi))
     d1, d2 = c4_grad(velocity, y1, y2, surface.space_step)
     # d_xi V = d_t nu + u^k d_k nu = -(lift of b[V_m])
@@ -145,10 +139,6 @@ def fit_order(rows, scale: float = 1.0) -> float:
     return float(slope)
 
 
-def _probe_scalar(t, a, b):
-    return np.sin(a) * np.cos(b) + 0.2 * t * np.sin(b)
-
-
 def _probe_rank2(t, a, b):
     w = np.array([np.sin(a), np.cos(b), np.sin(a + b) + 0.5 * t])
     v = np.array([np.cos(2.0 * a) + 0.3 * t, np.sin(b - a), np.cos(b)])
@@ -168,32 +158,9 @@ def limit_study(
             f"unknown limit quantity {quantity!r}; pick one of {LIMIT_QUANTITIES}"
         )
     t, y1, y2 = event.t, event.y1, event.y2
-    geom = geometry_at(surface, event)
-    mot = motion_at(surface, event, geom)
-
-    # shell material points keep their offset, so the xi-advection speed is 0
-    xidot = 0.0
     rows = []
-    if quantity == "ScalarDot":
-        surf_val = advected_rate(surface, _probe_scalar, event)
-        scale = max(1.0, abs(float(surf_val)))
-        for xi in xi_sequence:
-            dxi = c4_d1(lambda x: _probe_scalar(t, y1, y2), xi, 1e-2)
-            shell_val = advected_rate(surface, _probe_scalar, event) + xidot * dxi
-            rows.append((xi, abs(float(shell_val - surf_val))))
-        return ConvergenceReport(quantity, rows, fit_order(rows, scale))
-
-    if quantity == "MaterialDt":
-        closure = FieldClosure(rank=2, eval=_probe_rank2)
-        surf_val = material_dt(surface, closure, event, "CartesianProxy").cart
-        scale = max(1.0, frobenius(surf_val))
-        for xi in xi_sequence:
-            dxi = c4_d1(lambda x: _probe_rank2(t, y1, y2), xi, 1e-2)
-            shell_val = advected_rate(surface, _probe_rank2, event) + xidot * dxi
-            rows.append((xi, frobenius(shell_val - surf_val)))
-        return ConvergenceReport(quantity, rows, fit_order(rows, scale))
-
     if quantity == "Deformation":
+        mot = motion_at(surface, event)
         S_surf = 0.5 * (mot.Gcal + mot.Gcal.T)
         scale = max(1.0, frobenius(S_surf))
         for xi in xi_sequence:

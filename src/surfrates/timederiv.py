@@ -38,7 +38,6 @@ from .fields import (
 from .geometry import (
     GeometrySample,
     MotionSample,
-    _g_adjoint,
     geometry_at,
     geometry_from_jet,
     motion_at,
@@ -258,26 +257,13 @@ def tangential_dt(
         lo = tangential_dt(surface, closure, event, DerivKind.Lower, "Decomposed", geom, mot)
         return 0.5 * (up + lo)
 
-    if path == "ViaMaterial":
-        mdot = _material_tangential(surface, closure, event, geom, mot)
-        v = np.asarray(closure.comp_eval(event.t, event.y1, event.y2), dtype=float)
-        if kind == DerivKind.Upper:
-            M1 = mot.G
-        elif kind == DerivKind.Lower:
-            M1 = -_g_adjoint(geom, mot.G)
-        else:
-            M1 = mot.A
-        if closure.rank == 1:
-            return mdot - M1 @ v
-        return mdot - M1 @ v - v @ M1.T
-
     if path != "Decomposed":
         raise ConfigError(f"unknown tangential_dt path {path!r}")
 
     if kind == DerivKind.Upper:
         # direct form: raw rates plus advection minus relative-velocity gradient;
-        # never touches the full velocity gradient, so it is independent of
-        # the ViaMaterial route
+        # never touches the material velocity gradient G, which the Jaumann
+        # branch below and convected_dt's ViaMaterial path use
         v, vt, dv = _comp_parts(surface, closure.comp_eval, event)
         cov = _covariant_derivative(geom, closure.rank, v, dv)
         adv = np.einsum("k,...k->...", mot.u2, cov)
@@ -385,8 +371,8 @@ def convected_dt(
 
     Paths: ViaMaterial (proxy advection plus velocity-gradient products),
     Decomposed (split components, each block transported by the matching
-    tangential operator), and for Jaumann also Average (mean of the upper and
-    lower Decomposed results).
+    tangential operator), and for Jaumann also Average (the same blocks, each
+    transported by the mean of the tangential upper and lower operators).
     """
     kind = DerivKind(kind)
     if kind == DerivKind.Material:
@@ -400,13 +386,6 @@ def convected_dt(
         geom = geometry_at(surface, event)
     if mot is None:
         mot = motion_at(surface, event, geom)
-
-    if path == "Average":
-        if kind != DerivKind.Jaumann:
-            raise ConfigError("path 'Average' exists only for the Jaumann derivative")
-        up = convected_dt(surface, closure, event, DerivKind.Upper, "Decomposed", geom, mot)
-        lo = convected_dt(surface, closure, event, DerivKind.Lower, "Decomposed", geom, mot)
-        return TensorValue(rank=closure.rank, cart=0.5 * (up.cart + lo.cart))
 
     if path == "ViaMaterial":
         R = np.asarray(closure.eval(event.t, event.y1, event.y2), dtype=float)
@@ -422,44 +401,24 @@ def convected_dt(
             cart = cart - R @ M.T
         return TensorValue(rank=closure.rank, cart=cart)
 
-    if path != "Decomposed":
+    if path not in ("Decomposed", "Average"):
         raise ConfigError(f"unknown convected_dt path {path!r}")
 
     rcl, eLcl, eRcl, phicl = _split_closures(closure)
-    phidot = advected_rate(surface, phicl, event)
-    rblock = tangential_dt(
-        surface,
-        TangentialFieldClosure(closure.rank, rcl),
-        event,
-        kind,
-        "Decomposed",
-        geom,
-        mot,
-    )
-    nu = geom.nu
-    if closure.rank == 1:
-        cart = geom.embed_vec(rblock) + phidot * nu
-        return TensorValue(
-            rank=1,
-            cart=cart,
-            split=TensorSplit(rank=1, r2=rblock, phi=np.asarray(phidot)),
+
+    def block(rank, comp_eval):
+        return tangential_dt(
+            surface, TangentialFieldClosure(rank, comp_eval), event, kind, path, geom, mot
         )
-    eLblock = tangential_dt(
-        surface, TangentialFieldClosure(1, eLcl), event, kind, "Decomposed", geom, mot
-    )
-    eRblock = tangential_dt(
-        surface, TangentialFieldClosure(1, eRcl), event, kind, "Decomposed", geom, mot
-    )
-    cart = (
-        geom.embed_contra(rblock)
-        + np.einsum("a,b->ab", geom.embed_vec(eLblock), nu)
-        + np.einsum("a,b->ab", nu, geom.embed_vec(eRblock))
-        + phidot * np.einsum("a,b->ab", nu, nu)
-    )
+
     split = TensorSplit(
-        rank=2, r2=rblock, phi=np.asarray(phidot), etaL2=eLblock, etaR2=eRblock
+        rank=closure.rank,
+        r2=block(closure.rank, rcl),
+        phi=np.asarray(advected_rate(surface, phicl, event)),
     )
-    return TensorValue(rank=2, cart=cart, split=split)
+    if closure.rank == 2:
+        split.etaL2, split.etaR2 = block(1, eLcl), block(1, eRcl)
+    return TensorValue(rank=closure.rank, cart=reconstruct(geom, split), split=split)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from surfrates.cli import main, run_verify
+from surfrates.thinfilm import LIMIT_QUANTITIES
 
 
 def test_verify_exit_zero_and_report(tmp_path):
@@ -81,12 +82,12 @@ def test_converge_laplace_csv(tmp_path):
 def test_converge_thinfilm_outputs(tmp_path):
     rc = main(["converge", "--kind", "thinfilm", "--out", str(tmp_path)])
     assert rc == 0
-    for qty in ("ScalarDot", "UpperDt", "Deformation"):
+    for qty in ("JaumannDt", "UpperDt", "Deformation"):
         path = tmp_path / f"converge_thinfilm_{qty}.csv"
         assert path.exists()
         assert path.read_text().splitlines()[0] == "step,error,fitted_order"
     report = json.loads((tmp_path / "converge_thinfilm.json").read_text())
-    assert len(report["reports"]) == 6
+    assert len(report["reports"]) == len(LIMIT_QUANTITIES)
 
 
 def test_converge_reports_byte_identical(tmp_path):

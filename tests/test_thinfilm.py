@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from surfrates import thinfilm
 from surfrates.chart_kernel import get_scenario, sample_events
 from surfrates.errors import ShellDegenerateError
 from surfrates.geometry import geometry_at, motion_at
@@ -60,11 +61,25 @@ def test_limit_orders_torus_drift(torus_drift, quantity):
 
 def test_exact_limits_report_inf(torus_drift):
     ev = sample_events(torus_drift, 1, 9)[0]
-    for quantity in ("ScalarDot", "MaterialDt", "JaumannDt"):
-        rep = limit_study(torus_drift, quantity, ev)
-        assert math.isinf(rep.fitted_order)
-        obj = rep.to_json_obj()
-        assert obj["fitted_order"] == "inf"
+    rep = limit_study(torus_drift, "JaumannDt", ev)
+    assert math.isinf(rep.fitted_order)
+    assert rep.to_json_obj()["fitted_order"] == "inf"
+
+
+@pytest.mark.parametrize("quantity", LIMIT_QUANTITIES)
+def test_limit_study_detects_biased_shell_gradient(torus_drift, quantity, monkeypatch):
+    # a constant 1e-2 error in the bulk velocity gradient does not vanish as
+    # xi -> 0, so every limit must lose its order
+    exact = thinfilm.shell_velocity_gradient
+
+    def biased(surface, sev):
+        gradv = exact(surface, sev).copy()
+        gradv[0, 1] += 1e-2
+        return gradv
+
+    monkeypatch.setattr(thinfilm, "shell_velocity_gradient", biased)
+    ev = sample_events(torus_drift, 1, 7)[0]
+    assert limit_study(torus_drift, quantity, ev).fitted_order < 0.9
 
 
 def test_fit_order_recovers_slope():

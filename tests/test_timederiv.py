@@ -77,6 +77,9 @@ def test_jaumann_average_path(torus_drift, torus_events):
     a = convected_dt(torus_drift, closure, ev, DerivKind.Jaumann, "Average").cart
     b = convected_dt(torus_drift, closure, ev, DerivKind.Jaumann, "ViaMaterial").cart
     assert rel_residual(a, b) < 1e-6
+    for kind in (DerivKind.Upper, DerivKind.Lower):
+        with pytest.raises(ConfigError):
+            convected_dt(torus_drift, closure, ev, kind, "Average")
 
 
 def test_tangential_jaumann_alt_form(torus_drift, torus_events):
