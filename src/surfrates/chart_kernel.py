@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._fd import c4_d1, c4_d1_nested, c4_d2, c4_grad
+from ._fd import c4_d1, c4_grad, c4_hess
 from .errors import ConfigError, DomainError, InversionError
 from .util import det2, inv2
 
@@ -73,13 +73,16 @@ class Domain:
         return min(self.spans)
 
     def wrap(self, y1, y2):
-        """Reduce periodic coordinates to the fundamental cell."""
+        """Reduce periodic coordinates to the fundamental cell, broadcast
+        against each other, so a chart closure always gets equal shapes."""
         if self.periodic1:
             lo, hi = self.y1_range
             y1 = lo + np.mod(np.asarray(y1, float) - lo, hi - lo)
         if self.periodic2:
             lo, hi = self.y2_range
             y2 = lo + np.mod(np.asarray(y2, float) - lo, hi - lo)
+        if np.shape(y1) != np.shape(y2):
+            y1, y2 = np.broadcast_arrays(y1, y2)
         return y1, y2
 
     def contains(self, y1, y2, pad: float = 0.0) -> bool:
@@ -172,11 +175,8 @@ class MovingSurface:
         y2 = np.asarray(y2, float)
         pos = self.chart
 
-        X = pos(t, y1, y2)
-        dX = np.stack(c4_grad(lambda a, b: pos(t, a, b), y1, y2, h), axis=1)
-        d11 = c4_d2(lambda a: pos(t, a, y2), y1, h)
-        d22 = c4_d2(lambda b: pos(t, y1, b), y2, h)
-        d12 = c4_d1_nested(lambda a, b: pos(t, a, b), y1, h, y2, h)
+        X, d1, d2, d11, d12, d22 = c4_hess(lambda a, b: pos(t, a, b), y1, y2, h)
+        dX = np.stack([d1, d2], axis=1)
         ddX = np.stack(
             [np.stack([d11, d12], axis=1), np.stack([d12, d22], axis=1)], axis=1
         )

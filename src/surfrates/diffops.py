@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._fd import c4_d1_nested, c4_d2, c4_grad
+from ._fd import c4_grad, c4_hess
 from .chart_kernel import Event, MovingSurface
 from .errors import ConfigError, NotConformingError, RankError, StencilError
 from .fields import QSplit, TensorSplit, TensorValue, reconstruct
@@ -47,10 +47,7 @@ def _scalar_laplace(surface: MovingSurface, fun: Callable, event: Event, geom: G
     """Laplace-Beltrami of a chart closure; elementwise on array values."""
     t, y1, y2 = event.t, event.y1, event.y2
     h = surface.space_step
-    f1, f2 = c4_grad(lambda a, b: fun(t, a, b), y1, y2, h)
-    f11 = c4_d2(lambda a: fun(t, a, y2), y1, h)
-    f22 = c4_d2(lambda b: fun(t, y1, b), y2, h)
-    f12 = c4_d1_nested(lambda a, b: fun(t, a, b), y1, h, y2, h)
+    _, f1, f2, f11, f12, f22 = c4_hess(lambda a, b: fun(t, a, b), y1, y2, h)
     hess = ((f11, f12), (f12, f22))
     grad = (f1, f2)
     out = 0.0
@@ -63,11 +60,11 @@ def _scalar_laplace(surface: MovingSurface, fun: Callable, event: Event, geom: G
 
 def _comp_cov_deriv(surface: MovingSurface, comp_eval: Callable, rank: int, t, a, b):
     """Covariant derivative array of a tangential component closure at (a, b);
-    the differentiation index is last."""
+    the differentiation index is at axis ``rank``, broadcast axes after it."""
     geom = geometry_from_jet(surface.jet(t, a, b))
     v = np.asarray(comp_eval(t, a, b), dtype=float)
     dv = np.stack(
-        c4_grad(lambda x, y: comp_eval(t, x, y), a, b, surface.space_step), axis=-1
+        c4_grad(lambda x, y: comp_eval(t, x, y), a, b, surface.space_step), axis=rank
     )
     return _covariant_derivative(geom, rank, v, dv)
 

@@ -151,6 +151,7 @@ def probe_conforming_q_field(surface: MovingSurface) -> QFieldClosure:
     def q_eval(t, a, b):
         geom = geometry_from_jet(surface.jet(t, a, b))
         q2 = pi_q_components(geom, _sym_probe(t, a, b))
-        return QSplit(q2=q2, eta2=np.zeros(2), beta=probe_scalar_b(t, a, b))
+        eta2 = np.zeros((2,) + q2.shape[2:])
+        return QSplit(q2=q2, eta2=eta2, beta=probe_scalar_b(t, a, b))
 
     return QFieldClosure(q_eval=q_eval)

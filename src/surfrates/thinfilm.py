@@ -18,6 +18,7 @@ from ._fd import c4_grad
 from .chart_kernel import Event, MovingSurface
 from .errors import ConfigError, ShellDegenerateError
 from .geometry import geometry_at, motion_at
+from .probes import _stack
 from .timederiv import FieldClosure, advected_rate, convected_dt, DerivKind
 from .util import det2, frobenius
 
@@ -81,7 +82,7 @@ def shell_velocity(surface: MovingSurface, sev: ShellEvent) -> np.ndarray:
     jet = geom.jet
     dnu_t = -mot.b_obs3
     dchi = jet.dX + sev.xi * geom.dnu
-    return jet.Vt + sev.xi * dnu_t + np.einsum("k,ak->a", mot.u2, dchi)
+    return jet.Vt + sev.xi * dnu_t + np.einsum("k...,ak...->a...", mot.u2, dchi)
 
 
 def shell_velocity_gradient(surface: MovingSurface, sev: ShellEvent) -> np.ndarray:
@@ -140,9 +141,9 @@ def fit_order(rows, scale: float = 1.0) -> float:
 
 
 def _probe_rank2(t, a, b):
-    w = np.array([np.sin(a), np.cos(b), np.sin(a + b) + 0.5 * t])
-    v = np.array([np.cos(2.0 * a) + 0.3 * t, np.sin(b - a), np.cos(b)])
-    return np.outer(w, v) + 0.2 * np.outer(v, v)
+    w = _stack(np.sin(a), np.cos(b), np.sin(a + b) + 0.5 * t)
+    v = _stack(np.cos(2.0 * a) + 0.3 * t, np.sin(b - a), np.cos(b))
+    return np.einsum("i...,j...->ij...", w, v) + 0.2 * np.einsum("i...,j...->ij...", v, v)
 
 
 def limit_study(

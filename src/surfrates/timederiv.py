@@ -72,7 +72,12 @@ class DerivKind(str, Enum):
 class FieldClosure:
     """A field given by its Cartesian proxy closure (t, y1, y2) -> array.
 
-    rank 0: scalar; rank 1: shape (3,); rank 2: shape (3, 3).
+    rank 0: scalar; rank 1: shape (3,); rank 2: shape (3, 3); component axes
+    are followed by the broadcast shape of the coordinates.  Spatial stencils
+    call the closures once with coordinate arrays that carry a trailing
+    stencil axis: a closure broadcasts over it or fails loudly (raises, or
+    returns other trailing axes), and a closure that fails is evaluated
+    offset by offset instead, so pointwise-only closures still work.
     split_eval, if given, must return the matching TensorSplit and agree with
     eval to 1e-8 after reconstruction.
     """
@@ -119,7 +124,13 @@ class TangentialFieldClosure:
 
 @dataclass
 class QFieldClosure:
-    """A Q-tensor field by its split closure (t, y1, y2) -> QSplit."""
+    """A Q-tensor field by its split closure (t, y1, y2) -> QSplit.
+
+    Every block carries the broadcast shape of the coordinates after its
+    component axes, as for FieldClosure: stencils call ``q_eval`` with a
+    trailing stencil axis, and a closure that fails loudly on it is evaluated
+    offset by offset.
+    """
 
     q_eval: Callable
 
@@ -172,13 +183,14 @@ def _comp_parts(surface: MovingSurface, comp_eval: Callable, event: Event):
 
 
 def _covariant_derivative(geom: GeometrySample, rank: int, v, dv):
-    """r^{i..}_{|k} from value and partial derivatives (partial index last)."""
+    """r^{i..}_{|k} from value and partial derivatives (partial index at axis
+    ``rank``, broadcast axes last)."""
     if rank == 1:
-        return dv + np.einsum("ikl,l->ik", geom.Gamma, v)
+        return dv + np.einsum("ikl...,l...->ik...", geom.Gamma, v)
     return (
         dv
-        + np.einsum("ikl,lj->ijk", geom.Gamma, v)
-        + np.einsum("jkl,il->ijk", geom.Gamma, v)
+        + np.einsum("ikl...,lj...->ijk...", geom.Gamma, v)
+        + np.einsum("jkl...,il...->ijk...", geom.Gamma, v)
     )
 
 
@@ -202,15 +214,18 @@ def _lower_tangential_covariant(surface, closure, event, geom, mot):
 
     def g_of(s, a, b):
         jet = surface.jet(s, a, b)
-        return np.einsum("ai,aj->ij", jet.dX, jet.dX)
+        return np.einsum("ai...,aj...->ij...", jet.dX, jet.dX)
 
     if closure.rank == 1:
         def cov_eval(s, a, b):
-            return g_of(s, a, b) @ np.asarray(closure.comp_eval(s, a, b), dtype=float)
+            r = np.asarray(closure.comp_eval(s, a, b), dtype=float)
+            return np.einsum("ij...,j...->i...", g_of(s, a, b), r)
     else:
         def cov_eval(s, a, b):
             gs = g_of(s, a, b)
-            return gs @ np.asarray(closure.comp_eval(s, a, b), dtype=float) @ gs
+            r = np.asarray(closure.comp_eval(s, a, b), dtype=float)
+            gr = np.einsum("ij...,jk...->ik...", gs, r)
+            return np.einsum("ik...,kl...->il...", gr, gs)
 
     w, wt, dw = _comp_parts(surface, cov_eval, event)
     if closure.rank == 1:

@@ -3,7 +3,9 @@ import os
 
 import pytest
 
-from surfrates.cli import main, run_verify
+from surfrates import _fd
+from surfrates.chart_kernel import list_scenarios
+from surfrates.cli import main, run_converge_thinfilm, run_verify
 from surfrates.thinfilm import LIMIT_QUANTITIES
 
 
@@ -212,3 +214,15 @@ def test_flow_crosscheck_pass_exit_zero(tmp_path):
     assert main(_crosscheck_flow_args(tmp_path)) == 0
     report = _strict_json(tmp_path / "flow_report.json")
     assert report["crosscheck_max_residual"] < 1e-5
+
+
+def test_verify_and_converge_take_batched_path(monkeypatch):
+    # every closure behind `verify` and `converge --kind thinfilm` broadcasts
+    # over the stencil axis, so no stencil falls back to per-offset calls
+    def no_fallback(f2, a, b):
+        raise AssertionError(f"per-offset stencil fallback for {f2!r}")
+
+    monkeypatch.setattr(_fd, "_per_offset", no_fallback)
+    for scenario in list_scenarios():
+        assert run_verify(scenario, "all", n_events=1, seed=5)["all_pass"]
+    run_converge_thinfilm("torus-breathing-drift")

@@ -1,0 +1,147 @@
+"""Spatial stencils: one closure call per stencil, the per-offset formulas,
+and the per-offset fallback for closures that do not broadcast."""
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.testing import assert_array_equal
+
+from surfrates import _fd
+from surfrates._fd import c4_d1, c4_grad, c4_hess
+from surfrates.chart_kernel import get_scenario, sample_events
+from surfrates.probes import probe_field
+
+
+# Reference formulas with one closure call per stencil offset.
+def _ref_d2(f, x, h):
+    return (
+        -f(x + 2 * h) + 16.0 * f(x + h) - 30.0 * f(x) + 16.0 * f(x - h) - f(x - 2 * h)
+    ) / (12.0 * h * h)
+
+
+def _ref_grad(f, y1, y2, h):
+    return c4_d1(lambda a: f(a, y2), y1, h), c4_d1(lambda b: f(y1, b), y2, h)
+
+
+def _ref_hess(f, y1, y2, h):
+    return (
+        f(y1, y2),
+        *_ref_grad(f, y1, y2, h),
+        _ref_d2(lambda a: f(a, y2), y1, h),
+        c4_d1(lambda a: c4_d1(lambda b: f(a, b), y2, h), y1, h),
+        _ref_d2(lambda b: f(y1, b), y2, h),
+    )
+
+
+def _poly(a, b):
+    """Broadcasting closure with only + and *, so a batched call gives the
+    same bits as pointwise calls."""
+    a, b = np.broadcast_arrays(a, b)
+    return np.stack([a * a * b + 0.3 * b, a - b * b * b, 2.0 * a * b * b - 0.7])
+
+
+class _Counting:
+    def __init__(self, f):
+        self.f = f
+        self.calls = 0
+
+    def __call__(self, a, b):
+        self.calls += 1
+        return self.f(a, b)
+
+
+@pytest.fixture
+def per_offset_calls(monkeypatch):
+    """Counts entries into the per-offset fallback."""
+    calls = []
+    orig = _fd._per_offset
+
+    def spy(f2, a, b):
+        calls.append(a.shape)
+        return orig(f2, a, b)
+
+    monkeypatch.setattr(_fd, "_per_offset", spy)
+    return calls
+
+
+coord = st.floats(-3.0, 3.0, allow_nan=False)
+step = st.sampled_from([1e-3, 3.7e-3, 1e-2, 0.05])
+
+
+@settings(max_examples=60, deadline=None)
+@given(y1=coord, y2=coord, h=step)
+def test_stencils_match_per_offset_formulas(y1, y2, h):
+    for got, want in zip(c4_grad(_poly, y1, y2, h), _ref_grad(_poly, y1, y2, h)):
+        assert_array_equal(got, want)
+    for got, want in zip(c4_hess(_poly, y1, y2, h), _ref_hess(_poly, y1, y2, h)):
+        assert_array_equal(got, want)
+
+
+@settings(max_examples=20, deadline=None)
+@given(y1=st.lists(coord, min_size=6, max_size=6), y2=coord, h=step)
+def test_stencils_on_array_coordinates(y1, y2, h):
+    Y1 = np.reshape(y1, (2, 3))
+    hess = c4_hess(_poly, Y1, y2, h)
+    grad = c4_grad(_poly, Y1, y2, h)
+    for i, j in np.ndindex(2, 3):
+        want = _ref_hess(_poly, Y1[i, j], y2, h)
+        for got, w in zip(hess, want):
+            assert got.shape == (3, 2, 3)
+            assert_array_equal(got[:, i, j], w)
+        for got, w in zip(grad, want[1:3]):
+            assert_array_equal(got[:, i, j], w)
+
+
+@pytest.mark.parametrize("stencil", [c4_grad, c4_hess])
+def test_broadcasting_closure_is_called_once(stencil, per_offset_calls):
+    surface = get_scenario("torus-breathing-drift")
+    ev = sample_events(surface, 1, 3)[0]
+    field = probe_field(surface, 2)
+    for f2, y1, y2 in (
+        (_poly, 0.4, -0.2),
+        (_poly, np.linspace(0.0, 1.0, 5), 0.3),
+        (lambda a, b: field.eval(ev.t, a, b), ev.y1, ev.y2),
+    ):
+        counting = _Counting(f2)
+        stencil(counting, y1, y2, 1e-3)
+        assert counting.calls == 1
+    assert per_offset_calls == []
+
+
+@pytest.mark.parametrize("stencil, points", [(c4_grad, 8), (c4_hess, 25)])
+def test_constant_closure_takes_fallback(stencil, points, per_offset_calls):
+    counting = _Counting(lambda a, b: np.zeros((3, 3)))
+    out = stencil(counting, 0.4, 1.2, 1e-3)
+    assert per_offset_calls == [(points,)]
+    assert counting.calls == 1 + points
+    for value in out:
+        assert_array_equal(value, np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("stencil, ref", [(c4_grad, _ref_grad), (c4_hess, _ref_hess)])
+def test_matmul_contraction_takes_fallback(stencil, ref, per_offset_calls):
+    # the tensor-vector closure of acceptance criterion 03: `@` does not
+    # broadcast over trailing axes
+    surface = get_scenario("torus-breathing-drift")
+    ev = sample_events(surface, 1, 11)[0]
+    P = probe_field(surface, 2)
+    p = probe_field(surface, 1)
+
+    def contracted(a, b):
+        return P.eval(ev.t, a, b) @ p.eval(ev.t, a, b)
+
+    h = surface.space_step
+    got = stencil(contracted, ev.y1, ev.y2, h)
+    assert len(per_offset_calls) == 1
+    for g, w in zip(got, ref(contracted, ev.y1, ev.y2, h)):
+        assert g.shape == (3,)
+        assert_array_equal(g, w)
+
+
+def test_pointwise_failure_is_raised():
+    def scalar_only(a, b):
+        if np.ndim(a):
+            raise TypeError("scalar coordinates only")
+        raise ArithmeticError("bad point")
+
+    with pytest.raises(ArithmeticError, match="bad point"):
+        c4_grad(scalar_only, 0.1, 0.2, 1e-3)

@@ -96,3 +96,24 @@ def test_convergence_report_json_shape(torus_drift):
     assert obj["quantity"] == "UpperDt"
     assert isinstance(obj["fitted_order"], float)
     assert [r["xi"] for r in obj["rows"]] == [0.1, 0.05, 0.025, 0.0125]
+
+
+def test_shell_closures_broadcast(torus_drift, torus_events):
+    ev = torus_events[2]
+    a = ev.y1 + np.array([-0.01, 0.0, 0.02])
+    b = ev.y2 + np.array([0.01, -0.02, 0.0])
+
+    def velocity(xi):
+        return lambda a, b: shell_velocity(torus_drift, ShellEvent(ev.t, a, b, xi))
+
+    for name, closure in (
+        ("shell_velocity xi=0", velocity(0.0)),
+        ("shell_velocity xi=0.05", velocity(0.05)),
+        ("_probe_rank2", lambda a, b: thinfilm._probe_rank2(ev.t, a, b)),
+    ):
+        batched = closure(a, b)
+        want = np.stack([closure(ai, bi) for ai, bi in zip(a, b)], axis=-1)
+        assert batched.shape == want.shape, name
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(batched - want)) <= 4 * np.finfo(float).eps * scale, name
+
