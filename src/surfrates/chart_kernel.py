@@ -216,8 +216,7 @@ class ChartMotion:
     """Time-dependent diffeomorphism y = phi_t(z) of the chart domain.
 
     ``dphi[j, i] = d phi^j / d z^i``, ``ddphi[j, i, k]`` second derivatives,
-    ``dtphi[j] = d_t phi^j``, ``ddtphi[j, i] = d_i d_t phi^j``; ``inverse``
-    maps y back to z at fixed t.
+    ``dtphi[j] = d_t phi^j``, ``ddtphi[j, i] = d_i d_t phi^j``.
     """
 
     phi: Callable
@@ -225,7 +224,6 @@ class ChartMotion:
     dtphi: Callable
     ddphi: Callable
     ddtphi: Callable
-    inverse: Optional[Callable] = None
 
 
 def rotating_chart_motion(omega: float) -> ChartMotion:
@@ -254,11 +252,7 @@ def rotating_chart_motion(omega: float) -> ChartMotion:
     def ddtphi(t, z1, z2):
         return np.zeros((2, 2) + np.shape(np.asarray(z1, float)))
 
-    def inverse(t, y1, y2):
-        y1 = np.asarray(y1, float)
-        return np.stack([y1, np.asarray(y2, float) - omega * t])
-
-    return ChartMotion(phi, dphi, dtphi, ddphi, ddtphi, inverse)
+    return ChartMotion(phi, dphi, dtphi, ddphi, ddtphi)
 
 
 def make_observer_pair(surface: MovingSurface, motion: ChartMotion):
@@ -414,7 +408,9 @@ def _torus_chart(R0: float, r_of_t: Callable) -> Callable:
     return chart
 
 
-def _const_u(c1: float, c2: float):
+def _const_u(c1: float, c2: float) -> dict:
+    """The MovingSurface fields of the constant relative velocity (c1, c2)."""
+
     def u_field(t, y1, y2):
         s = np.shape(np.asarray(y1, float))
         out = np.zeros((2,) + s)
@@ -426,39 +422,12 @@ def _const_u(c1: float, c2: float):
         s = np.shape(np.asarray(y1, float))
         return np.zeros((2, 2) + s)
 
-    return u_field, u_jets
+    return {"u_field": u_field, "u_jets": u_jets}
 
 
-def _flat(name: str, domain: Domain) -> MovingSurface:
-    """Static plane z = 0 with the identity chart (y1, y2) -> (y1, y2, 0)."""
-
-    def chart(t, y1, y2):
-        y1 = np.asarray(y1, float)
-        y2 = np.asarray(y2, float)
-        return np.stack([y1, y2, np.zeros_like(y1)])
-
-    def jets(t, y1, y2):
-        y1 = np.asarray(y1, float)
-        y2 = np.asarray(y2, float)
-        zero = np.zeros_like(y1)
-        one = np.ones_like(y1)
-        dX = np.stack(
-            [np.stack([one, zero, zero]), np.stack([zero, one, zero])], axis=1
-        )
-        s = np.shape(y1)
-        return ChartJet(
-            X=np.stack([y1, y2, zero]),
-            dX=dX,
-            ddX=np.zeros((3, 2, 2) + s),
-            Vt=np.zeros((3,) + s),
-            dVt=np.zeros((3, 2) + s),
-        )
-
-    return MovingSurface(name=name, chart=chart, domain=domain, jets=jets, static=True)
-
-
-def _plane_shear() -> MovingSurface:
-    rate = 0.4
+def _plane(name: str, domain: Domain, rate: float) -> MovingSurface:
+    """The plane z = 0 under the shear chart (y1, y2) -> (y1 + rate t y2, y2, 0);
+    rate 0 gives the static identity chart."""
 
     def chart(t, y1, y2):
         y1 = np.asarray(y1, float)
@@ -488,107 +457,56 @@ def _plane_shear() -> MovingSurface:
             dVt=dVt,
         )
 
-    return MovingSurface(
-        name="plane-shear",
-        chart=chart,
-        domain=Domain((-1.0, 1.0), (-1.0, 1.0)),
-        jets=jets,
-    )
+    return MovingSurface(name=name, chart=chart, domain=domain, jets=jets, static=rate == 0)
 
 
-def _sphere_domain() -> Domain:
-    return Domain((POLE_BAND, np.pi - POLE_BAND), (0.0, 2 * np.pi), periodic2=True)
-
-
-def _sphere_static() -> MovingSurface:
-    one = lambda t: 1.0
-    zero = lambda t: 0.0
-    return MovingSurface(
-        name="sphere-static",
-        chart=_sphere_chart(one),
-        domain=_sphere_domain(),
-        jets=_sphere_jets(one, zero),
-        static=True,
-    )
-
-
-def _sphere_expanding() -> MovingSurface:
-    R = lambda t: 1.0 + 0.25 * t
-    Rd = lambda t: 0.25
-    return MovingSurface(
-        name="sphere-expanding",
-        chart=_sphere_chart(R),
-        domain=_sphere_domain(),
-        jets=_sphere_jets(R, Rd),
-    )
-
-
-def _sphere_rigid_rotation() -> MovingSurface:
-    one = lambda t: 1.0
-    zero = lambda t: 0.0
-    u_field, u_jets = _const_u(0.0, 0.7)
-    return MovingSurface(
-        name="sphere-rigid-rotation",
-        chart=_sphere_chart(one),
-        domain=_sphere_domain(),
-        u_field=u_field,
-        u_jets=u_jets,
-        jets=_sphere_jets(one, zero),
-        static=True,
-    )
+def _square_domain() -> Domain:
+    return Domain((-1.0, 1.0), (-1.0, 1.0))
 
 
 def _torus_domain() -> Domain:
     return Domain((0.0, 2 * np.pi), (0.0, 2 * np.pi), periodic1=True, periodic2=True)
 
 
-def _torus_static() -> MovingSurface:
-    r = lambda t: 1.0
-    rd = lambda t: 0.0
+def _sphere(name: str, R: Callable, Rd: Callable, **fields) -> MovingSurface:
+    """Sphere of radius R(t) (rate Rd(t)) in polar and azimuthal angles, with
+    a band around each pole cut out; ``fields`` are further MovingSurface
+    fields."""
+    domain = Domain((POLE_BAND, np.pi - POLE_BAND), (0.0, 2 * np.pi), periodic2=True)
     return MovingSurface(
-        name="torus-static",
-        chart=_torus_chart(2.0, r),
-        domain=_torus_domain(),
-        jets=_torus_jets(2.0, r, rd),
-        static=True,
+        name=name, chart=_sphere_chart(R), domain=domain, jets=_sphere_jets(R, Rd), **fields
     )
 
 
-def _torus_breathing() -> MovingSurface:
-    r = lambda t: 1.0 + 0.15 * np.sin(t)
-    rd = lambda t: 0.15 * np.cos(t)
+def _torus(name: str, r: Callable, rd: Callable, **fields) -> MovingSurface:
+    """Torus of tube radius r(t) (rate rd(t)) about a circle of radius 2;
+    ``fields`` are further MovingSurface fields."""
     return MovingSurface(
-        name="torus-breathing",
+        name=name,
         chart=_torus_chart(2.0, r),
         domain=_torus_domain(),
         jets=_torus_jets(2.0, r, rd),
+        **fields,
     )
 
 
-def _torus_breathing_drift() -> MovingSurface:
-    r = lambda t: 1.0 + 0.15 * np.sin(t)
-    rd = lambda t: 0.15 * np.cos(t)
-    u_field, u_jets = _const_u(0.3, 0.2)
-    return MovingSurface(
-        name="torus-breathing-drift",
-        chart=_torus_chart(2.0, r),
-        domain=_torus_domain(),
-        u_field=u_field,
-        u_jets=u_jets,
-        jets=_torus_jets(2.0, r, rd),
-    )
+# (radius, rate) of a fixed unit radius and of the breathing torus tube
+_UNIT = (lambda t: 1.0, lambda t: 0.0)
+_BREATHING = (lambda t: 1.0 + 0.15 * np.sin(t), lambda t: 0.15 * np.cos(t))
 
-
-_REGISTRY: dict[str, Callable[[], MovingSurface]] = {
-    "plane-static": lambda: _flat("plane-static", Domain((-1.0, 1.0), (-1.0, 1.0))),
-    "plane-shear": _plane_shear,
-    "sphere-static": _sphere_static,
-    "sphere-expanding": _sphere_expanding,
-    "sphere-rigid-rotation": _sphere_rigid_rotation,
-    "torus-static": _torus_static,
-    "torus-breathing": _torus_breathing,
-    "torus-breathing-drift": _torus_breathing_drift,
-    "flat-torus": lambda: _flat("flat-torus", _torus_domain()),
+# scenario factories, each called with its registered name
+_REGISTRY: dict[str, Callable[[str], MovingSurface]] = {
+    "plane-static": lambda name: _plane(name, _square_domain(), 0.0),
+    "plane-shear": lambda name: _plane(name, _square_domain(), 0.4),
+    "sphere-static": lambda name: _sphere(name, *_UNIT, static=True),
+    "sphere-expanding": lambda name: _sphere(name, lambda t: 1.0 + 0.25 * t, lambda t: 0.25),
+    "sphere-rigid-rotation": lambda name: _sphere(
+        name, *_UNIT, static=True, **_const_u(0.0, 0.7)
+    ),
+    "torus-static": lambda name: _torus(name, *_UNIT, static=True),
+    "torus-breathing": lambda name: _torus(name, *_BREATHING),
+    "torus-breathing-drift": lambda name: _torus(name, *_BREATHING, **_const_u(0.3, 0.2)),
+    "flat-torus": lambda name: _plane(name, _torus_domain(), 0.0),
 }
 
 
@@ -603,7 +521,7 @@ def get_scenario(name: str) -> MovingSurface:
         raise ConfigError(
             f"unknown scenario {name!r}; registered: {', '.join(list_scenarios())}"
         ) from None
-    return factory()
+    return factory(name)
 
 
 def fd_variant(surface: MovingSurface, step: Optional[float] = None) -> MovingSurface:

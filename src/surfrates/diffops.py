@@ -21,10 +21,18 @@ import numpy as np
 
 from ._fd import c4_grad, c4_hess
 from .chart_kernel import Event, MovingSurface
-from .errors import ConfigError, NotConformingError, RankError, StencilError
-from .fields import QSplit, TensorSplit, TensorValue, reconstruct
+from .errors import ConfigError, RankError, StencilError
+from .fields import (
+    QSplit,
+    TensorSplit,
+    TensorValue,
+    _conforming_blocks,
+    _require_conforming,
+    reconstruct,
+)
 from .geometry import GeometrySample, geometry_at, geometry_from_jet, geometry_grid
 from .timederiv import FieldClosure, QFieldClosure, _covariant_derivative, _split_closures
+from .util import _maxabs
 
 __all__ = [
     "scalar_laplace",
@@ -224,19 +232,18 @@ def conforming_laplace(
 
     ClosedForm uses the curvature-coupled expression in the (q, beta) blocks;
     Projected applies the mixed-block-killing projection to the full
-    componentwise Laplacian.  Both return the result's Q-split.
+    componentwise Laplacian, with the projection code the conforming flow
+    uses (``fields._conforming_blocks``).  Both return the result's Q-split.
     """
     if geom is None:
         geom = geometry_at(surface, event)
     t, y1, y2 = event.t, event.y1, event.y2
     qs = qclosure.q_eval(t, y1, y2)
-    q = np.asarray(qs.q2, dtype=float)
-    beta = float(qs.beta)
-    scale = max(1.0, float(np.max(np.abs(q))), abs(beta))
-    if float(np.max(np.abs(qs.eta2))) > conforming_tol * scale:
-        raise NotConformingError("field has a tangent-normal coupling component")
+    _require_conforming(qs, conforming_tol)
 
     if path == "ClosedForm":
+        q = np.asarray(qs.q2, dtype=float)
+        beta = float(qs.beta)
         qcl = lambda s, a, b: qclosure.q_eval(s, a, b).q2
         bcl = lambda s, a, b: qclosure.q_eval(s, a, b).beta
         lap_q = _tangential_laplace(surface, qcl, 2, event, geom)
@@ -254,12 +261,21 @@ def conforming_laplace(
     full = surface_laplace(
         surface, qclosure.as_field_closure(surface), event, "Beltrami", geom
     ).cart
-    nu = geom.nu
-    bblock = float(nu @ full @ nu)
-    low = np.einsum("ai,ab,bj->ij", geom.dX, full, geom.dX)
-    r2 = geom.ginv @ low @ geom.ginv
-    qblock = 0.5 * (r2 + r2.T) + 0.5 * bblock * geom.ginv
-    return QSplit(q2=qblock, eta2=np.zeros(2), beta=bblock)
+    qblock, bblock = _conforming_blocks(geom, full)
+    return QSplit(q2=qblock, eta2=np.zeros(2), beta=float(bblock))
+
+
+def _conforming_route_residual(
+    surface: MovingSurface, qclosure: QFieldClosure, event: Event, geom: GeometrySample | None = None
+) -> float:
+    """Residual max(|dq2|, |dbeta|) / max(1, |q2|, |beta|) between the
+    ClosedForm and Projected conforming Laplacians at one event."""
+    if geom is None:
+        geom = geometry_at(surface, event)
+    cf = conforming_laplace(surface, qclosure, event, "ClosedForm", geom)
+    cp = conforming_laplace(surface, qclosure, event, "Projected", geom)
+    scale = max(1.0, _maxabs(cf.q2), abs(float(cf.beta)))
+    return max(_maxabs(cf.q2 - cp.q2), abs(float(cf.beta) - float(cp.beta))) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +346,9 @@ class FourierInterpolant:
     """Trigonometric interpolant of periodic grid data, with derivatives.
 
     Nyquist modes are zeroed so all derivative orders stay consistent; for
-    smooth fields those coefficients are negligible anyway.
+    smooth fields those coefficients are negligible anyway.  A call
+    broadcasts over coordinate arrays: the result has the component axes of
+    the grid data first, then the broadcast shape of ``y1`` and ``y2``.
     """
 
     def __init__(self, gg: GridGeometry, F: np.ndarray):
@@ -348,11 +366,13 @@ class FourierInterpolant:
         self.kap1 = 2.0 * np.pi / dom.spans[0]
         self.kap2 = 2.0 * np.pi / dom.spans[1]
 
-    def __call__(self, y1: float, y2: float, d1: int = 0, d2: int = 0):
-        w1 = np.exp(1j * self.k1 * self.kap1 * (y1 - self.x0))
-        w2 = np.exp(1j * self.k2 * self.kap2 * (y2 - self.y0))
+    def __call__(self, y1, y2, d1: int = 0, d2: int = 0):
+        w1 = np.exp(1j * self.k1 * self.kap1 * (np.asarray(y1, float)[..., None] - self.x0))
+        w2 = np.exp(1j * self.k2 * self.kap2 * (np.asarray(y2, float)[..., None] - self.y0))
         if d1:
             w1 = w1 * (1j * self.k1 * self.kap1) ** d1
         if d2:
             w2 = w2 * (1j * self.k2 * self.kap2) ** d2
-        return np.real(np.einsum("...kl,k,l->...", self.coef, w1, w2))
+        coef = self.coef.reshape((-1,) + self.coef.shape[-2:])
+        out = np.real(np.einsum("ckl,...k,...l->c...", coef, w1, w2))
+        return out.reshape(self.coef.shape[:-2] + out.shape[1:])

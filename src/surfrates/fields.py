@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotQTensorError, RankError
+from .errors import NotConformingError, NotQTensorError, RankError
 from .geometry import GeometrySample
 
 __all__ = [
@@ -134,6 +134,16 @@ def project(geom: GeometrySample, cart: np.ndarray, which: str, rank: int | None
     raise RankError(f"unknown projection {which!r}")
 
 
+def _conforming_blocks(geom: GeometrySample, F: np.ndarray):
+    """The (q, beta) blocks of the conforming projection of a full proxy F:
+    beta = nu F nu and q = sym(g^-1 dX^T F dX g^-1) + beta g^-1 / 2."""
+    beta = np.einsum("a...,ab...,b...->...", geom.nu, F, geom.nu)
+    low = np.einsum("ai...,ab...,bj...->ij...", geom.dX, F, geom.dX)
+    r2 = np.einsum("ik...,kl...,lj...->ij...", geom.ginv, low, geom.ginv)
+    r2 = 0.5 * (r2 + np.einsum("ij...->ji...", r2))
+    return r2 + 0.5 * beta * geom.ginv, beta
+
+
 def pi_q_components(geom: GeometrySample, r2: np.ndarray) -> np.ndarray:
     """Q-projection in contravariant components:
     Pi_Q(r)^{ij} = (r^{ij} + r^{ji} - (g_kl r^{kl}) g^{ij}) / 2."""
@@ -158,6 +168,14 @@ class QSplit:
     q2: np.ndarray
     eta2: np.ndarray
     beta: np.ndarray
+
+
+def _require_conforming(qs: QSplit, tol: float) -> None:
+    """NotConformingError if the coupling block eta2 exceeds
+    tol * max(1, |q2|, |beta|)."""
+    scale = max(1.0, float(np.max(np.abs(qs.q2))), float(np.max(np.abs(qs.beta))))
+    if float(np.max(np.abs(qs.eta2))) > tol * scale:
+        raise NotConformingError("field has a tangent-normal coupling component")
 
 
 def q_split_to_split(geom: GeometrySample, qs: QSplit) -> TensorSplit:

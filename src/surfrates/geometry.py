@@ -22,7 +22,7 @@ import numpy as np
 from ._fd import c4_d1, c4_grad
 from .chart_kernel import ChartJet, Event, MovingSurface, eval_jet
 from .errors import NonEmbeddingError
-from .util import det2, inv2
+from .util import _maxabs, det2, inv2
 
 __all__ = [
     "GeometrySample",
@@ -83,8 +83,13 @@ def _unit_normal(dX: np.ndarray) -> np.ndarray:
     return cross / np.sqrt(np.einsum("a...,a...->...", cross, cross))
 
 
+def _metric(dX: np.ndarray) -> np.ndarray:
+    """Metric g_ij = <d_i X, d_j X> from the chart tangents."""
+    return np.einsum("ai...,aj...->ij...", dX, dX)
+
+
 def geometry_from_jet(jet: ChartJet) -> GeometrySample:
-    g = np.einsum("ai...,aj...->ij...", jet.dX, jet.dX)
+    g = _metric(jet.dX)
     detg = det2(g)
     if np.any(detg < 1e-12):
         raise NonEmbeddingError("det g below 1e-12: chart is not an embedding here")
@@ -265,25 +270,6 @@ class IdentityReport:
         return json.dumps(self.to_json_obj(), sort_keys=True, indent=2)
 
 
-def _maxabs(a) -> float:
-    return float(np.max(np.abs(a)))
-
-
-def _probe_vector(t, y1, y2):
-    """Deterministic smooth tangential proxies used by the rate-compatibility checks."""
-    return np.stack(
-        [np.sin(y1) + 0.3 * t * t, np.cos(y2) + 0.5 * t]
-    )
-
-
-def _probe_tensor(t, y1, y2):
-    r11 = np.sin(y1) + t * t
-    r12 = 0.3 * np.cos(y2) + 0.1 * t
-    r21 = 0.2 * np.sin(y2)
-    r22 = np.cos(y1) * np.cos(y2) - 0.4 * t
-    return np.stack([np.stack([r11, r12]), np.stack([r21, r22])])
-
-
 def check_identities(
     surface: MovingSurface, event: Event, tol: float | None = None
 ) -> IdentityReport:
@@ -293,6 +279,9 @@ def check_identities(
     derivative rules, the velocity-gradient split, the normal- and metric-rate
     relations, and raising/lowering compatibility of proxy time derivatives.
     """
+    # imported here because probes imports this module
+    from .probes import probe_matrix_comps, probe_vector_comps
+
     if tol is None:
         tol = 1e-8 if surface.diff_mode == "analytic" else 1e-6
     t, y1, y2 = event.t, event.y1, event.y2
@@ -320,8 +309,7 @@ def check_identities(
     add("weingarten", _maxabs(fd_dnu - geom.dnu))
 
     def g_at(tt, a, b):
-        jet = surface.jet(tt, a, b)
-        return np.einsum("ai...,aj...->ij...", jet.dX, jet.dX)
+        return _metric(surface.jet(tt, a, b).dX)
 
     fd_dg = np.stack(c4_grad(lambda a, b: g_at(t, a, b), y1, y2, h))
     # d_l g_ij = Gamma_low[l,i,j] + Gamma_low[l,j,i]
@@ -373,28 +361,26 @@ def check_identities(
     # metric rate d_t g = G[V_o] + G[V_o]^T (covariant)
     fd_dtg = c4_d1(lambda s: g_at(s, y1, y2), t, ht)
     G_obs_cov = np.einsum("ik...,kj...->ij...", geom.g, mot.G_obs)
-    add("metric-rate", _maxabs(fd_dtg - (G_obs_cov + np.einsum("ij...->ji...", G_obs_cov))))
+    P = G_obs_cov + np.einsum("ij...->ji...", G_obs_cov)
+    add("metric-rate", _maxabs(fd_dtg - P))
 
     # raising/lowering compatibility of proxy time derivatives
-    P = G_obs_cov + np.einsum("ij...->ji...", G_obs_cov)
-
     def eta_cov_at(s):
-        return g_at(s, y1, y2) @ _probe_vector(s, y1, y2)
+        return g_at(s, y1, y2) @ probe_vector_comps(s, y1, y2)
 
+    w = probe_vector_comps(t, y1, y2)
     lhs = c4_d1(eta_cov_at, t, ht)
-    rhs = geom.g @ c4_d1(lambda s: _probe_vector(s, y1, y2), t, ht) + P @ _probe_vector(
-        t, y1, y2
-    )
+    rhs = geom.g @ c4_d1(lambda s: probe_vector_comps(s, y1, y2), t, ht) + P @ w
     add("covector-rate-compat", _maxabs(lhs - rhs))
 
     def r_cov_at(s):
         gs = g_at(s, y1, y2)
-        return gs @ _probe_tensor(s, y1, y2) @ gs
+        return gs @ probe_matrix_comps(s, y1, y2) @ gs
 
-    M = _probe_tensor(t, y1, y2)
+    M = probe_matrix_comps(t, y1, y2)
     lhs = c4_d1(r_cov_at, t, ht)
     rhs = (
-        geom.g @ c4_d1(lambda s: _probe_tensor(s, y1, y2), t, ht) @ geom.g
+        geom.g @ c4_d1(lambda s: probe_matrix_comps(s, y1, y2), t, ht) @ geom.g
         + P @ M @ geom.g
         + geom.g @ M @ P
     )

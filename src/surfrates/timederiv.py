@@ -25,19 +25,22 @@ import numpy as np
 
 from ._fd import c2_d1, c4_grad
 from .chart_kernel import Event, MovingSurface
-from .errors import ConfigError, MissingSplitError, NotConformingError, NotTangentialError, RankError
+from .errors import ConfigError, MissingSplitError, NotTangentialError, RankError
 from .fields import (
     QSplit,
     TensorSplit,
     TensorValue,
+    _require_conforming,
     pi_q_components,
     q_split_to_split,
+    q_to_cart,
     reconstruct,
     split_tensor,
 )
 from .geometry import (
     GeometrySample,
     MotionSample,
+    _metric,
     geometry_at,
     geometry_from_jet,
     motion_at,
@@ -137,7 +140,7 @@ class QFieldClosure:
     def as_field_closure(self, surface: MovingSurface) -> FieldClosure:
         def _eval(t, y1, y2):
             geom = geometry_from_jet(surface.jet(t, y1, y2))
-            return reconstruct(geom, q_split_to_split(geom, self.q_eval(t, y1, y2)))
+            return q_to_cart(geom, self.q_eval(t, y1, y2))
 
         def _split(t, y1, y2):
             geom = geometry_from_jet(surface.jet(t, y1, y2))
@@ -194,14 +197,18 @@ def _covariant_derivative(geom: GeometrySample, rank: int, v, dv):
     )
 
 
-def _material_tangential(surface, closure, event, geom, mot):
-    """Tangential material derivative in contravariant components."""
+def _material_tangential(surface, closure, event, geom, mot, M=None):
+    """v_t + u^k v_{|k} + M v (+ v M^T) in contravariant components: the
+    tangential material derivative for M = G_obs (the default), the
+    upper-convected one for M = -Du."""
+    if M is None:
+        M = mot.G_obs
     v, vt, dv = _comp_parts(surface, closure.comp_eval, event)
     cov = _covariant_derivative(geom, closure.rank, v, dv)
     adv = np.einsum("k,...k->...", mot.u2, cov)
     if closure.rank == 1:
-        return vt + adv + mot.G_obs @ v
-    return vt + adv + mot.G_obs @ v + v @ mot.G_obs.T
+        return vt + adv + M @ v
+    return vt + adv + M @ v + v @ M.T
 
 
 def _lower_tangential_covariant(surface, closure, event, geom, mot):
@@ -213,8 +220,7 @@ def _lower_tangential_covariant(surface, closure, event, geom, mot):
     t, y1, y2 = event.t, event.y1, event.y2
 
     def g_of(s, a, b):
-        jet = surface.jet(s, a, b)
-        return np.einsum("ai...,aj...->ij...", jet.dX, jet.dX)
+        return _metric(surface.jet(s, a, b).dX)
 
     if closure.rank == 1:
         def cov_eval(s, a, b):
@@ -279,12 +285,7 @@ def tangential_dt(
         # direct form: raw rates plus advection minus relative-velocity gradient;
         # never touches the material velocity gradient G, which the Jaumann
         # branch below and convected_dt's ViaMaterial path use
-        v, vt, dv = _comp_parts(surface, closure.comp_eval, event)
-        cov = _covariant_derivative(geom, closure.rank, v, dv)
-        adv = np.einsum("k,...k->...", mot.u2, cov)
-        if closure.rank == 1:
-            return vt + adv - mot.Du @ v
-        return vt + adv - mot.Du @ v - v @ mot.Du.T
+        return _material_tangential(surface, closure, event, geom, mot, -mot.Du)
     if kind == DerivKind.Lower:
         return _lower_tangential_covariant(surface, closure, event, geom, mot)
     if kind == DerivKind.Jaumann:
@@ -484,8 +485,7 @@ def q_dt(
     )
 
     if kind == DerivKind.ConformingMaterial:
-        if float(np.max(np.abs(eta))) > conforming_tol * max(1.0, float(np.max(np.abs(q))), abs(beta)):
-            raise NotConformingError("field has a tangent-normal coupling component")
+        _require_conforming(qs, conforming_tol)
         return QSplit(q2=qdot, eta2=np.zeros(2), beta=betadot)
 
     b = mot.b_cov

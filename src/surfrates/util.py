@@ -11,6 +11,10 @@ def frobenius(a) -> float:
     return float(np.sqrt(np.sum(np.asarray(a, dtype=float) ** 2)))
 
 
+def _maxabs(a) -> float:
+    return float(np.max(np.abs(a)))
+
+
 def rel_residual(a, b) -> float:
     """Difference of two values scaled by max(1, |a|, |b|).
 

@@ -4,8 +4,9 @@ import os
 import pytest
 
 from surfrates import _fd
-from surfrates.chart_kernel import list_scenarios
+from surfrates.chart_kernel import get_scenario, list_scenarios
 from surfrates.cli import main, run_converge_thinfilm, run_verify
+from surfrates.landau import FlowConfig, LdGParams, run_flow
 from surfrates.thinfilm import LIMIT_QUANTITIES
 
 
@@ -217,8 +218,9 @@ def test_flow_crosscheck_pass_exit_zero(tmp_path):
 
 
 def test_verify_and_converge_take_batched_path(monkeypatch):
-    # every closure behind `verify` and `converge --kind thinfilm` broadcasts
-    # over the stencil axis, so no stencil falls back to per-offset calls
+    # every closure behind `verify`, `converge --kind thinfilm` and the flow
+    # cross-check broadcasts over the stencil axis, so no stencil falls back
+    # to per-offset calls
     def no_fallback(f2, a, b):
         raise AssertionError(f"per-offset stencil fallback for {f2!r}")
 
@@ -226,3 +228,7 @@ def test_verify_and_converge_take_batched_path(monkeypatch):
     for scenario in list_scenarios():
         assert run_verify(scenario, "all", n_events=1, seed=5)["all_pass"]
     run_converge_thinfilm("torus-breathing-drift")
+    config = FlowConfig(n=16, steps=1, crosscheck_every=1)
+    result = run_flow(get_scenario("torus-static"), LdGParams(), config)
+    assert [row[0] for row in result.crosschecks] == [0, 1]
+    assert max(row[2] for row in result.crosschecks) < 1e-5

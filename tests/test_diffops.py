@@ -193,6 +193,16 @@ def test_fourier_interpolant_reproduces_band_limited(torus_static):
     assert_allclose(itp(y1, y2, d1=1), d1, atol=1e-11)
     d22 = -0.3 * 9.0 * np.cos(3.0 * y2) - 0.1 * np.sin(y1 + y2)
     assert_allclose(itp(y1, y2, d2=2), d22, atol=1e-11)
+    # array query points broadcast: component axes first, then the
+    # coordinate shape, equal to a loop of scalar queries
+    itp2 = FourierInterpolant(gg, np.stack([F, F * F]))
+    a = np.linspace(0.1, 6.0, 6).reshape(2, 3)
+    b = np.array([0.7, 2.2, 5.1])
+    for kw in ({}, {"d1": 1}, {"d2": 2}):
+        got = itp2(a, b, **kw)
+        assert got.shape == (2, 2, 3)
+        for i, j in np.ndindex(2, 3):
+            assert_allclose(got[:, i, j], itp2(a[i, j], b[j], **kw), rtol=0, atol=1e-12)
 
 
 def test_laplace_q_part_stays_q_tensor(torus_drift, torus_events):

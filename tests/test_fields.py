@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from surfrates.chart_kernel import Event
+from surfrates.diffops import make_grid
 from surfrates.errors import NotQTensorError, RankError
 from surfrates.fields import (
     QSplit,
+    _conforming_blocks,
     g_inner_rank2,
     pi_q_components,
     project,
@@ -183,3 +185,17 @@ def test_q_identity_part(geom):
     P = tangential_projector(geom)
     assert_allclose(E, np.outer(geom.nu, geom.nu) - 0.5 * P, atol=1e-12)
     assert_allclose(np.sum(E * E), 1.5, atol=1e-12)
+
+
+def test_conforming_blocks_reassemble_to_cq_projection(torus_drift):
+    # the (q, beta) blocks of a symmetric traceless proxy, reassembled with
+    # eta = 0, give its CQ projection, which is computed independently
+    gg = make_grid(torus_drift, 0.4, 16)
+    rng = np.random.default_rng(11)
+    F = rng.normal(size=(3, 3, 16, 16))
+    F = 0.5 * (F + F.transpose(1, 0, 2, 3))
+    F = F - np.einsum("aa...->...", F) / 3.0 * np.eye(3)[:, :, None, None]
+    q, beta = _conforming_blocks(gg.geom, F)
+    assert q.shape == (2, 2, 16, 16) and beta.shape == (16, 16)
+    rebuilt = q_to_cart(gg.geom, QSplit(q2=q, eta2=np.zeros((2, 16, 16)), beta=beta))
+    assert_allclose(rebuilt, project(gg.geom, F, "CQ"), rtol=0, atol=1e-12)

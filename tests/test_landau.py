@@ -10,6 +10,7 @@ from surfrates.landau import (
     FlowConfig,
     LdGParams,
     bulk_density,
+    bulk_gradient,
     conforming_to_proxy,
     energy,
     initial_state,
@@ -22,6 +23,27 @@ def _constant_beta_proxy(gg, beta0):
     q = np.zeros((2, 2, gg.n1, gg.n2))
     beta = beta0 * np.ones((gg.n1, gg.n2))
     return conforming_to_proxy(gg, q, beta)
+
+
+def test_bulk_gradient_is_traceless_symmetric_gradient_of_density():
+    # the central difference of bulk_density along a traceless symmetric H
+    # equals the pairing of bulk_gradient with H; the gradient is itself
+    # traceless and symmetric
+    rng = np.random.default_rng(3)
+
+    def traceless_sym(m):
+        s = 0.5 * (m + m.T)
+        return s - np.trace(s) / 3.0 * np.eye(3)
+
+    Q = traceless_sym(rng.normal(size=(3, 3)))
+    H = traceless_sym(rng.normal(size=(3, 3)))
+    params = LdGParams(a=-1.0, b=2.0, c=1.5)
+    eps = 1e-6
+    fd = (bulk_density(params, Q + eps * H) - bulk_density(params, Q - eps * H)) / (2 * eps)
+    grad = bulk_gradient(params, Q)
+    assert_allclose(fd, np.sum(grad * H), rtol=1e-8)
+    assert abs(np.trace(grad)) < 1e-12
+    assert np.max(np.abs(grad - grad.T)) < 1e-12
 
 
 def test_bulk_trace_literals(torus_static):
