@@ -1,7 +1,12 @@
 """Pointwise geometric and kinematic quantities of a moving surface.
 
 All tensor fields are stored in chart components with component axes first
-and broadcast (grid) axes last.  Index conventions:
+and broadcast (grid) axes last.  Grid arrays are C-ordered in that layout.
+``np.einsum`` keeps the memory order of its inputs, so one operand with its
+component axes innermost passes that layout on to everything computed from
+it, the flow state included.  The order is therefore fixed at its source,
+``_unit_normal``; no einsum forces ``order='C'``, because forcing C-ordered
+outputs made the flows slower.  Index conventions:
 
 * metric ``g[i, j]`` covariant, ``ginv`` contravariant;
 * ``Gamma_low[i, j, k] = <dd_ij X, d_k X>`` (first kind), ``Gamma[k, i, j]``
@@ -59,10 +64,11 @@ class GeometrySample:
         return self.jet.dX
 
     def embed_mixed(self, M: np.ndarray) -> np.ndarray:
-        """Push a mixed tangential operator M^i_j to its 3x3 Cartesian proxy."""
-        return np.einsum(
-            "ai...,ij...,jk...,bk...->ab...", self.dX, M, self.ginv, self.dX
-        )
+        """Push a mixed tangential operator M^i_j to its 3x3 Cartesian proxy
+        dX M g^-1 dX^T, as three pairwise contractions."""
+        Mg = np.einsum("ij...,jk...->ik...", M, self.ginv)
+        dXMg = np.einsum("ai...,ik...->ak...", self.dX, Mg)
+        return np.einsum("ak...,bk...->ab...", dXMg, self.dX)
 
     def embed_contra(self, r2: np.ndarray) -> np.ndarray:
         """Push contravariant components r^\\{ij\\} to the 3x3 Cartesian proxy."""
@@ -78,8 +84,15 @@ class GeometrySample:
 
 
 def _unit_normal(dX: np.ndarray) -> np.ndarray:
-    """Unit normal d_1 X x d_2 X / |d_1 X x d_2 X| from the chart tangents."""
-    cross = np.cross(dX[:, 0], dX[:, 1], axis=0)
+    """Unit normal d_1 X x d_2 X / |d_1 X x d_2 X| from the chart tangents.
+
+    The cross product is stacked from its components, so the normal of a grid
+    is C-ordered with its component axis first; ``np.cross(..., axis=0)``
+    returns a transposed view, whose layout the einsums would carry into
+    every array made from the normal.
+    """
+    (a1, a2, a3), (b1, b2, b3) = dX[:, 0], dX[:, 1]
+    cross = np.stack([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1])
     return cross / np.sqrt(np.einsum("a...,a...->...", cross, cross))
 
 
@@ -147,64 +160,81 @@ class MotionSample:
     Acal: np.ndarray
 
 
-def _gradient_blocks(geom: GeometrySample, V: np.ndarray, dV: np.ndarray):
-    """Tangential gradient (mixed) and normal-coupling covector of a velocity.
+def _material_velocity_gradient(geom: GeometrySample, u2, du) -> np.ndarray:
+    """Chart derivative d_j V_m of the material velocity V_m = V_o + u^k d_k X."""
+    jet = geom.jet
+    return (
+        jet.dVt
+        + np.einsum("kj...,ak...->aj...", du, jet.dX)
+        + np.einsum("k...,akj...->aj...", u2, jet.ddX)
+    )
+
+
+def _tangential_gradient(geom: GeometrySample, dV: np.ndarray) -> np.ndarray:
+    """Tangential gradient (mixed) of a velocity from its chart derivative.
 
     Exact from jets: G^i_j = g^{ik}<d_k X, d_j V> equals the covariant form
     v^i_{|j} - vperp B^i_j because d_j V already differentiates the normal
-    direction; b_j = <nu, d_j V>.
+    direction.
     """
     P = np.einsum("ak...,aj...->kj...", geom.dX, dV)
-    vperp = np.einsum("a...,a...->...", V, geom.nu)
-    G = np.einsum("ik...,kj...->ij...", geom.ginv, P)
-    b_cov = np.einsum("a...,aj...->j...", geom.nu, dV)
-    return G, b_cov, vperp
+    return np.einsum("ik...,kj...->ij...", geom.ginv, P)
 
 
-def _g_adjoint(geom: GeometrySample, M: np.ndarray) -> np.ndarray:
-    return np.einsum("ik...,lk...,lj...->ij...", geom.ginv, M, geom.g)
+def _normal_coupling(geom: GeometrySample, dV: np.ndarray) -> np.ndarray:
+    """Normal-coupling covector b_j = <nu, d_j V> of a velocity."""
+    return np.einsum("a...,aj...->j...", geom.nu, dV)
+
+
+def _spin(geom: GeometrySample, G: np.ndarray) -> np.ndarray:
+    """A = (G - G*) / 2, with G* the g-adjoint of the mixed tangential G."""
+    return 0.5 * (G - np.einsum("ik...,lk...,lj...->ij...", geom.ginv, G, geom.g))
+
+
+def _full_gradient(geom: GeometrySample, G: np.ndarray, b3: np.ndarray) -> np.ndarray:
+    """Cartesian proxy of the full velocity gradient from its blocks:
+    Gcal = embed(G) + nu (x) b3 - b3 (x) nu, with b3 the lifted coupling."""
+    return (
+        geom.embed_mixed(G)
+        + np.einsum("a...,b...->ab...", geom.nu, b3)
+        - np.einsum("a...,b...->ab...", b3, geom.nu)
+    )
+
+
+def _full_spin(Gcal: np.ndarray) -> np.ndarray:
+    """Acal = (Gcal - Gcal^T) / 2."""
+    return 0.5 * (Gcal - np.einsum("ab...->ba...", Gcal))
 
 
 def motion_from_jet(geom: GeometrySample, u2, du) -> MotionSample:
     jet = geom.jet
     V_o = jet.Vt
     dV_o = jet.dVt
-    u3 = geom.embed_vec(u2)
-    V_m = V_o + u3
-    dV_m = (
-        dV_o
-        + np.einsum("kj...,ak...->aj...", du, jet.dX)
-        + np.einsum("k...,akj...->aj...", u2, jet.ddX)
-    )
-    G_m, b_m, vperp_m = _gradient_blocks(geom, V_m, dV_m)
-    G_o, b_o, _ = _gradient_blocks(geom, V_o, dV_o)
+    V_m = V_o + geom.embed_vec(u2)
+    dV_m = _material_velocity_gradient(geom, u2, du)
+    G_m = _tangential_gradient(geom, dV_m)
+    G_o = _tangential_gradient(geom, dV_o)
+    b_m = _normal_coupling(geom, dV_m)
+    b_o = _normal_coupling(geom, dV_o)
     b3 = geom.lift_cov(b_m)
-    b_obs3 = geom.lift_cov(b_o)
-    Du = du + np.einsum("ijl...,l...->ij...", geom.Gamma, u2)
-    A = 0.5 * (G_m - _g_adjoint(geom, G_m))
-    Gcal = (
-        geom.embed_mixed(G_m)
-        + np.einsum("a...,b...->ab...", geom.nu, b3)
-        - np.einsum("a...,b...->ab...", b3, geom.nu)
-    )
-    Acal = 0.5 * (Gcal - np.einsum("ab...->ba...", Gcal))
+    Gcal = _full_gradient(geom, G_m, b3)
     return MotionSample(
         V_o=V_o,
         V_m=V_m,
         dV_o=dV_o,
         dV_m=dV_m,
         u2=u2,
-        Du=Du,
-        vperp=vperp_m,
+        Du=du + np.einsum("ijl...,l...->ij...", geom.Gamma, u2),
+        vperp=np.einsum("a...,a...->...", V_m, geom.nu),
         G=G_m,
         b_cov=b_m,
         b3=b3,
         G_obs=G_o,
         b_obs_cov=b_o,
-        b_obs3=b_obs3,
-        A=A,
+        b_obs3=geom.lift_cov(b_o),
+        A=_spin(geom, G_m),
         Gcal=Gcal,
-        Acal=Acal,
+        Acal=_full_spin(Gcal),
     )
 
 

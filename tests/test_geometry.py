@@ -15,7 +15,14 @@ from surfrates.chart_kernel import (
     sample_events,
 )
 from surfrates.errors import NonEmbeddingError
-from surfrates.geometry import MotionSample, check_identities, geometry_at, motion_at, motion_grid
+from surfrates.geometry import (
+    MotionSample,
+    check_identities,
+    geometry_at,
+    geometry_grid,
+    motion_at,
+    motion_grid,
+)
 
 
 def test_torus_geometry_literals(torus_static):
@@ -158,3 +165,18 @@ def test_static_scenario_motion_is_time_independent(name):
     m1 = motion_grid(surface, 0.7, Y1, Y2)
     for f in dataclasses.fields(MotionSample):
         assert np.array_equal(getattr(m0, f.name), getattr(m1, f.name)), f.name
+
+
+@pytest.mark.parametrize("shape", [(), (7, 5)])
+def test_embed_mixed_matches_four_operand_contraction(torus_drift, shape):
+    # the pairwise contractions dX (M g^-1) dX^T equal the one four-operand
+    # einsum on a grid and at a single point
+    rng = np.random.default_rng(11)
+    Y1 = rng.uniform(0.0, 2.0 * np.pi, shape)
+    Y2 = rng.uniform(0.0, 2.0 * np.pi, shape)
+    geom = geometry_grid(torus_drift, 0.3, Y1, Y2)
+    M = rng.normal(size=(2, 2) + shape)
+    ref = np.einsum("ai...,ij...,jk...,bk...->ab...", geom.dX, M, geom.ginv, geom.dX)
+    got = geom.embed_mixed(M)
+    assert got.shape == (3, 3) + shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -4,7 +4,9 @@ from numpy.testing import assert_allclose
 
 from surfrates import landau
 from surfrates.chart_kernel import get_scenario
+from surfrates import diffops
 from surfrates.diffops import make_grid
+from surfrates.geometry import geometry_grid, motion_grid
 from surfrates.errors import ConfigError, StabilityError
 from surfrates.landau import (
     FlowConfig,
@@ -100,8 +102,8 @@ def test_non_finite_state_stops_static_run(torus_static):
 
 
 def _record_frame_builds(monkeypatch):
-    """Times passed to landau.make_grid and landau.motion_grid, by name."""
-    times = {"make_grid": [], "motion_grid": []}
+    """Times passed to landau.make_grid and landau._frame_motion, by name."""
+    times = {"make_grid": [], "_frame_motion": []}
     for name, log in times.items():
         original = getattr(landau, name)
 
@@ -128,7 +130,55 @@ def test_moving_flow_builds_each_stage_time_once(monkeypatch, torus_drift, mode)
 def test_static_flow_builds_one_frame(monkeypatch, torus_static, method):
     times = _record_frame_builds(monkeypatch)
     run_flow(torus_static, LdGParams(), FlowConfig(n=16, steps=5, method=method))
-    assert times == {"make_grid": [0.0], "motion_grid": [0.0]}
+    assert times == {"make_grid": [0.0], "_frame_motion": [0.0]}
+
+
+def test_grid_arrays_are_c_ordered(torus_drift):
+    # the unit normal fixes the layout that every einsum downstream keeps, so
+    # the normal, the conforming proxy and the stepped state are C-ordered
+    n = 32
+    gg = make_grid(torus_drift, 0.0, n)
+    assert geometry_grid(torus_drift, 0.0, gg.Y1, gg.Y2).nu.flags.c_contiguous
+    q, beta = initial_state(gg, FlowConfig(n=n))
+    assert conforming_to_proxy(gg, q, beta).flags.c_contiguous
+    dt = 0.5 * stability_bound(gg, LdGParams())
+    for mode in landau.FLOW_MODES:
+        res = run_flow(torus_drift, LdGParams(), FlowConfig(mode=mode, n=n, dt=dt, steps=1))
+        state = [res.final_Q, res.final_q, res.final_beta]
+        for arr in state[: 3 if mode.startswith("Conforming") else 1]:
+            assert arr.flags.c_contiguous, mode
+
+
+@pytest.mark.parametrize("conforming", [False, True])
+def test_frame_motion_equals_motion_sample_fields(torus_drift, conforming):
+    # a flow frame computes only the motion arrays its state rate reads, with
+    # the same block helpers as motion_from_jet, so they agree bit for bit
+    gg = make_grid(torus_drift, 0.37, 24)
+    mot = motion_grid(torus_drift, 0.37, gg.Y1, gg.Y2, gg.geom)
+    names = ("u2", "G_obs", "A") if conforming else ("u2", "Acal")
+    arrays = landau._frame_motion(torus_drift, 0.37, gg, conforming)
+    assert len(arrays) == len(names)
+    for name, arr in zip(names, arrays):
+        assert np.array_equal(arr, getattr(mot, name)), name
+
+
+@pytest.mark.parametrize("method, per_step", [("euler", 2), ("rk4", 5)])
+def test_full_flow_computes_each_gradient_once(monkeypatch, torus_drift, method, per_step):
+    # one grid gradient per stage serves the Laplacian and the advection; the
+    # energy of each step's start state takes one more, and the energy of the
+    # final state the last one
+    calls = []
+    for module in (landau, diffops):
+        original = module.grid_gradient
+
+        def counted(gg, F, _original=original):
+            calls.append(1)
+            return _original(gg, F)
+
+        monkeypatch.setattr(module, "grid_gradient", counted)
+    cfg = FlowConfig(mode="FullQ_Jaumann", n=16, dt=1e-3, steps=10, method=method)
+    run_flow(torus_drift, LdGParams(), cfg)
+    assert len(calls) == per_step * cfg.steps + 1
 
 
 def test_params_validation():
