@@ -334,12 +334,7 @@ def grid_laplace(gg: GridGeometry, F: np.ndarray) -> np.ndarray:
     """Divergence-form Laplace-Beltrami on the periodic grid, elementwise in
     any leading component axes.  Exactly self-adjoint and negative
     semidefinite against the sqrt(det g) cell weights."""
-    return _laplace_of_gradient(gg, *grid_gradient(gg, F))
-
-
-def _laplace_of_gradient(gg: GridGeometry, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
-    """``grid_laplace`` of a field from its grid gradient ``(d1, d2)``, for a
-    caller that needs the gradient too."""
+    d1, d2 = grid_gradient(gg, F)
     ginv = gg.geom.ginv
     sq = gg.geom.sqrtdetg
     F1 = sq * (ginv[0, 0] * d1 + ginv[0, 1] * d2)

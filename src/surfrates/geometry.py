@@ -258,6 +258,21 @@ def motion_grid(
     return motion_from_jet(geom, u2, du)
 
 
+def _frame_motion(
+    surface: MovingSurface, t: float, geom: GeometrySample, Y1, Y2, conforming: bool
+):
+    """The ``motion_grid`` fields a flow state rate reads: ``(u2, G_obs, A)``
+    for the conforming modes, ``(u2, Acal)`` for the full-tensor modes, from
+    only the blocks of ``motion_from_jet`` they need."""
+    u2 = surface.u(t, Y1, Y2)
+    dV_m = _material_velocity_gradient(geom, u2, surface.u_jet(t, Y1, Y2))
+    G = _tangential_gradient(geom, dV_m)
+    if conforming:
+        return u2, _tangential_gradient(geom, geom.jet.dVt), _spin(geom, G)
+    b3 = geom.lift_cov(_normal_coupling(geom, dV_m))
+    return u2, _full_spin(_full_gradient(geom, G, b3))
+
+
 # ---------------------------------------------------------------------------
 # identity checks
 

@@ -23,22 +23,13 @@ from .diffops import (
     FourierInterpolant,
     GridGeometry,
     _conforming_route_residual,
-    _laplace_of_gradient,
     grid_gradient,
     grid_laplace,
     make_grid,
 )
 from .errors import ConfigError, StabilityError
 from .fields import QSplit, _conforming_blocks, pi_q_components, q_to_cart
-from .geometry import (
-    _full_gradient,
-    _full_spin,
-    _material_velocity_gradient,
-    _normal_coupling,
-    _spin,
-    _tangential_gradient,
-    geometry_from_jet,
-)
+from .geometry import _frame_motion, geometry_from_jet
 from .timederiv import QFieldClosure, _covariant_derivative
 from .chart_kernel import Event
 
@@ -248,25 +239,9 @@ def _checked_bound(gg: GridGeometry, params: LdGParams, dt: float) -> float:
 # transport terms (explicit time derivative of the stepped state arrays)
 
 
-def _frame_motion(surface: MovingSurface, t: float, gg: GridGeometry, conforming: bool):
-    """The motion arrays a state rate reads: ``(u2, G_obs, A)`` for the
-    conforming modes, ``(u2, Acal)`` for the full-tensor modes.  Each equals
-    the ``motion_grid`` field of that name, computed from only the blocks of
-    ``motion_from_jet`` it needs."""
-    geom = gg.geom
-    u2 = surface.u(t, gg.Y1, gg.Y2)
-    dV_m = _material_velocity_gradient(geom, u2, surface.u_jet(t, gg.Y1, gg.Y2))
-    G = _tangential_gradient(geom, dV_m)
-    if conforming:
-        return u2, _tangential_gradient(geom, geom.jet.dVt), _spin(geom, G)
-    b3 = geom.lift_cov(_normal_coupling(geom, dV_m))
-    return u2, _full_spin(_full_gradient(geom, G, b3))
-
-
 def _full_state_rate(gg, params, jaumann: bool, u2, Acal, Q):
-    # rhs_full, from the one gradient of Q that the advection term reads too
+    F = rhs_full(gg, params, Q)
     d1, d2 = grid_gradient(gg, Q)
-    F = params.L * _laplace_of_gradient(gg, d1, d2) - bulk_gradient(params, Q)
     adv = np.einsum("k...,kab...->ab...", u2, np.stack([d1, d2]))
     dQ = F - adv
     if jaumann:
@@ -405,7 +380,7 @@ def run_flow(
                 del frames[next(iter(frames))]
             gg = make_grid(surface, t, config.n)
             _checked_bound(gg, params, config.dt)
-            frames[t] = gg, _frame_motion(surface, t, gg, conforming)
+            frames[t] = gg, _frame_motion(surface, t, gg.geom, gg.Y1, gg.Y2, conforming)
         return frames[t]
 
     gg, _ = frame_at(config.t0)

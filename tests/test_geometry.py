@@ -17,6 +17,7 @@ from surfrates.chart_kernel import (
 from surfrates.errors import NonEmbeddingError
 from surfrates.geometry import (
     MotionSample,
+    _frame_motion,
     check_identities,
     geometry_at,
     geometry_grid,
@@ -180,3 +181,18 @@ def test_embed_mixed_matches_four_operand_contraction(torus_drift, shape):
     got = geom.embed_mixed(M)
     assert got.shape == (3, 3) + shape
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("conforming", [False, True])
+def test_frame_motion_equals_motion_sample_fields(torus_drift, conforming):
+    # a flow frame computes only the motion arrays its state rate reads, with
+    # the same block helpers as motion_from_jet, so they agree bit for bit
+    t = 0.37
+    Y1, Y2 = np.meshgrid(np.linspace(0.0, 6.0, 24), np.linspace(0.1, 6.1, 24), indexing="ij")
+    geom = geometry_grid(torus_drift, t, Y1, Y2)
+    mot = motion_grid(torus_drift, t, Y1, Y2, geom)
+    names = ("u2", "G_obs", "A") if conforming else ("u2", "Acal")
+    arrays = _frame_motion(torus_drift, t, geom, Y1, Y2, conforming)
+    assert len(arrays) == len(names)
+    for name, arr in zip(names, arrays):
+        assert np.array_equal(arr, getattr(mot, name)), name

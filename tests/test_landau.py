@@ -4,9 +4,8 @@ from numpy.testing import assert_allclose
 
 from surfrates import landau
 from surfrates.chart_kernel import get_scenario
-from surfrates import diffops
 from surfrates.diffops import make_grid
-from surfrates.geometry import geometry_grid, motion_grid
+from surfrates.geometry import geometry_grid
 from surfrates.errors import ConfigError, StabilityError
 from surfrates.landau import (
     FlowConfig,
@@ -147,38 +146,6 @@ def test_grid_arrays_are_c_ordered(torus_drift):
         state = [res.final_Q, res.final_q, res.final_beta]
         for arr in state[: 3 if mode.startswith("Conforming") else 1]:
             assert arr.flags.c_contiguous, mode
-
-
-@pytest.mark.parametrize("conforming", [False, True])
-def test_frame_motion_equals_motion_sample_fields(torus_drift, conforming):
-    # a flow frame computes only the motion arrays its state rate reads, with
-    # the same block helpers as motion_from_jet, so they agree bit for bit
-    gg = make_grid(torus_drift, 0.37, 24)
-    mot = motion_grid(torus_drift, 0.37, gg.Y1, gg.Y2, gg.geom)
-    names = ("u2", "G_obs", "A") if conforming else ("u2", "Acal")
-    arrays = landau._frame_motion(torus_drift, 0.37, gg, conforming)
-    assert len(arrays) == len(names)
-    for name, arr in zip(names, arrays):
-        assert np.array_equal(arr, getattr(mot, name)), name
-
-
-@pytest.mark.parametrize("method, per_step", [("euler", 2), ("rk4", 5)])
-def test_full_flow_computes_each_gradient_once(monkeypatch, torus_drift, method, per_step):
-    # one grid gradient per stage serves the Laplacian and the advection; the
-    # energy of each step's start state takes one more, and the energy of the
-    # final state the last one
-    calls = []
-    for module in (landau, diffops):
-        original = module.grid_gradient
-
-        def counted(gg, F, _original=original):
-            calls.append(1)
-            return _original(gg, F)
-
-        monkeypatch.setattr(module, "grid_gradient", counted)
-    cfg = FlowConfig(mode="FullQ_Jaumann", n=16, dt=1e-3, steps=10, method=method)
-    run_flow(torus_drift, LdGParams(), cfg)
-    assert len(calls) == per_step * cfg.steps + 1
 
 
 def test_params_validation():
