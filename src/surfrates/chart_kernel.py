@@ -536,15 +536,14 @@ def fd_variant(surface: MovingSurface, step: Optional[float] = None) -> MovingSu
     )
 
 
-def sample_events(
-    surface: MovingSurface, n: int, seed: int, pad_frac: float = 0.04
-) -> list[Event]:
-    """Seeded random events strictly inside the admissible domain."""
+def sample_events(surface: MovingSurface, n: int, seed: int) -> list[Event]:
+    """Seeded random events strictly inside the admissible domain; a non-periodic
+    axis keeps 4% of its span plus four spatial steps clear at each end."""
     rng = np.random.default_rng(seed)
     d = surface.domain
     pads = []
     for (lo, hi), periodic in ((d.y1_range, d.periodic1), (d.y2_range, d.periodic2)):
-        pad = 0.0 if periodic else pad_frac * (hi - lo) + 4.0 * surface.space_step
+        pad = 0.0 if periodic else 0.04 * (hi - lo) + 4.0 * surface.space_step
         pads.append((lo + pad, hi - pad))
     t_lo, t_hi = surface.t_range
     out = []

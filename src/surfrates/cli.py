@@ -45,7 +45,7 @@ from .probes import (
 )
 from .thinfilm import LIMIT_QUANTITIES, fit_order, limit_study
 from .timederiv import DerivKind, convected_dt, material_dt, q_dt, scalar_dot
-from .util import _maxabs, rel_residual
+from .util import _maxabs, _worst, rel_residual
 
 __all__ = [
     "run_verify",
@@ -80,7 +80,7 @@ class _Rows:
     def add(self, name: str, residual: float, tol: float):
         residual = float(residual)
         if name in self.data:
-            residual = max(residual, self.data[name][0])
+            residual = _worst(residual, self.data[name][0])
         self.data[name] = (residual, tol)
 
     def to_list(self) -> list[dict]:
@@ -468,7 +468,9 @@ def cmd_flow(args) -> int:
         np.all(np.diff(result.energies) <= 1e-10)
     )
     report = {
-        "crosscheck_max_residual": max((r[2] for r in result.crosschecks), default=None),
+        "crosscheck_max_residual": (
+            float(np.max([r[2] for r in result.crosschecks])) if result.crosschecks else None
+        ),
         "config": {
             "crosscheck_every": config.crosscheck_every,
             "beta0": config.beta0,

@@ -217,7 +217,7 @@ def surface_laplace(
     split = TensorSplit(
         rank=2, r2=tangential, phi=np.asarray(nunu), etaL2=left, etaR2=right
     )
-    return TensorValue(rank=2, cart=reconstruct(geom, split), split=split)
+    return TensorValue(rank=2, cart=reconstruct(geom, split))
 
 
 def conforming_laplace(
@@ -226,7 +226,6 @@ def conforming_laplace(
     event: Event,
     path: str = "ClosedForm",
     geom: GeometrySample | None = None,
-    conforming_tol: float = 1e-8,
 ) -> QSplit:
     """Conforming Laplacian of a conforming Q-tensor field.
 
@@ -239,7 +238,7 @@ def conforming_laplace(
         geom = geometry_at(surface, event)
     t, y1, y2 = event.t, event.y1, event.y2
     qs = qclosure.q_eval(t, y1, y2)
-    _require_conforming(qs, conforming_tol)
+    _require_conforming(qs)
 
     if path == "ClosedForm":
         q = np.asarray(qs.q2, dtype=float)

@@ -33,6 +33,9 @@ __all__ = [
     "g_inner_rank2",
 ]
 
+# Tolerance of the tangential, Q-tensor and conforming checks, times max(1, |field|).
+_STRUCTURE_TOL = 1e-8
+
 
 @dataclass
 class TensorSplit:
@@ -47,7 +50,6 @@ class TensorSplit:
 class TensorValue:
     rank: int
     cart: np.ndarray | None = None
-    split: TensorSplit | None = None
 
 
 def _check_rank(rank: int):
@@ -170,11 +172,11 @@ class QSplit:
     beta: np.ndarray
 
 
-def _require_conforming(qs: QSplit, tol: float) -> None:
+def _require_conforming(qs: QSplit) -> None:
     """NotConformingError if the coupling block eta2 exceeds
-    tol * max(1, |q2|, |beta|)."""
+    _STRUCTURE_TOL * max(1, |q2|, |beta|)."""
     scale = max(1.0, float(np.max(np.abs(qs.q2))), float(np.max(np.abs(qs.beta))))
-    if float(np.max(np.abs(qs.eta2))) > tol * scale:
+    if float(np.max(np.abs(qs.eta2))) > _STRUCTURE_TOL * scale:
         raise NotConformingError("field has a tangent-normal coupling component")
 
 
@@ -183,36 +185,34 @@ def q_split_to_split(geom: GeometrySample, qs: QSplit) -> TensorSplit:
     return TensorSplit(rank=2, r2=r2, phi=qs.beta, etaL2=qs.eta2, etaR2=qs.eta2)
 
 
-def q_split_from_split(
-    geom: GeometrySample, split: TensorSplit, tol: float = 1e-8
-) -> QSplit:
+def q_split_from_split(geom: GeometrySample, split: TensorSplit) -> QSplit:
     if split.rank != 2:
         raise RankError("QSplit requires a rank-2 split")
-    scale = max(
+    tol = _STRUCTURE_TOL * max(
         1.0,
         float(np.max(np.abs(split.r2))),
         float(np.max(np.abs(split.phi))),
     )
-    if float(np.max(np.abs(split.etaL2 - split.etaR2))) > tol * scale:
+    if float(np.max(np.abs(split.etaL2 - split.etaR2))) > tol:
         raise NotQTensorError("left and right coupling vectors differ")
     asym = split.r2 - np.einsum("ij...->ji...", split.r2)
-    if float(np.max(np.abs(asym))) > tol * scale:
+    if float(np.max(np.abs(asym))) > tol:
         raise NotQTensorError("tangential part is not symmetric")
     beta = split.phi
     q2 = split.r2 + 0.5 * beta * geom.ginv
     gtrace = np.einsum("ij...,ij...->...", geom.g, q2)
-    if float(np.max(np.abs(gtrace))) > tol * scale:
+    if float(np.max(np.abs(gtrace))) > tol:
         raise NotQTensorError("tangential part violates the trace relation")
     return QSplit(q2=q2, eta2=split.etaL2, beta=beta)
 
 
-def q_from_cart(geom: GeometrySample, cart: np.ndarray, tol: float = 1e-8) -> QSplit:
-    scale = max(1.0, float(np.max(np.abs(cart))))
-    if float(np.max(np.abs(cart - np.einsum("ab...->ba...", cart)))) > tol * scale:
+def q_from_cart(geom: GeometrySample, cart: np.ndarray) -> QSplit:
+    tol = _STRUCTURE_TOL * max(1.0, float(np.max(np.abs(cart))))
+    if float(np.max(np.abs(cart - np.einsum("ab...->ba...", cart)))) > tol:
         raise NotQTensorError("proxy is not symmetric")
-    if float(np.max(np.abs(np.einsum("aa...->...", cart)))) > tol * scale:
+    if float(np.max(np.abs(np.einsum("aa...->...", cart)))) > tol:
         raise NotQTensorError("proxy is not traceless")
-    return q_split_from_split(geom, split_tensor(geom, cart, 2), tol=tol)
+    return q_split_from_split(geom, split_tensor(geom, cart, 2))
 
 
 def q_to_cart(geom: GeometrySample, qs: QSplit) -> np.ndarray:

@@ -16,11 +16,16 @@ outputs made the flows slower.  Index conventions:
 * velocity blocks: ``G[i, j] = G^i_j`` the tangential gradient (mixed) and
   ``b_cov[i]`` the normal-coupling covector, for both the material and the
   chart (observer) velocity.
+
+``MotionSample`` computes each kinematic block on first read and keeps it.
+A flow frame keeps only the arrays its rate reads, not the sample, whose
+cached intermediate blocks would raise the flow's peak memory.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -140,102 +145,109 @@ def geometry_grid(surface: MovingSurface, t: float, Y1, Y2) -> GeometrySample:
     return geometry_from_jet(surface.jet(t, Y1, Y2))
 
 
-@dataclass
 class MotionSample:
-    V_o: np.ndarray
-    V_m: np.ndarray
-    dV_o: np.ndarray
-    dV_m: np.ndarray
-    u2: np.ndarray
-    Du: np.ndarray
-    vperp: np.ndarray
-    G: np.ndarray
-    b_cov: np.ndarray
-    b3: np.ndarray
-    G_obs: np.ndarray
-    b_obs_cov: np.ndarray
-    b_obs3: np.ndarray
-    A: np.ndarray
-    Gcal: np.ndarray
-    Acal: np.ndarray
+    """Kinematic blocks of the observer (chart) velocity V_o and the material
+    velocity V_m = V_o + u^k d_k X at the points of ``geom``, from ``u2`` and
+    ``du[k, j] = d_j u^k``; each is computed on first read and kept."""
 
+    def __init__(self, geom: GeometrySample, u2, du):
+        self.geom = geom
+        self.u2 = u2
+        self.du = du
 
-def _material_velocity_gradient(geom: GeometrySample, u2, du) -> np.ndarray:
-    """Chart derivative d_j V_m of the material velocity V_m = V_o + u^k d_k X."""
-    jet = geom.jet
-    return (
-        jet.dVt
-        + np.einsum("kj...,ak...->aj...", du, jet.dX)
-        + np.einsum("k...,akj...->aj...", u2, jet.ddX)
-    )
+    def _tangential(self, dV: np.ndarray) -> np.ndarray:
+        """Tangential gradient (mixed) of a velocity from its chart derivative.
 
+        Exact from jets: G^i_j = g^{ik}<d_k X, d_j V> equals the covariant form
+        v^i_{|j} - vperp B^i_j because d_j V already differentiates the normal
+        direction.
+        """
+        P = np.einsum("ak...,aj...->kj...", self.geom.dX, dV)
+        return np.einsum("ik...,kj...->ij...", self.geom.ginv, P)
 
-def _tangential_gradient(geom: GeometrySample, dV: np.ndarray) -> np.ndarray:
-    """Tangential gradient (mixed) of a velocity from its chart derivative.
+    def _coupling(self, dV: np.ndarray) -> np.ndarray:
+        """Normal-coupling covector b_j = <nu, d_j V> of a velocity."""
+        return np.einsum("a...,aj...->j...", self.geom.nu, dV)
 
-    Exact from jets: G^i_j = g^{ik}<d_k X, d_j V> equals the covariant form
-    v^i_{|j} - vperp B^i_j because d_j V already differentiates the normal
-    direction.
-    """
-    P = np.einsum("ak...,aj...->kj...", geom.dX, dV)
-    return np.einsum("ik...,kj...->ij...", geom.ginv, P)
+    @cached_property
+    def V_o(self) -> np.ndarray:
+        return self.geom.jet.Vt
 
+    @cached_property
+    def dV_o(self) -> np.ndarray:
+        return self.geom.jet.dVt
 
-def _normal_coupling(geom: GeometrySample, dV: np.ndarray) -> np.ndarray:
-    """Normal-coupling covector b_j = <nu, d_j V> of a velocity."""
-    return np.einsum("a...,aj...->j...", geom.nu, dV)
+    @cached_property
+    def V_m(self) -> np.ndarray:
+        return self.V_o + self.geom.embed_vec(self.u2)
 
+    @cached_property
+    def dV_m(self) -> np.ndarray:
+        """Chart derivative d_j V_m of the material velocity."""
+        jet = self.geom.jet
+        return (
+            self.dV_o
+            + np.einsum("kj...,ak...->aj...", self.du, jet.dX)
+            + np.einsum("k...,akj...->aj...", self.u2, jet.ddX)
+        )
 
-def _spin(geom: GeometrySample, G: np.ndarray) -> np.ndarray:
-    """A = (G - G*) / 2, with G* the g-adjoint of the mixed tangential G."""
-    return 0.5 * (G - np.einsum("ik...,lk...,lj...->ij...", geom.ginv, G, geom.g))
+    @cached_property
+    def Du(self) -> np.ndarray:
+        """Covariant derivative u^i_{|j} of the relative velocity."""
+        return self.du + np.einsum("ijl...,l...->ij...", self.geom.Gamma, self.u2)
 
+    @cached_property
+    def vperp(self) -> np.ndarray:
+        return np.einsum("a...,a...->...", self.V_m, self.geom.nu)
 
-def _full_gradient(geom: GeometrySample, G: np.ndarray, b3: np.ndarray) -> np.ndarray:
-    """Cartesian proxy of the full velocity gradient from its blocks:
-    Gcal = embed(G) + nu (x) b3 - b3 (x) nu, with b3 the lifted coupling."""
-    return (
-        geom.embed_mixed(G)
-        + np.einsum("a...,b...->ab...", geom.nu, b3)
-        - np.einsum("a...,b...->ab...", b3, geom.nu)
-    )
+    @cached_property
+    def G(self) -> np.ndarray:
+        return self._tangential(self.dV_m)
 
+    @cached_property
+    def b_cov(self) -> np.ndarray:
+        return self._coupling(self.dV_m)
 
-def _full_spin(Gcal: np.ndarray) -> np.ndarray:
-    """Acal = (Gcal - Gcal^T) / 2."""
-    return 0.5 * (Gcal - np.einsum("ab...->ba...", Gcal))
+    @cached_property
+    def b3(self) -> np.ndarray:
+        return self.geom.lift_cov(self.b_cov)
+
+    @cached_property
+    def G_obs(self) -> np.ndarray:
+        return self._tangential(self.dV_o)
+
+    @cached_property
+    def b_obs_cov(self) -> np.ndarray:
+        return self._coupling(self.dV_o)
+
+    @cached_property
+    def b_obs3(self) -> np.ndarray:
+        return self.geom.lift_cov(self.b_obs_cov)
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        """Spin A = (G - G*) / 2, with G* the g-adjoint of the mixed G."""
+        G, geom = self.G, self.geom
+        return 0.5 * (G - np.einsum("ik...,lk...,lj...->ij...", geom.ginv, G, geom.g))
+
+    @cached_property
+    def Gcal(self) -> np.ndarray:
+        """Full velocity gradient proxy embed(G) + nu (x) b3 - b3 (x) nu."""
+        nu = self.geom.nu
+        return (
+            self.geom.embed_mixed(self.G)
+            + np.einsum("a...,b...->ab...", nu, self.b3)
+            - np.einsum("a...,b...->ab...", self.b3, nu)
+        )
+
+    @cached_property
+    def Acal(self) -> np.ndarray:
+        """Acal = (Gcal - Gcal^T) / 2."""
+        return 0.5 * (self.Gcal - np.einsum("ab...->ba...", self.Gcal))
 
 
 def motion_from_jet(geom: GeometrySample, u2, du) -> MotionSample:
-    jet = geom.jet
-    V_o = jet.Vt
-    dV_o = jet.dVt
-    V_m = V_o + geom.embed_vec(u2)
-    dV_m = _material_velocity_gradient(geom, u2, du)
-    G_m = _tangential_gradient(geom, dV_m)
-    G_o = _tangential_gradient(geom, dV_o)
-    b_m = _normal_coupling(geom, dV_m)
-    b_o = _normal_coupling(geom, dV_o)
-    b3 = geom.lift_cov(b_m)
-    Gcal = _full_gradient(geom, G_m, b3)
-    return MotionSample(
-        V_o=V_o,
-        V_m=V_m,
-        dV_o=dV_o,
-        dV_m=dV_m,
-        u2=u2,
-        Du=du + np.einsum("ijl...,l...->ij...", geom.Gamma, u2),
-        vperp=np.einsum("a...,a...->...", V_m, geom.nu),
-        G=G_m,
-        b_cov=b_m,
-        b3=b3,
-        G_obs=G_o,
-        b_obs_cov=b_o,
-        b_obs3=geom.lift_cov(b_o),
-        A=_spin(geom, G_m),
-        Gcal=Gcal,
-        Acal=_full_spin(Gcal),
-    )
+    return MotionSample(geom, u2, du)
 
 
 def motion_at(
@@ -256,21 +268,6 @@ def motion_grid(
     u2 = surface.u(t, Y1, Y2)
     du = surface.u_jet(t, Y1, Y2)
     return motion_from_jet(geom, u2, du)
-
-
-def _frame_motion(
-    surface: MovingSurface, t: float, geom: GeometrySample, Y1, Y2, conforming: bool
-):
-    """The ``motion_grid`` fields a flow state rate reads: ``(u2, G_obs, A)``
-    for the conforming modes, ``(u2, Acal)`` for the full-tensor modes, from
-    only the blocks of ``motion_from_jet`` they need."""
-    u2 = surface.u(t, Y1, Y2)
-    dV_m = _material_velocity_gradient(geom, u2, surface.u_jet(t, Y1, Y2))
-    G = _tangential_gradient(geom, dV_m)
-    if conforming:
-        return u2, _tangential_gradient(geom, geom.jet.dVt), _spin(geom, G)
-    b3 = geom.lift_cov(_normal_coupling(geom, dV_m))
-    return u2, _full_spin(_full_gradient(geom, G, b3))
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +312,7 @@ class IdentityReport:
         return json.dumps(self.to_json_obj(), sort_keys=True, indent=2)
 
 
-def check_identities(
-    surface: MovingSurface, event: Event, tol: float | None = None
-) -> IdentityReport:
+def check_identities(surface: MovingSurface, event: Event) -> IdentityReport:
     """Residuals of the pointwise differential-geometric identities at one event.
 
     Covers the structure equations (Gauss formula, Weingarten map), metric
@@ -327,8 +322,7 @@ def check_identities(
     # imported here because probes imports this module
     from .probes import probe_matrix_comps, probe_vector_comps
 
-    if tol is None:
-        tol = 1e-8 if surface.diff_mode == "analytic" else 1e-6
+    tol = 1e-8 if surface.diff_mode == "analytic" else 1e-6
     t, y1, y2 = event.t, event.y1, event.y2
     geom = geometry_at(surface, event)
     mot = motion_at(surface, event, geom)

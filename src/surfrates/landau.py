@@ -15,6 +15,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -29,8 +30,9 @@ from .diffops import (
 )
 from .errors import ConfigError, StabilityError
 from .fields import QSplit, _conforming_blocks, pi_q_components, q_to_cart
-from .geometry import _frame_motion, geometry_from_jet
+from .geometry import geometry_from_jet, motion_grid
 from .timederiv import QFieldClosure, _covariant_derivative
+from .util import _worst
 from .chart_kernel import Event
 
 __all__ = [
@@ -79,7 +81,6 @@ class FlowConfig:
     seed: int = 0
     beta0: float = 0.3
     amplitude: float = 0.1
-    t0: float = 0.0
     snapshot_every: int = 0
     crosscheck_every: int = 0
     crosscheck_samples: int = 4
@@ -325,7 +326,7 @@ def _crosscheck_residual(surface, gg, q, beta, n_samples, seed):
     for _ in range(n_samples):
         a = rng.uniform(*dom.y1_range)
         b = rng.uniform(*dom.y2_range)
-        worst = max(worst, _conforming_route_residual(surface, closure, Event(t, a, b)))
+        worst = _worst(worst, _conforming_route_residual(surface, closure, Event(t, a, b)))
     return worst
 
 
@@ -359,31 +360,35 @@ def run_flow(
     """
     conforming = config.mode.startswith("Conforming")
     jaumann = config.mode.endswith("Jaumann")
+    # A frame keeps the MotionSample arrays that state_rate takes, in order, and
+    # not the sample, whose cached intermediate blocks would raise peak memory.
     if conforming:
         names = ("q", "beta")
         state_rate, to_proxy = _conf_state_rate, conforming_to_proxy
+        rate_motion = attrgetter("u2", "G_obs", "A")
     else:
         names = ("Q",)
         state_rate, to_proxy = _full_state_rate, lambda gg, Q: Q
+        rate_motion = attrgetter("u2", "Acal")
 
     # Frames (grid, motion arrays) by stage time.  An RK4 step reuses at most
     # two times (t + h/2 for k2 and k3, t + h for k4 and the next step), so
     # two frames suffice; the oldest is evicted before a new one is built.
-    # A static surface has one frame for the whole run, built at t0.
+    # A static surface has one frame for the whole run, built at t = 0.
     frames = {}
 
     def frame_at(t):
         if surface.static:
-            t = config.t0
+            t = 0.0
         if t not in frames:
             if len(frames) == 2:
                 del frames[next(iter(frames))]
             gg = make_grid(surface, t, config.n)
             _checked_bound(gg, params, config.dt)
-            frames[t] = gg, _frame_motion(surface, t, gg.geom, gg.Y1, gg.Y2, conforming)
+            frames[t] = gg, rate_motion(motion_grid(surface, t, gg.Y1, gg.Y2, gg.geom))
         return frames[t]
 
-    gg, _ = frame_at(config.t0)
+    gg, _ = frame_at(0.0)
     bound = stability_bound(gg, params)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -411,7 +416,7 @@ def run_flow(
     energy_rows = []
     crosschecks = []
     snapshots = []
-    t = config.t0
+    t = 0.0
     prev_total = None
     for step in range(config.steps + 1):
         gg, Q = proxy_of(t, state)
@@ -452,7 +457,7 @@ def run_flow(
             k3 = rate(t + 0.5 * h, axpy(state, k2, 0.5 * h))
             k4 = rate(t + h, axpy(state, k3, h))
             state = combine_rk4(state, k1, k2, k3, k4, h)
-        t = config.t0 + (step + 1) * config.dt
+        t = (step + 1) * config.dt
 
     ggf, Qf = proxy_of(t, state)
     result = FlowResult(

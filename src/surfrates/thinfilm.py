@@ -8,7 +8,6 @@ reported as infinite fitted order.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -40,6 +39,9 @@ LIMIT_QUANTITIES = (
 )
 
 ORDER_FLOOR = 1e-10
+
+# Shell offsets xi of a limit study, halving towards the surface.
+_XI_SEQUENCE = (0.1, 0.05, 0.025, 0.0125)
 
 
 @dataclass(frozen=True)
@@ -122,9 +124,6 @@ class ConvergenceReport:
             "rows": [{"error": e, "xi": x} for (x, e) in self.rows],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, indent=2)
-
 
 def fit_order(rows, scale: float = 1.0) -> float:
     """Least-squares slope of log error against log step; infinite when every
@@ -150,7 +149,6 @@ def limit_study(
     surface: MovingSurface,
     quantity: str,
     event: Event,
-    xi_sequence=(0.1, 0.05, 0.025, 0.0125),
 ) -> ConvergenceReport:
     """Compare bulk shell derivatives at offsets xi with the surface-side
     derivative, and fit the convergence order."""
@@ -164,7 +162,7 @@ def limit_study(
         mot = motion_at(surface, event)
         S_surf = 0.5 * (mot.Gcal + mot.Gcal.T)
         scale = max(1.0, frobenius(S_surf))
-        for xi in xi_sequence:
+        for xi in _XI_SEQUENCE:
             gradv = shell_velocity_gradient(surface, ShellEvent(t, y1, y2, xi))
             S_shell = 0.5 * (gradv + gradv.T)
             rows.append((xi, frobenius(S_shell - S_surf)))
@@ -180,7 +178,7 @@ def limit_study(
     scale = max(1.0, frobenius(surf_val))
     R = _probe_rank2(t, y1, y2)
     Dm = advected_rate(surface, _probe_rank2, event)
-    for xi in xi_sequence:
+    for xi in _XI_SEQUENCE:
         gradv = shell_velocity_gradient(surface, ShellEvent(t, y1, y2, xi))
         if kind == DerivKind.Upper:
             shell_val = Dm - gradv @ R - R @ gradv.T

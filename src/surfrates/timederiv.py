@@ -30,6 +30,7 @@ from .fields import (
     QSplit,
     TensorSplit,
     TensorValue,
+    _STRUCTURE_TOL,
     _require_conforming,
     pi_q_components,
     q_split_to_split,
@@ -105,9 +106,7 @@ class TangentialFieldClosure:
     comp_eval: Callable
 
     @staticmethod
-    def from_cart(
-        surface: MovingSurface, closure: FieldClosure, tol: float = 1e-8
-    ) -> "TangentialFieldClosure":
+    def from_cart(surface: MovingSurface, closure: FieldClosure) -> "TangentialFieldClosure":
         if closure.rank not in (1, 2):
             raise RankError("tangential closures have rank 1 or 2")
 
@@ -118,7 +117,7 @@ class TangentialFieldClosure:
             off = [np.abs(split.phi)]
             if closure.rank == 2:
                 off += [np.abs(split.etaL2), np.abs(split.etaR2)]
-            if max(float(np.max(o)) for o in off) > tol * scale:
+            if max(float(np.max(o)) for o in off) > _STRUCTURE_TOL * scale:
                 raise NotTangentialError("field has a normal component")
             return split.r2
 
@@ -350,8 +349,7 @@ def material_dt(
 
     if closure.rank == 1:
         cart = geom.embed_vec(rdot) - phi * b3 + (phidot + r @ b) * nu
-        split = TensorSplit(rank=1, r2=rdot - phi * (geom.ginv @ b), phi=float(phidot + r @ b))
-        return TensorValue(rank=1, cart=cart, split=split)
+        return TensorValue(rank=1, cart=cart)
 
     eL = np.asarray(eLcl(t, y1, y2), dtype=float)
     eR = np.asarray(eRcl(t, y1, y2), dtype=float)
@@ -434,7 +432,7 @@ def convected_dt(
     )
     if closure.rank == 2:
         split.etaL2, split.etaR2 = block(1, eLcl), block(1, eRcl)
-    return TensorValue(rank=closure.rank, cart=reconstruct(geom, split), split=split)
+    return TensorValue(rank=closure.rank, cart=reconstruct(geom, split))
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +446,6 @@ def q_dt(
     kind: DerivKind,
     geom: GeometrySample | None = None,
     mot: MotionSample | None = None,
-    conforming_tol: float = 1e-8,
 ) -> QSplit:
     """Material, Jaumann, or conforming-material derivative of a Q-tensor field.
 
@@ -485,7 +482,7 @@ def q_dt(
     )
 
     if kind == DerivKind.ConformingMaterial:
-        _require_conforming(qs, conforming_tol)
+        _require_conforming(qs)
         return QSplit(q2=qdot, eta2=np.zeros(2), beta=betadot)
 
     b = mot.b_cov

@@ -15,6 +15,11 @@ def _maxabs(a) -> float:
     return float(np.max(np.abs(a)))
 
 
+def _worst(a, b) -> float:
+    """max(a, b) that keeps a NaN, which the builtin drops when it comes second."""
+    return float(np.maximum(a, b))
+
+
 def rel_residual(a, b) -> float:
     """Difference of two values scaled by max(1, |a|, |b|).
 

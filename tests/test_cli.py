@@ -1,11 +1,12 @@
 import json
+import math
 import os
 
 import pytest
 
 from surfrates import _fd
 from surfrates.chart_kernel import get_scenario, list_scenarios
-from surfrates.cli import main, run_converge_thinfilm, run_verify
+from surfrates.cli import _Rows, main, run_converge_thinfilm, run_verify
 from surfrates.landau import FlowConfig, LdGParams, run_flow
 from surfrates.thinfilm import LIMIT_QUANTITIES
 
@@ -209,6 +210,25 @@ def test_flow_crosscheck_failure_exit_one(tmp_path, monkeypatch, capsys):
     assert "2.500e-05" in capsys.readouterr().err
     report = _strict_json(tmp_path / "flow_report.json")
     assert report["crosscheck_max_residual"] == 2.5e-5
+
+
+def test_flow_nan_crosscheck_exit_one(tmp_path, monkeypatch, capsys):
+    import surfrates.landau as landau
+
+    monkeypatch.setattr(landau, "_conforming_route_residual", lambda *args: float("nan"))
+    assert main(_crosscheck_flow_args(tmp_path)) == 1
+    assert "non-finite value" in capsys.readouterr().err
+    assert not (tmp_path / "flow_report.json").exists()
+
+
+def test_rows_keep_a_nan_worst_residual():
+    # max(finite, nan) is the finite value; the NaN must decide the row
+    rows = _Rows()
+    rows.add("x", float("nan"), 1e-6)
+    rows.add("x", 1e-9, 1e-6)
+    (row,) = rows.to_list()
+    assert math.isnan(row["residual"])
+    assert not row["pass"]
 
 
 def test_flow_crosscheck_pass_exit_zero(tmp_path):

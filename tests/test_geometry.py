@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,13 +14,16 @@ from surfrates.chart_kernel import (
 )
 from surfrates.errors import NonEmbeddingError
 from surfrates.geometry import (
-    MotionSample,
-    _frame_motion,
     check_identities,
     geometry_at,
     geometry_grid,
     motion_at,
     motion_grid,
+)
+
+MOTION_FIELDS = (
+    "V_o", "V_m", "dV_o", "dV_m", "u2", "Du", "vperp", "G",
+    "b_cov", "b3", "G_obs", "b_obs_cov", "b_obs3", "A", "Gcal", "Acal",
 )
 
 
@@ -164,8 +165,8 @@ def test_static_scenario_motion_is_time_independent(name):
     )
     m0 = motion_grid(surface, 0.0, Y1, Y2)
     m1 = motion_grid(surface, 0.7, Y1, Y2)
-    for f in dataclasses.fields(MotionSample):
-        assert np.array_equal(getattr(m0, f.name), getattr(m1, f.name)), f.name
+    for name in MOTION_FIELDS:
+        assert np.array_equal(getattr(m0, name), getattr(m1, name)), name
 
 
 @pytest.mark.parametrize("shape", [(), (7, 5)])
@@ -184,15 +185,17 @@ def test_embed_mixed_matches_four_operand_contraction(torus_drift, shape):
 
 
 @pytest.mark.parametrize("conforming", [False, True])
-def test_frame_motion_equals_motion_sample_fields(torus_drift, conforming):
-    # a flow frame computes only the motion arrays its state rate reads, with
-    # the same block helpers as motion_from_jet, so they agree bit for bit
+def test_motion_fields_do_not_depend_on_read_order(torus_drift, conforming):
+    # a flow frame reads only the arrays its state rate takes, so those blocks
+    # are computed first; they agree bit for bit with a sample on which every
+    # field was read, in the order of MOTION_FIELDS
     t = 0.37
     Y1, Y2 = np.meshgrid(np.linspace(0.0, 6.0, 24), np.linspace(0.1, 6.1, 24), indexing="ij")
     geom = geometry_grid(torus_drift, t, Y1, Y2)
-    mot = motion_grid(torus_drift, t, Y1, Y2, geom)
+    full = motion_grid(torus_drift, t, Y1, Y2, geom)
+    for name in MOTION_FIELDS:
+        getattr(full, name)
     names = ("u2", "G_obs", "A") if conforming else ("u2", "Acal")
-    arrays = _frame_motion(torus_drift, t, geom, Y1, Y2, conforming)
-    assert len(arrays) == len(names)
-    for name, arr in zip(names, arrays):
-        assert np.array_equal(arr, getattr(mot, name)), name
+    mot = motion_grid(torus_drift, t, Y1, Y2, geom)
+    for name in names:
+        assert np.array_equal(getattr(mot, name), getattr(full, name)), name

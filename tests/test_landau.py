@@ -101,8 +101,8 @@ def test_non_finite_state_stops_static_run(torus_static):
 
 
 def _record_frame_builds(monkeypatch):
-    """Times passed to landau.make_grid and landau._frame_motion, by name."""
-    times = {"make_grid": [], "_frame_motion": []}
+    """Times passed to landau.make_grid and landau.motion_grid, by name."""
+    times = {"make_grid": [], "motion_grid": []}
     for name, log in times.items():
         original = getattr(landau, name)
 
@@ -129,7 +129,31 @@ def test_moving_flow_builds_each_stage_time_once(monkeypatch, torus_drift, mode)
 def test_static_flow_builds_one_frame(monkeypatch, torus_static, method):
     times = _record_frame_builds(monkeypatch)
     run_flow(torus_static, LdGParams(), FlowConfig(n=16, steps=5, method=method))
-    assert times == {"make_grid": [0.0], "_frame_motion": [0.0]}
+    assert times == {"make_grid": [0.0], "motion_grid": [0.0]}
+
+
+@pytest.mark.parametrize(
+    "mode, unread",
+    [
+        ("FullQ_Jaumann", ("G_obs", "Du", "vperp", "V_m", "b_obs3")),
+        ("Conforming_Jaumann", ("Gcal", "Acal")),
+    ],
+)
+def test_flow_frames_compute_only_the_motion_they_read(monkeypatch, torus_drift, mode, unread):
+    # every frame takes its motion from motion_grid, and a MotionSample
+    # computes a block only when it is read
+    samples = []
+    original = landau.motion_grid
+
+    def recorded(*args):
+        samples.append(original(*args))
+        return samples[-1]
+
+    monkeypatch.setattr(landau, "motion_grid", recorded)
+    run_flow(torus_drift, LdGParams(), FlowConfig(mode=mode, n=16, dt=1e-3, steps=2, method="rk4"))
+    assert len(samples) == 1 + 2 * 2
+    for sample in samples:
+        assert not set(unread) & set(vars(sample))
 
 
 def test_grid_arrays_are_c_ordered(torus_drift):
