@@ -171,18 +171,19 @@ class MovingSurface:
     def _fd_jet(self, t, y1, y2) -> ChartJet:
         h = self.space_step
         ht = self.fd_time_step
-        y1 = np.asarray(y1, float)
-        y2 = np.asarray(y2, float)
+        t, y1, y2 = np.broadcast_arrays(*(np.asarray(v, float) for v in (t, y1, y2)))
+        # t carries the spatial stencils' trailing offset axis, as y1 and y2 do
+        ts = t[..., None]
         pos = self.chart
 
-        X, d1, d2, d11, d12, d22 = c4_hess(lambda a, b: pos(t, a, b), y1, y2, h)
+        X, d1, d2, d11, d12, d22 = c4_hess(lambda a, b: pos(ts, a, b), y1, y2, h)
         dX = np.stack([d1, d2], axis=1)
         ddX = np.stack(
             [np.stack([d11, d12], axis=1), np.stack([d12, d22], axis=1)], axis=1
         )
         Vt = c4_d1(lambda s: pos(s, y1, y2), t, ht)
         dVt = np.stack(
-            c4_grad(lambda a, b: c4_d1(lambda s: pos(s, a, b), t, ht), y1, y2, h), axis=1
+            c4_grad(lambda a, b: c4_d1(lambda s: pos(s, a, b), ts, ht), y1, y2, h), axis=1
         )
         return ChartJet(X=X, dX=dX, ddX=ddX, Vt=Vt, dVt=dVt)
 

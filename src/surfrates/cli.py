@@ -44,7 +44,19 @@ from .probes import (
     probe_scalar_b,
 )
 from .thinfilm import LIMIT_QUANTITIES, fit_order, limit_study
-from .timederiv import DerivKind, convected_dt, material_dt, q_dt, scalar_dot
+from .timederiv import (
+    DerivKind,
+    _advected_parts,
+    _convected_decomposed,
+    _material_decomposed,
+    _q_formula,
+    _q_parts,
+    _split_parts,
+    _via_material,
+    material_dt,
+    q_dt,
+    scalar_dot,
+)
 from .util import _maxabs, _worst, rel_residual
 
 __all__ = [
@@ -125,18 +137,22 @@ def _suite_derivatives(surface, events, rows: _Rows):
         for ev in events:
             geom = geometry_at(surface, ev)
             mot = motion_at(surface, ev, geom)
-            da = material_dt(surface, P, ev, "CartesianProxy", geom, mot).cart
-            db = material_dt(surface, P, ev, "Decomposed", geom, mot).cart
+            # each side's parts once per event: the proxy routes read Pv, da
+            # (and Rv, DmR), the Decomposed routes read split
+            Pv, da = _advected_parts(surface, P.eval, ev)
+            Rv, DmR = _advected_parts(surface, R.eval, ev)
+            split = _split_parts(surface, P, ev, lowered=True)
+            db = _material_decomposed(geom, mot, rank, split)
             rows.add(f"material-rank{rank}-dual-path", rel_residual(da, db), 1e-6)
             vals = {}
             for kind, label in kinds:
-                va = convected_dt(surface, P, ev, kind, "ViaMaterial", geom, mot).cart
-                vb = convected_dt(surface, P, ev, kind, "Decomposed", geom, mot).cart
+                va = _via_material(mot, rank, kind, Pv, da)
+                vb = _convected_decomposed(geom, mot, rank, split, kind, "Decomposed")
                 vals[label] = va
                 rows.add(f"{label}-rank{rank}-dual-path", rel_residual(va, vb), 1e-6)
-            javg = convected_dt(
-                surface, P, ev, DerivKind.Jaumann, "Average", geom, mot
-            ).cart
+            javg = _convected_decomposed(
+                geom, mot, rank, split, DerivKind.Jaumann, "Average"
+            )
             rows.add(
                 f"jaumann-average-rank{rank}",
                 rel_residual(javg, vals["jaumann"]),
@@ -149,12 +165,8 @@ def _suite_derivatives(surface, events, rows: _Rows):
             )
 
             # product rules against the scalar material rate
-            t, y1, y2 = ev.t, ev.y1, ev.y2
-            Pv = P.eval(t, y1, y2)
-            Rv = R.eval(t, y1, y2)
             fdot = scalar_dot(surface, fprod, ev)
             scale = max(1.0, abs(fdot))
-            DmR = material_dt(surface, R, ev, "CartesianProxy", geom, mot).cart
             rows.add(
                 f"material-product-rule-rank{rank}",
                 abs(fdot - float(np.sum(da * Rv) + np.sum(Pv * DmR))) / scale,
@@ -173,7 +185,7 @@ def _suite_derivatives(surface, events, rows: _Rows):
                 (DerivKind.Lower, "lower", -1.0),
                 (DerivKind.Jaumann, "jaumann", 0.0),
             ):
-                DR = convected_dt(surface, R, ev, kind, "ViaMaterial", geom, mot).cart
+                DR = _via_material(mot, rank, kind, Rv, DmR)
                 total = float(np.sum(vals[label] * Rv) + np.sum(Pv * DR)) + sgn * defect
                 rows.add(
                     f"{label}-product-rule-rank{rank}", abs(fdot - total) / scale, 1e-6
@@ -189,18 +201,19 @@ def _suite_qtensor(surface, events, rows: _Rows):
         t, y1, y2 = ev.t, ev.y1, ev.y2
         geom = geometry_at(surface, ev)
         mot = motion_at(surface, ev, geom)
+        # each side's parts once per event: q_eval's blocks for the Q-split
+        # routes, the full proxy and its material rate for the others
+        qparts = _q_parts(surface, qcl, ev)
+        Fv, dm_full = _advected_parts(surface, fcl.eval, ev)
 
-        dmq = q_dt(surface, qcl, ev, DerivKind.Material, geom, mot)
-        dm_full = material_dt(surface, fcl, ev, "CartesianProxy", geom, mot).cart
+        dmq = _q_formula(geom, mot, qparts, DerivKind.Material)
         rows.add(
             "qtensor-material-closure",
             rel_residual(q_to_cart(geom, dmq), dm_full),
             1e-8,
         )
-        djq = q_dt(surface, qcl, ev, DerivKind.Jaumann, geom, mot)
-        dj_full = convected_dt(
-            surface, fcl, ev, DerivKind.Jaumann, "ViaMaterial", geom, mot
-        ).cart
+        djq = _q_formula(geom, mot, qparts, DerivKind.Jaumann)
+        dj_full = _via_material(mot, 2, DerivKind.Jaumann, Fv, dm_full)
         rows.add(
             "qtensor-jaumann-closure",
             rel_residual(q_to_cart(geom, djq), dj_full),
@@ -214,12 +227,8 @@ def _suite_qtensor(surface, events, rows: _Rows):
             1e-8,
         )
 
-        dup = convected_dt(
-            surface, fcl, ev, DerivKind.Upper, "ViaMaterial", geom, mot
-        ).cart
-        dlo = convected_dt(
-            surface, fcl, ev, DerivKind.Lower, "ViaMaterial", geom, mot
-        ).cart
+        dup = _via_material(mot, 2, DerivKind.Upper, Fv, dm_full)
+        dlo = _via_material(mot, 2, DerivKind.Lower, Fv, dm_full)
         qs = qcl.q_eval(t, y1, y2)
         pred = float(qs.beta) * float(np.trace(mot.G)) - 2.0 * float(
             np.sum((geom.g @ mot.G) * qs.q2)

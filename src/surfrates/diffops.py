@@ -31,7 +31,7 @@ from .fields import (
     reconstruct,
 )
 from .geometry import GeometrySample, geometry_at, geometry_from_jet, geometry_grid
-from .timederiv import FieldClosure, QFieldClosure, _covariant_derivative, _split_closures
+from .timederiv import FieldClosure, QFieldClosure, _covariant_derivative
 from .util import _maxabs
 
 __all__ = [
@@ -75,6 +75,15 @@ def _comp_cov_deriv(surface: MovingSurface, comp_eval: Callable, rank: int, t, a
         c4_grad(lambda x, y: comp_eval(t, x, y), a, b, surface.space_step), axis=rank
     )
     return _covariant_derivative(geom, rank, v, dv)
+
+
+def _split_closures(closure: FieldClosure):
+    """Per-block closures (r, etaL, etaR, phi) of a rank-2 field."""
+    split_eval = closure.require_split()
+    return [
+        lambda t, a, b, name=name: getattr(split_eval(t, a, b), name)
+        for name in ("r2", "etaL2", "etaR2", "phi")
+    ]
 
 
 def _tangential_laplace(

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._fd import c2_d1, c4_grad
+from ._fd import c2_c4_dt_grad
 from .chart_kernel import Event, MovingSurface
 from .errors import ConfigError, MissingSplitError, NotTangentialError, RankError
 from .fields import (
@@ -77,13 +77,15 @@ class FieldClosure:
     """A field given by its Cartesian proxy closure (t, y1, y2) -> array.
 
     rank 0: scalar; rank 1: shape (3,); rank 2: shape (3, 3); component axes
-    are followed by the broadcast shape of the coordinates.  Spatial stencils
-    call the closures once with coordinate arrays that carry a trailing
-    stencil axis: a closure broadcasts over it or fails loudly (raises, or
-    returns other trailing axes), and a closure that fails is evaluated
-    offset by offset instead, so pointwise-only closures still work.
-    split_eval, if given, must return the matching TensorSplit and agree with
-    eval to 1e-8 after reconstruction.
+    are followed by the broadcast shape of the coordinates.  Stencils call
+    the closures once with arrays that carry a trailing stencil axis, on t
+    as on y1 and y2 (the space-time stencil: one call on 11 points): a
+    closure broadcasts over it or fails loudly (raises, or returns other
+    trailing axes), and a closure that fails is evaluated offset by offset
+    instead, so pointwise-only closures still work.  split_eval, if given,
+    must return the matching TensorSplit and agree with eval to 1e-8 after
+    reconstruction.  The proxy routes read eval and the Decomposed routes
+    split_eval; no value computed from one is shared with the other.
     """
 
     rank: int
@@ -130,8 +132,11 @@ class QFieldClosure:
 
     Every block carries the broadcast shape of the coordinates after its
     component axes, as for FieldClosure: stencils call ``q_eval`` with a
-    trailing stencil axis, and a closure that fails loudly on it is evaluated
-    offset by offset.
+    trailing stencil axis on t, y1 and y2 (one call on 11 points gives the
+    parts of all three blocks), and a closure that fails loudly on it is
+    evaluated offset by offset.  q_dt reads q_eval's blocks; the full proxy
+    of ``as_field_closure`` is a separate side, and no value passes between
+    the two.
     """
 
     q_eval: Callable
@@ -149,6 +154,119 @@ class QFieldClosure:
 
 
 # ---------------------------------------------------------------------------
+# parts: value, time partial and spatial partials from one stencil call
+#
+# Each route below is "compute parts, then apply the formula".  A proxy-side
+# part comes from the Cartesian closure ``eval``, a Decomposed-side part from
+# ``split_eval`` or ``q_eval``; no value ever passes between the two sides, so
+# every comparison of a proxy route with a Decomposed route compares two
+# independent computations.
+
+
+class _Parts(NamedTuple):
+    """Value, time partial and spatial partials (last axis) of one array."""
+
+    v: np.ndarray
+    vt: np.ndarray
+    dv: np.ndarray
+
+
+class _Block(NamedTuple):
+    """Parts of one split block of the given rank in contravariant components
+    and, if asked for, of its covariant proxy g r (rank 1) or g r g (rank 2)."""
+
+    rank: int
+    p: _Parts
+    w: _Parts | None = None
+
+
+def _lower(g, r, rank: int):
+    """Covariant proxy g r (rank 1) or g r g (rank 2) of contravariant components."""
+    if rank == 1:
+        return np.einsum("ij...,j...->i...", g, r)
+    gr = np.einsum("ij...,jk...->ik...", g, r)
+    return np.einsum("ik...,kl...->il...", gr, g)
+
+
+def _block_parts(
+    surface: MovingSurface, fn: Callable, ranks, event: Event, lowered: bool = False
+) -> list[_Block]:
+    """_Block of each array that ``fn(t, y1, y2)`` returns (tangential
+    components of the given ranks, 0 for a scalar), from one space-time
+    stencil call on 11 points.  With ``lowered``, each tangential block's
+    covariant proxy is formed at those points from one chart jet and
+    differenced in the same call."""
+    every = (*ranks, *(k for k in ranks if k and lowered))
+
+    def packed(s, a, b):
+        vals = list(fn(s, a, b))
+        if lowered:
+            g = _metric(surface.jet(s, a, b).dX)
+            vals += [_lower(g, x, k) for x, k in zip(vals, ranks) if k]
+        return np.concatenate(
+            [np.reshape(x, (2**k,) + np.shape(s)) for x, k in zip(vals, every)]
+        )
+
+    F = c2_c4_dt_grad(
+        packed, event.t, event.y1, event.y2, DT_TIME_STEP, surface.space_step
+    )
+    bounds = np.cumsum([2**k for k in every])[:-1]
+    parts = []
+    for k, *arrays in zip(every, *(np.split(x, bounds) for x in F)):
+        v, vt, d1, d2 = (x.reshape((2,) * k + x.shape[1:]) for x in arrays)
+        parts.append(_Parts(v, vt, np.stack([d1, d2], axis=-1)))
+    covs = iter(parts[len(ranks) :])
+    return [_Block(k, p, next(covs) if lowered and k else None) for k, p in zip(ranks, parts)]
+
+
+def _split_parts(
+    surface: MovingSurface, closure: FieldClosure, event: Event, lowered: bool = False
+) -> dict[str, _Block]:
+    """Every block of ``closure.split_eval`` by name, from one call of it."""
+    split_eval = closure.require_split()
+    names, ranks = (("r2", "phi"), (1, 0))
+    if closure.rank == 2:
+        names, ranks = (("r2", "etaL2", "etaR2", "phi"), (2, 1, 1, 0))
+
+    def blocks(s, a, b):
+        split = split_eval(s, a, b)
+        return [getattr(split, n) for n in names]
+
+    return dict(zip(names, _block_parts(surface, blocks, ranks, event, lowered)))
+
+
+def _q_parts(surface: MovingSurface, closure: QFieldClosure, event: Event):
+    """The q2, eta2 and beta blocks of ``closure.q_eval``, from one call of it."""
+
+    def blocks(s, a, b):
+        qs = closure.q_eval(s, a, b)
+        return qs.q2, qs.eta2, qs.beta
+
+    return _block_parts(surface, blocks, (2, 1, 0), event)
+
+
+def _advected_parts(surface: MovingSurface, fun: Callable, event: Event):
+    """Value and material rate d/dt + u^k d_k of a chart-function proxy."""
+    t, y1, y2 = event.t, event.y1, event.y2
+    v, dt, d1, d2 = c2_c4_dt_grad(fun, t, y1, y2, DT_TIME_STEP, surface.space_step)
+    u = surface.u(t, y1, y2)
+    return v, dt + u[0] * d1 + u[1] * d2
+
+
+def _advected(p: _Parts, u2):
+    """Material rate of a scalar block from its parts."""
+    return p.vt + u2[0] * p.dv[..., 0] + u2[1] * p.dv[..., 1]
+
+
+def _frame(surface, event, geom, mot):
+    if geom is None:
+        geom = geometry_at(surface, event)
+    if mot is None:
+        mot = motion_at(surface, event, geom)
+    return geom, mot
+
+
+# ---------------------------------------------------------------------------
 # scalar material rate
 
 
@@ -157,12 +275,7 @@ def advected_rate(surface: MovingSurface, fun: Callable, event: Event):
 
     Works elementwise, so fun may return any array shape.
     """
-    t, y1, y2 = event.t, event.y1, event.y2
-    h = surface.space_step
-    dt = c2_d1(lambda s: fun(s, y1, y2), t, DT_TIME_STEP)
-    d1, d2 = c4_grad(lambda a, b: fun(t, a, b), y1, y2, h)
-    u = surface.u(t, y1, y2)
-    return dt + u[0] * d1 + u[1] * d2
+    return _advected_parts(surface, fun, event)[1]
 
 
 def scalar_dot(surface: MovingSurface, f: Callable, event: Event) -> float:
@@ -172,16 +285,6 @@ def scalar_dot(surface: MovingSurface, f: Callable, event: Event) -> float:
 
 # ---------------------------------------------------------------------------
 # tangential component operators
-
-
-def _comp_parts(surface: MovingSurface, comp_eval: Callable, event: Event):
-    """Value, time partial, and spatial partials (last axis) of a component closure."""
-    t, y1, y2 = event.t, event.y1, event.y2
-    h = surface.space_step
-    v = np.asarray(comp_eval(t, y1, y2), dtype=float)
-    vt = c2_d1(lambda s: comp_eval(s, y1, y2), t, DT_TIME_STEP)
-    dv = np.stack(c4_grad(lambda a, b: comp_eval(t, a, b), y1, y2, h), axis=-1)
-    return v, np.asarray(vt, dtype=float), dv
 
 
 def _covariant_derivative(geom: GeometrySample, rank: int, v, dv):
@@ -196,55 +299,67 @@ def _covariant_derivative(geom: GeometrySample, rank: int, v, dv):
     )
 
 
-def _material_tangential(surface, closure, event, geom, mot, M=None):
+def _transported(geom, mot, rank: int, p: _Parts, M):
     """v_t + u^k v_{|k} + M v (+ v M^T) in contravariant components: the
-    tangential material derivative for M = G_obs (the default), the
-    upper-convected one for M = -Du."""
-    if M is None:
-        M = mot.G_obs
-    v, vt, dv = _comp_parts(surface, closure.comp_eval, event)
-    cov = _covariant_derivative(geom, closure.rank, v, dv)
+    tangential material derivative for M = G_obs, the upper-convected one for
+    M = -Du."""
+    cov = _covariant_derivative(geom, rank, p.v, p.dv)
     adv = np.einsum("k,...k->...", mot.u2, cov)
-    if closure.rank == 1:
-        return vt + adv + M @ v
-    return vt + adv + M @ v + v @ M.T
+    if rank == 1:
+        return p.vt + adv + M @ p.v
+    return p.vt + adv + M @ p.v + p.v @ M.T
 
 
-def _lower_tangential_covariant(surface, closure, event, geom, mot):
+def _lower_covariant(geom, mot, rank: int, w: _Parts):
     """Lower-convected derivative via the covariant proxy, raised at the end.
 
     Independent route: differences g r g (or g r) in time directly and uses
     covariant-component covariant derivatives in space.
     """
-    t, y1, y2 = event.t, event.y1, event.y2
-
-    def g_of(s, a, b):
-        return _metric(surface.jet(s, a, b).dX)
-
-    if closure.rank == 1:
-        def cov_eval(s, a, b):
-            r = np.asarray(closure.comp_eval(s, a, b), dtype=float)
-            return np.einsum("ij...,j...->i...", g_of(s, a, b), r)
-    else:
-        def cov_eval(s, a, b):
-            gs = g_of(s, a, b)
-            r = np.asarray(closure.comp_eval(s, a, b), dtype=float)
-            gr = np.einsum("ij...,jk...->ik...", gs, r)
-            return np.einsum("ik...,kl...->il...", gr, gs)
-
-    w, wt, dw = _comp_parts(surface, cov_eval, event)
-    if closure.rank == 1:
+    if rank == 1:
         # w_{k|l} = d_l w_k - Gamma^m_{lk} w_m
-        cov = dw - np.einsum("mlk,m->kl", geom.Gamma, w)
-        L = wt + np.einsum("l,kl->k", mot.u2, cov) + w @ mot.Du
+        cov = w.dv - np.einsum("mlk,m->kl", geom.Gamma, w.v)
+        L = w.vt + np.einsum("l,kl->k", mot.u2, cov) + w.v @ mot.Du
         return geom.ginv @ L
     cov = (
-        dw
-        - np.einsum("mli,mj->ijl", geom.Gamma, w)
-        - np.einsum("mlj,im->ijl", geom.Gamma, w)
+        w.dv
+        - np.einsum("mli,mj->ijl", geom.Gamma, w.v)
+        - np.einsum("mlj,im->ijl", geom.Gamma, w.v)
     )
-    L = wt + np.einsum("l,ijl->ij", mot.u2, cov) + mot.Du.T @ w + w @ mot.Du
+    L = w.vt + np.einsum("l,ijl->ij", mot.u2, cov) + mot.Du.T @ w.v + w.v @ mot.Du
     return geom.ginv @ L @ geom.ginv
+
+
+def _tangential(geom, mot, block: _Block, kind: DerivKind, path: str = "Decomposed"):
+    """tangential_dt's formula for one block; Lower and Average read block.w."""
+    rank, p = block.rank, block.p
+    if kind == DerivKind.Material:
+        return _transported(geom, mot, rank, p, mot.G_obs)
+    if path == "Average":
+        up = _tangential(geom, mot, block, DerivKind.Upper)
+        lo = _tangential(geom, mot, block, DerivKind.Lower)
+        return 0.5 * (up + lo)
+    if kind == DerivKind.Upper:
+        # direct form: raw rates plus advection minus relative-velocity gradient;
+        # never touches the material velocity gradient G, which the Jaumann
+        # branch below and convected_dt's ViaMaterial path use
+        return _transported(geom, mot, rank, p, -mot.Du)
+    if kind == DerivKind.Lower:
+        return _lower_covariant(geom, mot, rank, block.w)
+    mdot = _transported(geom, mot, rank, p, mot.G_obs)
+    if rank == 1:
+        return mdot - mot.A @ p.v
+    return mdot - mot.A @ p.v - p.v @ mot.A.T
+
+
+def _check_path(kind: DerivKind, path: str, func: str) -> bool:
+    """ConfigError for a path that ``kind`` lacks; whether the route reads
+    the covariant proxy (Lower, and the Jaumann Average)."""
+    if path == "Average" and kind != DerivKind.Jaumann:
+        raise ConfigError("path 'Average' exists only for the Jaumann derivative")
+    if path not in ("Decomposed", "Average"):
+        raise ConfigError(f"unknown {func} path {path!r}")
+    return kind == DerivKind.Lower or path == "Average"
 
 
 def tangential_dt(
@@ -258,58 +373,76 @@ def tangential_dt(
 ) -> np.ndarray:
     """Tangential time derivative, returned in contravariant components."""
     kind = DerivKind(kind)
-    if geom is None:
-        geom = geometry_at(surface, event)
-    if mot is None:
-        mot = motion_at(surface, event, geom)
+    geom, mot = _frame(surface, event, geom, mot)
     if closure.rank not in (1, 2):
         raise RankError("tangential_dt supports rank 1 and 2")
     if kind == DerivKind.ConformingMaterial:
         raise ConfigError("ConformingMaterial applies to Q-tensor fields; use q_dt")
-
-    if kind == DerivKind.Material:
-        return _material_tangential(surface, closure, event, geom, mot)
-
-    if path == "Average":
-        if kind != DerivKind.Jaumann:
-            raise ConfigError("path 'Average' exists only for the Jaumann derivative")
-        up = tangential_dt(surface, closure, event, DerivKind.Upper, "Decomposed", geom, mot)
-        lo = tangential_dt(surface, closure, event, DerivKind.Lower, "Decomposed", geom, mot)
-        return 0.5 * (up + lo)
-
-    if path != "Decomposed":
-        raise ConfigError(f"unknown tangential_dt path {path!r}")
-
-    if kind == DerivKind.Upper:
-        # direct form: raw rates plus advection minus relative-velocity gradient;
-        # never touches the material velocity gradient G, which the Jaumann
-        # branch below and convected_dt's ViaMaterial path use
-        return _material_tangential(surface, closure, event, geom, mot, -mot.Du)
-    if kind == DerivKind.Lower:
-        return _lower_tangential_covariant(surface, closure, event, geom, mot)
-    if kind == DerivKind.Jaumann:
-        mdot = _material_tangential(surface, closure, event, geom, mot)
-        v = np.asarray(closure.comp_eval(event.t, event.y1, event.y2), dtype=float)
-        if closure.rank == 1:
-            return mdot - mot.A @ v
-        return mdot - mot.A @ v - v @ mot.A.T
-    raise ConfigError(f"unsupported kind {kind}")
+    lowered = kind != DerivKind.Material and _check_path(kind, path, "tangential_dt")
+    (block,) = _block_parts(
+        surface, lambda s, a, b: (closure.comp_eval(s, a, b),), (closure.rank,), event, lowered
+    )
+    return _tangential(geom, mot, block, kind, path)
 
 
 # ---------------------------------------------------------------------------
 # full-field derivatives
 
 
-def _split_closures(closure: FieldClosure):
-    """Per-block closures (r, etaL, etaR, phi); the couplings are None for rank 1."""
-    split_eval = closure.require_split()
+def _material_decomposed(geom, mot, rank: int, parts: dict[str, _Block]):
+    """material_dt's Decomposed formula, as a Cartesian tensor."""
+    nu = geom.nu
+    b = mot.b_cov
+    b3 = mot.b3
+    r, phi = parts["r2"].p.v, parts["phi"].p.v
+    rdot = _tangential(geom, mot, parts["r2"], DerivKind.Material)
+    phidot = _advected(parts["phi"].p, mot.u2)
 
-    def block(name):
-        return lambda t, a, b: getattr(split_eval(t, a, b), name)
+    if rank == 1:
+        return geom.embed_vec(rdot) - phi * b3 + (phidot + r @ b) * nu
 
-    if closure.rank == 1:
-        return block("r2"), None, None, block("phi")
-    return block("r2"), block("etaL2"), block("etaR2"), block("phi")
+    eL, eR = parts["etaL2"].p.v, parts["etaR2"].p.v
+    eLdot = _tangential(geom, mot, parts["etaL2"], DerivKind.Material)
+    eRdot = _tangential(geom, mot, parts["etaR2"], DerivKind.Material)
+    left = geom.embed_vec(eLdot + r @ b) - phi * b3
+    right = geom.embed_vec(eRdot + b @ r) - phi * b3
+    return (
+        geom.embed_contra(rdot)
+        - np.einsum("a,b->ab", geom.embed_vec(eL), b3)
+        - np.einsum("a,b->ab", b3, geom.embed_vec(eR))
+        + np.einsum("a,b->ab", left, nu)
+        + np.einsum("a,b->ab", nu, right)
+        + (phidot + (eL + eR) @ b) * np.einsum("a,b->ab", nu, nu)
+    )
+
+
+def _via_material(mot, rank: int, kind: DerivKind, R, Dm):
+    """convected_dt's ViaMaterial formula from the proxy value R and its
+    material rate Dm."""
+    # D R - M R (- R M^T) with M = Gcal, -Gcal^T or Acal (Acal^T = -Acal)
+    M = {
+        DerivKind.Upper: mot.Gcal,
+        DerivKind.Lower: -mot.Gcal.T,
+        DerivKind.Jaumann: mot.Acal,
+    }[kind]
+    cart = Dm - M @ R
+    if rank == 2:
+        cart = cart - R @ M.T
+    return cart
+
+
+def _convected_decomposed(geom, mot, rank: int, parts, kind: DerivKind, path: str):
+    """convected_dt's Decomposed and Average formulas: each tangential block
+    by the matching tangential operator, the normal block advected."""
+    split = TensorSplit(
+        rank=rank,
+        r2=_tangential(geom, mot, parts["r2"], kind, path),
+        phi=np.asarray(_advected(parts["phi"].p, mot.u2)),
+    )
+    if rank == 2:
+        split.etaL2 = _tangential(geom, mot, parts["etaL2"], kind, path)
+        split.etaR2 = _tangential(geom, mot, parts["etaR2"], kind, path)
+    return reconstruct(geom, split)
 
 
 def material_dt(
@@ -323,10 +456,7 @@ def material_dt(
     """Material time derivative of a (rank 1 or 2) field, as a Cartesian tensor."""
     if closure.rank not in (1, 2):
         raise RankError("material_dt supports rank 1 and 2; use scalar_dot for scalars")
-    if geom is None:
-        geom = geometry_at(surface, event)
-    if mot is None:
-        mot = motion_at(surface, event, geom)
+    geom, mot = _frame(surface, event, geom, mot)
 
     if path == "CartesianProxy":
         cart = advected_rate(surface, closure.eval, event)
@@ -335,41 +465,8 @@ def material_dt(
     if path != "Decomposed":
         raise ConfigError(f"unknown material_dt path {path!r}")
 
-    rcl, eLcl, eRcl, phicl = _split_closures(closure)
-    t, y1, y2 = event.t, event.y1, event.y2
-    nu = geom.nu
-    b = mot.b_cov
-    b3 = mot.b3
-    phi = np.asarray(phicl(t, y1, y2), dtype=float)
-    phidot = advected_rate(surface, phicl, event)
-    rdot = _material_tangential(
-        surface, TangentialFieldClosure(closure.rank, rcl), event, geom, mot
-    )
-    r = np.asarray(rcl(t, y1, y2), dtype=float)
-
-    if closure.rank == 1:
-        cart = geom.embed_vec(rdot) - phi * b3 + (phidot + r @ b) * nu
-        return TensorValue(rank=1, cart=cart)
-
-    eL = np.asarray(eLcl(t, y1, y2), dtype=float)
-    eR = np.asarray(eRcl(t, y1, y2), dtype=float)
-    eLdot = _material_tangential(
-        surface, TangentialFieldClosure(1, eLcl), event, geom, mot
-    )
-    eRdot = _material_tangential(
-        surface, TangentialFieldClosure(1, eRcl), event, geom, mot
-    )
-    left = geom.embed_vec(eLdot + r @ b) - phi * b3
-    right = geom.embed_vec(eRdot + b @ r) - phi * b3
-    cart = (
-        geom.embed_contra(rdot)
-        - np.einsum("a,b->ab", geom.embed_vec(eL), b3)
-        - np.einsum("a,b->ab", b3, geom.embed_vec(eR))
-        + np.einsum("a,b->ab", left, nu)
-        + np.einsum("a,b->ab", nu, right)
-        + (phidot + (eL + eR) @ b) * np.einsum("a,b->ab", nu, nu)
-    )
-    return TensorValue(rank=2, cart=cart)
+    parts = _split_parts(surface, closure, event)
+    return TensorValue(closure.rank, _material_decomposed(geom, mot, closure.rank, parts))
 
 
 def convected_dt(
@@ -396,47 +493,47 @@ def convected_dt(
         raise ConfigError("ConformingMaterial applies to Q-tensor fields; use q_dt")
     if closure.rank not in (1, 2):
         raise RankError("convected_dt supports rank 1 and 2")
-    if geom is None:
-        geom = geometry_at(surface, event)
-    if mot is None:
-        mot = motion_at(surface, event, geom)
+    geom, mot = _frame(surface, event, geom, mot)
 
     if path == "ViaMaterial":
-        R = np.asarray(closure.eval(event.t, event.y1, event.y2), dtype=float)
-        Dm = advected_rate(surface, closure.eval, event)
-        # D R - M R (- R M^T) with M = Gcal, -Gcal^T or Acal (Acal^T = -Acal)
-        M = {
-            DerivKind.Upper: mot.Gcal,
-            DerivKind.Lower: -mot.Gcal.T,
-            DerivKind.Jaumann: mot.Acal,
-        }[kind]
-        cart = Dm - M @ R
-        if closure.rank == 2:
-            cart = cart - R @ M.T
-        return TensorValue(rank=closure.rank, cart=cart)
+        R, Dm = _advected_parts(surface, closure.eval, event)
+        return TensorValue(closure.rank, _via_material(mot, closure.rank, kind, R, Dm))
 
-    if path not in ("Decomposed", "Average"):
-        raise ConfigError(f"unknown convected_dt path {path!r}")
-
-    rcl, eLcl, eRcl, phicl = _split_closures(closure)
-
-    def block(rank, comp_eval):
-        return tangential_dt(
-            surface, TangentialFieldClosure(rank, comp_eval), event, kind, path, geom, mot
-        )
-
-    split = TensorSplit(
-        rank=closure.rank,
-        r2=block(closure.rank, rcl),
-        phi=np.asarray(advected_rate(surface, phicl, event)),
-    )
-    if closure.rank == 2:
-        split.etaL2, split.etaR2 = block(1, eLcl), block(1, eRcl)
-    return TensorValue(rank=closure.rank, cart=reconstruct(geom, split))
+    lowered = _check_path(kind, path, "convected_dt")
+    parts = _split_parts(surface, closure, event, lowered)
+    cart = _convected_decomposed(geom, mot, closure.rank, parts, kind, path)
+    return TensorValue(rank=closure.rank, cart=cart)
 
 
 # ---------------------------------------------------------------------------
 # Q-tensor derivatives
+
+
+def _q_formula(geom, mot, parts: list[_Block], kind: DerivKind) -> QSplit:
+    """q_dt's formula from the parts of the q2, eta2 and beta blocks."""
+    qb, eb, bb = parts
+    q, eta = qb.p.v, eb.p.v
+    beta = float(bb.p.v)
+    betadot = _advected(bb.p, mot.u2)
+    qdot = _tangential(geom, mot, qb, DerivKind.Material)
+    etadot = _tangential(geom, mot, eb, DerivKind.Material)
+
+    if kind == DerivKind.ConformingMaterial:
+        _require_conforming(QSplit(q2=q, eta2=eta, beta=beta))
+        return QSplit(q2=qdot, eta2=np.zeros(2), beta=betadot)
+
+    b = mot.b_cov
+    bup = geom.ginv @ b
+    if kind == DerivKind.Material:
+        qblock = qdot - 2.0 * pi_q_components(geom, np.einsum("i,j->ij", eta, bup))
+        eblock = etadot + q @ b - 1.5 * beta * bup
+        bblock = betadot + 2.0 * (eta @ b)
+        return QSplit(q2=qblock, eta2=eblock, beta=bblock)
+
+    # Jaumann
+    qblock = qdot - mot.A @ q - q @ mot.A.T
+    eblock = etadot - mot.A @ eta
+    return QSplit(q2=qblock, eta2=eblock, beta=betadot)
 
 
 def q_dt(
@@ -458,42 +555,5 @@ def q_dt(
         raise ConfigError(
             "upper/lower convected derivatives leave the Q-tensor bundle; use convected_dt"
         )
-    if geom is None:
-        geom = geometry_at(surface, event)
-    if mot is None:
-        mot = motion_at(surface, event, geom)
-    t, y1, y2 = event.t, event.y1, event.y2
-
-    qcl = lambda s, a, b: closure.q_eval(s, a, b).q2
-    ecl = lambda s, a, b: closure.q_eval(s, a, b).eta2
-    bcl = lambda s, a, b: closure.q_eval(s, a, b).beta
-
-    qs = closure.q_eval(t, y1, y2)
-    q = np.asarray(qs.q2, dtype=float)
-    eta = np.asarray(qs.eta2, dtype=float)
-    beta = float(qs.beta)
-
-    betadot = advected_rate(surface, bcl, event)
-    qdot = _material_tangential(
-        surface, TangentialFieldClosure(2, qcl), event, geom, mot
-    )
-    etadot = _material_tangential(
-        surface, TangentialFieldClosure(1, ecl), event, geom, mot
-    )
-
-    if kind == DerivKind.ConformingMaterial:
-        _require_conforming(qs)
-        return QSplit(q2=qdot, eta2=np.zeros(2), beta=betadot)
-
-    b = mot.b_cov
-    bup = geom.ginv @ b
-    if kind == DerivKind.Material:
-        qblock = qdot - 2.0 * pi_q_components(geom, np.einsum("i,j->ij", eta, bup))
-        eblock = etadot + q @ b - 1.5 * beta * bup
-        bblock = betadot + 2.0 * (eta @ b)
-        return QSplit(q2=qblock, eta2=eblock, beta=bblock)
-
-    # Jaumann
-    qblock = qdot - mot.A @ q - q @ mot.A.T
-    eblock = etadot - mot.A @ eta
-    return QSplit(q2=qblock, eta2=eblock, beta=betadot)
+    geom, mot = _frame(surface, event, geom, mot)
+    return _q_formula(geom, mot, _q_parts(surface, closure, event), kind)

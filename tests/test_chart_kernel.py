@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
+from surfrates import _fd
 from surfrates.chart_kernel import (
     Domain,
     Event,
@@ -84,6 +85,29 @@ def test_fd_jets_fourth_order(name):
         )
     for e0, e1 in zip(errs, errs[1:]):
         assert 14.0 < e0 / e1 < 18.0
+
+
+@pytest.mark.parametrize("name", ["sphere-expanding", "torus-breathing-drift"])
+def test_fd_jets_broadcast_array_time(name, monkeypatch):
+    # t takes the stencils' trailing offset axis as y1 and y2 do, so a jet at
+    # array t makes no per-offset call and equals the pointwise jets
+    calls = []
+    orig = _fd._per_offset
+
+    def spy(f, *args):
+        calls.append(args[0].shape)
+        return orig(f, *args)
+
+    monkeypatch.setattr(_fd, "_per_offset", spy)
+    surface = fd_variant(get_scenario(name))
+    events = sample_events(surface, 3, 8)
+    t, y1, y2 = (np.array(v) for v in zip(*((e.t, e.y1, e.y2) for e in events)))
+    batched = surface.jet(t, y1, y2)
+    assert calls == []
+    for k, ev in enumerate(events):
+        point = surface.jet(ev.t, ev.y1, ev.y2)
+        for key in ("X", "dX", "ddX", "Vt", "dVt"):
+            assert_array_equal(getattr(batched, key)[..., k], getattr(point, key))
 
 
 def test_fd_u_jets_match_analytic(torus_drift):

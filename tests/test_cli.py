@@ -1,14 +1,17 @@
 import json
 import math
 import os
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from surfrates import _fd
+from surfrates import _fd, cli
 from surfrates.chart_kernel import get_scenario, list_scenarios
 from surfrates.cli import _Rows, main, run_converge_thinfilm, run_verify
 from surfrates.landau import FlowConfig, LdGParams, run_flow
 from surfrates.thinfilm import LIMIT_QUANTITIES
+from surfrates.timederiv import QFieldClosure
 
 
 def test_verify_exit_zero_and_report(tmp_path):
@@ -241,8 +244,8 @@ def test_verify_and_converge_take_batched_path(monkeypatch):
     # every closure behind `verify`, `converge --kind thinfilm` and the flow
     # cross-check broadcasts over the stencil axis, so no stencil falls back
     # to per-offset calls
-    def no_fallback(f2, a, b):
-        raise AssertionError(f"per-offset stencil fallback for {f2!r}")
+    def no_fallback(f, *args):
+        raise AssertionError(f"per-offset stencil fallback for {f!r}")
 
     monkeypatch.setattr(_fd, "_per_offset", no_fallback)
     for scenario in list_scenarios():
@@ -252,3 +255,80 @@ def test_verify_and_converge_take_batched_path(monkeypatch):
     result = run_flow(get_scenario("torus-static"), LdGParams(), config)
     assert [row[0] for row in result.crosschecks] == [0, 1]
     assert max(row[2] for row in result.crosschecks) < 1e-5
+
+
+def _counting_probes(monkeypatch):
+    """Patches the probes of `verify` so that each closure call is counted
+    under (probe, attribute)."""
+    calls = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    def field(name):
+        orig = getattr(cli, name)
+
+        def probe(surface, rank):
+            f = orig(surface, rank)
+            key = f"{name}-{rank}"
+            return replace(
+                f,
+                eval=counted((key, "eval"), f.eval),
+                split_eval=counted((key, "split_eval"), f.split_eval),
+            )
+
+        monkeypatch.setattr(cli, name, probe)
+
+    def qfield(name):
+        orig = getattr(cli, name)
+
+        class CountingQ(QFieldClosure):
+            def as_field_closure(self, surface):
+                f = super().as_field_closure(surface)
+                key = f"{name}.as_field_closure"
+                return replace(
+                    f,
+                    eval=counted((key, "eval"), f.eval),
+                    split_eval=counted((key, "split_eval"), f.split_eval),
+                )
+
+        def probe(surface):
+            return CountingQ(counted((name, "q_eval"), orig(surface).q_eval))
+
+        monkeypatch.setattr(cli, name, probe)
+
+    for name in ("probe_field", "probe_field_b"):
+        field(name)
+    for name in ("probe_q_field", "probe_conforming_q_field"):
+        qfield(name)
+    return calls
+
+
+def test_verify_evaluates_each_closure_once_per_side(monkeypatch):
+    # per event, each probe's split_eval is called once (all Decomposed
+    # routes share its parts) and eval once for the proxy routes plus once
+    # inside the product closure of the scalar rate; q_eval serves its own
+    # parts, the full proxy built on it, and the pointwise algebra
+    calls = _counting_probes(monkeypatch)
+    assert run_verify("torus-breathing-drift", "derivatives", n_events=1, seed=5)[
+        "all_pass"
+    ]
+    want = {}
+    for rank in (1, 2):
+        want[(f"probe_field-{rank}", "eval")] = 2
+        want[(f"probe_field-{rank}", "split_eval")] = 1
+        want[(f"probe_field_b-{rank}", "eval")] = 2
+    assert dict(calls) == want
+
+    calls.clear()
+    assert run_verify("torus-breathing-drift", "qtensor", n_events=1, seed=5)["all_pass"]
+    assert dict(calls) == {
+        ("probe_q_field", "q_eval"): 3,
+        ("probe_q_field.as_field_closure", "eval"): 1,
+        ("probe_conforming_q_field", "q_eval"): 2,
+        ("probe_conforming_q_field.as_field_closure", "eval"): 1,
+    }

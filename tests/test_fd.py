@@ -1,12 +1,13 @@
-"""Spatial stencils: one closure call per stencil, the per-offset formulas,
-and the per-offset fallback for closures that do not broadcast."""
+"""Spatial and space-time stencils: one closure call per stencil, the
+per-offset formulas, and the per-offset fallback for closures that do not
+broadcast."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_array_equal
 
 from surfrates import _fd
-from surfrates._fd import c4_d1, c4_grad, c4_hess
+from surfrates._fd import c2_c4_dt_grad, c4_d1, c4_grad, c4_hess
 from surfrates.chart_kernel import get_scenario, sample_events
 from surfrates.probes import probe_field
 
@@ -32,6 +33,18 @@ def _ref_hess(f, y1, y2, h):
     )
 
 
+def _ref_c2_d1(f, x, h):
+    return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def _ref_dt_grad(f, t, y1, y2, ht, h):
+    return (
+        f(t, y1, y2),
+        _ref_c2_d1(lambda s: f(s, y1, y2), t, ht),
+        *c4_grad(lambda a, b: f(t, a, b), y1, y2, h),
+    )
+
+
 def _poly(a, b):
     """Broadcasting closure with only + and *, so a batched call gives the
     same bits as pointwise calls."""
@@ -39,14 +52,20 @@ def _poly(a, b):
     return np.stack([a * a * b + 0.3 * b, a - b * b * b, 2.0 * a * b * b - 0.7])
 
 
+def _tpoly(t, a, b):
+    """_poly with time terms, for the space-time stencil."""
+    t, a, b = np.broadcast_arrays(t, a, b)
+    return _poly(a, b) + np.stack([t * t * a, 0.5 * t, t * b - t * t * t])
+
+
 class _Counting:
     def __init__(self, f):
         self.f = f
         self.calls = 0
 
-    def __call__(self, a, b):
+    def __call__(self, *args):
         self.calls += 1
-        return self.f(a, b)
+        return self.f(*args)
 
 
 @pytest.fixture
@@ -55,9 +74,9 @@ def per_offset_calls(monkeypatch):
     calls = []
     orig = _fd._per_offset
 
-    def spy(f2, a, b):
-        calls.append(a.shape)
-        return orig(f2, a, b)
+    def spy(f, *args):
+        calls.append(args[0].shape)
+        return orig(f, *args)
 
     monkeypatch.setattr(_fd, "_per_offset", spy)
     return calls
@@ -65,6 +84,7 @@ def per_offset_calls(monkeypatch):
 
 coord = st.floats(-3.0, 3.0, allow_nan=False)
 step = st.sampled_from([1e-3, 3.7e-3, 1e-2, 0.05])
+time_step = st.sampled_from([1e-4, 1e-3])
 
 
 @settings(max_examples=60, deadline=None)
@@ -89,6 +109,59 @@ def test_stencils_on_array_coordinates(y1, y2, h):
             assert_array_equal(got[:, i, j], w)
         for got, w in zip(grad, want[1:3]):
             assert_array_equal(got[:, i, j], w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=coord, y1=coord, y2=coord, ht=time_step, h=step)
+def test_space_time_stencil_matches_per_offset_formulas(t, y1, y2, ht, h):
+    got = c2_c4_dt_grad(_tpoly, t, y1, y2, ht, h)
+    for g, w in zip(got, _ref_dt_grad(_tpoly, t, y1, y2, ht, h)):
+        assert_array_equal(g, w)
+
+
+@settings(max_examples=20, deadline=None)
+@given(t=st.lists(coord, min_size=3, max_size=3), y1=coord, y2=coord, h=step)
+def test_space_time_stencil_on_array_coordinates(t, y1, y2, h):
+    # t carries the coordinate shape, y1 and y2 are scalars
+    T = np.array(t)
+    got = c2_c4_dt_grad(_tpoly, T, y1, y2, 1e-4, h)
+    for k in range(3):
+        want = _ref_dt_grad(_tpoly, T[k], y1, y2, 1e-4, h)
+        for g, w in zip(got, want):
+            assert g.shape == (3, 3)
+            assert_array_equal(g[:, k], w)
+
+
+def test_space_time_broadcasting_closure_is_called_once(per_offset_calls):
+    surface = get_scenario("torus-breathing-drift")
+    ev = sample_events(surface, 1, 3)[0]
+    field = probe_field(surface, 2)
+    for f3, t in ((_tpoly, 0.3), (_tpoly, np.linspace(0.0, 1.0, 5)), (field.eval, ev.t)):
+        counting = _Counting(f3)
+        c2_c4_dt_grad(counting, t, ev.y1, ev.y2, 1e-4, 1e-3)
+        assert counting.calls == 1
+    assert per_offset_calls == []
+
+
+def test_space_time_pointwise_closures_take_fallback(per_offset_calls):
+    surface = get_scenario("torus-breathing-drift")
+    ev = sample_events(surface, 1, 11)[0]
+    P = probe_field(surface, 2)
+    p = probe_field(surface, 1)
+
+    def contracted(t, a, b):
+        return P.eval(t, a, b) @ p.eval(t, a, b)
+
+    h = surface.space_step
+    for f3, shape in ((lambda t, a, b: np.zeros((3, 3)), (3, 3)), (contracted, (3,))):
+        counting = _Counting(f3)
+        got = c2_c4_dt_grad(counting, ev.t, ev.y1, ev.y2, 1e-4, h)
+        assert per_offset_calls == [(11,)]
+        assert counting.calls == 12
+        for g, w in zip(got, _ref_dt_grad(f3, ev.t, ev.y1, ev.y2, 1e-4, h)):
+            assert g.shape == shape
+            assert_array_equal(g, w)
+        per_offset_calls.clear()
 
 
 @pytest.mark.parametrize("stencil", [c4_grad, c4_hess])

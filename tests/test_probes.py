@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from surfrates.chart_kernel import ChartJet, get_scenario, sample_events
+from surfrates.chart_kernel import ChartJet, fd_variant, get_scenario, sample_events
 from surfrates.fields import QSplit, TensorSplit
 from surfrates.probes import (
     probe_conforming_q_field,
@@ -34,8 +34,16 @@ SCENARIOS = (
     "sphere-expanding",
     "sphere-rigid-rotation",
     "plane-shear",
+    "sphere-expanding+fd",
 )
 ULPS = 4 * np.finfo(float).eps
+
+
+def _surface(name):
+    """A registered scenario, or its finite-difference twin for a "+fd" name."""
+    base, fd, _ = name.partition("+fd")
+    surface = get_scenario(base)
+    return fd_variant(surface) if fd else surface
 
 
 def _closures(surface):
@@ -73,21 +81,37 @@ def _leaves(value):
     scenario=st.sampled_from(SCENARIOS),
     seed=st.integers(0, 2**16),
     offsets=st.lists(
-        st.tuples(st.floats(-0.02, 0.02), st.floats(-0.02, 0.02)), min_size=1, max_size=5
+        st.tuples(
+            st.floats(-0.02, 0.02), st.floats(-0.02, 0.02), st.floats(-0.02, 0.02)
+        ),
+        min_size=1,
+        max_size=5,
     ),
+    scalar_t=st.booleans(),
     scalar_y2=st.booleans(),
 )
-def test_batched_closures_equal_stacked_pointwise(scenario, seed, offsets, scalar_y2):
-    surface = get_scenario(scenario)
+@example(
+    scenario="sphere-expanding+fd",
+    seed=3,
+    offsets=[(0.01, -0.01, 0.005), (-0.02, 0.0, 0.01)],
+    scalar_t=False,
+    scalar_y2=False,
+)
+def test_batched_closures_equal_stacked_pointwise(
+    scenario, seed, offsets, scalar_t, scalar_y2
+):
+    # t carries offsets on the same trailing axis as the coordinates, as in
+    # the space-time stencil, unless scalar_t holds
+    surface = _surface(scenario)
     ev = sample_events(surface, 1, seed)[0]
-    a = ev.y1 + np.array([d[0] for d in offsets])
-    b = ev.y2 + np.array([d[1] for d in offsets])
-    if scalar_y2:
-        b = ev.y2
+    t = ev.t if scalar_t else ev.t + np.array([d[0] for d in offsets])
+    a = ev.y1 + np.array([d[1] for d in offsets])
+    b = ev.y2 if scalar_y2 else ev.y2 + np.array([d[2] for d in offsets])
     for name, closure in _closures(surface).items():
-        batched = _leaves(closure(ev.t, a, b))
+        batched = _leaves(closure(t, a, b))
         points = [
-            _leaves(closure(ev.t, ai, bi)) for ai, bi in zip(a, np.broadcast_to(b, a.shape))
+            _leaves(closure(ti, ai, bi))
+            for ti, ai, bi in zip(*np.broadcast_arrays(t, a, b))
         ]
         for key, value in batched.items():
             want = np.stack([p[key] for p in points], axis=-1)
