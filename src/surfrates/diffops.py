@@ -3,11 +3,16 @@ on periodic grids.
 
 Pointwise Laplacians come in two independent flavors:
 
-* ``Beltrami``: apply the scalar Laplace-Beltrami stencil to every Cartesian
-  proxy component;
-* ``Decomposed``: assemble the same object from the tangential/normal split
-  blocks and curvature couplings, with the tangential-tensor Laplacians built
-  by two sweeps of covariant differentiation.
+* ``Beltrami`` (and the conforming ``Projected``): apply the scalar
+  Laplace-Beltrami stencil (``c4_hess``, 25 points) to every Cartesian proxy
+  component, read from ``eval``;
+* ``Decomposed`` (and the conforming ``ClosedForm``): assemble the same
+  object from the split blocks and curvature couplings.  Like the time
+  derivatives, this is "compute parts, then apply the formula": the value,
+  covariant derivative and Bochner Laplacian of every block, scalar blocks
+  included, come from two covariant sweeps (``_sweep_parts``) of one packed
+  ``split_eval`` or ``q_eval`` call at the sweep's points and one on their 8
+  axis offsets.
 
 The grid Laplacian uses the divergence form with matched central differences,
 which makes it exactly self-adjoint against the quadrature weights.
@@ -15,6 +20,7 @@ which makes it exactly self-adjoint against the quadrature weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -31,7 +37,7 @@ from .fields import (
     reconstruct,
 )
 from .geometry import GeometrySample, geometry_at, geometry_from_jet, geometry_grid
-from .timederiv import FieldClosure, QFieldClosure, _covariant_derivative
+from .timederiv import FieldClosure, QFieldClosure, _covariant_derivative, _pack, _unpack
 from .util import _maxabs
 
 __all__ = [
@@ -66,52 +72,50 @@ def _scalar_laplace(surface: MovingSurface, fun: Callable, event: Event, geom: G
     return out
 
 
-def _comp_cov_deriv(surface: MovingSurface, comp_eval: Callable, rank: int, t, a, b):
-    """Covariant derivative array of a tangential component closure at (a, b);
-    the differentiation index is at axis ``rank``, broadcast axes after it."""
-    geom = geometry_from_jet(surface.jet(t, a, b))
-    v = np.asarray(comp_eval(t, a, b), dtype=float)
-    dv = np.stack(
-        c4_grad(lambda x, y: comp_eval(t, x, y), a, b, surface.space_step), axis=rank
+def _second_sweep(geom: GeometrySample, rank: int, T, dT):
+    """g^{kl} T_{..k|l} of a block's covariant derivative T (its own lower
+    index k last) from T and its partials dT (partial index at axis
+    ``rank``): the first-sweep formula in the upper indices, with k riding
+    as a broadcast axis, minus Gamma^m_{lk} T_{..m}.  Pointwise only, since
+    Gamma then carries no broadcast axes."""
+    full = _covariant_derivative(geom, rank, T, dT) - np.einsum(
+        "mlk,...m->...lk", geom.Gamma, T
     )
-    return _covariant_derivative(geom, rank, v, dv)
+    return np.einsum("kl,...lk->...", geom.ginv, full)
 
 
-def _split_closures(closure: FieldClosure):
-    """Per-block closures (r, etaL, etaR, phi) of a rank-2 field."""
-    split_eval = closure.require_split()
-    return [
-        lambda t, a, b, name=name: getattr(split_eval(t, a, b), name)
-        for name in ("r2", "etaL2", "etaR2", "phi")
-    ]
+def _sweep_parts(
+    surface: MovingSurface, fn: Callable, ranks, event: Event, geom: GeometrySample
+) -> list[tuple]:
+    """(value, covariant derivative T, Bochner Laplacian g^{kl} T_{|kl}) of
+    each array that ``fn(t, y1, y2)`` returns (tangential components of the
+    given ranks, 0 for a scalar) at one pointwise event, from two covariant
+    sweeps: the packed blocks, then the packed T of every block, each
+    differenced by ``c4_grad``.  ``fn`` is called 4 times in all."""
+    t, h = event.t, surface.space_step
+    lifted = [k + 1 for k in ranks]
 
+    def packed(a, b):
+        return _pack(fn(t, a, b), ranks, np.shape(a))
 
-def _tangential_laplace(
-    surface: MovingSurface, comp_eval: Callable, rank: int, event: Event, geom: GeometrySample
-):
-    """Bochner Laplacian of tangential components by two covariant sweeps."""
-    t, y1, y2 = event.t, event.y1, event.y2
+    def first(a, b, g):
+        vals = _unpack(packed(a, b), ranks)
+        d1, d2 = (_unpack(d, ranks) for d in c4_grad(packed, a, b, h))
+        return vals, [
+            _covariant_derivative(g, k, v, np.stack([x, y], axis=k))
+            for k, v, x, y in zip(ranks, vals, d1, d2)
+        ]
 
     def T_of(a, b):
-        return _comp_cov_deriv(surface, comp_eval, rank, t, a, b)
+        Ts = first(a, b, geometry_from_jet(surface.jet(t, a, b)))[1]
+        return _pack(Ts, lifted, np.shape(a))
 
-    T0 = T_of(y1, y2)
-    dT = np.stack(c4_grad(T_of, y1, y2, surface.space_step), axis=-1)
-    G = geom.Gamma
-    if rank == 1:
-        full = (
-            dT
-            + np.einsum("ilm,mk->ikl", G, T0)
-            - np.einsum("mlk,im->ikl", G, T0)
-        )
-        return np.einsum("kl,ikl->i", geom.ginv, full)
-    full = (
-        dT
-        + np.einsum("ilm,mjk->ijkl", G, T0)
-        + np.einsum("jlm,imk->ijkl", G, T0)
-        - np.einsum("mlk,ijm->ijkl", G, T0)
-    )
-    return np.einsum("kl,ijkl->ij", geom.ginv, full)
+    vals, Ts = first(event.y1, event.y2, geom)
+    d1, d2 = (_unpack(d, lifted) for d in c4_grad(T_of, event.y1, event.y2, h))
+    return [
+        (v, T, _second_sweep(geom, k, T, np.stack([x, y], axis=k)))
+        for k, v, T, x, y in zip(ranks, vals, Ts, d1, d2)
+    ]
 
 
 def scalar_laplace(
@@ -162,23 +166,12 @@ def surface_laplace(
     if closure.rank != 2:
         raise RankError("the Decomposed Laplacian path applies to rank-2 fields")
 
-    t, y1, y2 = event.t, event.y1, event.y2
-    rcl, eLcl, eRcl, phicl = _split_closures(closure)
-
-    r = np.asarray(rcl(t, y1, y2), dtype=float)
-    eL = np.asarray(eLcl(t, y1, y2), dtype=float)
-    eR = np.asarray(eRcl(t, y1, y2), dtype=float)
-    phi = float(np.asarray(phicl(t, y1, y2)))
-
-    lap_r = _tangential_laplace(surface, rcl, 2, event, geom)
-    lap_eL = _tangential_laplace(surface, eLcl, 1, event, geom)
-    lap_eR = _tangential_laplace(surface, eRcl, 1, event, geom)
-    lap_phi = float(np.asarray(_scalar_laplace(surface, phicl, event, geom)))
-
-    Dr = _comp_cov_deriv(surface, rcl, 2, t, y1, y2)
-    DeL = _comp_cov_deriv(surface, eLcl, 1, t, y1, y2)
-    DeR = _comp_cov_deriv(surface, eRcl, 1, t, y1, y2)
-    dphi_cov = np.stack(c4_grad(lambda a, b: phicl(t, a, b), y1, y2, surface.space_step))
+    split_eval = closure.require_split()
+    blocks = attrgetter("r2", "etaL2", "etaR2", "phi")
+    (r, Dr, lap_r), (eL, DeL, lap_eL), (eR, DeR, lap_eR), (phi, dphi_cov, lap_phi) = _sweep_parts(
+        surface, lambda s, a, b: blocks(split_eval(s, a, b)), (2, 1, 1, 0), event, geom
+    )
+    phi, lap_phi = float(phi), float(lap_phi)
     dH_cov = _grad_H_cov(surface, event)
     gradH_up = geom.ginv @ dH_cov
     gradphi_up = geom.ginv @ dphi_cov
@@ -250,12 +243,11 @@ def conforming_laplace(
     _require_conforming(qs)
 
     if path == "ClosedForm":
-        q = np.asarray(qs.q2, dtype=float)
-        beta = float(qs.beta)
-        qcl = lambda s, a, b: qclosure.q_eval(s, a, b).q2
-        bcl = lambda s, a, b: qclosure.q_eval(s, a, b).beta
-        lap_q = _tangential_laplace(surface, qcl, 2, event, geom)
-        lap_beta = float(np.asarray(_scalar_laplace(surface, bcl, event, geom)))
+        blocks = attrgetter("q2", "beta")
+        (q, _, lap_q), (beta, _, lap_beta) = _sweep_parts(
+            surface, lambda s, a, b: blocks(qclosure.q_eval(s, a, b)), (2, 0), event, geom
+        )
+        beta, lap_beta = float(beta), float(lap_beta)
         B2 = geom.B_mixed @ geom.B_mixed
         trB2 = float(np.trace(B2))
         B2c = B2 @ geom.ginv

@@ -341,23 +341,21 @@ def check_identities(surface: MovingSurface, event: Event) -> IdentityReport:
     )
     add("gauss-formula", _maxabs(gauss))
 
-    def nu_at(s, a, b):
-        return _unit_normal(surface.jet(s, a, b).dX)
+    def space_parts(a, b):
+        """nu, g and g^-1 on one leading axis, from one chart jet."""
+        dX = surface.jet(t, a, b).dX
+        g = _metric(dX)
+        shape = (4,) + np.shape(a)
+        return np.concatenate([_unit_normal(dX), np.reshape(g, shape), np.reshape(inv2(g), shape)])
 
-    fd_dnu = np.stack(c4_grad(lambda a, b: nu_at(t, a, b), y1, y2, h), axis=1)
+    dF = np.stack(c4_grad(space_parts, y1, y2, h))
+    fd_dnu, fd_dg, fd_dginv = dF[:, :3].T, dF[:, 3:7].reshape(2, 2, 2), dF[:, 7:].reshape(2, 2, 2)
     add("weingarten", _maxabs(fd_dnu - geom.dnu))
-
-    def g_at(tt, a, b):
-        return _metric(surface.jet(tt, a, b).dX)
-
-    fd_dg = np.stack(c4_grad(lambda a, b: g_at(t, a, b), y1, y2, h))
     # d_l g_ij = Gamma_low[l,i,j] + Gamma_low[l,j,i]
     add(
         "metric-compat-lower",
         _maxabs(fd_dg - (geom.Gamma_low + np.einsum("lij...->lji...", geom.Gamma_low))),
     )
-
-    fd_dginv = np.stack(c4_grad(lambda a, b: inv2(g_at(t, a, b)), y1, y2, h))
     expected = -(
         np.einsum("ik...,jlk...->lij...", geom.ginv, geom.Gamma)
         + np.einsum("jk...,ilk...->lij...", geom.ginv, geom.Gamma)
@@ -390,39 +388,37 @@ def check_identities(surface: MovingSurface, event: Event) -> IdentityReport:
         )
         add(f"velocity-gradient-split-{tag}", _maxabs(resid))
 
+    def time_parts(s):
+        """nu, g, the covariant proxies g eta and g r g of the probes, and
+        eta and r themselves, flat, from one chart jet."""
+        dX = surface.jet(s, y1, y2).dX
+        gs = _metric(dX)
+        eta, r = probe_vector_comps(s, y1, y2), probe_matrix_comps(s, y1, y2)
+        return np.concatenate(
+            [_unit_normal(dX), gs.ravel(), gs @ eta, (gs @ r @ gs).ravel(), eta, r.ravel()]
+        )
+
+    fd_dtnu, fd_dtg, deta_cov, dr_cov, deta, dr = np.split(
+        c4_d1(time_parts, t, ht), [3, 7, 9, 13, 15]
+    )
+    fd_dtg, dr_cov, dr = (x.reshape(2, 2) for x in (fd_dtg, dr_cov, dr))
+
     # normal rates
-    fd_dtnu = c4_d1(lambda s: nu_at(s, y1, y2), t, ht)
     add("normal-rate", _maxabs(fd_dtnu + mot.b_obs3))
     adv = np.einsum("k...,ak...->a...", mot.u2, geom.dnu)
     add("normal-rate-advected", _maxabs(fd_dtnu + adv + mot.b3))
     add("normal-rate-orthogonality", abs(float(np.dot(fd_dtnu, geom.nu))))
 
     # metric rate d_t g = G[V_o] + G[V_o]^T (covariant)
-    fd_dtg = c4_d1(lambda s: g_at(s, y1, y2), t, ht)
     G_obs_cov = np.einsum("ik...,kj...->ij...", geom.g, mot.G_obs)
     P = G_obs_cov + np.einsum("ij...->ji...", G_obs_cov)
     add("metric-rate", _maxabs(fd_dtg - P))
 
     # raising/lowering compatibility of proxy time derivatives
-    def eta_cov_at(s):
-        return g_at(s, y1, y2) @ probe_vector_comps(s, y1, y2)
-
     w = probe_vector_comps(t, y1, y2)
-    lhs = c4_d1(eta_cov_at, t, ht)
-    rhs = geom.g @ c4_d1(lambda s: probe_vector_comps(s, y1, y2), t, ht) + P @ w
-    add("covector-rate-compat", _maxabs(lhs - rhs))
-
-    def r_cov_at(s):
-        gs = g_at(s, y1, y2)
-        return gs @ probe_matrix_comps(s, y1, y2) @ gs
-
+    add("covector-rate-compat", _maxabs(deta_cov - (geom.g @ deta + P @ w)))
     M = probe_matrix_comps(t, y1, y2)
-    lhs = c4_d1(r_cov_at, t, ht)
-    rhs = (
-        geom.g @ c4_d1(lambda s: probe_matrix_comps(s, y1, y2), t, ht) @ geom.g
-        + P @ M @ geom.g
-        + geom.g @ M @ P
-    )
-    add("2-tensor-rate-compat", _maxabs(lhs - rhs))
+    rhs = geom.g @ dr @ geom.g + P @ M @ geom.g + geom.g @ M @ P
+    add("2-tensor-rate-compat", _maxabs(dr_cov - rhs))
 
     return IdentityReport(items)

@@ -188,6 +188,18 @@ def _lower(g, r, rank: int):
     return np.einsum("ik...,kl...->il...", gr, g)
 
 
+def _pack(vals, ranks, shape):
+    """The blocks on one leading axis, each reshaped to (2**rank,) + shape."""
+    return np.concatenate([np.reshape(x, (2**k,) + shape) for x, k in zip(vals, ranks)])
+
+
+def _unpack(F, ranks):
+    """The blocks of a packed array, each with its rank's component axes
+    followed by the trailing axes of F."""
+    bounds = np.cumsum([2**k for k in ranks])[:-1]
+    return [x.reshape((2,) * k + x.shape[1:]) for x, k in zip(np.split(F, bounds), ranks)]
+
+
 def _block_parts(
     surface: MovingSurface, fn: Callable, ranks, event: Event, lowered: bool = False
 ) -> list[_Block]:
@@ -203,18 +215,15 @@ def _block_parts(
         if lowered:
             g = _metric(surface.jet(s, a, b).dX)
             vals += [_lower(g, x, k) for x, k in zip(vals, ranks) if k]
-        return np.concatenate(
-            [np.reshape(x, (2**k,) + np.shape(s)) for x, k in zip(vals, every)]
-        )
+        return _pack(vals, every, np.shape(s))
 
     F = c2_c4_dt_grad(
         packed, event.t, event.y1, event.y2, DT_TIME_STEP, surface.space_step
     )
-    bounds = np.cumsum([2**k for k in every])[:-1]
-    parts = []
-    for k, *arrays in zip(every, *(np.split(x, bounds) for x in F)):
-        v, vt, d1, d2 = (x.reshape((2,) * k + x.shape[1:]) for x in arrays)
-        parts.append(_Parts(v, vt, np.stack([d1, d2], axis=-1)))
+    parts = [
+        _Parts(v, vt, np.stack([d1, d2], axis=-1))
+        for v, vt, d1, d2 in zip(*(_unpack(x, every) for x in F))
+    ]
     covs = iter(parts[len(ranks) :])
     return [_Block(k, p, next(covs) if lowered and k else None) for k, p in zip(ranks, parts)]
 
@@ -289,7 +298,9 @@ def scalar_dot(surface: MovingSurface, f: Callable, event: Event) -> float:
 
 def _covariant_derivative(geom: GeometrySample, rank: int, v, dv):
     """r^{i..}_{|k} from value and partial derivatives (partial index at axis
-    ``rank``, broadcast axes last)."""
+    ``rank``, broadcast axes last); the gradient dv itself for a scalar."""
+    if rank == 0:
+        return dv
     if rank == 1:
         return dv + np.einsum("ikl...,l...->ik...", geom.Gamma, v)
     return (

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from surfrates import _fd, cli
-from surfrates.chart_kernel import get_scenario, list_scenarios
+from surfrates.chart_kernel import MovingSurface, get_scenario, list_scenarios
 from surfrates.cli import _Rows, main, run_converge_thinfilm, run_verify
 from surfrates.landau import FlowConfig, LdGParams, run_flow
 from surfrates.thinfilm import LIMIT_QUANTITIES
@@ -332,3 +332,31 @@ def test_verify_evaluates_each_closure_once_per_side(monkeypatch):
         ("probe_conforming_q_field", "q_eval"): 2,
         ("probe_conforming_q_field.as_field_closure", "eval"): 1,
     }
+
+    # the split routes of the Laplacian take every block from one packed
+    # closure per sweep point set (4 calls); ClosedForm keeps its centre
+    # q_eval for the conforming check, Projected its own, and the full proxy
+    # of the Beltrami route makes one more
+    calls.clear()
+    assert run_verify("torus-breathing-drift", "laplace", n_events=1, seed=5)["all_pass"]
+    assert dict(calls) == {
+        ("probe_field-2", "eval"): 1,
+        ("probe_field-2", "split_eval"): 4,
+        ("probe_conforming_q_field", "q_eval"): 7,
+        ("probe_conforming_q_field.as_field_closure", "eval"): 1,
+    }
+
+
+def test_geometry_identities_take_six_chart_jets(monkeypatch):
+    # one for the event's geometry, one for every spatial partial and one
+    # per time offset for every time derivative
+    jets = Counter()
+    orig = MovingSurface.jet
+
+    def jet(self, *args):
+        jets["jet"] += 1
+        return orig(self, *args)
+
+    monkeypatch.setattr(MovingSurface, "jet", jet)
+    assert run_verify("torus-breathing-drift", "geometry", n_events=1, seed=5)["all_pass"]
+    assert jets["jet"] == 6
