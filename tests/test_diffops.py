@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from surfrates.chart_kernel import Event, get_scenario, sample_events
 from surfrates.diffops import (
     FourierInterpolant,
+    _second_sweep,
     conforming_laplace,
     grid_gradient,
     grid_laplace,
@@ -14,7 +15,6 @@ from surfrates.diffops import (
     scalar_laplace,
     surface_gradient,
     surface_laplace,
-    _second_sweep,
 )
 from surfrates.errors import ConfigError, NotConformingError, StencilError
 from surfrates.fields import QSplit, TensorSplit, pi_q_components
@@ -104,8 +104,8 @@ def test_surface_laplace_dual_path(name):
 
 
 def _written_out_second_sweep(G, ginv, T, dT):
-    """The rank-1 and rank-2 second covariant sweeps as once written out by
-    hand, with the partial index l of dT last."""
+    """The rank-1 and rank-2 second covariant sweeps written out index by
+    index, with the partial index l of dT last."""
     if T.ndim == 2:
         full = dT + np.einsum("ilm,mk->ikl", G, T) - np.einsum("mlk,im->ikl", G, T)
         return np.einsum("kl,ikl->i", ginv, full)
