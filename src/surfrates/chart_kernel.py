@@ -38,6 +38,10 @@ __all__ = [
 
 POLE_BAND = 0.15
 
+# Every surface's time window, and the time step of finite-difference jets.
+_T_RANGE = (0.0, 1.0)
+_FD_TIME_STEP = 1e-3
+
 
 @dataclass(frozen=True)
 class Event:
@@ -130,8 +134,8 @@ class MovingSurface:
     """One chart of a moving surface plus the relative velocity field u.
 
     ``u_field`` returns the two contravariant components of u = V_m - V_o;
-    the material observer has u = 0.  ``diff_mode`` selects closed-form jets
-    ("analytic", requires ``jets``) or finite differences ("fd").  ``static``
+    the material observer has u = 0.  ``jets`` gives closed-form chart jets;
+    without it the jets are finite differences of ``chart``.  ``static``
     declares that neither the chart nor ``u_field`` depends on t, so the
     geometry and motion at t0 hold at every time.
     """
@@ -140,19 +144,10 @@ class MovingSurface:
     chart: Callable
     domain: Domain
     u_field: Callable = _zero_u
-    diff_mode: str = "analytic"
     jets: Optional[Callable] = None
     u_jets: Optional[Callable] = None
     fd_step: Optional[float] = None
-    fd_time_step: float = 1e-3
     static: bool = False
-    t_range: tuple[float, float] = (0.0, 1.0)
-
-    def __post_init__(self):
-        if self.diff_mode not in ("analytic", "fd"):
-            raise ConfigError(f"unknown diff_mode {self.diff_mode!r}")
-        if self.diff_mode == "analytic" and self.jets is None:
-            raise ConfigError("analytic diff_mode requires jet closures")
 
     @property
     def space_step(self) -> float:
@@ -164,13 +159,13 @@ class MovingSurface:
 
     def jet(self, t, y1, y2) -> ChartJet:
         y1, y2 = self.domain.wrap(y1, y2)
-        if self.diff_mode == "analytic":
+        if self.jets is not None:
             return self.jets(t, y1, y2)
         return self._fd_jet(t, y1, y2)
 
     def _fd_jet(self, t, y1, y2) -> ChartJet:
         h = self.space_step
-        ht = self.fd_time_step
+        ht = _FD_TIME_STEP
         t, y1, y2 = np.broadcast_arrays(*(np.asarray(v, float) for v in (t, y1, y2)))
         # t carries the spatial stencils' trailing offset axis, as y1 and y2 do
         ts = t[..., None]
@@ -203,7 +198,7 @@ class MovingSurface:
 
 def eval_jet(surface: MovingSurface, event: Event) -> ChartJet:
     """Evaluate the chart jet at one event, with a domain check (geometry_from_jet checks det g)."""
-    pad = 0.0 if surface.diff_mode == "analytic" else 2.5 * surface.space_step
+    pad = 0.0 if surface.jets is not None else 2.5 * surface.space_step
     surface.domain.require_inside(event.y1, event.y2, pad)
     return surface.jet(event.t, event.y1, event.y2)
 
@@ -304,13 +299,10 @@ def make_observer_pair(surface: MovingSurface, motion: ChartMotion):
         chart=chart_b,
         domain=base.domain,
         u_field=u_b,
-        diff_mode="analytic",
         jets=jets_b,
         u_jets=None,
         fd_step=base.fd_step,
-        fd_time_step=base.fd_time_step,
         static=False,
-        t_range=base.t_range,
     )
 
     def point_map(event: Event) -> Event:
@@ -530,7 +522,6 @@ def fd_variant(surface: MovingSurface, step: Optional[float] = None) -> MovingSu
     return replace(
         surface,
         name=surface.name + "+fd",
-        diff_mode="fd",
         jets=None,
         u_jets=None,
         fd_step=step if step is not None else surface.fd_step,
@@ -546,10 +537,9 @@ def sample_events(surface: MovingSurface, n: int, seed: int) -> list[Event]:
     for (lo, hi), periodic in ((d.y1_range, d.periodic1), (d.y2_range, d.periodic2)):
         pad = 0.0 if periodic else 0.04 * (hi - lo) + 4.0 * surface.space_step
         pads.append((lo + pad, hi - pad))
-    t_lo, t_hi = surface.t_range
     out = []
     for _ in range(n):
-        t = float(rng.uniform(t_lo, t_hi))
+        t = float(rng.uniform(*_T_RANGE))
         y1 = float(rng.uniform(*pads[0]))
         y2 = float(rng.uniform(*pads[1]))
         out.append(Event(t, y1, y2))

@@ -17,6 +17,7 @@ import numpy as np
 
 from ._fd import c4_grad
 from .chart_kernel import (
+    _T_RANGE,
     Event,
     fd_variant,
     get_scenario,
@@ -305,7 +306,7 @@ def _suite_laplace(surface, events, rows: _Rows):
 
     dom = surface.domain
     if dom.periodic1 and dom.periodic2:
-        t0 = surface.t_range[0]
+        t0 = _T_RANGE[0]
         gg = make_grid(surface, t0, 32)
         F = probe_scalar(0.3, gg.Y1, gg.Y2)
         G = probe_scalar_b(0.3, gg.Y1, gg.Y2)
@@ -361,7 +362,7 @@ def run_verify(
 
 def run_converge_fd(scenario: str, seed: int = 7) -> dict:
     surface = get_scenario(scenario)
-    if surface.diff_mode != "analytic":
+    if surface.jets is None:
         raise ConfigError("the fd study needs a scenario with analytic jets")
     ev = sample_events(surface, 1, seed)[0]
     ja = surface.jet(ev.t, ev.y1, ev.y2)
@@ -400,7 +401,7 @@ def run_converge_thinfilm(scenario: str, seed: int = 7) -> dict:
 
 def run_converge_laplace(scenario: str) -> dict:
     surface = get_scenario(scenario)
-    t0 = surface.t_range[0]
+    t0 = _T_RANGE[0]
 
     def f(t, a, b):
         return np.sin(a) * np.cos(b) + 0.3 * np.cos(2.0 * b)

@@ -42,7 +42,6 @@ from .util import _maxabs
 
 __all__ = [
     "scalar_laplace",
-    "surface_gradient",
     "surface_laplace",
     "conforming_laplace",
     "GridGeometry",
@@ -125,14 +124,6 @@ def scalar_laplace(
     if geom is None:
         geom = geometry_at(surface, event)
     return _scalar_laplace(surface, f, event, geom)
-
-
-def surface_gradient(surface: MovingSurface, f: Callable, event: Event) -> np.ndarray:
-    """Tangential gradient of a scalar chart closure, as a Cartesian vector."""
-    t, y1, y2 = event.t, event.y1, event.y2
-    geom = geometry_at(surface, event)
-    df = np.stack(c4_grad(lambda a, b: f(t, a, b), y1, y2, surface.space_step))
-    return geom.lift_cov(df)
 
 
 def _grad_H_cov(surface: MovingSurface, event: Event) -> np.ndarray:
@@ -343,10 +334,10 @@ def grid_laplace(gg: GridGeometry, F: np.ndarray) -> np.ndarray:
 
 
 class FourierInterpolant:
-    """Trigonometric interpolant of periodic grid data, with derivatives.
+    """Trigonometric interpolant of periodic grid data.
 
-    Nyquist modes are zeroed so all derivative orders stay consistent; for
-    smooth fields those coefficients are negligible anyway.  A call
+    Nyquist modes are zeroed, which leaves one real interpolant off the grid;
+    for smooth fields those coefficients are negligible anyway.  A call
     broadcasts over coordinate arrays: the result has the component axes of
     the grid data first, then the broadcast shape of ``y1`` and ``y2``.
     """
@@ -366,13 +357,9 @@ class FourierInterpolant:
         self.kap1 = 2.0 * np.pi / dom.spans[0]
         self.kap2 = 2.0 * np.pi / dom.spans[1]
 
-    def __call__(self, y1, y2, d1: int = 0, d2: int = 0):
+    def __call__(self, y1, y2):
         w1 = np.exp(1j * self.k1 * self.kap1 * (np.asarray(y1, float)[..., None] - self.x0))
         w2 = np.exp(1j * self.k2 * self.kap2 * (np.asarray(y2, float)[..., None] - self.y0))
-        if d1:
-            w1 = w1 * (1j * self.k1 * self.kap1) ** d1
-        if d2:
-            w2 = w2 * (1j * self.k2 * self.kap2) ** d2
         coef = self.coef.reshape((-1,) + self.coef.shape[-2:])
         out = np.real(np.einsum("ckl,...k,...l->c...", coef, w1, w2))
         return out.reshape(self.coef.shape[:-2] + out.shape[1:])

@@ -23,14 +23,13 @@ cached intermediate blocks would raise the flow's peak memory.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from ._fd import c4_d1, c4_grad
-from .chart_kernel import ChartJet, Event, MovingSurface, eval_jet
+from .chart_kernel import _FD_TIME_STEP, ChartJet, Event, MovingSurface, eval_jet
 from .errors import NonEmbeddingError
 from .util import _maxabs, det2, inv2
 
@@ -308,9 +307,6 @@ class IdentityReport:
             for i in self.items
         ]
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, indent=2)
-
 
 def check_identities(surface: MovingSurface, event: Event) -> IdentityReport:
     """Residuals of the pointwise differential-geometric identities at one event.
@@ -322,12 +318,12 @@ def check_identities(surface: MovingSurface, event: Event) -> IdentityReport:
     # imported here because probes imports this module
     from .probes import probe_matrix_comps, probe_vector_comps
 
-    tol = 1e-8 if surface.diff_mode == "analytic" else 1e-6
+    tol = 1e-8 if surface.jets is not None else 1e-6
     t, y1, y2 = event.t, event.y1, event.y2
     geom = geometry_at(surface, event)
     mot = motion_at(surface, event, geom)
     h = 0.1 * surface.space_step
-    ht = surface.fd_time_step
+    ht = _FD_TIME_STEP
     items: list[IdentityResidual] = []
 
     def add(name, residual):

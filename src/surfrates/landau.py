@@ -4,6 +4,11 @@ The flow reads D_t Q = L lap Q - grad_Q f_bulk(Q), with D_t one of the
 material or Jaumann derivatives, either on the full Q-tensor bundle or
 restricted to the conforming subbundle (no tangent-normal coupling).
 
+Each mode's state rate is the driving force minus the mode's derivative
+formula from ``timederiv`` (``_advected``, ``_via_material`` or
+``_tangential``), applied to grid parts, so the flows step with the formulas
+that ``verify`` checks.
+
 States live on doubly periodic chart grids.  The elastic energy uses the
 same central differences and cell weights as the divergence-form grid
 Laplacian, so on a static surface explicit stepping realizes an exact
@@ -15,7 +20,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from operator import attrgetter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,7 +36,15 @@ from .diffops import (
 from .errors import ConfigError, StabilityError
 from .fields import QSplit, _conforming_blocks, pi_q_components, q_to_cart
 from .geometry import geometry_from_jet, motion_grid
-from .timederiv import QFieldClosure, _covariant_derivative
+from .timederiv import (
+    DerivKind,
+    QFieldClosure,
+    _advected,
+    _Block,
+    _Parts,
+    _tangential,
+    _via_material,
+)
 from .util import _worst
 from .chart_kernel import Event
 
@@ -237,33 +250,26 @@ def _checked_bound(gg: GridGeometry, params: LdGParams, dt: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# transport terms (explicit time derivative of the stepped state arrays)
+# state rates: the flow reads D Q = F for the mode's derivative D and driving
+# force F.  Each D is a timederiv formula, affine in the time partial with
+# coefficient 1, so its value at the time partial -F is minus the time
+# derivative of the stepped state.
 
 
-def _full_state_rate(gg, params, jaumann: bool, u2, Acal, Q):
-    F = rhs_full(gg, params, Q)
-    d1, d2 = grid_gradient(gg, Q)
-    adv = np.einsum("k...,kab...->ab...", u2, np.stack([d1, d2]))
-    dQ = F - adv
-    if jaumann:
-        dQ = dQ + np.einsum("ac...,cb...->ab...", Acal, Q)
-        dQ = dQ - np.einsum("ac...,cb...->ab...", Q, Acal)
-    return (dQ,)
+def _parts(gg, v, F, rank: int):
+    """Grid parts of a state block for the time partial -F."""
+    return _Parts(v, -F, np.stack(grid_gradient(gg, v), axis=rank))
 
 
-def _conf_state_rate(gg, params, jaumann: bool, u2, G_obs, A, q, beta):
+def _full_state_rate(gg, params, kind: DerivKind, mot, Q):
+    Dm = _advected(_parts(gg, Q, rhs_full(gg, params, Q), 2), mot.u2, 2)
+    return (-_via_material(mot, 2, kind, Q, Dm),)
+
+
+def _conf_state_rate(gg, params, kind: DerivKind, mot, q, beta):
     q_rhs, beta_rhs = rhs_conforming(gg, params, q, beta)
-    covq = _covariant_derivative(gg.geom, 2, q, np.stack(grid_gradient(gg, q), axis=2))
-    adv_q = np.einsum("k...,ijk...->ij...", u2, covq)
-    Gq = np.einsum("ik...,kj...->ij...", G_obs, q)
-    qGT = np.einsum("ik...,jk...->ij...", q, G_obs)
-    dq = q_rhs - adv_q - Gq - qGT
-    if jaumann:
-        dq = dq + np.einsum("ik...,kj...->ij...", A, q)
-        dq = dq + np.einsum("ik...,jk...->ij...", q, A)
-    d1, d2 = grid_gradient(gg, beta)
-    dbeta = beta_rhs - (u2[0] * d1 + u2[1] * d2)
-    return dq, dbeta
+    dq = _tangential(gg.geom, mot, _Block(2, _parts(gg, q, q_rhs, 2)), kind)
+    return -dq, -_advected(_parts(gg, beta, beta_rhs, 0), mot.u2)
 
 
 # ---------------------------------------------------------------------------
@@ -359,17 +365,18 @@ def run_flow(
     rises along a static-surface run.
     """
     conforming = config.mode.startswith("Conforming")
-    jaumann = config.mode.endswith("Jaumann")
-    # A frame keeps the MotionSample arrays that state_rate takes, in order, and
+    kind = DerivKind(config.mode.split("_")[1])
+    jaumann = kind == DerivKind.Jaumann
+    # A frame keeps the MotionSample arrays that the mode's formula reads, and
     # not the sample, whose cached intermediate blocks would raise peak memory.
     if conforming:
         names = ("q", "beta")
         state_rate, to_proxy = _conf_state_rate, conforming_to_proxy
-        rate_motion = attrgetter("u2", "G_obs", "A")
+        read = ("u2", "G_obs", "A") if jaumann else ("u2", "G_obs")
     else:
         names = ("Q",)
         state_rate, to_proxy = _full_state_rate, lambda gg, Q: Q
-        rate_motion = attrgetter("u2", "Acal")
+        read = ("u2", "Acal") if jaumann else ("u2",)
 
     # Frames (grid, motion arrays) by stage time.  An RK4 step reuses at most
     # two times (t + h/2 for k2 and k3, t + h for k4 and the next step), so
@@ -385,7 +392,8 @@ def run_flow(
                 del frames[next(iter(frames))]
             gg = make_grid(surface, t, config.n)
             _checked_bound(gg, params, config.dt)
-            frames[t] = gg, rate_motion(motion_grid(surface, t, gg.Y1, gg.Y2, gg.geom))
+            mot = motion_grid(surface, t, gg.Y1, gg.Y2, gg.geom)
+            frames[t] = gg, SimpleNamespace(**{a: getattr(mot, a) for a in read})
         return frames[t]
 
     gg, _ = frame_at(0.0)
@@ -398,7 +406,7 @@ def run_flow(
 
     def rate(t, st):
         gg, mot = frame_at(t)
-        return state_rate(gg, params, jaumann, *mot, *st)
+        return state_rate(gg, params, kind, mot, *st)
 
     def axpy(st, ds, h):
         return tuple(s + h * d for s, d in zip(st, ds))

@@ -23,7 +23,6 @@ from .util import det2, frobenius
 
 __all__ = [
     "ShellEvent",
-    "shell_chart",
     "shell_velocity",
     "shell_velocity_gradient",
     "ConvergenceReport",
@@ -64,12 +63,6 @@ def _shell_frame(geom, xi):
         )
     dchi = geom.dX + xi * geom.dnu
     return np.column_stack([dchi[:, 0], dchi[:, 1], geom.nu])
-
-
-def shell_chart(surface: MovingSurface, sev: ShellEvent):
-    """Shell position and frame columns (d1 chi, d2 chi, nu) at the event."""
-    geom = geometry_at(surface, Event(sev.t, sev.y1, sev.y2))
-    return geom.jet.X + sev.xi * geom.nu, _shell_frame(geom, sev.xi)
 
 
 def shell_velocity(surface: MovingSurface, sev: ShellEvent) -> np.ndarray:

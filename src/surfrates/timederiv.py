@@ -14,6 +14,12 @@ Tangential component operators use contravariant matrices M = (r^{ij}) and
 mixed velocity-gradient matrices G = (G^i_j); in that pairing the convected
 forms read M' - G M - M G^T (upper) and M' + adj(G) M + M adj(G)^T (lower),
 with adj(G) = g^{-1} G^T g.
+
+The formulas the flows apply to whole grids broadcast over trailing axes:
+``_advected``, ``_transported``, ``_tangential`` (Material, Upper, Jaumann)
+and ``_via_material``.  ``_lower_covariant`` (hence the Lower and Average
+forms), ``_material_decomposed`` and the Material branches of ``_q_formula``
+still take one point.
 """
 from __future__ import annotations
 
@@ -164,7 +170,8 @@ class QFieldClosure:
 
 
 class _Parts(NamedTuple):
-    """Value, time partial and spatial partials (last axis) of one array."""
+    """Value, time partial and spatial partials of one array; the partial
+    index of ``dv`` follows the component axes, before any broadcast axes."""
 
     v: np.ndarray
     vt: np.ndarray
@@ -221,8 +228,8 @@ def _block_parts(
         packed, event.t, event.y1, event.y2, DT_TIME_STEP, surface.space_step
     )
     parts = [
-        _Parts(v, vt, np.stack([d1, d2], axis=-1))
-        for v, vt, d1, d2 in zip(*(_unpack(x, every) for x in F))
+        _Parts(v, vt, np.stack([d1, d2], axis=k))
+        for k, (v, vt, d1, d2) in zip(every, zip(*(_unpack(x, every) for x in F)))
     ]
     covs = iter(parts[len(ranks) :])
     return [_Block(k, p, next(covs) if lowered and k else None) for k, p in zip(ranks, parts)]
@@ -262,9 +269,15 @@ def _advected_parts(surface: MovingSurface, fun: Callable, event: Event):
     return v, dt + u[0] * d1 + u[1] * d2
 
 
-def _advected(p: _Parts, u2):
-    """Material rate of a scalar block from its parts."""
-    return p.vt + u2[0] * p.dv[..., 0] + u2[1] * p.dv[..., 1]
+def _along(u2, rank: int, dv):
+    """u^k d_k: partials dv (index k at axis ``rank``) contracted with u2."""
+    c = "ij"[:rank]
+    return np.einsum(f"k...,{c}k...->{c}...", u2, dv)
+
+
+def _advected(p: _Parts, u2, rank: int = 0):
+    """Material rate v_t + u^k d_k v of each component of a block."""
+    return p.vt + _along(u2, rank, p.dv)
 
 
 def _frame(surface, event, geom, mot):
@@ -310,15 +323,18 @@ def _covariant_derivative(geom: GeometrySample, rank: int, v, dv):
     )
 
 
+def _couple(op, x, M, v, rank: int):
+    """op(x, M v) for a vector block v, op(op(x, M v), v M^T) for a matrix."""
+    x = op(x, np.einsum("ik...,k...->i..." if rank == 1 else "ik...,kj...->ij...", M, v))
+    return op(x, np.einsum("ik...,jk...->ij...", v, M)) if rank == 2 else x
+
+
 def _transported(geom, mot, rank: int, p: _Parts, M):
     """v_t + u^k v_{|k} + M v (+ v M^T) in contravariant components: the
     tangential material derivative for M = G_obs, the upper-convected one for
     M = -Du."""
     cov = _covariant_derivative(geom, rank, p.v, p.dv)
-    adv = np.einsum("k,...k->...", mot.u2, cov)
-    if rank == 1:
-        return p.vt + adv + M @ p.v
-    return p.vt + adv + M @ p.v + p.v @ M.T
+    return _couple(np.add, p.vt + _along(mot.u2, rank, cov), M, p.v, rank)
 
 
 def _lower_covariant(geom, mot, rank: int, w: _Parts):
@@ -357,10 +373,7 @@ def _tangential(geom, mot, block: _Block, kind: DerivKind, path: str = "Decompos
         return _transported(geom, mot, rank, p, -mot.Du)
     if kind == DerivKind.Lower:
         return _lower_covariant(geom, mot, rank, block.w)
-    mdot = _transported(geom, mot, rank, p, mot.G_obs)
-    if rank == 1:
-        return mdot - mot.A @ p.v
-    return mdot - mot.A @ p.v - p.v @ mot.A.T
+    return _couple(np.subtract, _transported(geom, mot, rank, p, mot.G_obs), mot.A, p.v, rank)
 
 
 def _check_path(kind: DerivKind, path: str, func: str) -> bool:
@@ -429,17 +442,15 @@ def _material_decomposed(geom, mot, rank: int, parts: dict[str, _Block]):
 
 def _via_material(mot, rank: int, kind: DerivKind, R, Dm):
     """convected_dt's ViaMaterial formula from the proxy value R and its
-    material rate Dm."""
-    # D R - M R (- R M^T) with M = Gcal, -Gcal^T or Acal (Acal^T = -Acal)
-    M = {
-        DerivKind.Upper: mot.Gcal,
-        DerivKind.Lower: -mot.Gcal.T,
-        DerivKind.Jaumann: mot.Acal,
-    }[kind]
-    cart = Dm - M @ R
-    if rank == 2:
-        cart = cart - R @ M.T
-    return cart
+    material rate Dm: Dm - M R (- R M^T) with M = Gcal (Upper), -Gcal^T
+    (Lower) or Acal (Jaumann; Acal^T = -Acal), and Dm itself for Material."""
+    if kind == DerivKind.Material:
+        return Dm
+    if kind == DerivKind.Jaumann:
+        M = mot.Acal
+    else:
+        M = mot.Gcal if kind == DerivKind.Upper else -np.einsum("ab...->ba...", mot.Gcal)
+    return _couple(np.subtract, Dm, M, R, rank)
 
 
 def _convected_decomposed(geom, mot, rank: int, parts, kind: DerivKind, path: str):
@@ -523,9 +534,13 @@ def convected_dt(
 def _q_formula(geom, mot, parts: list[_Block], kind: DerivKind) -> QSplit:
     """q_dt's formula from the parts of the q2, eta2 and beta blocks."""
     qb, eb, bb = parts
+    betadot = _advected(bb.p, mot.u2)
+    if kind == DerivKind.Jaumann:
+        return QSplit(
+            q2=_tangential(geom, mot, qb, kind), eta2=_tangential(geom, mot, eb, kind), beta=betadot
+        )
     q, eta = qb.p.v, eb.p.v
     beta = float(bb.p.v)
-    betadot = _advected(bb.p, mot.u2)
     qdot = _tangential(geom, mot, qb, DerivKind.Material)
     etadot = _tangential(geom, mot, eb, DerivKind.Material)
 
@@ -535,16 +550,10 @@ def _q_formula(geom, mot, parts: list[_Block], kind: DerivKind) -> QSplit:
 
     b = mot.b_cov
     bup = geom.ginv @ b
-    if kind == DerivKind.Material:
-        qblock = qdot - 2.0 * pi_q_components(geom, np.einsum("i,j->ij", eta, bup))
-        eblock = etadot + q @ b - 1.5 * beta * bup
-        bblock = betadot + 2.0 * (eta @ b)
-        return QSplit(q2=qblock, eta2=eblock, beta=bblock)
-
-    # Jaumann
-    qblock = qdot - mot.A @ q - q @ mot.A.T
-    eblock = etadot - mot.A @ eta
-    return QSplit(q2=qblock, eta2=eblock, beta=betadot)
+    qblock = qdot - 2.0 * pi_q_components(geom, np.einsum("i,j->ij", eta, bup))
+    eblock = etadot + q @ b - 1.5 * beta * bup
+    bblock = betadot + 2.0 * (eta @ b)
+    return QSplit(q2=qblock, eta2=eblock, beta=bblock)
 
 
 def q_dt(

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from surfrates import _fd
 from surfrates.chart_kernel import (
+    _T_RANGE,
     Domain,
     Event,
     fd_variant,
@@ -61,7 +62,7 @@ def test_sample_events_deterministic(torus_drift):
     a = sample_events(torus_drift, 10, 99)
     b = sample_events(torus_drift, 10, 99)
     assert a == b
-    t0, t1 = torus_drift.t_range
+    t0, t1 = _T_RANGE
     for ev in a:
         assert t0 <= ev.t <= t1
         assert torus_drift.domain.contains(ev.y1, ev.y2)

@@ -13,7 +13,6 @@ from surfrates.diffops import (
     grid_laplace,
     make_grid,
     scalar_laplace,
-    surface_gradient,
     surface_laplace,
 )
 from surfrates.errors import ConfigError, NotConformingError, StencilError
@@ -41,19 +40,6 @@ def test_scalar_laplace_flat_torus(flat_torus):
     ev = Event(0.0, 1.3, 2.1)
     lap = scalar_laplace(flat_torus, f, ev)
     assert_allclose(lap, -(np.sin(1.3) + 0.5 * np.cos(2.1)), atol=1e-9)
-
-
-def test_surface_gradient_sphere(sphere_static):
-    # f = z on the unit sphere: tangential gradient is e3 projected
-    def f(t, y1, y2):
-        return np.cos(y1)
-
-    ev = Event(0.0, 1.1, 0.7)
-    geom = geometry_at(sphere_static, ev)
-    grad = surface_gradient(sphere_static, f, ev)
-    e3 = np.array([0.0, 0.0, 1.0])
-    expected = e3 - (e3 @ geom.nu) * geom.nu
-    assert_allclose(grad, expected, atol=1e-9)
 
 
 def test_surface_laplace_constant_field_is_zero(torus_drift, torus_events):
@@ -224,24 +210,19 @@ def test_fourier_interpolant_reproduces_band_limited(torus_static):
     # exact at a sample of nodes (query points are scalars)
     for i, j in ((0, 0), (3, 7), (17, 30), (31, 1)):
         assert_allclose(itp(gg.y1[i], gg.y2[j]), F[i, j], atol=1e-12)
-    # exact off the grid and for derivatives of trig polynomials
+    # exact off the grid for trig polynomials
     y1, y2 = 1.234, 4.321
     expected = np.sin(2.0 * y1) + 0.3 * np.cos(3.0 * y2) + 0.1 * np.sin(y1 + y2)
     assert_allclose(itp(y1, y2), expected, atol=1e-12)
-    d1 = 2.0 * np.cos(2.0 * y1) + 0.1 * np.cos(y1 + y2)
-    assert_allclose(itp(y1, y2, d1=1), d1, atol=1e-11)
-    d22 = -0.3 * 9.0 * np.cos(3.0 * y2) - 0.1 * np.sin(y1 + y2)
-    assert_allclose(itp(y1, y2, d2=2), d22, atol=1e-11)
     # array query points broadcast: component axes first, then the
     # coordinate shape, equal to a loop of scalar queries
     itp2 = FourierInterpolant(gg, np.stack([F, F * F]))
     a = np.linspace(0.1, 6.0, 6).reshape(2, 3)
     b = np.array([0.7, 2.2, 5.1])
-    for kw in ({}, {"d1": 1}, {"d2": 2}):
-        got = itp2(a, b, **kw)
-        assert got.shape == (2, 2, 3)
-        for i, j in np.ndindex(2, 3):
-            assert_allclose(got[:, i, j], itp2(a[i, j], b[j], **kw), rtol=0, atol=1e-12)
+    got = itp2(a, b)
+    assert got.shape == (2, 2, 3)
+    for i, j in np.ndindex(2, 3):
+        assert_allclose(got[:, i, j], itp2(a[i, j], b[j]), rtol=0, atol=1e-12)
 
 
 def test_laplace_q_part_stays_q_tensor(torus_drift, torus_events):

@@ -89,7 +89,7 @@ def test_identity_suite_analytic(name):
     surface = get_scenario(name)
     for ev in sample_events(surface, 5, 17):
         report = check_identities(surface, ev)
-        assert report.all_pass, report.to_json()
+        assert report.all_pass, report.to_json_obj()
 
 
 def test_identity_report_shape(torus_drift, torus_events):
@@ -110,7 +110,6 @@ def test_degenerate_chart_raises():
         chart=chart,
         domain=Domain((0.0, 1.0), (0.0, 1.0), False, False),
         u_field=None,
-        diff_mode="fd",
     )
     with pytest.raises(NonEmbeddingError):
         geometry_at(bad, Event(0.0, 0.5, 0.5))

@@ -197,6 +197,19 @@ def test_flow_energy_monotone_short(torus_static, mode):
     assert max(r[6] for r in res.energy_rows) < 1e-10  # symmetry residual
 
 
+@pytest.mark.parametrize("mode", landau.FLOW_MODES)
+def test_moving_flow_keeps_structure(torus_drift, mode):
+    # the transport terms come from the shared timederiv formulas, so a wrong
+    # spin or coupling term there shows as a non-symmetric Q along the run.
+    # Conforming flows leave the g-traceless subspace at O(h^2) when u != 0,
+    # so only the full-tensor modes bound the trace here.
+    cfg = FlowConfig(mode=mode, n=24, dt=1e-3, steps=10, method="rk4")
+    rows = run_flow(torus_drift, LdGParams(), cfg).energy_rows
+    assert max(r[6] for r in rows) < 1e-10  # symmetry residual
+    if mode.startswith("FullQ"):
+        assert max(r[5] for r in rows) < 1e-10  # trace residual
+
+
 def test_flow_matches_ode_oracle_quick(flat_torus):
     from scipy.integrate import solve_ivp
 

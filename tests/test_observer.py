@@ -90,4 +90,4 @@ def test_observed_surface_passes_identity_suite(pair):
     _, observed, _, _ = pair
     for ev in sample_events(observed, 3, 15):
         report = check_identities(observed, ev)
-        assert report.all_pass, report.to_json()
+        assert report.all_pass, report.to_json_obj()

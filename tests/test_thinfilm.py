@@ -7,27 +7,15 @@ from numpy.testing import assert_allclose
 from surfrates import thinfilm
 from surfrates.chart_kernel import get_scenario, sample_events
 from surfrates.errors import ShellDegenerateError
-from surfrates.geometry import geometry_at, motion_at
+from surfrates.geometry import motion_at
 from surfrates.thinfilm import (
     LIMIT_QUANTITIES,
     ShellEvent,
     fit_order,
     limit_study,
-    shell_chart,
     shell_velocity,
     shell_velocity_gradient,
 )
-
-
-def test_shell_chart_reduces_to_surface(torus_drift, torus_events):
-    ev = torus_events[0]
-    sev = ShellEvent(ev.t, ev.y1, ev.y2, 0.0)
-    geom = geometry_at(torus_drift, ev)
-    pos, frame = shell_chart(torus_drift, sev)
-    assert_allclose(pos, geom.jet.X, atol=1e-12)
-    assert_allclose(frame[:, 0], geom.dX[:, 0], atol=1e-12)
-    assert_allclose(frame[:, 1], geom.dX[:, 1], atol=1e-12)
-    assert_allclose(frame[:, 2], geom.nu, atol=1e-12)
 
 
 def test_shell_velocity_reduces_to_material(torus_drift, torus_events):
@@ -48,7 +36,7 @@ def test_shell_gradient_limits_to_surface_gradient(torus_drift, torus_events):
 def test_shell_degenerate_offset(torus_static):
     # the (R0=2, r=1) torus has principal curvature 1/r: offset xi = 1 folds
     with pytest.raises(ShellDegenerateError):
-        shell_chart(torus_static, ShellEvent(0.0, 0.3, 0.4, 1.0))
+        shell_velocity_gradient(torus_static, ShellEvent(0.0, 0.3, 0.4, 1.0))
 
 
 @pytest.mark.parametrize("quantity", LIMIT_QUANTITIES)

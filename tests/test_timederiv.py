@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from surfrates.chart_kernel import Event, get_scenario, sample_events
 from surfrates.errors import ConfigError, MissingSplitError, NotConformingError, NotTangentialError
 from surfrates.fields import pi_q_components, q_to_cart, project
-from surfrates.geometry import geometry_at, motion_at
+from surfrates.geometry import geometry_at, geometry_grid, motion_at, motion_grid
 from surfrates.probes import (
     probe_conforming_q_field,
     probe_field,
@@ -17,6 +17,11 @@ from surfrates.timederiv import (
     FieldClosure,
     QFieldClosure,
     TangentialFieldClosure,
+    _advected,
+    _Block,
+    _Parts,
+    _tangential,
+    _via_material,
     convected_dt,
     material_dt,
     q_dt,
@@ -238,3 +243,46 @@ def test_product_rule_with_defect(torus_drift, torus_events):
     Dp_m = material_dt(torus_drift, R, ev).cart
     D_m = material_dt(torus_drift, FieldClosure(1, contracted), ev).cart
     assert_allclose(D_m, DP_m @ Rv + Pv @ Dp_m, atol=1e-7)
+
+
+
+def test_formulas_broadcast_over_grid_axes(torus_drift):
+    # the flows apply these formulas to whole grids (component axes first,
+    # then the grid axes); at every node each must equal the pointwise result
+    t = 0.4
+    Y1, Y2 = np.meshgrid(np.linspace(0.3, 5.9, 5), np.linspace(0.2, 6.0, 4), indexing="ij")
+    grid = geometry_grid(torus_drift, t, Y1, Y2)
+    grid_mot = motion_grid(torus_drift, t, Y1, Y2, grid)
+    rng = np.random.default_rng(11)
+
+    def parts(comp, rank):
+        # value, time partial and partials, the partial index at axis rank
+        dv = comp[:rank] + (2,) + comp[rank:]
+        return _Parts(*(rng.normal(size=s + Y1.shape) for s in (comp, comp, dv)))
+
+    def tangential(rank, kind):
+        return lambda geom, mot, p: _tangential(geom, mot, _Block(rank, p), kind)
+
+    def via_material(kind):
+        return lambda geom, mot, p: _via_material(mot, 2, kind, p.v, p.vt)
+
+    R = parts((3, 3), 2)
+    cases = [
+        (tangential(rank, kind), parts((2,) * rank, rank))
+        for rank in (1, 2)
+        for kind in (DerivKind.Material, DerivKind.Jaumann)
+    ]
+    cases += [(via_material(kind), R) for kind in CONVECTED]
+    cases += [
+        (lambda geom, mot, p: _advected(p, mot.u2), parts((), 0)),
+        (lambda geom, mot, p: _advected(p, mot.u2, 2), R),
+    ]
+
+    for formula, p in cases:
+        batched = formula(grid, grid_mot, p)
+        for i, j in np.ndindex(Y1.shape):
+            ev = Event(t, Y1[i, j], Y2[i, j])
+            geom = geometry_at(torus_drift, ev)
+            node = _Parts(*(x[..., i, j] for x in p))
+            want = formula(geom, motion_at(torus_drift, ev, geom), node)
+            assert_allclose(batched[..., i, j], want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
