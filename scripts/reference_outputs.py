@@ -1,0 +1,144 @@
+"""Reference outputs of a source tree, and a comparison of two such sets.
+
+A change that should leave the numbers alone is checked against its parent
+with the same fixed runs on both trees:
+
+* 16 reference flows: torus-static and torus-breathing-drift, each of the 4
+  flow modes, Euler and RK4, n=48, 30 steps, dt=1e-3;
+* the cross-check flow: torus-breathing-drift, Conforming_Jaumann, RK4, with
+  the conforming cross-check every 5 steps, same grid and steps;
+* ``verify --suite all --events 3 --seed 20240`` on every scenario.
+
+Usage::
+
+    python scripts/reference_outputs.py write TREE OUTDIR
+    python scripts/reference_outputs.py compare OLD_OUTDIR NEW_OUTDIR
+
+``write`` runs the command line of ``TREE/src`` in subprocesses (one BLAS
+thread) and writes each run's files under ``OUTDIR``.  ``compare`` compares
+every file byte for byte, then every verify row: it prints the number of
+bit-identical rows and the old and new worst residual of each row that
+moved.  It exits 1 if a file differs outside the verify reports, a file is
+missing, or a verify row fails its tolerance; otherwise 0.
+"""
+from __future__ import annotations
+
+import argparse
+import filecmp
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SCENARIOS = (
+    "flat-torus",
+    "plane-shear",
+    "plane-static",
+    "sphere-expanding",
+    "sphere-rigid-rotation",
+    "sphere-static",
+    "torus-breathing",
+    "torus-breathing-drift",
+    "torus-static",
+)
+FLOW_SCENARIOS = ("torus-static", "torus-breathing-drift")
+FLOW_MODES = ("FullQ_Material", "FullQ_Jaumann", "Conforming_Material", "Conforming_Jaumann")
+FLOW_ARGS = ("--n", "48", "--steps", "30", "--dt", "1e-3")
+
+
+def _runs():
+    """(output subdirectory, command-line arguments) of every reference run."""
+    for scenario in FLOW_SCENARIOS:
+        for mode in FLOW_MODES:
+            for method in ("euler", "rk4"):
+                args = ("flow", "--scenario", scenario, "--mode", mode, "--method", method)
+                yield f"flow/{scenario}_{mode}_{method}", args + FLOW_ARGS
+    yield "flow/crosscheck", (
+        "flow", "--scenario", "torus-breathing-drift", "--mode", "Conforming_Jaumann",
+        "--method", "rk4", "--crosscheck-every", "5",
+    ) + FLOW_ARGS
+    for scenario in SCENARIOS:
+        yield "verify", (
+            "verify", "--scenario", scenario, "--suite", "all", "--events", "3",
+            "--seed", "20240",
+        )
+
+
+def write(tree: Path, outdir: Path) -> int:
+    env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"), OPENBLAS_NUM_THREADS="1")
+    env.pop("SURFRATES_OUTDIR", None)
+    status = 0
+    for sub, args in _runs():
+        out = outdir / sub
+        out.mkdir(parents=True, exist_ok=True)
+        cmd = [sys.executable, "-m", "surfrates.cli", *args, "--out", str(out)]
+        done = subprocess.run(cmd, env=env, capture_output=True, text=True)
+        if done.returncode != 0:
+            print(f"exit {done.returncode}: {' '.join(args)}\n{done.stderr}", file=sys.stderr)
+            status = 1
+    return status
+
+
+def _files(root: Path) -> set[str]:
+    return {str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()}
+
+
+def _rows(path: Path) -> dict[str, dict]:
+    return {r["identity_name"]: r for r in json.loads(path.read_text())["identities"]}
+
+
+def compare(old: Path, new: Path) -> int:
+    status = 0
+    old_files, new_files = _files(old), _files(new)
+    for name in sorted(old_files ^ new_files):
+        print(f"missing in {'new' if name in old_files else 'old'}: {name}")
+        status = 1
+    common = sorted(old_files & new_files)
+    reports = [n for n in common if n.startswith("verify/")]
+    others = [n for n in common if n not in reports]
+    differ = [n for n in others if not filecmp.cmp(old / n, new / n, shallow=False)]
+    for name in differ:
+        print(f"differs: {name}")
+    status |= bool(differ)
+    print(f"{len(others) - len(differ)} of {len(others)} flow files byte-identical")
+
+    same = total = 0
+    for name in reports:
+        scenario = Path(name).stem.removeprefix("verify_").removesuffix("_all")
+        a, b = _rows(old / name), _rows(new / name)
+        for row in sorted(a.keys() | b.keys()):
+            if row not in a or row not in b:
+                print(f"row only in {'old' if row in a else 'new'}: {scenario} {row}")
+                status = 1
+                continue
+            total += 1
+            ra, rb = a[row]["residual"], b[row]["residual"]
+            if not b[row]["pass"]:
+                print(f"FAIL {scenario} {row}: {rb!r} (tol {b[row]['tol']:g})")
+                status = 1
+            if ra == rb:
+                same += 1
+            else:
+                print(f"moved {scenario} {row}: {ra!r} -> {rb!r} (tol {b[row]['tol']:g})")
+    print(f"{same} of {total} verify rows bit-identical")
+    return status
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = p.add_subparsers(dest="command", required=True)
+    w = sub.add_parser("write", help="write the reference outputs of a source tree")
+    w.add_argument("tree", type=Path)
+    w.add_argument("outdir", type=Path)
+    c = sub.add_parser("compare", help="compare two output directories")
+    c.add_argument("old", type=Path)
+    c.add_argument("new", type=Path)
+    args = p.parse_args(argv)
+    if args.command == "write":
+        return write(args.tree, args.outdir)
+    return compare(args.old, args.new)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

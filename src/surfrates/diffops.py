@@ -1,7 +1,8 @@
-"""Surface differential operators: gradients and Laplacians, pointwise and
+"""Surface differential operators: gradients and Laplacians at events and
 on periodic grids.
 
-Pointwise Laplacians come in two independent flavors:
+Laplacians at an event (or at a batch of events, whose results stack on the
+event's trailing axes) come in two independent flavors:
 
 * ``Beltrami`` (and the conforming ``Projected``): apply the scalar
   Laplace-Beltrami stencil (``c4_hess``, 25 points) to every Cartesian proxy
@@ -12,7 +13,8 @@ Pointwise Laplacians come in two independent flavors:
   covariant derivative and Bochner Laplacian of every block, scalar blocks
   included, come from two covariant sweeps (``_sweep_parts``) of one packed
   ``split_eval`` or ``q_eval`` call at the sweep's points and one on their 8
-  axis offsets.
+  axis offsets.  Both sweeps and the Beltrami stencil take their covariant
+  derivatives from ``geometry._covariant_derivative``.
 
 The grid Laplacian uses the divergence form with matched central differences,
 which makes it exactly self-adjoint against the quadrature weights.
@@ -36,8 +38,14 @@ from .fields import (
     _require_conforming,
     reconstruct,
 )
-from .geometry import GeometrySample, geometry_at, geometry_from_jet, geometry_grid
-from .timederiv import FieldClosure, QFieldClosure, _covariant_derivative, _pack, _unpack
+from .geometry import (
+    GeometrySample,
+    _covariant_derivative,
+    geometry_at,
+    geometry_from_jet,
+    geometry_grid,
+)
+from .timederiv import FieldClosure, QFieldClosure, _contract_metric, _pack, _unpack
 from .util import _maxabs
 
 __all__ = [
@@ -53,34 +61,27 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# pointwise operators
+# operators at events
+
+
+def _at_time(fn: Callable, t) -> Callable:
+    """fn(t, a, b) as a closure of the chart coordinates.  An array t gains a
+    unit axis for each stencil axis that the coordinate arrays carry after
+    the event's own axes."""
+    if np.ndim(t) == 0:
+        return lambda a, b: fn(t, a, b)
+    return lambda a, b: fn(np.reshape(t, np.shape(t) + (1,) * (np.ndim(a) - np.ndim(t))), a, b)
 
 
 def _scalar_laplace(surface: MovingSurface, fun: Callable, event: Event, geom: GeometrySample):
-    """Laplace-Beltrami of a chart closure; elementwise on array values."""
-    t, y1, y2 = event.t, event.y1, event.y2
-    h = surface.space_step
-    _, f1, f2, f11, f12, f22 = c4_hess(lambda a, b: fun(t, a, b), y1, y2, h)
-    hess = ((f11, f12), (f12, f22))
-    grad = (f1, f2)
-    out = 0.0
-    for i in range(2):
-        for j in range(2):
-            corr = sum(geom.Gamma[k, i, j] * grad[k] for k in range(2))
-            out = out + geom.ginv[i, j] * (hess[i][j] - corr)
-    return out
-
-
-def _second_sweep(geom: GeometrySample, rank: int, T, dT):
-    """g^{kl} T_{..k|l} of a block's covariant derivative T (its own lower
-    index k last) from T and its partials dT (partial index at axis
-    ``rank``): the first-sweep formula in the upper indices, with k riding
-    as a broadcast axis, minus Gamma^m_{lk} T_{..m}.  Pointwise only, since
-    Gamma then carries no broadcast axes."""
-    full = _covariant_derivative(geom, rank, T, dT) - np.einsum(
-        "mlk,...m->...lk", geom.Gamma, T
+    """Laplace-Beltrami g^{kl} (d_k d_l f - Gamma^m_{kl} d_m f) of a chart
+    closure; elementwise on array values."""
+    _, f1, f2, f11, f12, f22 = c4_hess(
+        _at_time(fun, event.t), event.y1, event.y2, surface.space_step
     )
-    return np.einsum("kl,...lk->...", geom.ginv, full)
+    hess = np.stack([np.stack([f11, f12]), np.stack([f12, f22])])
+    full = _covariant_derivative(geom, np.stack([f1, f2]), hess, 0, 1)
+    return np.einsum("kl...,kl...->...", geom.ginv, full)
 
 
 def _sweep_parts(
@@ -88,33 +89,37 @@ def _sweep_parts(
 ) -> list[tuple]:
     """(value, covariant derivative T, Bochner Laplacian g^{kl} T_{|kl}) of
     each array that ``fn(t, y1, y2)`` returns (tangential components of the
-    given ranks, 0 for a scalar) at one pointwise event, from two covariant
-    sweeps: the packed blocks, then the packed T of every block, each
-    differenced by ``c4_grad``.  ``fn`` is called 4 times in all."""
-    t, h = event.t, surface.space_step
+    given ranks, 0 for a scalar) at an event, from two covariant sweeps: the
+    packed blocks, then the packed T of every block, each differenced by
+    ``c4_grad``.  T carries its new lower index after the block's own
+    indices.  ``fn`` is called 4 times in all."""
+    h = surface.space_step
+    fn_at, jet_at = _at_time(fn, event.t), _at_time(surface.jet, event.t)
     lifted = [k + 1 for k in ranks]
 
     def packed(a, b):
-        return _pack(fn(t, a, b), ranks, np.shape(a))
+        return _pack(fn_at(a, b), ranks, np.shape(a))
 
     def first(a, b, g):
         vals = _unpack(packed(a, b), ranks)
         d1, d2 = (_unpack(d, ranks) for d in c4_grad(packed, a, b, h))
         return vals, [
-            _covariant_derivative(g, k, v, np.stack([x, y], axis=k))
+            _covariant_derivative(g, v, np.stack([x, y], axis=k), k)
             for k, v, x, y in zip(ranks, vals, d1, d2)
         ]
 
     def T_of(a, b):
-        Ts = first(a, b, geometry_from_jet(surface.jet(t, a, b)))[1]
+        Ts = first(a, b, geometry_from_jet(jet_at(a, b)))[1]
         return _pack(Ts, lifted, np.shape(a))
 
     vals, Ts = first(event.y1, event.y2, geom)
     d1, d2 = (_unpack(d, lifted) for d in c4_grad(T_of, event.y1, event.y2, h))
-    return [
-        (v, T, _second_sweep(geom, k, T, np.stack([x, y], axis=k)))
-        for k, v, T, x, y in zip(ranks, vals, Ts, d1, d2)
-    ]
+    out = []
+    for k, v, T, x, y in zip(ranks, vals, Ts, d1, d2):
+        c = "ij"[:k]
+        full = _covariant_derivative(geom, T, np.stack([x, y], axis=k + 1), k, 1)
+        out.append((v, T, np.einsum(f"kl...,{c}kl...->{c}...", geom.ginv, full)))
+    return out
 
 
 def scalar_laplace(
@@ -127,10 +132,10 @@ def scalar_laplace(
 
 
 def _grad_H_cov(surface: MovingSurface, event: Event) -> np.ndarray:
-    t = event.t
+    jet_at = _at_time(surface.jet, event.t)
 
     def H_of(a, b):
-        return geometry_from_jet(surface.jet(t, a, b)).H
+        return geometry_from_jet(jet_at(a, b)).H
 
     return np.stack(c4_grad(H_of, event.y1, event.y2, surface.space_step))
 
@@ -162,54 +167,55 @@ def surface_laplace(
     (r, Dr, lap_r), (eL, DeL, lap_eL), (eR, DeR, lap_eR), (phi, dphi_cov, lap_phi) = _sweep_parts(
         surface, lambda s, a, b: blocks(split_eval(s, a, b)), (2, 1, 1, 0), event, geom
     )
-    phi, lap_phi = float(phi), float(lap_phi)
     dH_cov = _grad_H_cov(surface, event)
-    gradH_up = geom.ginv @ dH_cov
-    gradphi_up = geom.ginv @ dphi_cov
+    gradH_up = _contract_metric(geom.ginv, dH_cov, 1)
+    gradphi_up = _contract_metric(geom.ginv, dphi_cov, 1)
 
     B = geom.B_mixed
-    B2 = B @ B
-    trB2 = float(np.trace(B2))
-    B2c = B2 @ geom.ginv
-    IIupup = geom.ginv @ geom.II @ geom.ginv
+    B2 = np.einsum("ik...,kj...->ij...", B, B)
+    trB2 = np.einsum("ii...->...", B2)
+    B2c = np.einsum("ik...,kj...->ij...", B2, geom.ginv)
+    IIupup = _contract_metric(geom.ginv, geom.II, 2)
 
     tangential = (
         lap_r
-        - (B2 @ r + r @ B2.T)
-        - 2.0 * (DeL @ IIupup + IIupup @ DeR.T)
-        - (np.einsum("k,l->kl", eL, gradH_up) + np.einsum("k,l->kl", gradH_up, eR))
+        - (np.einsum("ik...,kj...->ij...", B2, r) + np.einsum("ik...,jk...->ij...", r, B2))
+        - 2.0
+        * (
+            np.einsum("ik...,kj...->ij...", DeL, IIupup)
+            + np.einsum("ik...,jk...->ij...", IIupup, DeR)
+        )
+        - (np.einsum("k...,l...->kl...", eL, gradH_up) + np.einsum("k...,l...->kl...", gradH_up, eR))
         + 2.0 * phi * B2c
     )
     left = (
-        2.0 * np.einsum("lmj,jm->l", Dr, B)
-        + r @ dH_cov
+        2.0 * np.einsum("lmj...,jm...->l...", Dr, B)
+        + np.einsum("lm...,m...->l...", r, dH_cov)
         + lap_eL
         - trB2 * eL
-        - B2 @ (eL + 2.0 * eR)
-        - 2.0 * B @ gradphi_up
+        - np.einsum("lm...,m...->l...", B2, eL + 2.0 * eR)
+        - 2.0 * np.einsum("lm...,m...->l...", B, gradphi_up)
         - phi * gradH_up
     )
     right = (
-        2.0 * np.einsum("lmj,jl->m", Dr, B)
-        + dH_cov @ r
+        2.0 * np.einsum("lmj...,jl...->m...", Dr, B)
+        + np.einsum("l...,lm...->m...", dH_cov, r)
         + lap_eR
         - trB2 * eR
-        - B2 @ (eR + 2.0 * eL)
-        - 2.0 * B @ gradphi_up
+        - np.einsum("lm...,m...->l...", B2, eR + 2.0 * eL)
+        - 2.0 * np.einsum("lm...,m...->l...", B, gradphi_up)
         - phi * gradH_up
     )
-    B2_cov = geom.g @ B2
+    B2_cov = np.einsum("ik...,kj...->ij...", geom.g, B2)
     nunu = (
-        2.0 * np.einsum("ij,ij->", B2_cov, r)
-        + 2.0 * (np.trace(DeL @ B) + np.trace(DeR @ B))
-        + (eL + eR) @ dH_cov
+        2.0 * np.einsum("ij...,ij...->...", B2_cov, r)
+        + 2.0 * (np.einsum("ij...,ji...->...", DeL, B) + np.einsum("ij...,ji...->...", DeR, B))
+        + np.einsum("i...,i...->...", eL + eR, dH_cov)
         + lap_phi
         - 2.0 * phi * trB2
     )
 
-    split = TensorSplit(
-        rank=2, r2=tangential, phi=np.asarray(nunu), etaL2=left, etaR2=right
-    )
+    split = TensorSplit(rank=2, r2=tangential, phi=nunu, etaL2=left, etaR2=right)
     return TensorValue(rank=2, cart=reconstruct(geom, split))
 
 
@@ -238,14 +244,14 @@ def conforming_laplace(
         (q, _, lap_q), (beta, _, lap_beta) = _sweep_parts(
             surface, lambda s, a, b: blocks(qclosure.q_eval(s, a, b)), (2, 0), event, geom
         )
-        beta, lap_beta = float(beta), float(lap_beta)
-        B2 = geom.B_mixed @ geom.B_mixed
-        trB2 = float(np.trace(B2))
-        B2c = B2 @ geom.ginv
+        B2 = np.einsum("ik...,kj...->ij...", geom.B_mixed, geom.B_mixed)
+        trB2 = np.einsum("ii...->...", B2)
+        B2c = np.einsum("ik...,kj...->ij...", B2, geom.ginv)
         piQ_B2 = B2c - 0.5 * trB2 * geom.ginv
         qblock = lap_q - trB2 * q + 3.0 * beta * piQ_B2
-        bblock = lap_beta + 2.0 * np.einsum("ij,ij->", geom.g @ B2, q) - 3.0 * beta * trB2
-        return QSplit(q2=qblock, eta2=np.zeros(2), beta=bblock)
+        B2_cov = np.einsum("ik...,kj...->ij...", geom.g, B2)
+        bblock = lap_beta + 2.0 * np.einsum("ij...,ij...->...", B2_cov, q) - 3.0 * beta * trB2
+        return QSplit(q2=qblock, eta2=np.zeros_like(qblock[0]), beta=bblock)
 
     if path != "Projected":
         raise ConfigError(f"unknown conforming_laplace path {path!r}")
@@ -253,7 +259,7 @@ def conforming_laplace(
         surface, qclosure.as_field_closure(surface), event, "Beltrami", geom
     ).cart
     qblock, bblock = _conforming_blocks(geom, full)
-    return QSplit(q2=qblock, eta2=np.zeros(2), beta=float(bblock))
+    return QSplit(q2=qblock, eta2=np.zeros_like(qblock[0]), beta=bblock)
 
 
 def _conforming_route_residual(

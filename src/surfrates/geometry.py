@@ -105,6 +105,22 @@ def _metric(dX: np.ndarray) -> np.ndarray:
     return np.einsum("ai...,aj...->ij...", dX, dX)
 
 
+def _covariant_derivative(geom: GeometrySample, v, dv, up: int, low: int = 0):
+    """Covariant derivative v^{a..}_{b..|l} of a tensor with ``up`` upper and
+    then ``low`` lower component axes (broadcast axes last), from its value
+    and its partials dv (partial index l at axis up + low): dv plus
+    Gamma^a_{lm} v^{..m..} for each upper index a, minus Gamma^m_{lb}
+    v_{..m..} for each lower index b.  The gradient dv itself for a scalar."""
+    idx = "abcd"[: up + low]
+    for n, x in enumerate(idx):
+        terms = f"{idx[:n]}m{idx[n + 1:]}...->{idx}l..."
+        if n < up:
+            dv = dv + np.einsum(f"{x}lm...,{terms}", geom.Gamma, v)
+        else:
+            dv = dv - np.einsum(f"ml{x}...,{terms}", geom.Gamma, v)
+    return dv
+
+
 def geometry_from_jet(jet: ChartJet) -> GeometrySample:
     g = _metric(jet.dX)
     detg = det2(g)
@@ -193,7 +209,7 @@ class MotionSample:
     @cached_property
     def Du(self) -> np.ndarray:
         """Covariant derivative u^i_{|j} of the relative velocity."""
-        return self.du + np.einsum("ijl...,l...->ij...", self.geom.Gamma, self.u2)
+        return _covariant_derivative(self.geom, self.u2, self.du, 1)
 
     @cached_property
     def vperp(self) -> np.ndarray:

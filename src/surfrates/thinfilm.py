@@ -18,7 +18,7 @@ from .chart_kernel import Event, MovingSurface
 from .errors import ConfigError, ShellDegenerateError
 from .geometry import geometry_at, motion_at
 from .probes import _stack
-from .timederiv import FieldClosure, advected_rate, convected_dt, DerivKind
+from .timederiv import DerivKind, _advected_parts, _via_material
 from .util import det2, frobenius
 
 __all__ = [
@@ -150,9 +150,9 @@ def limit_study(
             f"unknown limit quantity {quantity!r}; pick one of {LIMIT_QUANTITIES}"
         )
     t, y1, y2 = event.t, event.y1, event.y2
+    mot = motion_at(surface, event)
     rows = []
     if quantity == "Deformation":
-        mot = motion_at(surface, event)
         S_surf = 0.5 * (mot.Gcal + mot.Gcal.T)
         scale = max(1.0, frobenius(S_surf))
         for xi in _XI_SEQUENCE:
@@ -166,11 +166,11 @@ def limit_study(
         "LowerDt": DerivKind.Lower,
         "JaumannDt": DerivKind.Jaumann,
     }[quantity]
-    closure = FieldClosure(rank=2, eval=_probe_rank2)
-    surf_val = convected_dt(surface, closure, event, kind, "ViaMaterial").cart
+    # the proxy and its material rate from one stencil call; the surface
+    # value is convected_dt's ViaMaterial formula applied to them
+    R, Dm = _advected_parts(surface, _probe_rank2, event)
+    surf_val = _via_material(mot, 2, kind, R, Dm)
     scale = max(1.0, frobenius(surf_val))
-    R = _probe_rank2(t, y1, y2)
-    Dm = advected_rate(surface, _probe_rank2, event)
     for xi in _XI_SEQUENCE:
         gradv = shell_velocity_gradient(surface, ShellEvent(t, y1, y2, xi))
         if kind == DerivKind.Upper:

@@ -15,11 +15,11 @@ mixed velocity-gradient matrices G = (G^i_j); in that pairing the convected
 forms read M' - G M - M G^T (upper) and M' + adj(G) M + M adj(G)^T (lower),
 with adj(G) = g^{-1} G^T g.
 
-The formulas the flows apply to whole grids broadcast over trailing axes:
-``_advected``, ``_transported``, ``_tangential`` (Material, Upper, Jaumann)
-and ``_via_material``.  ``_lower_covariant`` (hence the Lower and Average
-forms), ``_material_decomposed`` and the Material branches of ``_q_formula``
-still take one point.
+Every covariant derivative is ``geometry._covariant_derivative``, for upper
+and lower indices alike.  Every formula broadcasts over trailing axes, so the
+flows apply them to whole grids, and every route takes an ``Event`` whose
+coordinates are arrays of one shape: the result carries that shape after its
+component axes, as the pointwise results stacked on trailing axes.
 """
 from __future__ import annotations
 
@@ -47,6 +47,7 @@ from .fields import (
 from .geometry import (
     GeometrySample,
     MotionSample,
+    _covariant_derivative,
     _metric,
     geometry_at,
     geometry_from_jet,
@@ -60,7 +61,6 @@ __all__ = [
     "TangentialFieldClosure",
     "QFieldClosure",
     "scalar_dot",
-    "advected_rate",
     "tangential_dt",
     "material_dt",
     "convected_dt",
@@ -187,12 +187,14 @@ class _Block(NamedTuple):
     w: _Parts | None = None
 
 
-def _lower(g, r, rank: int):
-    """Covariant proxy g r (rank 1) or g r g (rank 2) of contravariant components."""
+def _contract_metric(m, r, rank: int):
+    """m r (rank 1) or m r m (rank 2): the metric m contracted into every
+    index, which lowers contravariant components for m = g and raises
+    covariant ones for m = g^-1."""
     if rank == 1:
-        return np.einsum("ij...,j...->i...", g, r)
-    gr = np.einsum("ij...,jk...->ik...", g, r)
-    return np.einsum("ik...,kl...->il...", gr, g)
+        return np.einsum("ij...,j...->i...", m, r)
+    mr = np.einsum("ij...,jk...->ik...", m, r)
+    return np.einsum("ik...,kl...->il...", mr, m)
 
 
 def _pack(vals, ranks, shape):
@@ -221,7 +223,7 @@ def _block_parts(
         vals = list(fn(s, a, b))
         if lowered:
             g = _metric(surface.jet(s, a, b).dX)
-            vals += [_lower(g, x, k) for x, k in zip(vals, ranks) if k]
+            vals += [_contract_metric(g, x, k) for x, k in zip(vals, ranks) if k]
         return _pack(vals, every, np.shape(s))
 
     F = c2_c4_dt_grad(
@@ -292,35 +294,13 @@ def _frame(surface, event, geom, mot):
 # scalar material rate
 
 
-def advected_rate(surface: MovingSurface, fun: Callable, event: Event):
-    """d/dt along material trajectories of an arbitrary chart-function proxy.
-
-    Works elementwise, so fun may return any array shape.
-    """
-    return _advected_parts(surface, fun, event)[1]
-
-
-def scalar_dot(surface: MovingSurface, f: Callable, event: Event) -> float:
+def scalar_dot(surface: MovingSurface, f: Callable, event: Event):
     """Material time derivative of a scalar field given as a chart closure."""
-    return float(advected_rate(surface, f, event))
+    return _advected_parts(surface, f, event)[1]
 
 
 # ---------------------------------------------------------------------------
 # tangential component operators
-
-
-def _covariant_derivative(geom: GeometrySample, rank: int, v, dv):
-    """r^{i..}_{|k} from value and partial derivatives (partial index at axis
-    ``rank``, broadcast axes last); the gradient dv itself for a scalar."""
-    if rank == 0:
-        return dv
-    if rank == 1:
-        return dv + np.einsum("ikl...,l...->ik...", geom.Gamma, v)
-    return (
-        dv
-        + np.einsum("ikl...,lj...->ijk...", geom.Gamma, v)
-        + np.einsum("jkl...,il...->ijk...", geom.Gamma, v)
-    )
 
 
 def _couple(op, x, M, v, rank: int):
@@ -333,28 +313,21 @@ def _transported(geom, mot, rank: int, p: _Parts, M):
     """v_t + u^k v_{|k} + M v (+ v M^T) in contravariant components: the
     tangential material derivative for M = G_obs, the upper-convected one for
     M = -Du."""
-    cov = _covariant_derivative(geom, rank, p.v, p.dv)
+    cov = _covariant_derivative(geom, p.v, p.dv, rank)
     return _couple(np.add, p.vt + _along(mot.u2, rank, cov), M, p.v, rank)
 
 
 def _lower_covariant(geom, mot, rank: int, w: _Parts):
-    """Lower-convected derivative via the covariant proxy, raised at the end.
+    """Lower-convected derivative w_t + u^k w_{..|k} + Du^T w (+ w Du) of the
+    covariant proxy w, raised at the end.
 
     Independent route: differences g r g (or g r) in time directly and uses
     covariant-component covariant derivatives in space.
     """
-    if rank == 1:
-        # w_{k|l} = d_l w_k - Gamma^m_{lk} w_m
-        cov = w.dv - np.einsum("mlk,m->kl", geom.Gamma, w.v)
-        L = w.vt + np.einsum("l,kl->k", mot.u2, cov) + w.v @ mot.Du
-        return geom.ginv @ L
-    cov = (
-        w.dv
-        - np.einsum("mli,mj->ijl", geom.Gamma, w.v)
-        - np.einsum("mlj,im->ijl", geom.Gamma, w.v)
-    )
-    L = w.vt + np.einsum("l,ijl->ij", mot.u2, cov) + mot.Du.T @ w.v + w.v @ mot.Du
-    return geom.ginv @ L @ geom.ginv
+    cov = _covariant_derivative(geom, w.v, w.dv, 0, rank)
+    DuT = np.einsum("ij...->ji...", mot.Du)
+    L = _couple(np.add, w.vt + _along(mot.u2, rank, cov), DuT, w.v, rank)
+    return _contract_metric(geom.ginv, L, rank)
 
 
 def _tangential(geom, mot, block: _Block, kind: DerivKind, path: str = "Decomposed"):
@@ -414,30 +387,32 @@ def tangential_dt(
 
 
 def _material_decomposed(geom, mot, rank: int, parts: dict[str, _Block]):
-    """material_dt's Decomposed formula, as a Cartesian tensor."""
-    nu = geom.nu
+    """material_dt's Decomposed formula: the derivative's split blocks, then
+    ``reconstruct``.  With b# = g^-1 b: r' = r_dot - phi b#, phi' = phi_dot
+    + r.b (rank 1); r' = r_dot - eL (x) b# - b# (x) eR, eL' = eL_dot + r b -
+    phi b#, eR' = eR_dot + b r - phi b#, phi' = phi_dot + (eL + eR).b (rank 2)."""
     b = mot.b_cov
-    b3 = mot.b3
+    bup = _contract_metric(geom.ginv, b, 1)
     r, phi = parts["r2"].p.v, parts["phi"].p.v
     rdot = _tangential(geom, mot, parts["r2"], DerivKind.Material)
     phidot = _advected(parts["phi"].p, mot.u2)
-
     if rank == 1:
-        return geom.embed_vec(rdot) - phi * b3 + (phidot + r @ b) * nu
+        split = TensorSplit(
+            rank=1, r2=rdot - phi * bup, phi=phidot + np.einsum("i...,i...->...", r, b)
+        )
+        return reconstruct(geom, split)
 
     eL, eR = parts["etaL2"].p.v, parts["etaR2"].p.v
     eLdot = _tangential(geom, mot, parts["etaL2"], DerivKind.Material)
     eRdot = _tangential(geom, mot, parts["etaR2"], DerivKind.Material)
-    left = geom.embed_vec(eLdot + r @ b) - phi * b3
-    right = geom.embed_vec(eRdot + b @ r) - phi * b3
-    return (
-        geom.embed_contra(rdot)
-        - np.einsum("a,b->ab", geom.embed_vec(eL), b3)
-        - np.einsum("a,b->ab", b3, geom.embed_vec(eR))
-        + np.einsum("a,b->ab", left, nu)
-        + np.einsum("a,b->ab", nu, right)
-        + (phidot + (eL + eR) @ b) * np.einsum("a,b->ab", nu, nu)
+    split = TensorSplit(
+        rank=2,
+        r2=rdot - np.einsum("i...,j...->ij...", eL, bup) - np.einsum("i...,j...->ij...", bup, eR),
+        phi=phidot + np.einsum("i...,i...->...", eL + eR, b),
+        etaL2=eLdot + np.einsum("ij...,j...->i...", r, b) - phi * bup,
+        etaR2=eRdot + np.einsum("i...,ij...->j...", b, r) - phi * bup,
     )
+    return reconstruct(geom, split)
 
 
 def _via_material(mot, rank: int, kind: DerivKind, R, Dm):
@@ -481,7 +456,7 @@ def material_dt(
     geom, mot = _frame(surface, event, geom, mot)
 
     if path == "CartesianProxy":
-        cart = advected_rate(surface, closure.eval, event)
+        cart = _advected_parts(surface, closure.eval, event)[1]
         return TensorValue(rank=closure.rank, cart=cart)
 
     if path != "Decomposed":
@@ -539,20 +514,19 @@ def _q_formula(geom, mot, parts: list[_Block], kind: DerivKind) -> QSplit:
         return QSplit(
             q2=_tangential(geom, mot, qb, kind), eta2=_tangential(geom, mot, eb, kind), beta=betadot
         )
-    q, eta = qb.p.v, eb.p.v
-    beta = float(bb.p.v)
+    q, eta, beta = qb.p.v, eb.p.v, bb.p.v
     qdot = _tangential(geom, mot, qb, DerivKind.Material)
     etadot = _tangential(geom, mot, eb, DerivKind.Material)
 
     if kind == DerivKind.ConformingMaterial:
         _require_conforming(QSplit(q2=q, eta2=eta, beta=beta))
-        return QSplit(q2=qdot, eta2=np.zeros(2), beta=betadot)
+        return QSplit(q2=qdot, eta2=np.zeros_like(etadot), beta=betadot)
 
     b = mot.b_cov
-    bup = geom.ginv @ b
-    qblock = qdot - 2.0 * pi_q_components(geom, np.einsum("i,j->ij", eta, bup))
-    eblock = etadot + q @ b - 1.5 * beta * bup
-    bblock = betadot + 2.0 * (eta @ b)
+    bup = _contract_metric(geom.ginv, b, 1)
+    qblock = qdot - 2.0 * pi_q_components(geom, np.einsum("i...,j...->ij...", eta, bup))
+    eblock = etadot + np.einsum("ij...,j...->i...", q, b) - 1.5 * beta * bup
+    bblock = betadot + 2.0 * np.einsum("i...,i...->...", eta, b)
     return QSplit(q2=qblock, eta2=eblock, beta=bblock)
 
 

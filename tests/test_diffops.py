@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,7 +5,6 @@ from numpy.testing import assert_allclose
 from surfrates.chart_kernel import Event, get_scenario, sample_events
 from surfrates.diffops import (
     FourierInterpolant,
-    _second_sweep,
     conforming_laplace,
     grid_gradient,
     grid_laplace,
@@ -87,42 +84,6 @@ def test_surface_laplace_dual_path(name):
         a = surface_laplace(surface, closure, ev, "Beltrami").cart
         b = surface_laplace(surface, closure, ev, "Decomposed").cart
         assert rel_residual(a, b) < 1e-5
-
-
-def _written_out_second_sweep(G, ginv, T, dT):
-    """The rank-1 and rank-2 second covariant sweeps written out index by
-    index, with the partial index l of dT last."""
-    if T.ndim == 2:
-        full = dT + np.einsum("ilm,mk->ikl", G, T) - np.einsum("mlk,im->ikl", G, T)
-        return np.einsum("kl,ikl->i", ginv, full)
-    full = (
-        dT
-        + np.einsum("ilm,mjk->ijkl", G, T)
-        + np.einsum("jlm,imk->ijkl", G, T)
-        - np.einsum("mlk,ijm->ijkl", G, T)
-    )
-    return np.einsum("kl,ijkl->ij", ginv, full)
-
-
-@pytest.mark.parametrize("rank", [1, 2])
-def test_second_sweep_is_the_written_out_formula(rank):
-    # generic Gamma and g^-1, so every index placement is pinned
-    rng = np.random.default_rng(rank)
-    geom = SimpleNamespace(Gamma=rng.normal(size=(2, 2, 2)), ginv=rng.normal(size=(2, 2)))
-    T = rng.normal(size=(2,) * (rank + 1))
-    dT = rng.normal(size=(2,) * (rank + 2))
-    got = _second_sweep(geom, rank, T, np.moveaxis(dT, -1, rank))
-    assert_allclose(got, _written_out_second_sweep(geom.Gamma, geom.ginv, T, dT), rtol=1e-13)
-
-
-def test_second_sweep_of_a_scalar_is_laplace_beltrami():
-    # g^{kl} (d_k d_l f - Gamma^m_{kl} d_m f) with T = df and dT its Hessian
-    rng = np.random.default_rng(0)
-    A, H, G = rng.normal(size=(2, 2)), rng.normal(size=(2, 2)), rng.normal(size=(2, 2, 2))
-    geom = SimpleNamespace(Gamma=G + G.transpose(0, 2, 1), ginv=A @ A.T + np.eye(2))
-    df, hess = rng.normal(size=2), H + H.T
-    want = np.einsum("kl,kl->", geom.ginv, hess - np.einsum("mkl,m->kl", geom.Gamma, df))
-    assert_allclose(_second_sweep(geom, 0, df, hess), want, rtol=1e-13)
 
 
 def test_conforming_laplace_sphere_constant_beta(sphere_static):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from surfrates.chart_kernel import (
 )
 from surfrates.errors import NonEmbeddingError
 from surfrates.geometry import (
+    _covariant_derivative,
     check_identities,
     geometry_at,
     geometry_grid,
@@ -198,3 +201,46 @@ def test_motion_fields_do_not_depend_on_read_order(torus_drift, conforming):
     mot = motion_grid(torus_drift, t, Y1, Y2, geom)
     for name in names:
         assert np.array_equal(getattr(mot, name), getattr(full, name)), name
+
+
+# Covariant derivatives written out index by index, the partial index l last
+# in dv and in the result: + Gamma^a_{lm} v^{..m..} for each upper index a,
+# - Gamma^m_{lb} v_{..m..} for each lower index b.  (1, 1) and (2, 1) are the
+# second covariant sweep of a rank-0 and a rank-1 block's T in the
+# Decomposed Laplacians, and (0, 1) with a symmetric Gamma is the Hessian of
+# the scalar Laplace-Beltrami operator.
+_WRITTEN_OUT = {
+    (1, 0): lambda G, v, dv: dv + np.einsum("ilm,m->il", G, v),
+    (2, 0): lambda G, v, dv: (
+        dv + np.einsum("ilm,mj->ijl", G, v) + np.einsum("jlm,im->ijl", G, v)
+    ),
+    (0, 1): lambda G, v, dv: dv - np.einsum("mlk,m->kl", G, v),
+    (0, 2): lambda G, v, dv: (
+        dv - np.einsum("mli,mj->ijl", G, v) - np.einsum("mlj,im->ijl", G, v)
+    ),
+    (1, 1): lambda G, v, dv: (
+        dv + np.einsum("ilm,mk->ikl", G, v) - np.einsum("mlk,im->ikl", G, v)
+    ),
+    (2, 1): lambda G, v, dv: (
+        dv
+        + np.einsum("ilm,mjk->ijkl", G, v)
+        + np.einsum("jlm,imk->ijkl", G, v)
+        - np.einsum("mlk,ijm->ijkl", G, v)
+    ),
+}
+
+
+@pytest.mark.parametrize("up, low", list(_WRITTEN_OUT))
+def test_covariant_derivative_is_the_written_out_formula(up, low):
+    # a generic Gamma, not symmetric in its lower indices, pins every index
+    # placement; a batch of 3 points on a trailing axis checks that Gamma's
+    # broadcast axes line up with those of v
+    rng = np.random.default_rng(10 * up + low)
+    rank = up + low
+    Gamma = rng.normal(size=(2, 2, 2, 3))
+    v = rng.normal(size=(2,) * rank + (3,))
+    dv = rng.normal(size=(2,) * (rank + 1) + (3,))
+    got = _covariant_derivative(SimpleNamespace(Gamma=Gamma), v, dv, up, low)
+    for n in range(3):
+        want = _WRITTEN_OUT[up, low](Gamma[..., n], v[..., n], dv[..., n])
+        assert_allclose(got[..., n], want, rtol=1e-13)

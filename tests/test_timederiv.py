@@ -3,13 +3,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from surfrates.chart_kernel import Event, get_scenario, sample_events
+from surfrates.diffops import conforming_laplace, scalar_laplace, surface_laplace
 from surfrates.errors import ConfigError, MissingSplitError, NotConformingError, NotTangentialError
-from surfrates.fields import pi_q_components, q_to_cart, project
+from surfrates.fields import QSplit, pi_q_components, q_to_cart, project
 from surfrates.geometry import geometry_at, geometry_grid, motion_at, motion_grid
 from surfrates.probes import (
     probe_conforming_q_field,
     probe_field,
     probe_q_field,
+    probe_scalar,
     probe_tangential,
 )
 from surfrates.timederiv import (
@@ -19,6 +21,7 @@ from surfrates.timederiv import (
     TangentialFieldClosure,
     _advected,
     _Block,
+    _material_decomposed,
     _Parts,
     _tangential,
     _via_material,
@@ -245,6 +248,16 @@ def test_product_rule_with_defect(torus_drift, torus_events):
     assert_allclose(D_m, DP_m @ Rv + Pv @ Dp_m, atol=1e-7)
 
 
+def _at_node(x, i, j):
+    """The grid node (i, j) of every array in nested parts and blocks."""
+    if isinstance(x, np.ndarray):
+        return x[..., i, j]
+    if isinstance(x, dict):
+        return {k: _at_node(v, i, j) for k, v in x.items()}
+    if isinstance(x, tuple):
+        return type(x)(*(_at_node(v, i, j) for v in x))
+    return x
+
 
 def test_formulas_broadcast_over_grid_axes(torus_drift):
     # the flows apply these formulas to whole grids (component axes first,
@@ -260,17 +273,32 @@ def test_formulas_broadcast_over_grid_axes(torus_drift):
         dv = comp[:rank] + (2,) + comp[rank:]
         return _Parts(*(rng.normal(size=s + Y1.shape) for s in (comp, comp, dv)))
 
-    def tangential(rank, kind):
-        return lambda geom, mot, p: _tangential(geom, mot, _Block(rank, p), kind)
+    def block(rank):
+        # with the parts w of a covariant proxy, which Lower and Average read
+        return _Block(rank, parts((2,) * rank, rank), parts((2,) * rank, rank) if rank else None)
+
+    def tangential(kind, path="Decomposed"):
+        return lambda geom, mot, b: _tangential(geom, mot, b, kind, path)
+
+    def material_decomposed(rank):
+        return lambda geom, mot, blocks: _material_decomposed(geom, mot, rank, blocks)
 
     def via_material(kind):
         return lambda geom, mot, p: _via_material(mot, 2, kind, p.v, p.vt)
 
     R = parts((3, 3), 2)
     cases = [
-        (tangential(rank, kind), parts((2,) * rank, rank))
+        (tangential(kind), block(rank))
         for rank in (1, 2)
-        for kind in (DerivKind.Material, DerivKind.Jaumann)
+        for kind in (DerivKind.Material, *CONVECTED)
+    ]
+    cases += [(tangential(DerivKind.Jaumann, "Average"), block(rank)) for rank in (1, 2)]
+    cases += [
+        (material_decomposed(1), {"r2": block(1), "phi": block(0)}),
+        (
+            material_decomposed(2),
+            {"r2": block(2), "etaL2": block(1), "etaR2": block(1), "phi": block(0)},
+        ),
     ]
     cases += [(via_material(kind), R) for kind in CONVECTED]
     cases += [
@@ -283,6 +311,83 @@ def test_formulas_broadcast_over_grid_axes(torus_drift):
         for i, j in np.ndindex(Y1.shape):
             ev = Event(t, Y1[i, j], Y2[i, j])
             geom = geometry_at(torus_drift, ev)
-            node = _Parts(*(x[..., i, j] for x in p))
-            want = formula(geom, motion_at(torus_drift, ev, geom), node)
+            want = formula(geom, motion_at(torus_drift, ev, geom), _at_node(p, i, j))
             assert_allclose(batched[..., i, j], want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
+
+
+def _route_calls():
+    """Every public route call by name: (surface, event) -> array."""
+    calls = {}
+    for rank in (1, 2):
+        P = lambda s, rank=rank: probe_field(s, rank)
+        for path in ("CartesianProxy", "Decomposed"):
+            calls[f"material_dt-{path}-rank{rank}"] = (
+                lambda s, ev, P=P, path=path: material_dt(s, P(s), ev, path).cart
+            )
+        for kind in CONVECTED:
+            paths = ("ViaMaterial", "Decomposed") + (("Average",) if kind == "Jaumann" else ())
+            for path in paths:
+                calls[f"convected_dt-{kind.value}-{path}-rank{rank}"] = (
+                    lambda s, ev, P=P, kind=kind, path=path: convected_dt(s, P(s), ev, kind, path).cart
+                )
+        for kind, path in [(k, "Decomposed") for k in (DerivKind.Material, *CONVECTED)] + [
+            (DerivKind.Jaumann, "Average")
+        ]:
+            calls[f"tangential_dt-{kind.value}-{path}-rank{rank}"] = (
+                lambda s, ev, rank=rank, kind=kind, path=path: tangential_dt(
+                    s, probe_tangential(rank), ev, kind, path
+                )
+            )
+    for kind in ("Material", "Jaumann"):
+        calls[f"q_dt-{kind}"] = lambda s, ev, kind=kind: q_dt(s, probe_q_field(s), ev, kind)
+    calls["q_dt-ConformingMaterial"] = lambda s, ev: q_dt(
+        s, probe_conforming_q_field(s), ev, DerivKind.ConformingMaterial
+    )
+    for path in ("Beltrami", "Decomposed"):
+        calls[f"surface_laplace-{path}"] = (
+            lambda s, ev, path=path: surface_laplace(s, probe_field(s, 2), ev, path).cart
+        )
+    for path in ("ClosedForm", "Projected"):
+        calls[f"conforming_laplace-{path}"] = (
+            lambda s, ev, path=path: conforming_laplace(s, probe_conforming_q_field(s), ev, path)
+        )
+    calls["scalar_laplace"] = lambda s, ev: scalar_laplace(s, probe_scalar, ev)
+    calls["scalar_dot"] = lambda s, ev: scalar_dot(s, probe_scalar, ev)
+    return calls
+
+
+ROUTE_CALLS = _route_calls()
+
+
+def _stacked(value):
+    """A route result as one array, Q-split blocks flattened and joined."""
+    if isinstance(value, QSplit):
+        blocks = (value.q2, value.eta2, value.beta)
+        return np.concatenate([np.reshape(b, (-1,) + np.shape(value.beta)) for b in blocks])
+    return np.asarray(value)
+
+
+@pytest.mark.parametrize("t", [0.4, np.array([0.4, 0.45, 0.5])], ids=["scalar-t", "array-t"])
+@pytest.mark.parametrize("route", list(ROUTE_CALLS))
+def test_routes_take_a_batch_of_events(torus_drift, route, t):
+    # an Event whose coordinates are arrays gives the pointwise results
+    # stacked on its trailing axis
+    y1, y2 = np.array([0.3, 1.2, 2.5]), np.array([0.7, 4.0, 5.5])
+    ts = np.broadcast_to(t, y1.shape)
+    call = ROUTE_CALLS[route]
+    batched = _stacked(call(torus_drift, Event(t, y1, y2)))
+    want = np.stack(
+        [_stacked(call(torus_drift, Event(float(ts[n]), y1[n], y2[n]))) for n in range(3)],
+        axis=-1,
+    )
+    assert batched.shape == want.shape
+    assert_allclose(batched, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
+
+
+def test_laplacian_stencils_keep_each_event_time(torus_drift):
+    # 25 events with their own times: the 25-point stencil must not pair the
+    # event axis of t with its own offset axis
+    t, y1, y2 = np.linspace(0.3, 0.6, 25), np.linspace(0.2, 6.0, 25), np.linspace(0.1, 5.0, 25)
+    batched = scalar_laplace(torus_drift, probe_scalar, Event(t, y1, y2))
+    want = [scalar_laplace(torus_drift, probe_scalar, Event(t[n], y1[n], y2[n])) for n in range(25)]
+    assert_allclose(batched, want, rtol=1e-13)
