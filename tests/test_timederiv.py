@@ -316,19 +316,20 @@ def test_formulas_broadcast_over_grid_axes(torus_drift):
 
 
 def _route_calls():
-    """Every public route call by name: (surface, event) -> array."""
+    """Every public route call by name: (surface, event) -> result."""
     calls = {}
     for rank in (1, 2):
-        P = lambda s, rank=rank: probe_field(s, rank)
         for path in ("CartesianProxy", "Decomposed"):
             calls[f"material_dt-{path}-rank{rank}"] = (
-                lambda s, ev, P=P, path=path: material_dt(s, P(s), ev, path).cart
+                lambda s, ev, rank=rank, path=path: material_dt(s, probe_field(s, rank), ev, path).cart
             )
         for kind in CONVECTED:
             paths = ("ViaMaterial", "Decomposed") + (("Average",) if kind == "Jaumann" else ())
             for path in paths:
                 calls[f"convected_dt-{kind.value}-{path}-rank{rank}"] = (
-                    lambda s, ev, P=P, kind=kind, path=path: convected_dt(s, P(s), ev, kind, path).cart
+                    lambda s, ev, rank=rank, kind=kind, path=path: convected_dt(
+                        s, probe_field(s, rank), ev, kind, path
+                    ).cart
                 )
         for kind, path in [(k, "Decomposed") for k in (DerivKind.Material, *CONVECTED)] + [
             (DerivKind.Jaumann, "Average")
