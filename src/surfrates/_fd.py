@@ -24,6 +24,20 @@ import numpy as np
 __all__ = ["c4_d1", "c4_grad", "c4_hess", "c2_c4_dt_grad"]
 
 
+def _at_time(fn, t):
+    """fn(t, a, b) as a closure of the chart coordinates.  An array t gains a
+    unit axis for each axis that the broadcast coordinates carry after the
+    event's own axes (the stencil axes)."""
+
+    def at(a, b):
+        if np.ndim(t) == 0:
+            return fn(t, a, b)
+        extra = max(np.ndim(a), np.ndim(b)) - np.ndim(t)
+        return fn(np.reshape(t, np.shape(t) + (1,) * extra), a, b)
+
+    return at
+
+
 def c4_d1(f, x, h):
     """Fourth-order central first derivative."""
     return (-f(x + 2 * h) + 8.0 * f(x + h) - 8.0 * f(x - h) + f(x - 2 * h)) / (12.0 * h)

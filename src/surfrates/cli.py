@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from ._fd import c4_grad
+from ._fd import _at_time, c4_grad
 from .chart_kernel import (
     _T_RANGE,
     Event,
@@ -33,7 +33,7 @@ from .diffops import (
 )
 from .errors import ConfigError, StabilityError, SurfratesError
 from .fields import g_inner_rank2, pi_q_components, project, q_from_cart, q_to_cart
-from .geometry import check_identities, geometry_at, motion_at
+from .geometry import _identities, geometry_at, motion_at
 from .landau import FLOW_MODES, FlowConfig, LdGParams, run_flow
 from .probes import (
     probe_conforming_q_field,
@@ -48,6 +48,7 @@ from .thinfilm import LIMIT_QUANTITIES, fit_order, limit_study
 from .timederiv import (
     DerivKind,
     _advected_parts,
+    _couple,
     _convected_decomposed,
     _material_decomposed,
     _q_formula,
@@ -58,7 +59,7 @@ from .timederiv import (
     q_dt,
     scalar_dot,
 )
-from .util import _maxabs, _worst, rel_residual
+from .util import _maxabs, _scaled_norm
 
 __all__ = [
     "run_verify",
@@ -85,224 +86,185 @@ def _outdir(arg_out: str | None) -> str:
 
 
 class _Rows:
-    """Aggregates the worst residual per identity name across events."""
+    """The worst residual per identity name: the largest of its per-event
+    residuals, or NaN if one of them is NaN."""
 
     def __init__(self):
         self.data: dict[str, tuple[float, float]] = {}
 
-    def add(self, name: str, residual: float, tol: float):
-        residual = float(residual)
-        if name in self.data:
-            residual = _worst(residual, self.data[name][0])
-        self.data[name] = (residual, tol)
+    def add(self, name: str, residuals, tol: float):
+        self.data[name] = (float(np.asarray(residuals).max()), tol)
 
     def to_list(self) -> list[dict]:
-        out = []
-        for name in sorted(self.data):
-            residual, tol = self.data[name]
-            out.append(
-                {
-                    "identity_name": name,
-                    "pass": residual < tol,
-                    "residual": residual,
-                    "tol": tol,
-                }
-            )
-        return out
+        return [
+            {"identity_name": name, "pass": residual < tol, "residual": residual, "tol": tol}
+            for name, (residual, tol) in sorted(self.data.items())
+        ]
 
 
 # ---------------------------------------------------------------------------
 # verify suites
+#
+# Each suite takes the sampled events as one batch Event, on one trailing
+# axis, with the geometry and motion at them, and calls every route once.
+# A row's residual is a per-event array; _Rows keeps its largest entry.
 
 
-def _suite_geometry(surface, events, rows: _Rows):
-    for ev in events:
-        rep = check_identities(surface, ev)
-        for item in rep.items:
-            rows.add(item.identity_name, item.residual, item.tol)
+def _rel(a, b):
+    """rel_residual of each event."""
+    return _scaled_norm(a - b, a, b, nb=1)
 
 
-def _suite_derivatives(surface, events, rows: _Rows):
+def _scaled(x, *refs):
+    """Largest |component| of x over max(1, largest |component| of each
+    ref), for each event."""
+    return _scaled_norm(x, *refs, nb=1, fro=False)
+
+
+def _mm(a, b):
+    """Matrix product of two stacks of 2x2 matrices."""
+    return np.einsum("ik...,kj...->ij...", a, b)
+
+
+def _trace(a):
+    return np.einsum("ii...->...", a)
+
+
+def _suite_geometry(surface, ev, geom, mot, rows: _Rows):
+    for item in _identities(surface, ev, geom, mot).items:
+        rows.add(item.identity_name, item.residual, item.tol)
+
+
+def _suite_derivatives(surface, ev, geom, mot, rows: _Rows):
     kinds = (
-        (DerivKind.Upper, "upper"),
-        (DerivKind.Lower, "lower"),
-        (DerivKind.Jaumann, "jaumann"),
+        (DerivKind.Upper, "upper", 1.0),
+        (DerivKind.Lower, "lower", -1.0),
+        (DerivKind.Jaumann, "jaumann", 0.0),
     )
     for rank in (1, 2):
         P = probe_field(surface, rank)
         R = probe_field_b(surface, rank)
+        comps = tuple(range(rank))
 
-        def fprod(s, a, b, P=P, R=R, comps=tuple(range(rank))):
-            return np.sum(P.eval(s, a, b) * R.eval(s, a, b), axis=comps)
+        def dot(x, y):
+            return np.sum(x * y, axis=comps)
 
-        for ev in events:
-            geom = geometry_at(surface, ev)
-            mot = motion_at(surface, ev, geom)
-            # each side's parts once per event: the proxy routes read Pv, da
-            # (and Rv, DmR), the Decomposed routes read split
-            Pv, da = _advected_parts(surface, P.eval, ev)
-            Rv, DmR = _advected_parts(surface, R.eval, ev)
-            split = _split_parts(surface, P, ev, lowered=True)
-            db = _material_decomposed(geom, mot, rank, split)
-            rows.add(f"material-rank{rank}-dual-path", rel_residual(da, db), 1e-6)
-            vals = {}
-            for kind, label in kinds:
-                va = _via_material(mot, rank, kind, Pv, da)
-                vb = _convected_decomposed(geom, mot, rank, split, kind, "Decomposed")
-                vals[label] = va
-                rows.add(f"{label}-rank{rank}-dual-path", rel_residual(va, vb), 1e-6)
-            javg = _convected_decomposed(
-                geom, mot, rank, split, DerivKind.Jaumann, "Average"
-            )
-            rows.add(
-                f"jaumann-average-rank{rank}",
-                rel_residual(javg, vals["jaumann"]),
-                1e-6,
-            )
-            rows.add(
-                f"jaumann-halfsum-rank{rank}",
-                rel_residual(vals["jaumann"], 0.5 * (vals["upper"] + vals["lower"])),
-                1e-10,
-            )
+        def fprod(s, a, b):
+            return dot(P.eval(s, a, b), R.eval(s, a, b))
 
-            # product rules against the scalar material rate
-            fdot = scalar_dot(surface, fprod, ev)
-            scale = max(1.0, abs(fdot))
-            rows.add(
-                f"material-product-rule-rank{rank}",
-                abs(fdot - float(np.sum(da * Rv) + np.sum(Pv * DmR))) / scale,
-                1e-6,
-            )
-            Gc = mot.Gcal
-            if rank == 1:
-                defect = float(Rv @ (Gc @ Pv) + Pv @ (Gc @ Rv))
-            else:
-                defect = float(
-                    np.sum((Gc @ Pv + Pv @ Gc.T) * Rv)
-                    + np.sum((Gc @ Rv + Rv @ Gc.T) * Pv)
-                )
-            for kind, label, sgn in (
-                (DerivKind.Upper, "upper", 1.0),
-                (DerivKind.Lower, "lower", -1.0),
-                (DerivKind.Jaumann, "jaumann", 0.0),
-            ):
-                DR = _via_material(mot, rank, kind, Rv, DmR)
-                total = float(np.sum(vals[label] * Rv) + np.sum(Pv * DR)) + sgn * defect
-                rows.add(
-                    f"{label}-product-rule-rank{rank}", abs(fdot - total) / scale, 1e-6
-                )
+        # each side's parts once: the proxy routes read Pv, da (and Rv, DmR),
+        # the Decomposed routes read split
+        Pv, da = _advected_parts(surface, P.eval, ev)
+        Rv, DmR = _advected_parts(surface, R.eval, ev)
+        split = _split_parts(surface, P, ev, lowered=True)
+        db = _material_decomposed(geom, mot, rank, split)
+        rows.add(f"material-rank{rank}-dual-path", _rel(da, db), 1e-6)
+        vals = {}
+        for kind, label, _ in kinds:
+            va = _via_material(mot, rank, kind, Pv, da)
+            vb = _convected_decomposed(geom, mot, rank, split, kind, "Decomposed")
+            vals[label] = va
+            rows.add(f"{label}-rank{rank}-dual-path", _rel(va, vb), 1e-6)
+        javg = _convected_decomposed(geom, mot, rank, split, DerivKind.Jaumann, "Average")
+        rows.add(f"jaumann-average-rank{rank}", _rel(javg, vals["jaumann"]), 1e-6)
+        halfsum = 0.5 * (vals["upper"] + vals["lower"])
+        rows.add(f"jaumann-halfsum-rank{rank}", _rel(vals["jaumann"], halfsum), 1e-10)
+
+        # product rules against the scalar material rate
+        fdot = scalar_dot(surface, fprod, ev)
+        dm_sum = dot(da, Rv) + dot(Pv, DmR)
+        rows.add(f"material-product-rule-rank{rank}", _scaled(fdot - dm_sum, fdot), 1e-6)
+        GcP, GcR = (_couple(np.add, 0, mot.Gcal, v, rank) for v in (Pv, Rv))
+        defect = dot(GcP, Rv) + dot(GcR, Pv)
+        for kind, label, sgn in kinds:
+            DR = _via_material(mot, rank, kind, Rv, DmR)
+            total = dot(vals[label], Rv) + dot(Pv, DR) + sgn * defect
+            rows.add(f"{label}-product-rule-rank{rank}", _scaled(fdot - total, fdot), 1e-6)
 
 
-def _suite_qtensor(surface, events, rows: _Rows):
+def _suite_qtensor(surface, ev, geom, mot, rows: _Rows):
     qcl = probe_q_field(surface)
     fcl = qcl.as_field_closure(surface)
     ccl = probe_conforming_q_field(surface)
     cfl = ccl.as_field_closure(surface)
-    for ev in events:
-        t, y1, y2 = ev.t, ev.y1, ev.y2
-        geom = geometry_at(surface, ev)
-        mot = motion_at(surface, ev, geom)
-        # each side's parts once per event: q_eval's blocks for the Q-split
-        # routes, the full proxy and its material rate for the others
-        qparts = _q_parts(surface, qcl, ev)
-        Fv, dm_full = _advected_parts(surface, fcl.eval, ev)
+    t, y1, y2 = ev.t, ev.y1, ev.y2
+    # each side's parts once: q_eval's blocks for the Q-split routes, the
+    # full proxy and its material rate for the others
+    qparts = _q_parts(surface, qcl, ev)
+    Fv, dm_full = _advected_parts(surface, fcl.eval, ev)
 
-        dmq = _q_formula(geom, mot, qparts, DerivKind.Material)
-        rows.add(
-            "qtensor-material-closure",
-            rel_residual(q_to_cart(geom, dmq), dm_full),
-            1e-8,
-        )
-        djq = _q_formula(geom, mot, qparts, DerivKind.Jaumann)
-        dj_full = _via_material(mot, 2, DerivKind.Jaumann, Fv, dm_full)
-        rows.add(
-            "qtensor-jaumann-closure",
-            rel_residual(q_to_cart(geom, djq), dj_full),
-            1e-8,
-        )
-        dcq = q_dt(surface, ccl, ev, DerivKind.ConformingMaterial, geom, mot)
-        dmc_full = material_dt(surface, cfl, ev, "CartesianProxy", geom, mot).cart
-        rows.add(
-            "qtensor-conforming-projection",
-            rel_residual(q_to_cart(geom, dcq), project(geom, dmc_full, "CQ")),
-            1e-8,
-        )
+    dmq = _q_formula(geom, mot, qparts, DerivKind.Material)
+    rows.add("qtensor-material-closure", _rel(q_to_cart(geom, dmq), dm_full), 1e-8)
+    djq = _q_formula(geom, mot, qparts, DerivKind.Jaumann)
+    dj_full = _via_material(mot, 2, DerivKind.Jaumann, Fv, dm_full)
+    rows.add("qtensor-jaumann-closure", _rel(q_to_cart(geom, djq), dj_full), 1e-8)
+    dcq = q_dt(surface, ccl, ev, DerivKind.ConformingMaterial, geom, mot)
+    dmc_full = material_dt(surface, cfl, ev, "CartesianProxy", geom, mot).cart
+    rows.add(
+        "qtensor-conforming-projection",
+        _rel(q_to_cart(geom, dcq), project(geom, dmc_full, "CQ")),
+        1e-8,
+    )
 
-        dup = _via_material(mot, 2, DerivKind.Upper, Fv, dm_full)
-        dlo = _via_material(mot, 2, DerivKind.Lower, Fv, dm_full)
-        qs = qcl.q_eval(t, y1, y2)
-        pred = float(qs.beta) * float(np.trace(mot.G)) - 2.0 * float(
-            np.sum((geom.g @ mot.G) * qs.q2)
-        )
-        scale = max(1.0, abs(pred))
-        rows.add("qtensor-upper-trace", abs(float(np.trace(dup)) - pred) / scale, 1e-6)
-        rows.add("qtensor-lower-trace", abs(float(np.trace(dlo)) + pred) / scale, 1e-6)
+    dup = _via_material(mot, 2, DerivKind.Upper, Fv, dm_full)
+    dlo = _via_material(mot, 2, DerivKind.Lower, Fv, dm_full)
+    qs = qcl.q_eval(t, y1, y2)
+    q2 = qs.q2
+    pred = qs.beta * _trace(mot.G) - 2.0 * np.sum(_mm(geom.g, mot.G) * q2, axis=(0, 1))
+    rows.add("qtensor-upper-trace", _scaled(_trace(dup) - pred, pred), 1e-6)
+    rows.add("qtensor-lower-trace", _scaled(_trace(dlo) + pred, pred), 1e-6)
 
-        # pointwise algebra of tangential Q-parts
-        m = probe_matrix_comps(t, y1, y2)
-        s2 = 0.5 * (m + m.T)
-        q2 = qs.q2
-        s_op = s2 @ geom.g
-        lhs = pi_q_components(geom, s_op @ s_op @ q2)
-        rhs = 0.5 * float(np.trace(s_op @ s_op)) * q2
-        rows.add("qtensor-pi-ssq", _maxabs(lhs - rhs) / max(1.0, _maxabs(rhs)), 1e-10)
-        q_op = q2 @ geom.g
-        rhs2 = 0.5 * float(g_inner_rank2(geom, q2, q2)) * np.eye(2)
-        rows.add(
-            "qtensor-q-squared",
-            _maxabs(q_op @ q_op - rhs2) / max(1.0, _maxabs(rhs2)),
-            1e-10,
-        )
-        Qc = q_to_cart(geom, qs)
-        rt = q_from_cart(geom, Qc)
-        res = max(
-            _maxabs(rt.q2 - qs.q2),
-            _maxabs(rt.eta2 - qs.eta2),
-            abs(float(rt.beta) - float(qs.beta)),
-        )
-        rows.add("qtensor-split-roundtrip", res, 1e-10)
-        tr2 = float(np.sum(Qc * Qc))
-        pred2 = (
-            float(g_inner_rank2(geom, q2, q2))
-            + 2.0 * float(qs.eta2 @ geom.g @ qs.eta2)
-            + 1.5 * float(qs.beta) ** 2
-        )
-        rows.add(
-            "qtensor-trace-relation", abs(tr2 - pred2) / max(1.0, abs(pred2)), 1e-10
-        )
+    # pointwise algebra of tangential Q-parts
+    m = probe_matrix_comps(t, y1, y2)
+    s_op = _mm(0.5 * (m + np.einsum("ij...->ji...", m)), geom.g)
+    ss = _mm(s_op, s_op)
+    lhs = pi_q_components(geom, _mm(ss, q2))
+    rhs = 0.5 * _trace(ss) * q2
+    rows.add("qtensor-pi-ssq", _scaled(lhs - rhs, rhs), 1e-10)
+    q_op = _mm(q2, geom.g)
+    rhs2 = np.einsum("ij,...->ij...", np.eye(2), 0.5 * g_inner_rank2(geom, q2, q2))
+    rows.add("qtensor-q-squared", _scaled(_mm(q_op, q_op) - rhs2, rhs2), 1e-10)
+    Qc = q_to_cart(geom, qs)
+    rt = q_from_cart(geom, Qc)
+    rows.add(
+        "qtensor-split-roundtrip",
+        [_scaled(rt.q2 - q2), _scaled(rt.eta2 - qs.eta2), _scaled(rt.beta - qs.beta)],
+        1e-10,
+    )
+    pred2 = (
+        g_inner_rank2(geom, q2, q2)
+        + 2.0 * np.einsum("i...,ij...,j...->...", qs.eta2, geom.g, qs.eta2)
+        + 1.5 * qs.beta**2
+    )
+    rows.add(
+        "qtensor-trace-relation", _scaled(np.sum(Qc * Qc, axis=(0, 1)) - pred2, pred2), 1e-10
+    )
 
 
-def _suite_laplace(surface, events, rows: _Rows):
+def _suite_laplace(surface, ev, geom, mot, rows: _Rows):
     fcl = probe_field(surface, 2)
     ccl = probe_conforming_q_field(surface)
-    for ev in events:
-        geom = geometry_at(surface, ev)
-        la = surface_laplace(surface, fcl, ev, "Beltrami", geom).cart
-        lb = surface_laplace(surface, fcl, ev, "Decomposed", geom).cart
-        rows.add("laplace-rank2-dual-path", rel_residual(la, lb), 1e-5)
-        rows.add(
-            "laplace-conforming-dual-path",
-            _conforming_route_residual(surface, ccl, ev, geom),
-            1e-5,
-        )
+    la = surface_laplace(surface, fcl, ev, "Beltrami", geom).cart
+    lb = surface_laplace(surface, fcl, ev, "Decomposed", geom).cart
+    rows.add("laplace-rank2-dual-path", _rel(la, lb), 1e-5)
+    conforming = _conforming_route_residual(surface, ccl, ev, geom)
+    rows.add("laplace-conforming-dual-path", conforming, 1e-5)
 
-        # scalar Leibniz rule with the metric pairing of the gradients
-        t, y1, y2 = ev.t, ev.y1, ev.y2
-        h = surface.space_step
-        fv = probe_scalar(t, y1, y2)
-        gv = probe_scalar_b(t, y1, y2)
-        prod = lambda s, a, b: probe_scalar(s, a, b) * probe_scalar_b(s, a, b)
-        lap_f = scalar_laplace(surface, probe_scalar, ev, geom)
-        lap_g = scalar_laplace(surface, probe_scalar_b, ev, geom)
-        lap_p = scalar_laplace(surface, prod, ev, geom)
-        df = np.stack(c4_grad(lambda a, b: probe_scalar(t, a, b), y1, y2, h))
-        dg = np.stack(c4_grad(lambda a, b: probe_scalar_b(t, a, b), y1, y2, h))
-        rhs = fv * lap_g + gv * lap_f + 2.0 * float(df @ geom.ginv @ dg)
-        rows.add(
-            "laplace-scalar-leibniz",
-            abs(float(lap_p) - float(rhs)) / max(1.0, abs(float(lap_p))),
-            1e-6,
-        )
+    # scalar Leibniz rule with the metric pairing of the gradients
+    t, y1, y2 = ev.t, ev.y1, ev.y2
+    h = surface.space_step
+    prod = lambda s, a, b: probe_scalar(s, a, b) * probe_scalar_b(s, a, b)
+    lap_f = scalar_laplace(surface, probe_scalar, ev, geom)
+    lap_g = scalar_laplace(surface, probe_scalar_b, ev, geom)
+    lap_p = scalar_laplace(surface, prod, ev, geom)
+    df = np.stack(c4_grad(_at_time(probe_scalar, t), y1, y2, h))
+    dg = np.stack(c4_grad(_at_time(probe_scalar_b, t), y1, y2, h))
+    rhs = (
+        probe_scalar(t, y1, y2) * lap_g
+        + probe_scalar_b(t, y1, y2) * lap_f
+        + 2.0 * np.einsum("k...,kl...,l...->...", df, geom.ginv, dg)
+    )
+    rows.add("laplace-scalar-leibniz", _scaled(lap_p - rhs, lap_p), 1e-6)
 
     dom = surface.domain
     if dom.periodic1 and dom.periodic2:
@@ -314,14 +276,8 @@ def _suite_laplace(surface, events, rows: _Rows):
         LG = grid_laplace(gg, G)
         ip1 = float(np.sum(LF * G * gg.weights))
         ip2 = float(np.sum(F * LG * gg.weights))
-        rows.add(
-            "laplace-grid-self-adjoint", abs(ip1 - ip2) / max(1.0, abs(ip1)), 1e-12
-        )
-        rows.add(
-            "laplace-grid-negativity",
-            max(0.0, float(np.sum(LF * F * gg.weights))),
-            1e-12,
-        )
+        rows.add("laplace-grid-self-adjoint", abs(ip1 - ip2) / max(1.0, abs(ip1)), 1e-12)
+        rows.add("laplace-grid-negativity", max(0.0, float(np.sum(LF * F * gg.weights))), 1e-12)
 
 
 _SUITE_FUNCS = {
@@ -337,12 +293,17 @@ def run_verify(
 ) -> dict:
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; pick one of {SUITES}")
+    if n_events < 1:
+        raise ConfigError(f"verify needs at least one event, got {n_events}")
     surface = get_scenario(scenario)
     events = sample_events(surface, n_events, seed)
+    ev = Event(*map(np.array, zip(*[(e.t, e.y1, e.y2) for e in events])))
+    geom = geometry_at(surface, ev)
+    mot = motion_at(surface, ev, geom)
     rows = _Rows()
     names = [s for s in SUITES[:-1]] if suite == "all" else [suite]
     for name in names:
-        _SUITE_FUNCS[name](surface, events, rows)
+        _SUITE_FUNCS[name](surface, ev, geom, mot, rows)
     identities = rows.to_list()
     return {
         "all_pass": all(r["pass"] for r in identities),

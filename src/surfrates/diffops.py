@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._fd import c4_grad, c4_hess
+from ._fd import _at_time, c4_grad, c4_hess
 from .chart_kernel import Event, MovingSurface
 from .errors import ConfigError, RankError, StencilError
 from .fields import (
@@ -40,13 +40,14 @@ from .fields import (
 )
 from .geometry import (
     GeometrySample,
+    _contract_metric,
     _covariant_derivative,
     geometry_at,
     geometry_from_jet,
     geometry_grid,
 )
-from .timederiv import FieldClosure, QFieldClosure, _contract_metric, _pack, _unpack
-from .util import _maxabs
+from .timederiv import FieldClosure, QFieldClosure
+from .util import _pack, _scaled_norm, _unpack
 
 __all__ = [
     "scalar_laplace",
@@ -62,15 +63,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # operators at events
-
-
-def _at_time(fn: Callable, t) -> Callable:
-    """fn(t, a, b) as a closure of the chart coordinates.  An array t gains a
-    unit axis for each stencil axis that the coordinate arrays carry after
-    the event's own axes."""
-    if np.ndim(t) == 0:
-        return lambda a, b: fn(t, a, b)
-    return lambda a, b: fn(np.reshape(t, np.shape(t) + (1,) * (np.ndim(a) - np.ndim(t))), a, b)
 
 
 def _scalar_laplace(surface: MovingSurface, fun: Callable, event: Event, geom: GeometrySample):
@@ -95,14 +87,15 @@ def _sweep_parts(
     indices.  ``fn`` is called 4 times in all."""
     h = surface.space_step
     fn_at, jet_at = _at_time(fn, event.t), _at_time(surface.jet, event.t)
-    lifted = [k + 1 for k in ranks]
+    comps = [(2,) * k for k in ranks]
+    lifted = [(2,) * (k + 1) for k in ranks]
 
     def packed(a, b):
-        return _pack(fn_at(a, b), ranks, np.shape(a))
+        return _pack(fn_at(a, b), comps, np.broadcast_shapes(np.shape(a), np.shape(b)))
 
     def first(a, b, g):
-        vals = _unpack(packed(a, b), ranks)
-        d1, d2 = (_unpack(d, ranks) for d in c4_grad(packed, a, b, h))
+        vals = _unpack(packed(a, b), comps)
+        d1, d2 = (_unpack(d, comps) for d in c4_grad(packed, a, b, h))
         return vals, [
             _covariant_derivative(g, v, np.stack([x, y], axis=k), k)
             for k, v, x, y in zip(ranks, vals, d1, d2)
@@ -264,15 +257,19 @@ def conforming_laplace(
 
 def _conforming_route_residual(
     surface: MovingSurface, qclosure: QFieldClosure, event: Event, geom: GeometrySample | None = None
-) -> float:
+) -> np.ndarray:
     """Residual max(|dq2|, |dbeta|) / max(1, |q2|, |beta|) between the
-    ClosedForm and Projected conforming Laplacians at one event."""
+    ClosedForm and Projected conforming Laplacians, with |.| the largest
+    component, at each point of the event: an array of the event's shape."""
     if geom is None:
         geom = geometry_at(surface, event)
     cf = conforming_laplace(surface, qclosure, event, "ClosedForm", geom)
     cp = conforming_laplace(surface, qclosure, event, "Projected", geom)
-    scale = max(1.0, _maxabs(cf.q2), abs(float(cf.beta)))
-    return max(_maxabs(cf.q2 - cp.q2), abs(float(cf.beta) - float(cp.beta))) / scale
+    nb = np.ndim(cf.beta)
+    return np.maximum(
+        _scaled_norm(cf.q2 - cp.q2, cf.q2, cf.beta, nb=nb, fro=False),
+        _scaled_norm(cf.beta - cp.beta, cf.q2, cf.beta, nb=nb, fro=False),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import NotConformingError, NotQTensorError, RankError
 from .geometry import GeometrySample
+from .util import _scaled_norm
 
 __all__ = [
     "TensorSplit",
@@ -35,6 +36,13 @@ __all__ = [
 
 # Tolerance of the tangential, Q-tensor and conforming checks, times max(1, |field|).
 _STRUCTURE_TOL = 1e-8
+
+
+def _off_structure(x, *refs, nb: int) -> bool:
+    """Whether the largest component of x exceeds _STRUCTURE_TOL * max(1,
+    largest component of each ref) at some point; each point (the trailing
+    ``nb`` axes) is scaled by its own values."""
+    return bool(np.any(_scaled_norm(x, *refs, nb=nb, fro=False) > _STRUCTURE_TOL))
 
 
 @dataclass
@@ -174,9 +182,8 @@ class QSplit:
 
 def _require_conforming(qs: QSplit) -> None:
     """NotConformingError if the coupling block eta2 exceeds
-    _STRUCTURE_TOL * max(1, |q2|, |beta|)."""
-    scale = max(1.0, float(np.max(np.abs(qs.q2))), float(np.max(np.abs(qs.beta))))
-    if float(np.max(np.abs(qs.eta2))) > _STRUCTURE_TOL * scale:
+    _STRUCTURE_TOL * max(1, |q2|, |beta|) at some point."""
+    if _off_structure(qs.eta2, qs.q2, qs.beta, nb=np.ndim(qs.q2) - 2):
         raise NotConformingError("field has a tangent-normal coupling component")
 
 
@@ -188,29 +195,23 @@ def q_split_to_split(geom: GeometrySample, qs: QSplit) -> TensorSplit:
 def q_split_from_split(geom: GeometrySample, split: TensorSplit) -> QSplit:
     if split.rank != 2:
         raise RankError("QSplit requires a rank-2 split")
-    tol = _STRUCTURE_TOL * max(
-        1.0,
-        float(np.max(np.abs(split.r2))),
-        float(np.max(np.abs(split.phi))),
-    )
-    if float(np.max(np.abs(split.etaL2 - split.etaR2))) > tol:
+    refs, nb = (split.r2, split.phi), np.ndim(split.r2) - 2
+    if _off_structure(split.etaL2 - split.etaR2, *refs, nb=nb):
         raise NotQTensorError("left and right coupling vectors differ")
-    asym = split.r2 - np.einsum("ij...->ji...", split.r2)
-    if float(np.max(np.abs(asym))) > tol:
+    if _off_structure(split.r2 - np.einsum("ij...->ji...", split.r2), *refs, nb=nb):
         raise NotQTensorError("tangential part is not symmetric")
     beta = split.phi
     q2 = split.r2 + 0.5 * beta * geom.ginv
-    gtrace = np.einsum("ij...,ij...->...", geom.g, q2)
-    if float(np.max(np.abs(gtrace))) > tol:
+    if _off_structure(np.einsum("ij...,ij...->...", geom.g, q2), *refs, nb=nb):
         raise NotQTensorError("tangential part violates the trace relation")
     return QSplit(q2=q2, eta2=split.etaL2, beta=beta)
 
 
 def q_from_cart(geom: GeometrySample, cart: np.ndarray) -> QSplit:
-    tol = _STRUCTURE_TOL * max(1.0, float(np.max(np.abs(cart))))
-    if float(np.max(np.abs(cart - np.einsum("ab...->ba...", cart)))) > tol:
+    nb = np.ndim(cart) - 2
+    if _off_structure(cart - np.einsum("ab...->ba...", cart), cart, nb=nb):
         raise NotQTensorError("proxy is not symmetric")
-    if float(np.max(np.abs(np.einsum("aa...->...", cart)))) > tol:
+    if _off_structure(np.einsum("aa...->...", cart), cart, nb=nb):
         raise NotQTensorError("proxy is not traceless")
     return q_split_from_split(geom, split_tensor(geom, cart, 2))
 

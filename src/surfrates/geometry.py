@@ -28,10 +28,10 @@ from functools import cached_property
 
 import numpy as np
 
-from ._fd import c4_d1, c4_grad
+from ._fd import _at_time, c4_d1, c4_grad
 from .chart_kernel import _FD_TIME_STEP, ChartJet, Event, MovingSurface, eval_jet
 from .errors import NonEmbeddingError
-from .util import _maxabs, det2, inv2
+from .util import _maxabs, _pack, _unpack, det2, inv2
 
 __all__ = [
     "GeometrySample",
@@ -103,6 +103,16 @@ def _unit_normal(dX: np.ndarray) -> np.ndarray:
 def _metric(dX: np.ndarray) -> np.ndarray:
     """Metric g_ij = <d_i X, d_j X> from the chart tangents."""
     return np.einsum("ai...,aj...->ij...", dX, dX)
+
+
+def _contract_metric(m, r, rank: int):
+    """m r (rank 1) or m r m (rank 2): the metric m contracted into every
+    index, which lowers contravariant components for m = g and raises
+    covariant ones for m = g^-1."""
+    if rank == 1:
+        return np.einsum("ij...,j...->i...", m, r)
+    mr = np.einsum("ij...,jk...->ik...", m, r)
+    return np.einsum("ik...,kl...->il...", mr, m)
 
 
 def _covariant_derivative(geom: GeometrySample, v, dv, up: int, low: int = 0):
@@ -325,25 +335,36 @@ class IdentityReport:
 
 
 def check_identities(surface: MovingSurface, event: Event) -> IdentityReport:
-    """Residuals of the pointwise differential-geometric identities at one event.
+    """Residuals of the pointwise differential-geometric identities at an
+    event or a batch of events; each residual is the largest over the batch.
 
     Covers the structure equations (Gauss formula, Weingarten map), metric
     derivative rules, the velocity-gradient split, the normal- and metric-rate
     relations, and raising/lowering compatibility of proxy time derivatives.
     """
+    geom = geometry_at(surface, event)
+    return _identities(surface, event, geom, motion_at(surface, event, geom))
+
+
+# component shapes of the packed parts that the identities difference
+_SPACE_PARTS = ((3,), (2, 2), (2, 2))
+_TIME_PARTS = ((3,), (2, 2), (2,), (2, 2), (2,), (2, 2))
+
+
+def _identities(
+    surface: MovingSurface, event: Event, geom: GeometrySample, mot: MotionSample
+) -> IdentityReport:
+    """check_identities with the geometry and motion at the event given."""
     # imported here because probes imports this module
     from .probes import probe_matrix_comps, probe_vector_comps
 
     tol = 1e-8 if surface.jets is not None else 1e-6
     t, y1, y2 = event.t, event.y1, event.y2
-    geom = geometry_at(surface, event)
-    mot = motion_at(surface, event, geom)
     h = 0.1 * surface.space_step
-    ht = _FD_TIME_STEP
     items: list[IdentityResidual] = []
 
     def add(name, residual):
-        items.append(IdentityResidual(name, float(residual), tol))
+        items.append(IdentityResidual(name, _maxabs(residual), tol))
 
     # structure equations (all terms exact from the jet)
     gauss = (
@@ -351,41 +372,42 @@ def check_identities(surface: MovingSurface, event: Event) -> IdentityReport:
         - np.einsum("kij...,ak...->aij...", geom.Gamma, geom.dX)
         - np.einsum("ij...,a...->aij...", geom.II, geom.nu)
     )
-    add("gauss-formula", _maxabs(gauss))
+    add("gauss-formula", gauss)
+
+    jet_at = _at_time(surface.jet, t)
 
     def space_parts(a, b):
-        """nu, g and g^-1 on one leading axis, from one chart jet."""
-        dX = surface.jet(t, a, b).dX
+        """nu, g and g^-1 packed, from one chart jet."""
+        dX = jet_at(a, b).dX
         g = _metric(dX)
-        shape = (4,) + np.shape(a)
-        return np.concatenate([_unit_normal(dX), np.reshape(g, shape), np.reshape(inv2(g), shape)])
+        return _pack([_unit_normal(dX), g, inv2(g)], _SPACE_PARTS, g.shape[2:])
 
-    dF = np.stack(c4_grad(space_parts, y1, y2, h))
-    fd_dnu, fd_dg, fd_dginv = dF[:, :3].T, dF[:, 3:7].reshape(2, 2, 2), dF[:, 7:].reshape(2, 2, 2)
-    add("weingarten", _maxabs(fd_dnu - geom.dnu))
+    d1, d2 = (_unpack(d, _SPACE_PARTS) for d in c4_grad(space_parts, y1, y2, h))
+    # partial index l first
+    fd_dnu, fd_dg, fd_dginv = (np.stack(pair) for pair in zip(d1, d2))
+    add("weingarten", fd_dnu - np.einsum("ai...->ia...", geom.dnu))
     # d_l g_ij = Gamma_low[l,i,j] + Gamma_low[l,j,i]
-    add(
-        "metric-compat-lower",
-        _maxabs(fd_dg - (geom.Gamma_low + np.einsum("lij...->lji...", geom.Gamma_low))),
-    )
+    add("metric-compat-lower", fd_dg - geom.Gamma_low - np.einsum("lij...->lji...", geom.Gamma_low))
     expected = -(
         np.einsum("ik...,jlk...->lij...", geom.ginv, geom.Gamma)
         + np.einsum("jk...,ilk...->lij...", geom.ginv, geom.Gamma)
     )
-    add("metric-compat-upper", _maxabs(fd_dginv - expected))
+    add("metric-compat-upper", fd_dginv - expected)
 
     # Cayley-Hamilton for the shape operator: B^2 = H B - K Id
     B = geom.B_mixed
     add(
         "shape-operator-cayley-hamilton",
-        _maxabs(B @ B - geom.H * B + geom.K * np.eye(2)),
+        np.einsum("ik...,kj...->ij...", B, B)
+        - geom.H * B
+        + np.einsum("ij,...->ij...", np.eye(2), geom.K),
     )
 
     # additivity of the material velocity blocks in the relative velocity
-    add("velocity-gradient-additivity", _maxabs(mot.G - mot.G_obs - mot.Du))
+    add("velocity-gradient-additivity", mot.G - mot.G_obs - mot.Du)
     add(
         "normal-coupling-additivity",
-        _maxabs(mot.b_cov - mot.b_obs_cov - geom.II @ mot.u2),
+        mot.b_cov - mot.b_obs_cov - np.einsum("ij...,j...->i...", geom.II, mot.u2),
     )
 
     # velocity gradient split d_j V = G^i_j d_i X + b_j nu (exact on both sides)
@@ -398,39 +420,44 @@ def check_identities(surface: MovingSurface, event: Event) -> IdentityReport:
             - np.einsum("ij...,ai...->aj...", G, geom.dX)
             - np.einsum("j...,a...->aj...", b, geom.nu)
         )
-        add(f"velocity-gradient-split-{tag}", _maxabs(resid))
+        add(f"velocity-gradient-split-{tag}", resid)
 
     def time_parts(s):
         """nu, g, the covariant proxies g eta and g r g of the probes, and
-        eta and r themselves, flat, from one chart jet."""
+        eta and r themselves, packed, from one chart jet."""
         dX = surface.jet(s, y1, y2).dX
         gs = _metric(dX)
         eta, r = probe_vector_comps(s, y1, y2), probe_matrix_comps(s, y1, y2)
-        return np.concatenate(
-            [_unit_normal(dX), gs.ravel(), gs @ eta, (gs @ r @ gs).ravel(), eta, r.ravel()]
-        )
+        covs = [_contract_metric(gs, eta, 1), _contract_metric(gs, r, 2)]
+        return _pack([_unit_normal(dX), gs, *covs, eta, r], _TIME_PARTS, gs.shape[2:])
 
-    fd_dtnu, fd_dtg, deta_cov, dr_cov, deta, dr = np.split(
-        c4_d1(time_parts, t, ht), [3, 7, 9, 13, 15]
+    fd_dtnu, fd_dtg, deta_cov, dr_cov, deta, dr = _unpack(
+        c4_d1(time_parts, t, _FD_TIME_STEP), _TIME_PARTS
     )
-    fd_dtg, dr_cov, dr = (x.reshape(2, 2) for x in (fd_dtg, dr_cov, dr))
 
     # normal rates
-    add("normal-rate", _maxabs(fd_dtnu + mot.b_obs3))
+    add("normal-rate", fd_dtnu + mot.b_obs3)
     adv = np.einsum("k...,ak...->a...", mot.u2, geom.dnu)
-    add("normal-rate-advected", _maxabs(fd_dtnu + adv + mot.b3))
-    add("normal-rate-orthogonality", abs(float(np.dot(fd_dtnu, geom.nu))))
+    add("normal-rate-advected", fd_dtnu + adv + mot.b3)
+    add("normal-rate-orthogonality", np.einsum("a...,a...->...", fd_dtnu, geom.nu))
 
     # metric rate d_t g = G[V_o] + G[V_o]^T (covariant)
     G_obs_cov = np.einsum("ik...,kj...->ij...", geom.g, mot.G_obs)
     P = G_obs_cov + np.einsum("ij...->ji...", G_obs_cov)
-    add("metric-rate", _maxabs(fd_dtg - P))
+    add("metric-rate", fd_dtg - P)
 
     # raising/lowering compatibility of proxy time derivatives
     w = probe_vector_comps(t, y1, y2)
-    add("covector-rate-compat", _maxabs(deta_cov - (geom.g @ deta + P @ w)))
+    add(
+        "covector-rate-compat",
+        deta_cov - (_contract_metric(geom.g, deta, 1) + np.einsum("ij...,j...->i...", P, w)),
+    )
     M = probe_matrix_comps(t, y1, y2)
-    rhs = geom.g @ dr @ geom.g + P @ M @ geom.g + geom.g @ M @ P
-    add("2-tensor-rate-compat", _maxabs(dr_cov - rhs))
+    rhs = (
+        _contract_metric(geom.g, dr, 2)
+        + np.einsum("ik...,kl...,lj...->ij...", P, M, geom.g)
+        + np.einsum("ik...,kl...,lj...->ij...", geom.g, M, P)
+    )
+    add("2-tensor-rate-compat", dr_cov - rhs)
 
     return IdentityReport(items)

@@ -36,7 +36,7 @@ from .fields import (
     QSplit,
     TensorSplit,
     TensorValue,
-    _STRUCTURE_TOL,
+    _off_structure,
     _require_conforming,
     pi_q_components,
     q_split_to_split,
@@ -47,12 +47,14 @@ from .fields import (
 from .geometry import (
     GeometrySample,
     MotionSample,
+    _contract_metric,
     _covariant_derivative,
     _metric,
     geometry_at,
     geometry_from_jet,
     motion_at,
 )
+from .util import _pack, _unpack
 
 __all__ = [
     "DT_TIME_STEP",
@@ -121,11 +123,8 @@ class TangentialFieldClosure:
         def comp_eval(t, y1, y2):
             geom = geometry_from_jet(surface.jet(t, y1, y2))
             split = split_tensor(geom, closure.eval(t, y1, y2), closure.rank)
-            scale = max(1.0, float(np.max(np.abs(split.r2))))
-            off = [np.abs(split.phi)]
-            if closure.rank == 2:
-                off += [np.abs(split.etaL2), np.abs(split.etaR2)]
-            if max(float(np.max(o)) for o in off) > _STRUCTURE_TOL * scale:
+            off = (x for x in (split.phi, split.etaL2, split.etaR2) if x is not None)
+            if any(_off_structure(x, split.r2, nb=np.ndim(split.phi)) for x in off):
                 raise NotTangentialError("field has a normal component")
             return split.r2
 
@@ -187,28 +186,6 @@ class _Block(NamedTuple):
     w: _Parts | None = None
 
 
-def _contract_metric(m, r, rank: int):
-    """m r (rank 1) or m r m (rank 2): the metric m contracted into every
-    index, which lowers contravariant components for m = g and raises
-    covariant ones for m = g^-1."""
-    if rank == 1:
-        return np.einsum("ij...,j...->i...", m, r)
-    mr = np.einsum("ij...,jk...->ik...", m, r)
-    return np.einsum("ik...,kl...->il...", mr, m)
-
-
-def _pack(vals, ranks, shape):
-    """The blocks on one leading axis, each reshaped to (2**rank,) + shape."""
-    return np.concatenate([np.reshape(x, (2**k,) + shape) for x, k in zip(vals, ranks)])
-
-
-def _unpack(F, ranks):
-    """The blocks of a packed array, each with its rank's component axes
-    followed by the trailing axes of F."""
-    bounds = np.cumsum([2**k for k in ranks])[:-1]
-    return [x.reshape((2,) * k + x.shape[1:]) for x, k in zip(np.split(F, bounds), ranks)]
-
-
 def _block_parts(
     surface: MovingSurface, fn: Callable, ranks, event: Event, lowered: bool = False
 ) -> list[_Block]:
@@ -218,20 +195,21 @@ def _block_parts(
     covariant proxy is formed at those points from one chart jet and
     differenced in the same call."""
     every = (*ranks, *(k for k in ranks if k and lowered))
+    comps = [(2,) * k for k in every]
 
     def packed(s, a, b):
         vals = list(fn(s, a, b))
         if lowered:
             g = _metric(surface.jet(s, a, b).dX)
             vals += [_contract_metric(g, x, k) for x, k in zip(vals, ranks) if k]
-        return _pack(vals, every, np.shape(s))
+        return _pack(vals, comps, np.shape(s))
 
     F = c2_c4_dt_grad(
         packed, event.t, event.y1, event.y2, DT_TIME_STEP, surface.space_step
     )
     parts = [
         _Parts(v, vt, np.stack([d1, d2], axis=k))
-        for k, (v, vt, d1, d2) in zip(every, zip(*(_unpack(x, every) for x in F)))
+        for k, (v, vt, d1, d2) in zip(every, zip(*(_unpack(x, comps) for x in F)))
     ]
     covs = iter(parts[len(ranks) :])
     return [_Block(k, p, next(covs) if lowered and k else None) for k, p in zip(ranks, parts)]

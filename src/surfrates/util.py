@@ -1,6 +1,9 @@
 """Small shared numerical helpers."""
 from __future__ import annotations
 
+import math
+from functools import reduce
+
 import numpy as np
 
 __all__ = ["rel_residual", "inv2", "det2", "frobenius"]
@@ -15,9 +18,20 @@ def _maxabs(a) -> float:
     return float(np.max(np.abs(a)))
 
 
-def _worst(a, b) -> float:
-    """max(a, b) that keeps a NaN, which the builtin drops when it comes second."""
-    return float(np.maximum(a, b))
+def _scaled_norm(x, *refs, nb: int = 0, fro: bool = True):
+    """Norm of x over max(1, norm of each ref), one value per point.
+
+    Each norm is taken over the component axes of its array, which are all
+    axes but the trailing ``nb`` (broadcast) axes: the Frobenius norm, or
+    with ``fro=False`` the largest absolute entry.
+    """
+
+    def norm(a):
+        a = np.asarray(a, dtype=float)
+        axes = tuple(range(a.ndim - nb))
+        return np.sqrt((a * a).sum(axis=axes)) if fro else np.abs(a).max(axis=axes)
+
+    return norm(x) / reduce(np.maximum, map(norm, refs), 1.0)
 
 
 def rel_residual(a, b) -> float:
@@ -26,10 +40,21 @@ def rel_residual(a, b) -> float:
     This is the tolerance convention used by the dual-path checks: absolute
     for small values, relative for large ones.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    scale = max(1.0, frobenius(a), frobenius(b))
-    return frobenius(a - b) / scale
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return float(_scaled_norm(a - b, a, b))
+
+
+def _pack(vals, comps, shape):
+    """The arrays on one leading axis, each reshaped from its component shape
+    in ``comps`` followed by ``shape``."""
+    return np.concatenate([np.reshape(x, (math.prod(c),) + shape) for x, c in zip(vals, comps)])
+
+
+def _unpack(F, comps):
+    """The arrays of a packed F, each with its component shape followed by
+    the trailing axes of F."""
+    bounds = np.cumsum([math.prod(c) for c in comps])[:-1]
+    return [x.reshape(c + x.shape[1:]) for x, c in zip(np.split(F, bounds), comps)]
 
 
 def det2(m):

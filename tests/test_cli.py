@@ -4,6 +4,7 @@ import os
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from surfrates import _fd, cli
@@ -59,6 +60,13 @@ def test_verify_reports_are_byte_identical(tmp_path):
 
 def test_unknown_scenario_is_config_error(capsys):
     rc = main(["flow", "--scenario", "no-such-scenario", "--steps", "1"])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_verify_without_events_is_config_error(tmp_path, capsys):
+    # zero events would leave only the grid rows of a torus and pass
+    rc = main(["verify", "--scenario", "torus-static", "--events", "0", "--out", str(tmp_path)])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
 
@@ -225,10 +233,9 @@ def test_flow_nan_crosscheck_exit_one(tmp_path, monkeypatch, capsys):
 
 
 def test_rows_keep_a_nan_worst_residual():
-    # max(finite, nan) is the finite value; the NaN must decide the row
+    # max(finite, nan) is the finite value; the NaN event must decide the row
     rows = _Rows()
-    rows.add("x", float("nan"), 1e-6)
-    rows.add("x", 1e-9, 1e-6)
+    rows.add("x", np.array([1e-9, float("nan"), 1e-8]), 1e-6)
     (row,) = rows.to_list()
     assert math.isnan(row["residual"])
     assert not row["pass"]
@@ -240,7 +247,8 @@ def test_flow_crosscheck_pass_exit_zero(tmp_path):
     assert report["crosscheck_max_residual"] < 1e-5
 
 
-def test_verify_and_converge_take_batched_path(monkeypatch):
+@pytest.mark.parametrize("n_events", [1, 3])
+def test_verify_and_converge_take_batched_path(monkeypatch, n_events):
     # every closure behind `verify`, `converge --kind thinfilm` and the flow
     # cross-check broadcasts over the stencil axis, so no stencil falls back
     # to per-offset calls
@@ -249,7 +257,7 @@ def test_verify_and_converge_take_batched_path(monkeypatch):
 
     monkeypatch.setattr(_fd, "_per_offset", no_fallback)
     for scenario in list_scenarios():
-        assert run_verify(scenario, "all", n_events=1, seed=5)["all_pass"]
+        assert run_verify(scenario, "all", n_events=n_events, seed=5)["all_pass"]
     run_converge_thinfilm("torus-breathing-drift")
     config = FlowConfig(n=16, steps=1, crosscheck_every=1)
     result = run_flow(get_scenario("torus-static"), LdGParams(), config)
@@ -308,13 +316,15 @@ def _counting_probes(monkeypatch):
     return calls
 
 
-def test_verify_evaluates_each_closure_once_per_side(monkeypatch):
-    # per event, each probe's split_eval is called once (all Decomposed
-    # routes share its parts) and eval once for the proxy routes plus once
-    # inside the product closure of the scalar rate; q_eval serves its own
-    # parts, the full proxy built on it, and the pointwise algebra
+@pytest.mark.parametrize("n_events", [1, 3])
+def test_verify_evaluates_each_closure_once_per_side(monkeypatch, n_events):
+    # for the whole batch of events, each probe's split_eval is called once
+    # (all Decomposed routes share its parts) and eval once for the proxy
+    # routes plus once inside the product closure of the scalar rate; q_eval
+    # serves its own parts, the full proxy built on it, and the pointwise
+    # algebra
     calls = _counting_probes(monkeypatch)
-    assert run_verify("torus-breathing-drift", "derivatives", n_events=1, seed=5)[
+    assert run_verify("torus-breathing-drift", "derivatives", n_events=n_events, seed=5)[
         "all_pass"
     ]
     want = {}
@@ -325,7 +335,7 @@ def test_verify_evaluates_each_closure_once_per_side(monkeypatch):
     assert dict(calls) == want
 
     calls.clear()
-    assert run_verify("torus-breathing-drift", "qtensor", n_events=1, seed=5)["all_pass"]
+    assert run_verify("torus-breathing-drift", "qtensor", n_events=n_events, seed=5)["all_pass"]
     assert dict(calls) == {
         ("probe_q_field", "q_eval"): 3,
         ("probe_q_field.as_field_closure", "eval"): 1,
@@ -338,7 +348,7 @@ def test_verify_evaluates_each_closure_once_per_side(monkeypatch):
     # q_eval for the conforming check, Projected its own, and the full proxy
     # of the Beltrami route makes one more
     calls.clear()
-    assert run_verify("torus-breathing-drift", "laplace", n_events=1, seed=5)["all_pass"]
+    assert run_verify("torus-breathing-drift", "laplace", n_events=n_events, seed=5)["all_pass"]
     assert dict(calls) == {
         ("probe_field-2", "eval"): 1,
         ("probe_field-2", "split_eval"): 4,
@@ -347,8 +357,9 @@ def test_verify_evaluates_each_closure_once_per_side(monkeypatch):
     }
 
 
-def test_geometry_identities_take_six_chart_jets(monkeypatch):
-    # one for the event's geometry, one for every spatial partial and one
+@pytest.mark.parametrize("n_events", [1, 3])
+def test_geometry_identities_take_six_chart_jets(monkeypatch, n_events):
+    # for the whole batch of events: one for their geometry, one for every spatial partial and one
     # per time offset for every time derivative
     jets = Counter()
     orig = MovingSurface.jet
@@ -358,5 +369,21 @@ def test_geometry_identities_take_six_chart_jets(monkeypatch):
         return orig(self, *args)
 
     monkeypatch.setattr(MovingSurface, "jet", jet)
-    assert run_verify("torus-breathing-drift", "geometry", n_events=1, seed=5)["all_pass"]
+    assert run_verify("torus-breathing-drift", "geometry", n_events=n_events, seed=5)["all_pass"]
     assert jets["jet"] == 6
+
+
+@pytest.mark.parametrize("scenario", list_scenarios())
+def test_verify_rows_are_the_worst_single_event_rows(monkeypatch, scenario):
+    # a batch row is the largest of the rows of its events verified alone
+    batch = run_verify(scenario, "all", n_events=3, seed=11)
+    events = cli.sample_events(get_scenario(scenario), 3, 11)
+    singles = []
+    for ev in events:
+        monkeypatch.setattr(cli, "sample_events", lambda surface, n, seed, ev=ev: [ev])
+        report = run_verify(scenario, "all", n_events=1, seed=11)
+        singles.append({r["identity_name"]: r["residual"] for r in report["identities"]})
+    assert all(set(rows) == {r["identity_name"] for r in batch["identities"]} for rows in singles)
+    for row in batch["identities"]:
+        worst = max(rows[row["identity_name"]] for rows in singles)
+        assert abs(row["residual"] - worst) <= 1e-12, row["identity_name"]

@@ -6,10 +6,11 @@ from numpy.testing import assert_allclose
 
 from surfrates.chart_kernel import Event
 from surfrates.diffops import make_grid
-from surfrates.errors import NotQTensorError, RankError
+from surfrates.errors import NotConformingError, NotQTensorError, RankError
 from surfrates.fields import (
     QSplit,
     _conforming_blocks,
+    _require_conforming,
     g_inner_rank2,
     pi_q_components,
     project,
@@ -199,3 +200,17 @@ def test_conforming_blocks_reassemble_to_cq_projection(torus_drift):
     assert q.shape == (2, 2, 16, 16) and beta.shape == (16, 16)
     rebuilt = q_to_cart(gg.geom, QSplit(q2=q, eta2=np.zeros((2, 16, 16)), beta=beta))
     assert_allclose(rebuilt, project(gg.geom, F, "CQ"), rtol=0, atol=1e-12)
+
+
+def test_conforming_check_scales_each_point():
+    # |eta2| = 1e-6 breaks the 1e-8 tolerance where |q2| is of order 1; a
+    # second point with |q2| = 500 must not lend the first its scale
+    q2 = np.zeros((2, 2, 2))
+    q2[0, 0], q2[1, 1] = [1.0, 500.0], [-1.0, -500.0]
+    eta2 = np.zeros((2, 2))
+    eta2[0, 0] = 1e-6
+    beta = np.array([0.5, 0.5])
+    with pytest.raises(NotConformingError):
+        _require_conforming(QSplit(q2=q2[..., 0], eta2=eta2[..., 0], beta=beta[0]))
+    with pytest.raises(NotConformingError):
+        _require_conforming(QSplit(q2=q2, eta2=eta2, beta=beta))

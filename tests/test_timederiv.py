@@ -368,17 +368,26 @@ def _stacked(value):
     return np.asarray(value)
 
 
-@pytest.mark.parametrize("t", [0.4, np.array([0.4, 0.45, 0.5])], ids=["scalar-t", "array-t"])
+@pytest.mark.parametrize(
+    "t, y1",
+    [
+        (0.4, np.array([0.3, 1.2, 2.5])),
+        (np.array([0.4, 0.45, 0.5]), np.array([0.3, 1.2, 2.5])),
+        (0.4, 0.3),
+        (np.array([0.4, 0.45, 0.5]), 0.3),
+    ],
+    ids=["scalar-t", "array-t", "scalar-y1", "array-t-scalar-y1"],
+)
 @pytest.mark.parametrize("route", list(ROUTE_CALLS))
-def test_routes_take_a_batch_of_events(torus_drift, route, t):
+def test_routes_take_a_batch_of_events(torus_drift, route, t, y1):
     # an Event whose coordinates are arrays gives the pointwise results
-    # stacked on its trailing axis
-    y1, y2 = np.array([0.3, 1.2, 2.5]), np.array([0.7, 4.0, 5.5])
-    ts = np.broadcast_to(t, y1.shape)
+    # stacked on its trailing axis; a scalar t or y1 is shared by the batch
+    y2 = np.array([0.7, 4.0, 5.5])
+    ts, y1s = np.broadcast_to(t, y2.shape), np.broadcast_to(y1, y2.shape)
     call = ROUTE_CALLS[route]
     batched = _stacked(call(torus_drift, Event(t, y1, y2)))
     want = np.stack(
-        [_stacked(call(torus_drift, Event(float(ts[n]), y1[n], y2[n]))) for n in range(3)],
+        [_stacked(call(torus_drift, Event(float(ts[n]), float(y1s[n]), y2[n]))) for n in range(3)],
         axis=-1,
     )
     assert batched.shape == want.shape
