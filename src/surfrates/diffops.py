@@ -316,7 +316,15 @@ def make_grid(surface: MovingSurface, t: float, n1: int, n2: int | None = None) 
 
 
 def _central_d(F: np.ndarray, axis: int, h: float) -> np.ndarray:
-    return (np.roll(F, -1, axis=axis) - np.roll(F, 1, axis=axis)) / (2.0 * h)
+    """(F[i+1] - F[i-1]) / 2h along a periodic axis, as a C-ordered array;
+    slices into one output give the bits of the two-roll form."""
+    out = np.empty(F.shape, np.result_type(F, 1.0))
+    f, d = np.moveaxis(F, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(f[2:], f[:-2], out=d[1:-1])
+    np.subtract(f[1], f[-1], out=d[0])
+    np.subtract(f[0], f[-2], out=d[-1])
+    out /= 2.0 * h
+    return out
 
 
 def grid_gradient(gg: GridGeometry, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

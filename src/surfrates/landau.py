@@ -34,7 +34,7 @@ from .diffops import (
     make_grid,
 )
 from .errors import ConfigError, StabilityError
-from .fields import QSplit, _conforming_blocks, pi_q_components, q_to_cart
+from .fields import QSplit, _conforming_blocks, pi_q_components
 from .geometry import geometry_from_jet, motion_grid
 from .timederiv import (
     DerivKind,
@@ -56,7 +56,6 @@ __all__ = [
     "bulk_density",
     "energy",
     "rhs_full",
-    "rhs_conforming",
     "stability_bound",
     "run_flow",
 ]
@@ -220,13 +219,12 @@ def rhs_full(gg: GridGeometry, params: LdGParams, Q: np.ndarray) -> np.ndarray:
 
 
 def conforming_to_proxy(gg: GridGeometry, q: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    eta = np.zeros((2,) + np.shape(beta))
-    return q_to_cart(gg.geom, QSplit(q2=q, eta2=eta, beta=beta))
-
-
-def rhs_conforming(gg: GridGeometry, params: LdGParams, q: np.ndarray, beta: np.ndarray):
-    """Projected driving force in (q, beta) blocks."""
-    return _conforming_blocks(gg.geom, rhs_full(gg, params, conforming_to_proxy(gg, q, beta)))
+    """The proxy embed(q - beta g^-1 / 2) + beta nu nu of a conforming state:
+    ``q_to_cart`` with eta2 = 0, summed in the same order but without the
+    two zero coupling blocks."""
+    geom = gg.geom
+    out = geom.embed_contra(q - 0.5 * beta * geom.ginv)
+    return out + beta * np.einsum("a...,b...->ab...", geom.nu, geom.nu)
 
 
 def stability_bound(gg: GridGeometry, params: LdGParams) -> float:
@@ -259,13 +257,16 @@ def _parts(gg, v, F, rank: int):
     return _Parts(v, -F, np.stack(grid_gradient(gg, v), axis=rank))
 
 
-def _full_state_rate(gg, params, kind: DerivKind, mot, Q):
+def _full_state_rate(gg, params, kind: DerivKind, mot, Q, *_state):
+    """Rate of the full proxy Q; the state (Q,) adds nothing to read."""
     Dm = _advected(_parts(gg, Q, rhs_full(gg, params, Q), 2), mot.u2, 2)
     return (-_via_material(mot, 2, kind, Q, Dm),)
 
 
-def _conf_state_rate(gg, params, kind: DerivKind, mot, q, beta):
-    q_rhs, beta_rhs = rhs_conforming(gg, params, q, beta)
+def _conf_state_rate(gg, params, kind: DerivKind, mot, Q, q, beta):
+    """Rate of (q, beta) from the conforming blocks of the driving force on
+    the state's proxy Q."""
+    q_rhs, beta_rhs = _conforming_blocks(gg.geom, rhs_full(gg, params, Q))
     dq = _tangential(gg.geom, mot, _Block(2, _parts(gg, q, q_rhs, 2)), kind)
     return -dq, -_advected(_parts(gg, beta, beta_rhs, 0), mot.u2)
 
@@ -400,9 +401,12 @@ def run_flow(
     if not conforming:
         state = (conforming_to_proxy(gg, *state),)
 
-    def rate(t, st):
+    def rate(t, st, Q=None):
+        """The state's rate at t; Q is its proxy if already built."""
         gg, mot = frame_at(t)
-        return state_rate(gg, params, kind, mot, *st)
+        if Q is None:
+            Q = to_proxy(gg, *st)
+        return state_rate(gg, params, kind, mot, Q, *st)
 
     def axpy(st, ds, h):
         return tuple(s + h * d for s, d in zip(st, ds))
@@ -413,17 +417,16 @@ def run_flow(
             for s, a, b, c, d in zip(st, k1, k2, k3, k4)
         )
 
-    def proxy_of(t, st):
-        gg, _ = frame_at(t)
-        return gg, to_proxy(gg, *st)
-
     energy_rows = []
     crosschecks = []
     snapshots = []
     t = 0.0
     prev_total = None
+    # The step-start proxy serves the energy, the first stage's rate and,
+    # after the last step, the final state.
     for step in range(config.steps + 1):
-        gg, Q = proxy_of(t, state)
+        gg, _ = frame_at(t)
+        Q = to_proxy(gg, *state)
         e_el, e_bulk, e_tot = energy(gg, params, Q)
         tr_res, sym_res = _state_residuals(Q)
         if not all(map(math.isfinite, (e_el, e_bulk, e_tot, tr_res, sym_res))):
@@ -453,17 +456,16 @@ def run_flow(
         if step == config.steps:
             break
         if config.method == "euler":
-            state = axpy(state, rate(t, state), config.dt)
+            state = axpy(state, rate(t, state, Q), config.dt)
         else:
             h = config.dt
-            k1 = rate(t, state)
+            k1 = rate(t, state, Q)
             k2 = rate(t + 0.5 * h, axpy(state, k1, 0.5 * h))
             k3 = rate(t + 0.5 * h, axpy(state, k2, 0.5 * h))
             k4 = rate(t + h, axpy(state, k3, h))
             state = combine_rk4(state, k1, k2, k3, k4, h)
         t = (step + 1) * config.dt
 
-    ggf, Qf = proxy_of(t, state)
     result = FlowResult(
         config=config,
         params=params,
@@ -472,7 +474,7 @@ def run_flow(
         crosschecks=crosschecks,
         bound=bound,
         final_t=t,
-        final_Q=Qf,
+        final_Q=Q,
         final_q=state[0] if conforming else None,
         final_beta=state[1] if conforming else None,
         snapshots=snapshots,

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from surfrates.chart_kernel import Event, get_scenario, sample_events
 from surfrates.diffops import (
     FourierInterpolant,
+    _central_d,
     conforming_laplace,
     grid_gradient,
     grid_laplace,
@@ -162,6 +163,18 @@ def test_grid_gradient_matches_symbol(flat_torus):
     d1, d2 = grid_gradient(gg, F)
     assert_allclose(d1, 0.0, atol=1e-12)
     assert_allclose(d2, (np.sin(k * gg.h2) / gg.h2) * np.cos(k * gg.Y2), atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(20, 24), (3, 2, 20, 24)])
+def test_central_d_slices_equal_the_roll_form(shape):
+    # the slice stencil gives the bits of the two-roll difference on either
+    # axis, as a C-ordered array
+    F = np.random.default_rng(8).normal(size=shape)
+    for axis, h in ((-2, 0.3), (-1, 0.07)):
+        got = _central_d(F, axis, h)
+        want = (np.roll(F, -1, axis=axis) - np.roll(F, 1, axis=axis)) / (2.0 * h)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
 
 
 def test_fourier_interpolant_reproduces_band_limited(torus_static):

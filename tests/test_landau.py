@@ -7,6 +7,7 @@ from surfrates.chart_kernel import get_scenario
 from surfrates.diffops import make_grid
 from surfrates.geometry import geometry_grid
 from surfrates.errors import ConfigError, StabilityError
+from surfrates.fields import QSplit, q_to_cart
 from surfrates.landau import (
     FlowConfig,
     LdGParams,
@@ -154,6 +155,35 @@ def test_flow_frames_compute_only_the_motion_they_read(monkeypatch, torus_drift,
     assert len(samples) == 1 + 2 * 2
     for sample in samples:
         assert not set(unread) & set(vars(sample))
+
+
+@pytest.mark.parametrize("method, per_step", [("euler", 1), ("rk4", 4)])
+def test_conforming_flow_builds_one_proxy_per_stage(monkeypatch, torus_static, method, per_step):
+    # the step-start proxy serves the energy and the first stage, and the
+    # last one is the final state; only RK4's k2 to k4 build their own
+    calls = []
+    original = landau.conforming_to_proxy
+
+    def counted(*args):
+        calls.append(args[0].t)
+        return original(*args)
+
+    monkeypatch.setattr(landau, "conforming_to_proxy", counted)
+    steps = 3
+    run_flow(torus_static, LdGParams(), FlowConfig(n=16, steps=steps, method=method))
+    assert len(calls) == per_step * steps + 1
+
+
+@pytest.mark.parametrize("scenario", ["torus_static", "torus_drift"])
+def test_conforming_proxy_equals_q_to_cart(request, scenario):
+    # the conforming assembly skips the zero coupling blocks of q_to_cart and
+    # keeps its order of sums, so the two agree elementwise
+    surface = request.getfixturevalue(scenario)
+    gg = make_grid(surface, 0.3, 24)
+    q, beta = initial_state(gg, FlowConfig(n=24, seed=5))
+    eta = np.zeros((2, 24, 24))
+    want = q_to_cart(gg.geom, QSplit(q2=q, eta2=eta, beta=beta))
+    assert np.array_equal(conforming_to_proxy(gg, q, beta), want)
 
 
 def test_grid_arrays_are_c_ordered(torus_drift):
