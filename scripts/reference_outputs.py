@@ -18,12 +18,15 @@ Usage::
 thread) and writes each run's files under ``OUTDIR``.  ``compare`` compares
 every file byte for byte, then every verify row: it prints the number of
 bit-identical rows and the old and new worst residual of each row that
-moved.  It exits 1 if a file differs outside the verify reports, a file is
+moved.  For an ``energy.csv`` that differs it prints the largest absolute
+change of each column, and for a ``flow_report.json`` that of each key whose
+value changed.  It exits 1 if a file differs outside the verify reports, a file is
 missing, or a verify row fails its tolerance; otherwise 0.
 """
 from __future__ import annotations
 
 import argparse
+import csv
 import filecmp
 import json
 import os
@@ -88,6 +91,46 @@ def _rows(path: Path) -> dict[str, dict]:
     return {r["identity_name"]: r for r in json.loads(path.read_text())["identities"]}
 
 
+def _leaves(obj, prefix=""):
+    """Dotted key -> value of every leaf of a nested JSON object."""
+    if not isinstance(obj, dict):
+        return {prefix: obj}
+    out = {}
+    for key, value in obj.items():
+        out.update(_leaves(value, f"{prefix}.{key}" if prefix else key))
+    return out
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _largest_changes(a: Path, b: Path) -> list[str]:
+    """The largest absolute change from a to b of each column of an
+    energy.csv, or of each changed key of a flow_report.json."""
+    if a.name == "energy.csv":
+        ra, rb = (list(csv.reader(p.read_text().splitlines())) for p in (a, b))
+        if ra[0] != rb[0] or len(ra) != len(rb):
+            return [f"columns or row count changed: {len(ra) - 1} -> {len(rb) - 1} rows"]
+        return [
+            f"{col} {max(abs(float(y[j]) - float(x[j])) for x, y in zip(ra[1:], rb[1:])):.3g}"
+            for j, col in enumerate(ra[0])
+        ]
+    if a.name == "flow_report.json":
+        la, lb = (_leaves(json.loads(p.read_text())) for p in (a, b))
+        lines = []
+        for key in sorted(la.keys() | lb.keys()):
+            x, y = la.get(key), lb.get(key)
+            if x == y:
+                continue
+            if _is_number(x) and _is_number(y):
+                lines.append(f"{key} {abs(y - x):.3g}")
+            else:
+                lines.append(f"{key} {x!r} -> {y!r}")
+        return lines
+    return []
+
+
 def compare(old: Path, new: Path) -> int:
     status = 0
     old_files, new_files = _files(old), _files(new)
@@ -100,6 +143,9 @@ def compare(old: Path, new: Path) -> int:
     differ = [n for n in others if not filecmp.cmp(old / n, new / n, shallow=False)]
     for name in differ:
         print(f"differs: {name}")
+        changes = _largest_changes(old / name, new / name)
+        if changes:
+            print(f"  largest |change|: {', '.join(changes)}")
     status |= bool(differ)
     print(f"{len(others) - len(differ)} of {len(others)} flow files byte-identical")
 
