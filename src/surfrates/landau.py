@@ -130,18 +130,25 @@ def _ic_constant_mixed(gg: GridGeometry, config: FlowConfig):
 
 
 def _band_limited(rng, gg: GridGeometry, amp: float, kmax: int = 3):
+    """sum over |k1|, |k2| <= kmax of A cos(k1 x1 + k2 x2 + ph), with x the
+    chart angles from the domain's corner and (A, ph) drawn mode by mode.
+
+    The sum is separable: Re(sum C_kl e^{i k x1} e^{i l x2}) with the
+    coefficients C = A e^{i ph}, contracted pairwise by einsum.
+    """
     dom = gg.surface.domain
-    kap1 = 2.0 * np.pi / dom.spans[0]
-    kap2 = 2.0 * np.pi / dom.spans[1]
-    a1 = dom.y1_range[0]
-    a2 = dom.y2_range[0]
-    f = np.zeros((gg.n1, gg.n2))
-    for k1 in range(-kmax, kmax + 1):
-        for k2 in range(-kmax, kmax + 1):
+    ks = np.arange(-kmax, kmax + 1)
+    x1 = 2.0 * np.pi / dom.spans[0] * (gg.y1 - dom.y1_range[0])
+    x2 = 2.0 * np.pi / dom.spans[1] * (gg.y2 - dom.y2_range[0])
+    C = np.empty((ks.size, ks.size), complex)
+    for i, k1 in enumerate(ks):
+        for j, k2 in enumerate(ks):
             A = rng.normal() * amp * np.exp(-(k1 * k1 + k2 * k2) / 3.0)
-            ph = rng.uniform(0.0, 2.0 * np.pi)
-            f += A * np.cos(k1 * kap1 * (gg.Y1 - a1) + k2 * kap2 * (gg.Y2 - a2) + ph)
-    return f
+            C[i, j] = A * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    E1 = np.exp(1j * np.multiply.outer(ks, x1))
+    E2 = np.exp(1j * np.multiply.outer(ks, x2))
+    f = np.einsum("ki,kj->ij", E1, np.einsum("kl,lj->kj", C, E2))
+    return np.ascontiguousarray(f.real)
 
 
 def _ic_random_smooth(gg: GridGeometry, config: FlowConfig):

@@ -186,6 +186,26 @@ def test_conforming_proxy_equals_q_to_cart(request, scenario):
     assert np.array_equal(conforming_to_proxy(gg, q, beta), want)
 
 
+@pytest.mark.parametrize("shape", [(48, 48), (32, 48)])
+def test_band_limited_matches_the_direct_cosine_sum(torus_static, shape):
+    # the separable sum equals the 49 full-grid cosines, drawn mode by mode
+    # in the same order, and leaves the generator where the direct sum does
+    gg = make_grid(torus_static, 0.0, *shape)
+    dom = torus_static.domain
+    x1 = 2.0 * np.pi / dom.spans[0] * (gg.Y1 - dom.y1_range[0])
+    x2 = 2.0 * np.pi / dom.spans[1] * (gg.Y2 - dom.y2_range[0])
+    direct, want = np.random.default_rng(21), np.zeros(shape)
+    for k1 in range(-3, 4):
+        for k2 in range(-3, 4):
+            A = direct.normal() * 0.1 * np.exp(-(k1 * k1 + k2 * k2) / 3.0)
+            want += A * np.cos(k1 * x1 + k2 * x2 + direct.uniform(0.0, 2.0 * np.pi))
+    rng = np.random.default_rng(21)
+    got = landau._band_limited(rng, gg, 0.1)
+    assert got.shape == shape and got.flags.c_contiguous
+    assert_allclose(got, want, rtol=0, atol=1e-14)
+    assert rng.normal() == direct.normal()
+
+
 def test_grid_arrays_are_c_ordered(torus_drift):
     # the unit normal fixes the layout that every einsum downstream keeps, so
     # the normal, the conforming proxy and the stepped state are C-ordered
