@@ -7,7 +7,9 @@ with the same fixed runs on both trees:
   flow modes, Euler and RK4, n=48, 30 steps, dt=1e-3;
 * the cross-check flow: torus-breathing-drift, Conforming_Jaumann, RK4, with
   the conforming cross-check every 5 steps, same grid and steps;
-* ``verify --suite all --events 3 --seed 20240`` on every scenario.
+* ``verify --suite all --events 3 --seed 20240`` on every scenario;
+* ``converge --kind fd``, ``laplace`` and ``thinfilm``, each with its
+  default scenario and seed.
 
 Usage::
 
@@ -17,6 +19,7 @@ Usage::
 ``write`` runs the command line of ``TREE/src`` in subprocesses (one BLAS
 thread) and writes each run's files under ``OUTDIR``.  ``compare`` compares
 every file byte for byte, then every verify row: it prints the number of
+byte-identical files of each kind (converge, flow, verify), the number of
 bit-identical rows and the old and new worst residual of each row that
 moved.  For an ``energy.csv`` that differs it prints the largest absolute
 change of each column, and for a ``flow_report.json`` that of each key whose
@@ -66,6 +69,8 @@ def _runs():
             "verify", "--scenario", scenario, "--suite", "all", "--events", "3",
             "--seed", "20240",
         )
+    for kind in ("fd", "laplace", "thinfilm"):
+        yield "converge", ("converge", "--kind", kind)
 
 
 def write(tree: Path, outdir: Path) -> int:
@@ -139,15 +144,17 @@ def compare(old: Path, new: Path) -> int:
         status = 1
     common = sorted(old_files & new_files)
     reports = [n for n in common if n.startswith("verify/")]
-    others = [n for n in common if n not in reports]
-    differ = [n for n in others if not filecmp.cmp(old / n, new / n, shallow=False)]
-    for name in differ:
+    differ = {n for n in common if not filecmp.cmp(old / n, new / n, shallow=False)}
+    for name in sorted(differ.difference(reports)):
         print(f"differs: {name}")
         changes = _largest_changes(old / name, new / name)
         if changes:
             print(f"  largest |change|: {', '.join(changes)}")
-    status |= bool(differ)
-    print(f"{len(others) - len(differ)} of {len(others)} flow files byte-identical")
+        status = 1
+    for kind in sorted({n.split("/")[0] for n in common}):
+        files = [n for n in common if n.startswith(f"{kind}/")]
+        same = sum(n not in differ for n in files)
+        print(f"{same} of {len(files)} {kind} files byte-identical")
 
     same = total = 0
     for name in reports:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -33,7 +32,7 @@ from .diffops import (
 )
 from .errors import ConfigError, StabilityError, SurfratesError
 from .fields import g_inner_rank2, pi_q_components, project, q_from_cart, q_to_cart
-from .geometry import _identities, geometry_at, motion_at
+from .geometry import IdentityReport, check_identities, geometry_at, motion_at
 from .landau import FLOW_MODES, FlowConfig, LdGParams, run_flow
 from .probes import (
     probe_conforming_q_field,
@@ -44,7 +43,7 @@ from .probes import (
     probe_scalar,
     probe_scalar_b,
 )
-from .thinfilm import LIMIT_QUANTITIES, fit_order, limit_study
+from .thinfilm import LIMIT_QUANTITIES, _order_json, fit_order, limit_study
 from .timederiv import (
     DerivKind,
     _advected_parts,
@@ -85,29 +84,13 @@ def _outdir(arg_out: str | None) -> str:
     return out
 
 
-class _Rows:
-    """The worst residual per identity name: the largest of its per-event
-    residuals, or NaN if one of them is NaN."""
-
-    def __init__(self):
-        self.data: dict[str, tuple[float, float]] = {}
-
-    def add(self, name: str, residuals, tol: float):
-        self.data[name] = (float(np.asarray(residuals).max()), tol)
-
-    def to_list(self) -> list[dict]:
-        return [
-            {"identity_name": name, "pass": residual < tol, "residual": residual, "tol": tol}
-            for name, (residual, tol) in sorted(self.data.items())
-        ]
-
-
 # ---------------------------------------------------------------------------
 # verify suites
 #
 # Each suite takes the sampled events as one batch Event, on one trailing
 # axis, with the geometry and motion at them, and calls every route once.
-# A row's residual is a per-event array; _Rows keeps its largest entry.
+# A row's residual is a per-event array; IdentityReport keeps its largest
+# entry.
 
 
 def _rel(a, b):
@@ -130,12 +113,11 @@ def _trace(a):
     return np.einsum("ii...->...", a)
 
 
-def _suite_geometry(surface, ev, geom, mot, rows: _Rows):
-    for item in _identities(surface, ev, geom, mot).items:
-        rows.add(item.identity_name, item.residual, item.tol)
+def _suite_geometry(surface, ev, geom, mot, report: IdentityReport):
+    report.rows.update(check_identities(surface, ev, geom, mot).rows)
 
 
-def _suite_derivatives(surface, ev, geom, mot, rows: _Rows):
+def _suite_derivatives(surface, ev, geom, mot, report: IdentityReport):
     kinds = (
         (DerivKind.Upper, "upper", 1.0),
         (DerivKind.Lower, "lower", -1.0),
@@ -158,31 +140,31 @@ def _suite_derivatives(surface, ev, geom, mot, rows: _Rows):
         Rv, DmR = _advected_parts(surface, R.eval, ev)
         split = _split_parts(surface, P, ev, lowered=True)
         db = _material_decomposed(geom, mot, rank, split)
-        rows.add(f"material-rank{rank}-dual-path", _rel(da, db), 1e-6)
+        report.add(f"material-rank{rank}-dual-path", _rel(da, db), 1e-6)
         vals = {}
         for kind, label, _ in kinds:
             va = _via_material(mot, rank, kind, Pv, da)
             vb = _convected_decomposed(geom, mot, rank, split, kind, "Decomposed")
             vals[label] = va
-            rows.add(f"{label}-rank{rank}-dual-path", _rel(va, vb), 1e-6)
+            report.add(f"{label}-rank{rank}-dual-path", _rel(va, vb), 1e-6)
         javg = _convected_decomposed(geom, mot, rank, split, DerivKind.Jaumann, "Average")
-        rows.add(f"jaumann-average-rank{rank}", _rel(javg, vals["jaumann"]), 1e-6)
+        report.add(f"jaumann-average-rank{rank}", _rel(javg, vals["jaumann"]), 1e-6)
         halfsum = 0.5 * (vals["upper"] + vals["lower"])
-        rows.add(f"jaumann-halfsum-rank{rank}", _rel(vals["jaumann"], halfsum), 1e-10)
+        report.add(f"jaumann-halfsum-rank{rank}", _rel(vals["jaumann"], halfsum), 1e-10)
 
         # product rules against the scalar material rate
         fdot = scalar_dot(surface, fprod, ev)
         dm_sum = dot(da, Rv) + dot(Pv, DmR)
-        rows.add(f"material-product-rule-rank{rank}", _scaled(fdot - dm_sum, fdot), 1e-6)
+        report.add(f"material-product-rule-rank{rank}", _scaled(fdot - dm_sum, fdot), 1e-6)
         GcP, GcR = (_couple(np.add, 0, mot.Gcal, v, rank) for v in (Pv, Rv))
         defect = dot(GcP, Rv) + dot(GcR, Pv)
         for kind, label, sgn in kinds:
             DR = _via_material(mot, rank, kind, Rv, DmR)
             total = dot(vals[label], Rv) + dot(Pv, DR) + sgn * defect
-            rows.add(f"{label}-product-rule-rank{rank}", _scaled(fdot - total, fdot), 1e-6)
+            report.add(f"{label}-product-rule-rank{rank}", _scaled(fdot - total, fdot), 1e-6)
 
 
-def _suite_qtensor(surface, ev, geom, mot, rows: _Rows):
+def _suite_qtensor(surface, ev, geom, mot, report: IdentityReport):
     qcl = probe_q_field(surface)
     fcl = qcl.as_field_closure(surface)
     ccl = probe_conforming_q_field(surface)
@@ -194,13 +176,13 @@ def _suite_qtensor(surface, ev, geom, mot, rows: _Rows):
     Fv, dm_full = _advected_parts(surface, fcl.eval, ev)
 
     dmq = _q_formula(geom, mot, qparts, DerivKind.Material)
-    rows.add("qtensor-material-closure", _rel(q_to_cart(geom, dmq), dm_full), 1e-8)
+    report.add("qtensor-material-closure", _rel(q_to_cart(geom, dmq), dm_full), 1e-8)
     djq = _q_formula(geom, mot, qparts, DerivKind.Jaumann)
     dj_full = _via_material(mot, 2, DerivKind.Jaumann, Fv, dm_full)
-    rows.add("qtensor-jaumann-closure", _rel(q_to_cart(geom, djq), dj_full), 1e-8)
+    report.add("qtensor-jaumann-closure", _rel(q_to_cart(geom, djq), dj_full), 1e-8)
     dcq = q_dt(surface, ccl, ev, DerivKind.ConformingMaterial, geom, mot)
-    dmc_full = material_dt(surface, cfl, ev, "CartesianProxy", geom, mot).cart
-    rows.add(
+    dmc_full = material_dt(surface, cfl, ev, "CartesianProxy", geom, mot)
+    report.add(
         "qtensor-conforming-projection",
         _rel(q_to_cart(geom, dcq), project(geom, dmc_full, "CQ")),
         1e-8,
@@ -211,8 +193,8 @@ def _suite_qtensor(surface, ev, geom, mot, rows: _Rows):
     qs = qcl.q_eval(t, y1, y2)
     q2 = qs.q2
     pred = qs.beta * _trace(mot.G) - 2.0 * np.sum(_mm(geom.g, mot.G) * q2, axis=(0, 1))
-    rows.add("qtensor-upper-trace", _scaled(_trace(dup) - pred, pred), 1e-6)
-    rows.add("qtensor-lower-trace", _scaled(_trace(dlo) + pred, pred), 1e-6)
+    report.add("qtensor-upper-trace", _scaled(_trace(dup) - pred, pred), 1e-6)
+    report.add("qtensor-lower-trace", _scaled(_trace(dlo) + pred, pred), 1e-6)
 
     # pointwise algebra of tangential Q-parts
     m = probe_matrix_comps(t, y1, y2)
@@ -220,13 +202,13 @@ def _suite_qtensor(surface, ev, geom, mot, rows: _Rows):
     ss = _mm(s_op, s_op)
     lhs = pi_q_components(geom, _mm(ss, q2))
     rhs = 0.5 * _trace(ss) * q2
-    rows.add("qtensor-pi-ssq", _scaled(lhs - rhs, rhs), 1e-10)
+    report.add("qtensor-pi-ssq", _scaled(lhs - rhs, rhs), 1e-10)
     q_op = _mm(q2, geom.g)
     rhs2 = np.einsum("ij,...->ij...", np.eye(2), 0.5 * g_inner_rank2(geom, q2, q2))
-    rows.add("qtensor-q-squared", _scaled(_mm(q_op, q_op) - rhs2, rhs2), 1e-10)
+    report.add("qtensor-q-squared", _scaled(_mm(q_op, q_op) - rhs2, rhs2), 1e-10)
     Qc = q_to_cart(geom, qs)
     rt = q_from_cart(geom, Qc)
-    rows.add(
+    report.add(
         "qtensor-split-roundtrip",
         [_scaled(rt.q2 - q2), _scaled(rt.eta2 - qs.eta2), _scaled(rt.beta - qs.beta)],
         1e-10,
@@ -236,19 +218,19 @@ def _suite_qtensor(surface, ev, geom, mot, rows: _Rows):
         + 2.0 * np.einsum("i...,ij...,j...->...", qs.eta2, geom.g, qs.eta2)
         + 1.5 * qs.beta**2
     )
-    rows.add(
+    report.add(
         "qtensor-trace-relation", _scaled(np.sum(Qc * Qc, axis=(0, 1)) - pred2, pred2), 1e-10
     )
 
 
-def _suite_laplace(surface, ev, geom, mot, rows: _Rows):
+def _suite_laplace(surface, ev, geom, mot, report: IdentityReport):
     fcl = probe_field(surface, 2)
     ccl = probe_conforming_q_field(surface)
-    la = surface_laplace(surface, fcl, ev, "Beltrami", geom).cart
-    lb = surface_laplace(surface, fcl, ev, "Decomposed", geom).cart
-    rows.add("laplace-rank2-dual-path", _rel(la, lb), 1e-5)
+    la = surface_laplace(surface, fcl, ev, "Beltrami", geom)
+    lb = surface_laplace(surface, fcl, ev, "Decomposed", geom)
+    report.add("laplace-rank2-dual-path", _rel(la, lb), 1e-5)
     conforming = _conforming_route_residual(surface, ccl, ev, geom)
-    rows.add("laplace-conforming-dual-path", conforming, 1e-5)
+    report.add("laplace-conforming-dual-path", conforming, 1e-5)
 
     # scalar Leibniz rule with the metric pairing of the gradients
     t, y1, y2 = ev.t, ev.y1, ev.y2
@@ -264,7 +246,7 @@ def _suite_laplace(surface, ev, geom, mot, rows: _Rows):
         + probe_scalar_b(t, y1, y2) * lap_f
         + 2.0 * np.einsum("k...,kl...,l...->...", df, geom.ginv, dg)
     )
-    rows.add("laplace-scalar-leibniz", _scaled(lap_p - rhs, lap_p), 1e-6)
+    report.add("laplace-scalar-leibniz", _scaled(lap_p - rhs, lap_p), 1e-6)
 
     dom = surface.domain
     if dom.periodic1 and dom.periodic2:
@@ -276,8 +258,8 @@ def _suite_laplace(surface, ev, geom, mot, rows: _Rows):
         LG = grid_laplace(gg, G)
         ip1 = float(np.sum(LF * G * gg.weights))
         ip2 = float(np.sum(F * LG * gg.weights))
-        rows.add("laplace-grid-self-adjoint", abs(ip1 - ip2) / max(1.0, abs(ip1)), 1e-12)
-        rows.add("laplace-grid-negativity", max(0.0, float(np.sum(LF * F * gg.weights))), 1e-12)
+        report.add("laplace-grid-self-adjoint", abs(ip1 - ip2) / max(1.0, abs(ip1)), 1e-12)
+        report.add("laplace-grid-negativity", max(0.0, float(np.sum(LF * F * gg.weights))), 1e-12)
 
 
 _SUITE_FUNCS = {
@@ -300,15 +282,15 @@ def run_verify(
     ev = Event(*map(np.array, zip(*[(e.t, e.y1, e.y2) for e in events])))
     geom = geometry_at(surface, ev)
     mot = motion_at(surface, ev, geom)
-    rows = _Rows()
+    report = IdentityReport()
     names = [s for s in SUITES[:-1]] if suite == "all" else [suite]
     for name in names:
-        _SUITE_FUNCS[name](surface, ev, geom, mot, rows)
-    identities = rows.to_list()
+        _SUITE_FUNCS[name](surface, ev, geom, mot, report)
+    identities = report.to_json_obj()
     return {
-        "all_pass": all(r["pass"] for r in identities),
+        "all_pass": report.all_pass,
         "identities": identities,
-        "max_residual": max(r["residual"] for r in identities),
+        "max_residual": report.max_residual,
         "n_events": n_events,
         "n_identities": len(identities),
         "scenario": scenario,
@@ -340,7 +322,7 @@ def run_converge_fd(scenario: str, seed: int = 7) -> dict:
         rows.append((h, err))
     order = fit_order(rows)
     return {
-        "fitted_order": "inf" if math.isinf(order) else order,
+        "fitted_order": _order_json(order),
         "kind": "fd",
         "rows": [{"error": e, "step": h} for (h, e) in rows],
         "scenario": scenario,
@@ -376,7 +358,7 @@ def run_converge_laplace(scenario: str) -> dict:
         rows.append((gg.h1, err))
     order = fit_order(rows)
     return {
-        "fitted_order": "inf" if math.isinf(order) else order,
+        "fitted_order": _order_json(order),
         "kind": "laplace",
         "rows": [{"error": e, "step": h} for (h, e) in rows],
         "scenario": scenario,

@@ -33,7 +33,6 @@ from .errors import ConfigError, RankError, StencilError
 from .fields import (
     QSplit,
     TensorSplit,
-    TensorValue,
     _conforming_blocks,
     _require_conforming,
     reconstruct,
@@ -44,7 +43,6 @@ from .geometry import (
     _covariant_derivative,
     geometry_at,
     geometry_from_jet,
-    geometry_grid,
 )
 from .timederiv import FieldClosure, QFieldClosure
 from .util import _pack, _scaled_norm, _unpack
@@ -65,11 +63,15 @@ __all__ = [
 # operators at events
 
 
-def _scalar_laplace(surface: MovingSurface, fun: Callable, event: Event, geom: GeometrySample):
+def scalar_laplace(
+    surface: MovingSurface, f: Callable, event: Event, geom: GeometrySample | None = None
+):
     """Laplace-Beltrami g^{kl} (d_k d_l f - Gamma^m_{kl} d_m f) of a chart
     closure; elementwise on array values."""
+    if geom is None:
+        geom = geometry_at(surface, event)
     _, f1, f2, f11, f12, f22 = c4_hess(
-        _at_time(fun, event.t), event.y1, event.y2, surface.space_step
+        _at_time(f, event.t), event.y1, event.y2, surface.space_step
     )
     hess = np.stack([np.stack([f11, f12]), np.stack([f12, f22])])
     full = _covariant_derivative(geom, np.stack([f1, f2]), hess, 0, 1)
@@ -115,13 +117,13 @@ def _sweep_parts(
     return out
 
 
-def scalar_laplace(
-    surface: MovingSurface, f: Callable, event: Event, geom: GeometrySample | None = None
-):
-    """Laplace-Beltrami of a scalar chart closure at one event."""
-    if geom is None:
-        geom = geometry_at(surface, event)
-    return _scalar_laplace(surface, f, event, geom)
+def _curvature_squares(geom: GeometrySample):
+    """B^2 (mixed), tr B^2, B^2 g^-1 (contravariant) and g B^2 (covariant)
+    of the shape operator B."""
+    B2 = np.einsum("ik...,kj...->ij...", geom.B_mixed, geom.B_mixed)
+    trB2 = np.einsum("ii...->...", B2)
+    B2c = np.einsum("ik...,kj...->ij...", B2, geom.ginv)
+    return B2, trB2, B2c, np.einsum("ik...,kj...->ij...", geom.g, B2)
 
 
 def _grad_H_cov(surface: MovingSurface, event: Event) -> np.ndarray:
@@ -139,8 +141,8 @@ def surface_laplace(
     event: Event,
     path: str = "Beltrami",
     geom: GeometrySample | None = None,
-) -> TensorValue:
-    """Componentwise surface Laplacian of a field proxy.
+) -> np.ndarray:
+    """Componentwise surface Laplacian of a field proxy, as its Cartesian proxy.
 
     Beltrami applies the scalar operator to each Cartesian component;
     Decomposed rebuilds it from split blocks and curvature terms (rank 2).
@@ -148,8 +150,7 @@ def surface_laplace(
     if geom is None:
         geom = geometry_at(surface, event)
     if path == "Beltrami":
-        cart = _scalar_laplace(surface, closure.eval, event, geom)
-        return TensorValue(rank=closure.rank, cart=np.asarray(cart, dtype=float))
+        return scalar_laplace(surface, closure.eval, event, geom)
     if path != "Decomposed":
         raise ConfigError(f"unknown surface_laplace path {path!r}")
     if closure.rank != 2:
@@ -165,9 +166,7 @@ def surface_laplace(
     gradphi_up = _contract_metric(geom.ginv, dphi_cov, 1)
 
     B = geom.B_mixed
-    B2 = np.einsum("ik...,kj...->ij...", B, B)
-    trB2 = np.einsum("ii...->...", B2)
-    B2c = np.einsum("ik...,kj...->ij...", B2, geom.ginv)
+    B2, trB2, B2c, B2_cov = _curvature_squares(geom)
     IIupup = _contract_metric(geom.ginv, geom.II, 2)
 
     tangential = (
@@ -199,7 +198,6 @@ def surface_laplace(
         - 2.0 * np.einsum("lm...,m...->l...", B, gradphi_up)
         - phi * gradH_up
     )
-    B2_cov = np.einsum("ik...,kj...->ij...", geom.g, B2)
     nunu = (
         2.0 * np.einsum("ij...,ij...->...", B2_cov, r)
         + 2.0 * (np.einsum("ij...,ji...->...", DeL, B) + np.einsum("ij...,ji...->...", DeR, B))
@@ -209,7 +207,7 @@ def surface_laplace(
     )
 
     split = TensorSplit(rank=2, r2=tangential, phi=nunu, etaL2=left, etaR2=right)
-    return TensorValue(rank=2, cart=reconstruct(geom, split))
+    return reconstruct(geom, split)
 
 
 def conforming_laplace(
@@ -237,20 +235,16 @@ def conforming_laplace(
         (q, _, lap_q), (beta, _, lap_beta) = _sweep_parts(
             surface, lambda s, a, b: blocks(qclosure.q_eval(s, a, b)), (2, 0), event, geom
         )
-        B2 = np.einsum("ik...,kj...->ij...", geom.B_mixed, geom.B_mixed)
-        trB2 = np.einsum("ii...->...", B2)
-        B2c = np.einsum("ik...,kj...->ij...", B2, geom.ginv)
+        _, trB2, B2c, B2_cov = _curvature_squares(geom)
         piQ_B2 = B2c - 0.5 * trB2 * geom.ginv
         qblock = lap_q - trB2 * q + 3.0 * beta * piQ_B2
-        B2_cov = np.einsum("ik...,kj...->ij...", geom.g, B2)
         bblock = lap_beta + 2.0 * np.einsum("ij...,ij...->...", B2_cov, q) - 3.0 * beta * trB2
         return QSplit(q2=qblock, eta2=np.zeros_like(qblock[0]), beta=bblock)
 
     if path != "Projected":
         raise ConfigError(f"unknown conforming_laplace path {path!r}")
-    full = surface_laplace(
-        surface, qclosure.as_field_closure(surface), event, "Beltrami", geom
-    ).cart
+    fcl = qclosure.as_field_closure(surface)
+    full = surface_laplace(surface, fcl, event, "Beltrami", geom)
     qblock, bblock = _conforming_blocks(geom, full)
     return QSplit(q2=qblock, eta2=np.zeros_like(qblock[0]), beta=bblock)
 
@@ -307,7 +301,7 @@ def make_grid(surface: MovingSurface, t: float, n1: int, n2: int | None = None) 
     y1 = a1 + (np.arange(n1) + 0.5) * h1
     y2 = a2 + (np.arange(n2) + 0.5) * h2
     Y1, Y2 = np.meshgrid(y1, y2, indexing="ij")
-    geom = geometry_grid(surface, t, Y1, Y2)
+    geom = geometry_from_jet(surface.jet(t, Y1, Y2))
     weights = geom.sqrtdetg * h1 * h2
     return GridGeometry(
         surface=surface, t=t, n1=n1, n2=n2, y1=y1, y2=y2, Y1=Y1, Y2=Y2,

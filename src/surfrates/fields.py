@@ -19,7 +19,6 @@ from .util import _scaled_norm
 
 __all__ = [
     "TensorSplit",
-    "TensorValue",
     "QSplit",
     "split_tensor",
     "reconstruct",
@@ -52,12 +51,6 @@ class TensorSplit:
     phi: np.ndarray
     etaL2: np.ndarray | None = None
     etaR2: np.ndarray | None = None
-
-
-@dataclass
-class TensorValue:
-    rank: int
-    cart: np.ndarray | None = None
 
 
 def _check_rank(rank: int):

@@ -38,11 +38,9 @@ __all__ = [
     "MotionSample",
     "geometry_from_jet",
     "geometry_at",
-    "geometry_grid",
     "motion_from_jet",
     "motion_at",
     "motion_grid",
-    "IdentityResidual",
     "IdentityReport",
     "check_identities",
 ]
@@ -165,11 +163,6 @@ def geometry_at(surface: MovingSurface, event: Event) -> GeometrySample:
     return geometry_from_jet(eval_jet(surface, event))
 
 
-def geometry_grid(surface: MovingSurface, t: float, Y1, Y2) -> GeometrySample:
-    """Batched geometry; Y1, Y2 broadcastable coordinate arrays."""
-    return geometry_from_jet(surface.jet(t, Y1, Y2))
-
-
 class MotionSample:
     """Kinematic blocks of the observer (chart) velocity V_o and the material
     velocity V_m = V_o + u^k d_k X at the points of ``geom``, from ``u2`` and
@@ -285,11 +278,20 @@ def motion_at(
     return motion_from_jet(geom, u2, du)
 
 
+def _frame(surface: MovingSurface, event: Event, geom=None, mot=None):
+    """The geometry and motion at an event, each built unless given."""
+    if geom is None:
+        geom = geometry_at(surface, event)
+    if mot is None:
+        mot = motion_at(surface, event, geom)
+    return geom, mot
+
+
 def motion_grid(
     surface: MovingSurface, t: float, Y1, Y2, geom: GeometrySample | None = None
 ) -> MotionSample:
     if geom is None:
-        geom = geometry_grid(surface, t, Y1, Y2)
+        geom = geometry_from_jet(surface.jet(t, Y1, Y2))
     u2 = surface.u(t, Y1, Y2)
     du = surface.u_jet(t, Y1, Y2)
     return motion_from_jet(geom, u2, du)
@@ -299,51 +301,32 @@ def motion_grid(
 # identity checks
 
 
-@dataclass
-class IdentityResidual:
-    identity_name: str
-    residual: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.residual < self.tol
-
-
-@dataclass
 class IdentityReport:
-    items: list[IdentityResidual]
+    """Identity rows by name: the worst residual of each, and its tolerance.
+
+    ``add`` keeps the largest of a row's residuals, or NaN if one of them is
+    NaN; ``to_json_obj`` lists the rows sorted by name.
+    """
+
+    def __init__(self):
+        self.rows: dict[str, tuple[float, float]] = {}
+
+    def add(self, name: str, residuals, tol: float):
+        self.rows[name] = (float(np.asarray(residuals).max()), tol)
 
     @property
     def max_residual(self) -> float:
-        return max(i.residual for i in self.items)
+        return float(np.max([residual for residual, _ in self.rows.values()]))
 
     @property
     def all_pass(self) -> bool:
-        return all(i.passed for i in self.items)
+        return all(residual < tol for residual, tol in self.rows.values())
 
     def to_json_obj(self) -> list[dict]:
         return [
-            {
-                "identity_name": i.identity_name,
-                "residual": i.residual,
-                "tol": i.tol,
-                "pass": i.passed,
-            }
-            for i in self.items
+            {"identity_name": name, "pass": residual < tol, "residual": residual, "tol": tol}
+            for name, (residual, tol) in sorted(self.rows.items())
         ]
-
-
-def check_identities(surface: MovingSurface, event: Event) -> IdentityReport:
-    """Residuals of the pointwise differential-geometric identities at an
-    event or a batch of events; each residual is the largest over the batch.
-
-    Covers the structure equations (Gauss formula, Weingarten map), metric
-    derivative rules, the velocity-gradient split, the normal- and metric-rate
-    relations, and raising/lowering compatibility of proxy time derivatives.
-    """
-    geom = geometry_at(surface, event)
-    return _identities(surface, event, geom, motion_at(surface, event, geom))
 
 
 # component shapes of the packed parts that the identities difference
@@ -351,20 +334,32 @@ _SPACE_PARTS = ((3,), (2, 2), (2, 2))
 _TIME_PARTS = ((3,), (2, 2), (2,), (2, 2), (2,), (2, 2))
 
 
-def _identities(
-    surface: MovingSurface, event: Event, geom: GeometrySample, mot: MotionSample
+def check_identities(
+    surface: MovingSurface,
+    event: Event,
+    geom: GeometrySample | None = None,
+    mot: MotionSample | None = None,
 ) -> IdentityReport:
-    """check_identities with the geometry and motion at the event given."""
+    """Residuals of the pointwise differential-geometric identities at an
+    event or a batch of events; each residual is the largest over the batch.
+
+    Covers the structure equations (Gauss formula, Weingarten map), metric
+    derivative rules, the velocity-gradient split, the normal- and metric-rate
+    relations, and raising/lowering compatibility of proxy time derivatives.
+    ``geom`` and ``mot``, the geometry and motion at the event, are built
+    unless given.
+    """
     # imported here because probes imports this module
     from .probes import probe_matrix_comps, probe_vector_comps
 
+    geom, mot = _frame(surface, event, geom, mot)
     tol = 1e-8 if surface.jets is not None else 1e-6
     t, y1, y2 = event.t, event.y1, event.y2
     h = 0.1 * surface.space_step
-    items: list[IdentityResidual] = []
+    report = IdentityReport()
 
     def add(name, residual):
-        items.append(IdentityResidual(name, _maxabs(residual), tol))
+        report.add(name, _maxabs(residual), tol)
 
     # structure equations (all terms exact from the jet)
     gauss = (
@@ -460,4 +455,4 @@ def _identities(
     )
     add("2-tensor-rate-compat", dr_cov - rhs)
 
-    return IdentityReport(items)
+    return report

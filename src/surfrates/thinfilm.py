@@ -110,12 +110,17 @@ class ConvergenceReport:
     fitted_order: float
 
     def to_json_obj(self) -> dict:
-        order = "inf" if math.isinf(self.fitted_order) else self.fitted_order
         return {
-            "fitted_order": order,
+            "fitted_order": _order_json(self.fitted_order),
             "quantity": self.quantity,
             "rows": [{"error": e, "xi": x} for (x, e) in self.rows],
         }
+
+
+def _order_json(order: float):
+    """A fitted order for a JSON report: the string "inf" for an exactly
+    satisfied limit, since JSON has no infinity."""
+    return "inf" if math.isinf(order) else order
 
 
 def fit_order(rows, scale: float = 1.0) -> float:

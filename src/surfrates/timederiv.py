@@ -35,7 +35,6 @@ from .errors import ConfigError, MissingSplitError, NotTangentialError, RankErro
 from .fields import (
     QSplit,
     TensorSplit,
-    TensorValue,
     _off_structure,
     _require_conforming,
     pi_q_components,
@@ -49,10 +48,9 @@ from .geometry import (
     MotionSample,
     _contract_metric,
     _covariant_derivative,
+    _frame,
     _metric,
-    geometry_at,
     geometry_from_jet,
-    motion_at,
 )
 from .util import _pack, _unpack
 
@@ -260,14 +258,6 @@ def _advected(p: _Parts, u2, rank: int = 0):
     return p.vt + _along(u2, rank, p.dv)
 
 
-def _frame(surface, event, geom, mot):
-    if geom is None:
-        geom = geometry_at(surface, event)
-    if mot is None:
-        mot = motion_at(surface, event, geom)
-    return geom, mot
-
-
 # ---------------------------------------------------------------------------
 # scalar material rate
 
@@ -427,21 +417,20 @@ def material_dt(
     path: str = "CartesianProxy",
     geom: GeometrySample | None = None,
     mot: MotionSample | None = None,
-) -> TensorValue:
-    """Material time derivative of a (rank 1 or 2) field, as a Cartesian tensor."""
+) -> np.ndarray:
+    """Material time derivative of a (rank 1 or 2) field, as its Cartesian proxy."""
     if closure.rank not in (1, 2):
         raise RankError("material_dt supports rank 1 and 2; use scalar_dot for scalars")
     geom, mot = _frame(surface, event, geom, mot)
 
     if path == "CartesianProxy":
-        cart = _advected_parts(surface, closure.eval, event)[1]
-        return TensorValue(rank=closure.rank, cart=cart)
+        return _advected_parts(surface, closure.eval, event)[1]
 
     if path != "Decomposed":
         raise ConfigError(f"unknown material_dt path {path!r}")
 
     parts = _split_parts(surface, closure, event)
-    return TensorValue(closure.rank, _material_decomposed(geom, mot, closure.rank, parts))
+    return _material_decomposed(geom, mot, closure.rank, parts)
 
 
 def convected_dt(
@@ -452,8 +441,9 @@ def convected_dt(
     path: str = "ViaMaterial",
     geom: GeometrySample | None = None,
     mot: MotionSample | None = None,
-) -> TensorValue:
-    """Upper-/lower-convected or Jaumann derivative of a tangential field.
+) -> np.ndarray:
+    """Upper-/lower-convected or Jaumann derivative of a tangential field, as
+    its Cartesian proxy.
 
     Paths: ViaMaterial (proxy advection plus velocity-gradient products),
     Decomposed (split components, each block transported by the matching
@@ -472,12 +462,11 @@ def convected_dt(
 
     if path == "ViaMaterial":
         R, Dm = _advected_parts(surface, closure.eval, event)
-        return TensorValue(closure.rank, _via_material(mot, closure.rank, kind, R, Dm))
+        return _via_material(mot, closure.rank, kind, R, Dm)
 
     lowered = _check_path(kind, path, "convected_dt")
     parts = _split_parts(surface, closure, event, lowered)
-    cart = _convected_decomposed(geom, mot, closure.rank, parts, kind, path)
-    return TensorValue(rank=closure.rank, cart=cart)
+    return _convected_decomposed(geom, mot, closure.rank, parts, kind, path)
 
 
 # ---------------------------------------------------------------------------

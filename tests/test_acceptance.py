@@ -157,14 +157,14 @@ def test_criterion_03_product_rules():
         pv = p.eval(ev.t, ev.y1, ev.y2)
         defect = Pv @ (mot.Gcal + mot.Gcal.T) @ pv
         for kind, sgn in ((DerivKind.Upper, 1.0), (DerivKind.Lower, -1.0)):
-            DP = convected_dt(surface, P, ev, kind, "ViaMaterial", geom, mot).cart
-            Dp = convected_dt(surface, p, ev, kind, "ViaMaterial", geom, mot).cart
-            Dc = convected_dt(surface, cl, ev, kind, "ViaMaterial", geom, mot).cart
+            DP = convected_dt(surface, P, ev, kind, "ViaMaterial", geom, mot)
+            Dp = convected_dt(surface, p, ev, kind, "ViaMaterial", geom, mot)
+            Dc = convected_dt(surface, cl, ev, kind, "ViaMaterial", geom, mot)
             resid = np.max(np.abs(Dc - (DP @ pv + Pv @ Dp + sgn * defect)))
             worst_tv = max(worst_tv, resid / max(1.0, np.max(np.abs(Dc))))
-        DmP = material_dt(surface, P, ev, "CartesianProxy", geom, mot).cart
-        Dmp = material_dt(surface, p, ev, "CartesianProxy", geom, mot).cart
-        Dmc = material_dt(surface, cl, ev, "CartesianProxy", geom, mot).cart
+        DmP = material_dt(surface, P, ev, "CartesianProxy", geom, mot)
+        Dmp = material_dt(surface, p, ev, "CartesianProxy", geom, mot)
+        Dmc = material_dt(surface, cl, ev, "CartesianProxy", geom, mot)
         resid = np.max(np.abs(Dmc - (DmP @ pv + Pv @ Dmp)))
         worst_tv = max(worst_tv, resid / max(1.0, np.max(np.abs(Dmc))))
     ok = worst < 1e-6 and worst_tv < 1e-6
@@ -211,12 +211,12 @@ def test_criterion_04_observer_invariance():
         db = scalar_dot(observed, scalar_b, ev_b)
         worst = max(worst, abs(da - db) / max(1.0, abs(da)))
         for closure_a, closure_b in ((rank1_a, rank1_b), (rank2_a, rank2_b)):
-            va = material_dt(base, closure_a, ev_a).cart
-            vb = material_dt(observed, closure_b, ev_b).cart
+            va = material_dt(base, closure_a, ev_a)
+            vb = material_dt(observed, closure_b, ev_b)
             worst = max(worst, rel_residual(va, vb))
             for kind in (DerivKind.Upper, DerivKind.Lower, DerivKind.Jaumann):
-                va = convected_dt(base, closure_a, ev_a, kind).cart
-                vb = convected_dt(observed, closure_b, ev_b, kind).cart
+                va = convected_dt(base, closure_a, ev_a, kind)
+                vb = convected_dt(observed, closure_b, ev_b, kind)
                 worst = max(worst, rel_residual(va, vb))
         ga = geometry_at(base, ev_a)
         gb = geometry_at(observed, ev_b)
@@ -281,13 +281,13 @@ def test_criterion_06_qtensor_structure():
         for kind, full in (
             (
                 DerivKind.Material,
-                material_dt(surface, fcl, ev, "CartesianProxy", geom, mot).cart,
+                material_dt(surface, fcl, ev, "CartesianProxy", geom, mot),
             ),
             (
                 DerivKind.Jaumann,
                 convected_dt(
                     surface, fcl, ev, DerivKind.Jaumann, "ViaMaterial", geom, mot
-                ).cart,
+                ),
             ),
         ):
             # closure of the Q bundle: result symmetric, trace-free, and equal
@@ -307,8 +307,8 @@ def test_criterion_06_qtensor_structure():
         scale = max(1.0, abs(pred))
         worst_trace = max(
             worst_trace,
-            abs(float(np.trace(dup.cart)) - pred) / scale,
-            abs(float(np.trace(dlo.cart)) + pred) / scale,
+            abs(float(np.trace(dup)) - pred) / scale,
+            abs(float(np.trace(dlo)) + pred) / scale,
         )
 
     # Lemma ssq on 100 random pairs
@@ -342,8 +342,8 @@ def test_criterion_07_laplacian_equivalence():
         surface = get_scenario(name)
         closure = probe_field(surface, 2)
         for ev in sample_events(surface, N_EVENTS, SEED):
-            a = surface_laplace(surface, closure, ev, "Beltrami").cart
-            b = surface_laplace(surface, closure, ev, "Decomposed").cart
+            a = surface_laplace(surface, closure, ev, "Beltrami")
+            b = surface_laplace(surface, closure, ev, "Decomposed")
             worst_dual = max(worst_dual, rel_residual(a, b))
 
     surface = get_scenario("torus-breathing-drift")

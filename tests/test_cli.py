@@ -9,7 +9,8 @@ import pytest
 
 from surfrates import _fd, cli
 from surfrates.chart_kernel import MovingSurface, get_scenario, list_scenarios
-from surfrates.cli import _Rows, main, run_converge_thinfilm, run_verify
+from surfrates.cli import main, run_converge_thinfilm, run_verify
+from surfrates.geometry import IdentityReport
 from surfrates.landau import FlowConfig, LdGParams, run_flow
 from surfrates.thinfilm import LIMIT_QUANTITIES
 from surfrates.timederiv import QFieldClosure
@@ -234,11 +235,12 @@ def test_flow_nan_crosscheck_exit_one(tmp_path, monkeypatch, capsys):
 
 def test_rows_keep_a_nan_worst_residual():
     # max(finite, nan) is the finite value; the NaN event must decide the row
-    rows = _Rows()
-    rows.add("x", np.array([1e-9, float("nan"), 1e-8]), 1e-6)
-    (row,) = rows.to_list()
+    report = IdentityReport()
+    report.add("x", np.array([1e-9, float("nan"), 1e-8]), 1e-6)
+    (row,) = report.to_json_obj()
     assert math.isnan(row["residual"])
     assert not row["pass"]
+    assert not report.all_pass
 
 
 def test_flow_crosscheck_pass_exit_zero(tmp_path):
@@ -371,6 +373,22 @@ def test_geometry_identities_take_six_chart_jets(monkeypatch, n_events):
     monkeypatch.setattr(MovingSurface, "jet", jet)
     assert run_verify("torus-breathing-drift", "geometry", n_events=n_events, seed=5)["all_pass"]
     assert jets["jet"] == 6
+
+
+@pytest.mark.parametrize("suite", ["geometry", "all"])
+def test_verify_geometry_suite_calls_check_identities_once(monkeypatch, suite):
+    # the geometry suite runs the public battery on the shared frame
+    calls = []
+    orig = cli.check_identities
+
+    def counted(surface, event, geom=None, mot=None):
+        calls.append((geom, mot))
+        return orig(surface, event, geom, mot)
+
+    monkeypatch.setattr(cli, "check_identities", counted)
+    assert run_verify("torus-breathing-drift", suite, n_events=2, seed=5)["all_pass"]
+    assert len(calls) == 1
+    assert all(x is not None for x in calls[0])
 
 
 @pytest.mark.parametrize("scenario", list_scenarios())

@@ -47,7 +47,7 @@ def test_surface_laplace_constant_field_is_zero(torus_drift, torus_events):
         lambda t, a, b: np.array([[0.3, 0.1, 0.0], [0.1, -0.2, 0.4], [0.0, 0.4, 0.5]]),
     )
     ev = torus_events[0]
-    la = surface_laplace(torus_drift, const, ev, "Beltrami").cart
+    la = surface_laplace(torus_drift, const, ev, "Beltrami")
     assert_allclose(la, 0.0, atol=1e-8)
 
 
@@ -73,7 +73,7 @@ def test_surface_laplace_nunu_sphere(sphere_static):
     Pi = np.eye(3) - np.outer(geom.nu, geom.nu)
     expected = 2.0 * Pi - 4.0 * np.outer(geom.nu, geom.nu)
     for path in ("Beltrami", "Decomposed"):
-        la = surface_laplace(sphere_static, closure, ev, path).cart
+        la = surface_laplace(sphere_static, closure, ev, path)
         assert_allclose(la, expected, atol=1e-7)
 
 
@@ -82,8 +82,8 @@ def test_surface_laplace_dual_path(name):
     surface = get_scenario(name)
     closure = probe_field(surface, 2)
     for ev in sample_events(surface, 4, 31):
-        a = surface_laplace(surface, closure, ev, "Beltrami").cart
-        b = surface_laplace(surface, closure, ev, "Decomposed").cart
+        a = surface_laplace(surface, closure, ev, "Beltrami")
+        b = surface_laplace(surface, closure, ev, "Decomposed")
         assert rel_residual(a, b) < 1e-5
 
 
@@ -206,6 +206,6 @@ def test_laplace_q_part_stays_q_tensor(torus_drift, torus_events):
     qcl = probe_q_field(torus_drift)
     fcl = qcl.as_field_closure(torus_drift)
     ev = torus_events[0]
-    la = surface_laplace(torus_drift, fcl, ev, "Beltrami").cart
+    la = surface_laplace(torus_drift, fcl, ev, "Beltrami")
     assert np.max(np.abs(la - la.T)) < 1e-8
     assert abs(np.trace(la)) < 1e-8

@@ -19,7 +19,7 @@ from surfrates.geometry import (
     _covariant_derivative,
     check_identities,
     geometry_at,
-    geometry_grid,
+    geometry_from_jet,
     motion_at,
     motion_grid,
 )
@@ -93,6 +93,16 @@ def test_identity_suite_analytic(name):
     for ev in sample_events(surface, 5, 17):
         report = check_identities(surface, ev)
         assert report.all_pass, report.to_json_obj()
+
+
+def test_check_identities_on_a_given_frame_matches_its_own(torus_drift):
+    # the frame verify passes in gives the rows check_identities builds alone
+    ev = Event(np.array([0.2, 0.7]), np.array([0.4, 2.5]), np.array([1.1, 5.0]))
+    geom = geometry_at(torus_drift, ev)
+    given = check_identities(torus_drift, ev, geom, motion_at(torus_drift, ev, geom))
+    alone = check_identities(torus_drift, ev)
+    assert given.to_json_obj() == alone.to_json_obj()
+    assert len(alone.rows) == 15
 
 
 def test_identity_report_shape(torus_drift, torus_events):
@@ -178,7 +188,7 @@ def test_embed_mixed_matches_four_operand_contraction(torus_drift, shape):
     rng = np.random.default_rng(11)
     Y1 = rng.uniform(0.0, 2.0 * np.pi, shape)
     Y2 = rng.uniform(0.0, 2.0 * np.pi, shape)
-    geom = geometry_grid(torus_drift, 0.3, Y1, Y2)
+    geom = geometry_from_jet(torus_drift.jet(0.3, Y1, Y2))
     M = rng.normal(size=(2, 2) + shape)
     ref = np.einsum("ai...,ij...,jk...,bk...->ab...", geom.dX, M, geom.ginv, geom.dX)
     got = geom.embed_mixed(M)
@@ -193,7 +203,7 @@ def test_motion_fields_do_not_depend_on_read_order(torus_drift, conforming):
     # field was read, in the order of MOTION_FIELDS
     t = 0.37
     Y1, Y2 = np.meshgrid(np.linspace(0.0, 6.0, 24), np.linspace(0.1, 6.1, 24), indexing="ij")
-    geom = geometry_grid(torus_drift, t, Y1, Y2)
+    geom = geometry_from_jet(torus_drift.jet(t, Y1, Y2))
     full = motion_grid(torus_drift, t, Y1, Y2, geom)
     for name in MOTION_FIELDS:
         getattr(full, name)

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from surfrates import landau
 from surfrates.chart_kernel import get_scenario
 from surfrates.diffops import make_grid
-from surfrates.geometry import geometry_grid
+from surfrates.geometry import geometry_from_jet
 from surfrates.errors import ConfigError, StabilityError
 from surfrates.fields import QSplit, q_to_cart
 from surfrates.landau import (
@@ -211,7 +211,7 @@ def test_grid_arrays_are_c_ordered(torus_drift):
     # the normal, the conforming proxy and the stepped state are C-ordered
     n = 32
     gg = make_grid(torus_drift, 0.0, n)
-    assert geometry_grid(torus_drift, 0.0, gg.Y1, gg.Y2).nu.flags.c_contiguous
+    assert geometry_from_jet(torus_drift.jet(0.0, gg.Y1, gg.Y2)).nu.flags.c_contiguous
     q, beta = initial_state(gg, FlowConfig(n=n))
     assert conforming_to_proxy(gg, q, beta).flags.c_contiguous
     dt = 0.5 * stability_bound(gg, LdGParams())

@@ -75,12 +75,12 @@ def test_derivative_invariance(pair, rank):
     PB = FieldClosure(rank, eval_b)
     for ev_b in sample_events(observed, 3, 13):
         ev_a = point_map(ev_b)
-        da = material_dt(base, PA, ev_a).cart
-        db = material_dt(observed, PB, ev_b).cart
+        da = material_dt(base, PA, ev_a)
+        db = material_dt(observed, PB, ev_b)
         assert rel_residual(da, db) < 1e-6
         for kind in KINDS:
-            da = convected_dt(base, PA, ev_a, kind).cart
-            db = convected_dt(observed, PB, ev_b, kind).cart
+            da = convected_dt(base, PA, ev_a, kind)
+            db = convected_dt(observed, PB, ev_b, kind)
             assert rel_residual(da, db) < 1e-6
 
 

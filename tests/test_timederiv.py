@@ -6,7 +6,7 @@ from surfrates.chart_kernel import Event, get_scenario, sample_events
 from surfrates.diffops import conforming_laplace, scalar_laplace, surface_laplace
 from surfrates.errors import ConfigError, MissingSplitError, NotConformingError, NotTangentialError
 from surfrates.fields import QSplit, pi_q_components, q_to_cart, project
-from surfrates.geometry import geometry_at, geometry_grid, motion_at, motion_grid
+from surfrates.geometry import geometry_at, geometry_from_jet, motion_at, motion_grid
 from surfrates.probes import (
     probe_conforming_q_field,
     probe_field,
@@ -50,8 +50,8 @@ def test_material_dual_path(name, rank):
     surface = get_scenario(name)
     closure = probe_field(surface, rank)
     for ev in sample_events(surface, 4, 11):
-        a = material_dt(surface, closure, ev, "CartesianProxy").cart
-        b = material_dt(surface, closure, ev, "Decomposed").cart
+        a = material_dt(surface, closure, ev, "CartesianProxy")
+        b = material_dt(surface, closure, ev, "Decomposed")
         assert rel_residual(a, b) < 1e-6
 
 
@@ -62,8 +62,8 @@ def test_convected_dual_path(name, kind, rank):
     surface = get_scenario(name)
     closure = probe_field(surface, rank)
     for ev in sample_events(surface, 4, 11):
-        a = convected_dt(surface, closure, ev, kind, "ViaMaterial").cart
-        b = convected_dt(surface, closure, ev, kind, "Decomposed").cart
+        a = convected_dt(surface, closure, ev, kind, "ViaMaterial")
+        b = convected_dt(surface, closure, ev, kind, "Decomposed")
         assert rel_residual(a, b) < 1e-6
 
 
@@ -71,19 +71,19 @@ def test_convected_dual_path(name, kind, rank):
 def test_jaumann_half_sum(torus_drift, torus_events, rank):
     closure = probe_field(torus_drift, rank)
     for ev in torus_events:
-        up = convected_dt(torus_drift, closure, ev, DerivKind.Upper, "ViaMaterial").cart
-        lo = convected_dt(torus_drift, closure, ev, DerivKind.Lower, "ViaMaterial").cart
+        up = convected_dt(torus_drift, closure, ev, DerivKind.Upper, "ViaMaterial")
+        lo = convected_dt(torus_drift, closure, ev, DerivKind.Lower, "ViaMaterial")
         ja = convected_dt(
             torus_drift, closure, ev, DerivKind.Jaumann, "ViaMaterial"
-        ).cart
+        )
         assert rel_residual(ja, 0.5 * (up + lo)) < 1e-10
 
 
 def test_jaumann_average_path(torus_drift, torus_events):
     closure = probe_field(torus_drift, 2)
     ev = torus_events[0]
-    a = convected_dt(torus_drift, closure, ev, DerivKind.Jaumann, "Average").cart
-    b = convected_dt(torus_drift, closure, ev, DerivKind.Jaumann, "ViaMaterial").cart
+    a = convected_dt(torus_drift, closure, ev, DerivKind.Jaumann, "Average")
+    b = convected_dt(torus_drift, closure, ev, DerivKind.Jaumann, "ViaMaterial")
     assert rel_residual(a, b) < 1e-6
     for kind in (DerivKind.Upper, DerivKind.Lower):
         with pytest.raises(ConfigError):
@@ -113,7 +113,7 @@ def test_q_dt_material_closure(torus_drift, torus_events):
     for ev in torus_events[:3]:
         geom = geometry_at(torus_drift, ev)
         dq = q_dt(torus_drift, qcl, ev, DerivKind.Material)
-        full = material_dt(torus_drift, fcl, ev, "CartesianProxy").cart
+        full = material_dt(torus_drift, fcl, ev, "CartesianProxy")
         assert rel_residual(q_to_cart(geom, dq), full) < 1e-8
 
 
@@ -123,7 +123,7 @@ def test_q_dt_jaumann_closure(torus_drift, torus_events):
     for ev in torus_events[:3]:
         geom = geometry_at(torus_drift, ev)
         dq = q_dt(torus_drift, qcl, ev, DerivKind.Jaumann)
-        full = convected_dt(torus_drift, fcl, ev, DerivKind.Jaumann, "ViaMaterial").cart
+        full = convected_dt(torus_drift, fcl, ev, DerivKind.Jaumann, "ViaMaterial")
         assert rel_residual(q_to_cart(geom, dq), full) < 1e-8
 
 
@@ -145,7 +145,7 @@ def test_conforming_material_matches_projected_material(torus_drift, torus_event
     for ev in torus_events[:3]:
         geom = geometry_at(torus_drift, ev)
         dq = q_dt(torus_drift, ccl, ev, DerivKind.ConformingMaterial)
-        full = material_dt(torus_drift, fcl, ev, "CartesianProxy").cart
+        full = material_dt(torus_drift, fcl, ev, "CartesianProxy")
         assert rel_residual(q_to_cart(geom, dq), project(geom, full, "CQ")) < 1e-8
 
 
@@ -226,25 +226,25 @@ def test_product_rule_with_defect(torus_drift, torus_events):
     def contracted(t, a, b):
         return P.eval(t, a, b) @ R.eval(t, a, b)
 
-    DP_up = convected_dt(torus_drift, P, ev, DerivKind.Upper, "ViaMaterial").cart
-    Dp_up = convected_dt(torus_drift, R, ev, DerivKind.Upper, "ViaMaterial").cart
+    DP_up = convected_dt(torus_drift, P, ev, DerivKind.Upper, "ViaMaterial")
+    Dp_up = convected_dt(torus_drift, R, ev, DerivKind.Upper, "ViaMaterial")
     D_up = convected_dt(
         torus_drift, FieldClosure(1, contracted), ev, DerivKind.Upper, "ViaMaterial"
-    ).cart
+    )
     defect = Pv @ (mot.Gcal + mot.Gcal.T) @ Rv
     assert_allclose(D_up, DP_up @ Rv + Pv @ Dp_up + defect, atol=1e-7)
 
-    DP_lo = convected_dt(torus_drift, P, ev, DerivKind.Lower, "ViaMaterial").cart
-    Dp_lo = convected_dt(torus_drift, R, ev, DerivKind.Lower, "ViaMaterial").cart
+    DP_lo = convected_dt(torus_drift, P, ev, DerivKind.Lower, "ViaMaterial")
+    Dp_lo = convected_dt(torus_drift, R, ev, DerivKind.Lower, "ViaMaterial")
     D_lo = convected_dt(
         torus_drift, FieldClosure(1, contracted), ev, DerivKind.Lower, "ViaMaterial"
-    ).cart
+    )
     assert_allclose(D_lo, DP_lo @ Rv + Pv @ Dp_lo - defect, atol=1e-7)
 
     # material and Jaumann obey the plain rule
-    DP_m = material_dt(torus_drift, P, ev).cart
-    Dp_m = material_dt(torus_drift, R, ev).cart
-    D_m = material_dt(torus_drift, FieldClosure(1, contracted), ev).cart
+    DP_m = material_dt(torus_drift, P, ev)
+    Dp_m = material_dt(torus_drift, R, ev)
+    D_m = material_dt(torus_drift, FieldClosure(1, contracted), ev)
     assert_allclose(D_m, DP_m @ Rv + Pv @ Dp_m, atol=1e-7)
 
 
@@ -264,7 +264,7 @@ def test_formulas_broadcast_over_grid_axes(torus_drift):
     # then the grid axes); at every node each must equal the pointwise result
     t = 0.4
     Y1, Y2 = np.meshgrid(np.linspace(0.3, 5.9, 5), np.linspace(0.2, 6.0, 4), indexing="ij")
-    grid = geometry_grid(torus_drift, t, Y1, Y2)
+    grid = geometry_from_jet(torus_drift.jet(t, Y1, Y2))
     grid_mot = motion_grid(torus_drift, t, Y1, Y2, grid)
     rng = np.random.default_rng(11)
 
@@ -321,7 +321,7 @@ def _route_calls():
     for rank in (1, 2):
         for path in ("CartesianProxy", "Decomposed"):
             calls[f"material_dt-{path}-rank{rank}"] = (
-                lambda s, ev, rank=rank, path=path: material_dt(s, probe_field(s, rank), ev, path).cart
+                lambda s, ev, rank=rank, path=path: material_dt(s, probe_field(s, rank), ev, path)
             )
         for kind in CONVECTED:
             paths = ("ViaMaterial", "Decomposed") + (("Average",) if kind == "Jaumann" else ())
@@ -329,7 +329,7 @@ def _route_calls():
                 calls[f"convected_dt-{kind.value}-{path}-rank{rank}"] = (
                     lambda s, ev, rank=rank, kind=kind, path=path: convected_dt(
                         s, probe_field(s, rank), ev, kind, path
-                    ).cart
+                    )
                 )
         for kind, path in [(k, "Decomposed") for k in (DerivKind.Material, *CONVECTED)] + [
             (DerivKind.Jaumann, "Average")
@@ -346,7 +346,7 @@ def _route_calls():
     )
     for path in ("Beltrami", "Decomposed"):
         calls[f"surface_laplace-{path}"] = (
-            lambda s, ev, path=path: surface_laplace(s, probe_field(s, 2), ev, path).cart
+            lambda s, ev, path=path: surface_laplace(s, probe_field(s, 2), ev, path)
         )
     for path in ("ClosedForm", "Projected"):
         calls[f"conforming_laplace-{path}"] = (
