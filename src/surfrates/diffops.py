@@ -243,8 +243,7 @@ def conforming_laplace(
 
     if path != "Projected":
         raise ConfigError(f"unknown conforming_laplace path {path!r}")
-    fcl = qclosure.as_field_closure(surface)
-    full = surface_laplace(surface, fcl, event, "Beltrami", geom)
+    full = scalar_laplace(surface, qclosure.as_field_closure(surface).eval, event, geom)
     qblock, bblock = _conforming_blocks(geom, full)
     return QSplit(q2=qblock, eta2=np.zeros_like(qblock[0]), beta=bblock)
 
