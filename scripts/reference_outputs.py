@@ -22,8 +22,9 @@ every file byte for byte, then every verify row: it prints the number of
 byte-identical files of each kind (converge, flow, verify), the number of
 bit-identical rows and the old and new worst residual of each row that
 moved.  For an ``energy.csv`` that differs it prints the largest absolute
-change of each column, and for a ``flow_report.json`` that of each key whose
-value changed.  It exits 1 if a file differs outside the verify reports, a file is
+change of each column, and for a ``flow_report.json`` or a
+``converge_*.json`` that of each key whose value changed (a list item's key
+is its index).  It exits 1 if a file differs outside the verify reports, a file is
 missing, or a verify row fails its tolerance; otherwise 0.
 """
 from __future__ import annotations
@@ -97,7 +98,9 @@ def _rows(path: Path) -> dict[str, dict]:
 
 
 def _leaves(obj, prefix=""):
-    """Dotted key -> value of every leaf of a nested JSON object."""
+    """Dotted key -> value of every leaf of nested JSON objects and lists."""
+    if isinstance(obj, list):
+        obj = dict(enumerate(obj))
     if not isinstance(obj, dict):
         return {prefix: obj}
     out = {}
@@ -112,7 +115,8 @@ def _is_number(x) -> bool:
 
 def _largest_changes(a: Path, b: Path) -> list[str]:
     """The largest absolute change from a to b of each column of an
-    energy.csv, or of each changed key of a flow_report.json."""
+    energy.csv, or of each changed key of a flow_report.json or a
+    converge_*.json."""
     if a.name == "energy.csv":
         ra, rb = (list(csv.reader(p.read_text().splitlines())) for p in (a, b))
         if ra[0] != rb[0] or len(ra) != len(rb):
@@ -121,7 +125,7 @@ def _largest_changes(a: Path, b: Path) -> list[str]:
             f"{col} {max(abs(float(y[j]) - float(x[j])) for x, y in zip(ra[1:], rb[1:])):.3g}"
             for j, col in enumerate(ra[0])
         ]
-    if a.name == "flow_report.json":
+    if a.name == "flow_report.json" or (a.name.startswith("converge_") and a.suffix == ".json"):
         la, lb = (_leaves(json.loads(p.read_text())) for p in (a, b))
         lines = []
         for key in sorted(la.keys() | lb.keys()):

@@ -197,10 +197,16 @@ class MovingSurface:
         )
 
 
-def eval_jet(surface: MovingSurface, event: Event) -> ChartJet:
-    """Evaluate the chart jet at one event, with a domain check (geometry_from_jet checks det g)."""
+def _require_event_inside(surface: MovingSurface, event: Event) -> None:
+    """DomainError unless every point of the event is admissible, with room
+    for the stencils of finite-difference jets."""
     pad = 0.0 if surface.jets is not None else 2.5 * surface.space_step
     surface.domain.require_inside(event.y1, event.y2, pad)
+
+
+def eval_jet(surface: MovingSurface, event: Event) -> ChartJet:
+    """Evaluate the chart jet at one event, with a domain check (geometry_from_jet checks det g)."""
+    _require_event_inside(surface, event)
     return surface.jet(event.t, event.y1, event.y2)
 
 
@@ -257,8 +263,8 @@ def make_observer_pair(surface: MovingSurface, motion: ChartMotion):
 
     Returns ``(surface, observed, point_map)`` where ``observed`` has chart
     ``X_B(t, z) = X_A(t, phi_t(z))`` and a relative velocity recomputed so the
-    material velocity is unchanged, and ``point_map`` sends an event of B to
-    the event of A at the same spatial point and time.
+    material velocity is unchanged, and ``point_map`` sends an event of B,
+    or a batch, to the event of A at the same spatial point and time.
     """
     base = surface
 
@@ -308,8 +314,8 @@ def make_observer_pair(surface: MovingSurface, motion: ChartMotion):
 
     def point_map(event: Event) -> Event:
         y = motion.phi(event.t, event.y1, event.y2)
-        y1, y2 = base.domain.wrap(float(y[0]), float(y[1]))
-        return Event(event.t, float(y1), float(y2))
+        y1, y2 = base.domain.wrap(y[0], y[1])
+        return Event(event.t, y1, y2)
 
     return base, observed, point_map
 

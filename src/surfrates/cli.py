@@ -33,7 +33,7 @@ from .diffops import (
 from .errors import ConfigError, StabilityError, SurfratesError
 from .fields import g_inner_rank2, pi_q_components, project, q_from_cart, q_to_cart
 from .geometry import IdentityReport, check_identities, geometry_at, motion_at
-from .landau import FLOW_MODES, FlowConfig, LdGParams, run_flow
+from .landau import ENERGY_RISE_TOL, FLOW_MODES, FlowConfig, LdGParams, run_flow
 from .probes import (
     probe_conforming_q_field,
     probe_field,
@@ -58,7 +58,7 @@ from .timederiv import (
     q_dt,
     scalar_dot,
 )
-from .util import _maxabs, _scaled_norm
+from .util import _maxabs, _mm, _scaled_norm
 
 __all__ = [
     "run_verify",
@@ -102,11 +102,6 @@ def _scaled(x, *refs):
     """Largest |component| of x over max(1, largest |component| of each
     ref), for each event."""
     return _scaled_norm(x, *refs, nb=1, fro=False)
-
-
-def _mm(a, b):
-    """Matrix product of two stacks of 2x2 matrices."""
-    return np.einsum("ik...,kj...->ij...", a, b)
 
 
 def _trace(a):
@@ -417,14 +412,13 @@ def cmd_flow(args) -> int:
     result = run_flow(surface, params, config, out_dir=out)
     first = result.energy_rows[0]
     last = result.energy_rows[-1]
-    monotone = bool(
-        np.all(np.diff(result.energies) <= 1e-10)
-    )
+    monotone = bool(np.all(np.diff(result.energies) <= ENERGY_RISE_TOL))
     report = {
         "crosscheck_max_residual": (
             float(np.max([r[2] for r in result.crosschecks])) if result.crosschecks else None
         ),
         "config": {
+            "amplitude": config.amplitude,
             "crosscheck_every": config.crosscheck_every,
             "beta0": config.beta0,
             "dt": config.dt,

@@ -67,6 +67,9 @@ FLOW_MODES = (
     "Conforming_Jaumann",
 )
 
+# The largest energy rise per step that a flow on a static surface allows.
+ENERGY_RISE_TOL = 1e-10
+
 
 @dataclass
 class LdGParams:
@@ -104,6 +107,8 @@ class FlowConfig:
             raise ConfigError(f"unknown initial condition {self.ic!r}; pick one of {sorted(IC_REGISTRY)}")
         if self.dt <= 0 or self.steps < 0:
             raise ConfigError("dt must be positive and steps nonnegative")
+        if self.crosscheck_every > 0 and not self.mode.startswith("Conforming"):
+            raise ConfigError(f"the cross-check compares conforming routes; {self.mode} has none")
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +447,7 @@ def run_flow(
                 "reduce dt or the initial amplitude"
             )
         energy_rows.append((step, t, e_el, e_bulk, e_tot, tr_res, sym_res))
-        if surface.static and prev_total is not None and e_tot > prev_total + 1e-10:
+        if surface.static and prev_total is not None and e_tot > prev_total + ENERGY_RISE_TOL:
             raise StabilityError(
                 f"energy rose by {e_tot - prev_total:g} at step {step}; "
                 "reduce dt or check the configuration"
@@ -451,11 +456,7 @@ def run_flow(
         if config.snapshot_every and step % config.snapshot_every == 0 and out_dir:
             arrays = dict(zip(names, state))
             snapshots.append(_write_snapshot(out_dir, step, t, config.mode, arrays))
-        if (
-            config.crosscheck_every
-            and conforming
-            and step % config.crosscheck_every == 0
-        ):
+        if config.crosscheck_every and step % config.crosscheck_every == 0:
             res = _crosscheck_residual(
                 surface, gg, state[0], state[1], config.crosscheck_samples, config.seed + step
             )

@@ -13,16 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fd import c4_grad
+from ._fd import _at_time, c4_grad
 from .chart_kernel import Event, MovingSurface
 from .errors import ConfigError, ShellDegenerateError
-from .geometry import geometry_at, motion_at
+from .geometry import _metric, geometry_at, motion_at
 from .probes import _stack
 from .timederiv import DerivKind, _advected_parts, _via_material
-from .util import det2, frobenius
+from .util import _mm, _scaled_norm, inv2
 
 __all__ = [
-    "ShellEvent",
     "shell_velocity",
     "shell_velocity_gradient",
     "ConvergenceReport",
@@ -43,60 +42,47 @@ ORDER_FLOOR = 1e-10
 _XI_SEQUENCE = (0.1, 0.05, 0.025, 0.0125)
 
 
-@dataclass(frozen=True)
-class ShellEvent:
-    t: float
-    y1: float
-    y2: float
-    xi: float
-
-
-def _shell_frame(geom, xi):
-    """Frame columns (d1 chi, d2 chi, nu) of the shell at offset xi.
-
-    Raises ShellDegenerateError when the offset reaches a focal point,
-    i.e. det(Id - xi B) is not positive.
-    """
-    if det2(np.eye(2) - xi * geom.B_mixed) <= 1e-12:
-        raise ShellDegenerateError(
-            f"offset xi={xi:g} degenerates the shell chart (focal point)"
-        )
-    dchi = geom.dX + xi * geom.dnu
-    return np.column_stack([dchi[:, 0], dchi[:, 1], geom.nu])
-
-
-def shell_velocity(surface: MovingSurface, sev: ShellEvent) -> np.ndarray:
+def shell_velocity(surface: MovingSurface, event: Event, xi: float) -> np.ndarray:
     """Material velocity of the shell point (constant-xi extension).
 
     V = V_chart + xi d_t nu + u^k d_k chi, with d_t nu = -(lift of the chart
     normal-coupling covector), all analytic from the jet.
     """
-    event = Event(sev.t, sev.y1, sev.y2)
     geom = geometry_at(surface, event)
     mot = motion_at(surface, event, geom)
     jet = geom.jet
     dnu_t = -mot.b_obs3
-    dchi = jet.dX + sev.xi * geom.dnu
-    return jet.Vt + sev.xi * dnu_t + np.einsum("k...,ak...->a...", mot.u2, dchi)
+    dchi = jet.dX + xi * geom.dnu
+    return jet.Vt + xi * dnu_t + np.einsum("k...,ak...->a...", mot.u2, dchi)
 
 
-def shell_velocity_gradient(surface: MovingSurface, sev: ShellEvent) -> np.ndarray:
+def shell_velocity_gradient(surface: MovingSurface, event: Event, xi: float) -> np.ndarray:
     """Cartesian 3x3 gradient of the extended material velocity at offset xi.
 
     Chart partials of the shell velocity are taken by stencils in y; the
-    xi-partial is analytic because the extension is affine in xi.
+    xi-partial is analytic because the extension is affine in xi.  The frame
+    F = (d chi, nu) is inverted from its structure: nu is normal to
+    d chi = dX (Id - xi B), so F^-1 has rows g_chi^-1 d chi^T and nu^T.
+
+    Raises ShellDegenerateError when the offset reaches a focal point at any
+    point of the event, i.e. det(Id - xi B) = 1 - xi H + xi^2 K is not
+    positive.
     """
-    t, y1, y2, xi = sev.t, sev.y1, sev.y2, sev.xi
-    event = Event(t, y1, y2)
     geom = geometry_at(surface, event)
+    if np.any(1.0 - xi * geom.H + xi * xi * geom.K <= 1e-12):
+        raise ShellDegenerateError(
+            f"offset xi={xi:g} degenerates the shell chart (focal point)"
+        )
     mot = motion_at(surface, event, geom)
-    frame = _shell_frame(geom, xi)
-    velocity = lambda a, b: shell_velocity(surface, ShellEvent(t, a, b, xi))
-    d1, d2 = c4_grad(velocity, y1, y2, surface.space_step)
+    dchi = geom.dX + xi * geom.dnu
+    velocity = _at_time(lambda s, a, b: shell_velocity(surface, Event(s, a, b), xi), event.t)
+    dV = np.stack(c4_grad(velocity, event.y1, event.y2, surface.space_step), axis=1)
     # d_xi V = d_t nu + u^k d_k nu = -(lift of b[V_m])
     dxi = -mot.b3
-    dV = np.column_stack([d1, d2, dxi])
-    return dV @ np.linalg.inv(frame)
+    # (dV, d_xi V) F^-1: the chart partials against the rows g_chi^-1 d chi^T,
+    # the xi-partial against nu^T
+    tangential = np.einsum("ai...,ij...,bj...->ab...", dV, inv2(_metric(dchi)), dchi)
+    return tangential + np.einsum("a...,b...->ab...", dxi, geom.nu)
 
 
 # ---------------------------------------------------------------------------
@@ -143,27 +129,32 @@ def _probe_rank2(t, a, b):
     return np.einsum("i...,j...->ij...", w, v) + 0.2 * np.einsum("i...,j...->ij...", v, v)
 
 
+def _worst_norm(a) -> float:
+    """Largest Frobenius norm of the 3x3 matrices of a, one per event."""
+    return float(np.max(_scaled_norm(a, nb=np.ndim(a) - 2)))
+
+
 def limit_study(
     surface: MovingSurface,
     quantity: str,
     event: Event,
 ) -> ConvergenceReport:
     """Compare bulk shell derivatives at offsets xi with the surface-side
-    derivative, and fit the convergence order."""
+    derivative, and fit the convergence order.  On a batch of events each
+    row holds the largest error over the batch."""
     if quantity not in LIMIT_QUANTITIES:
         raise ConfigError(
             f"unknown limit quantity {quantity!r}; pick one of {LIMIT_QUANTITIES}"
         )
-    t, y1, y2 = event.t, event.y1, event.y2
     mot = motion_at(surface, event)
     rows = []
     if quantity == "Deformation":
-        S_surf = 0.5 * (mot.Gcal + mot.Gcal.T)
-        scale = max(1.0, frobenius(S_surf))
+        S_surf = 0.5 * (mot.Gcal + np.einsum("ab...->ba...", mot.Gcal))
+        scale = max(1.0, _worst_norm(S_surf))
         for xi in _XI_SEQUENCE:
-            gradv = shell_velocity_gradient(surface, ShellEvent(t, y1, y2, xi))
-            S_shell = 0.5 * (gradv + gradv.T)
-            rows.append((xi, frobenius(S_shell - S_surf)))
+            gradv = shell_velocity_gradient(surface, event, xi)
+            S_shell = 0.5 * (gradv + np.einsum("ab...->ba...", gradv))
+            rows.append((xi, _worst_norm(S_shell - S_surf)))
         return ConvergenceReport(quantity, rows, fit_order(rows, scale))
 
     kind = {
@@ -175,15 +166,16 @@ def limit_study(
     # value is convected_dt's ViaMaterial formula applied to them
     R, Dm = _advected_parts(surface, _probe_rank2, event)
     surf_val = _via_material(mot, 2, kind, R, Dm)
-    scale = max(1.0, frobenius(surf_val))
+    scale = max(1.0, _worst_norm(surf_val))
     for xi in _XI_SEQUENCE:
-        gradv = shell_velocity_gradient(surface, ShellEvent(t, y1, y2, xi))
+        gradv = shell_velocity_gradient(surface, event, xi)
+        gradvT = np.einsum("ab...->ba...", gradv)
         if kind == DerivKind.Upper:
-            shell_val = Dm - gradv @ R - R @ gradv.T
+            shell_val = Dm - _mm(gradv, R) - _mm(R, gradvT)
         elif kind == DerivKind.Lower:
-            shell_val = Dm + gradv.T @ R + R @ gradv
+            shell_val = Dm + _mm(gradvT, R) + _mm(R, gradv)
         else:
-            W = 0.5 * (gradv - gradv.T)
-            shell_val = Dm - W @ R + R @ W
-        rows.append((xi, frobenius(shell_val - surf_val)))
+            W = 0.5 * (gradv - gradvT)
+            shell_val = Dm - _mm(W, R) + _mm(R, W)
+        rows.append((xi, _worst_norm(shell_val - surf_val)))
     return ConvergenceReport(quantity, rows, fit_order(rows, scale))

@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._fd import c2_c4_dt_grad
-from .chart_kernel import Event, MovingSurface
+from .chart_kernel import Event, MovingSurface, _require_event_inside
 from .errors import ConfigError, MissingSplitError, NotTangentialError, RankError
 from .fields import (
     QSplit,
@@ -240,7 +240,9 @@ def _q_parts(surface: MovingSurface, closure: QFieldClosure, event: Event):
 
 
 def _advected_parts(surface: MovingSurface, fun: Callable, event: Event):
-    """Value and material rate d/dt + u^k d_k of a chart-function proxy."""
+    """Value and material rate d/dt + u^k d_k of a chart-function proxy, at
+    an event inside the domain."""
+    _require_event_inside(surface, event)
     t, y1, y2 = event.t, event.y1, event.y2
     v, dt, d1, d2 = c2_c4_dt_grad(fun, t, y1, y2, DT_TIME_STEP, surface.space_step)
     u = surface.u(t, y1, y2)
@@ -421,14 +423,13 @@ def material_dt(
     """Material time derivative of a (rank 1 or 2) field, as its Cartesian proxy."""
     if closure.rank not in (1, 2):
         raise RankError("material_dt supports rank 1 and 2; use scalar_dot for scalars")
-    geom, mot = _frame(surface, event, geom, mot)
-
     if path == "CartesianProxy":
         return _advected_parts(surface, closure.eval, event)[1]
 
     if path != "Decomposed":
         raise ConfigError(f"unknown material_dt path {path!r}")
 
+    geom, mot = _frame(surface, event, geom, mot)
     parts = _split_parts(surface, closure, event)
     return _material_decomposed(geom, mot, closure.rank, parts)
 

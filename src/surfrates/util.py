@@ -6,12 +6,7 @@ from functools import reduce
 
 import numpy as np
 
-__all__ = ["rel_residual", "inv2", "det2", "frobenius"]
-
-
-def frobenius(a) -> float:
-    """Frobenius norm of an arbitrary array (0.0 for scalars equal to zero)."""
-    return float(np.sqrt(np.sum(np.asarray(a, dtype=float) ** 2)))
+__all__ = ["rel_residual", "inv2", "det2"]
 
 
 def _maxabs(a) -> float:
@@ -55,6 +50,11 @@ def _unpack(F, comps):
     the trailing axes of F."""
     bounds = np.cumsum([math.prod(c) for c in comps])[:-1]
     return [x.reshape(c + x.shape[1:]) for x, c in zip(np.split(F, bounds), comps)]
+
+
+def _mm(a, b):
+    """Matrix product of two stacked matrices (component axes first)."""
+    return np.einsum("ik...,kj...->ij...", a, b)
 
 
 def det2(m):

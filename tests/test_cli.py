@@ -10,6 +10,7 @@ import pytest
 from surfrates import _fd, cli
 from surfrates.chart_kernel import MovingSurface, get_scenario, list_scenarios
 from surfrates.cli import main, run_converge_thinfilm, run_verify
+from surfrates.errors import ConfigError
 from surfrates.geometry import IdentityReport
 from surfrates.landau import FlowConfig, LdGParams, run_flow
 from surfrates.thinfilm import LIMIT_QUANTITIES
@@ -247,6 +248,26 @@ def test_flow_crosscheck_pass_exit_zero(tmp_path):
     assert main(_crosscheck_flow_args(tmp_path)) == 0
     report = _strict_json(tmp_path / "flow_report.json")
     assert report["crosscheck_max_residual"] < 1e-5
+
+
+@pytest.mark.parametrize("mode", ["FullQ_Material", "FullQ_Jaumann"])
+def test_flow_crosscheck_in_a_full_tensor_mode_is_a_config_error(tmp_path, capsys, mode):
+    # the cross-check compares two conforming routes; a full-tensor flow
+    # would skip it and report null
+    with pytest.raises(ConfigError):
+        FlowConfig(mode=mode, crosscheck_every=1)
+    assert main(_crosscheck_flow_args(tmp_path) + ["--mode", mode]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "flow_report.json").exists()
+
+
+def test_flow_report_config_records_the_amplitude(tmp_path):
+    configs = []
+    for k, extra in enumerate(([], ["--amplitude", "0.05"])):
+        out = tmp_path / str(k)
+        assert main(["flow", "--n", "16", "--steps", "2", "--out", str(out), *extra]) == 0
+        configs.append(_strict_json(out / "flow_report.json")["config"])
+    assert [c["amplitude"] for c in configs] == [0.1, 0.05]
 
 
 @pytest.mark.parametrize("n_events", [1, 3])

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from surfrates.chart_kernel import (
+    Event,
     get_scenario,
     make_observer_pair,
     rotating_chart_motion,
@@ -91,3 +92,12 @@ def test_observed_surface_passes_identity_suite(pair):
     for ev in sample_events(observed, 3, 15):
         report = check_identities(observed, ev)
         assert report.all_pass, report.to_json_obj()
+
+
+def test_point_map_on_a_batch_equals_each_event(pair):
+    _, observed, point_map, _ = pair
+    events = sample_events(observed, 5, 3)
+    batch = point_map(Event(*map(np.array, zip(*[(e.t, e.y1, e.y2) for e in events]))))
+    for k, ev_b in enumerate(events):
+        ev_a = point_map(ev_b)
+        assert (batch.t[k], batch.y1[k], batch.y2[k]) == (ev_a.t, ev_a.y1, ev_a.y2)

@@ -4,7 +4,13 @@ from numpy.testing import assert_allclose
 
 from surfrates.chart_kernel import Event, get_scenario, sample_events
 from surfrates.diffops import conforming_laplace, scalar_laplace, surface_laplace
-from surfrates.errors import ConfigError, MissingSplitError, NotConformingError, NotTangentialError
+from surfrates.errors import (
+    ConfigError,
+    DomainError,
+    MissingSplitError,
+    NotConformingError,
+    NotTangentialError,
+)
 from surfrates.fields import QSplit, pi_q_components, q_to_cart, project
 from surfrates.geometry import geometry_at, geometry_from_jet, motion_at, motion_grid
 from surfrates.probes import (
@@ -401,3 +407,38 @@ def test_laplacian_stencils_keep_each_event_time(torus_drift):
     batched = scalar_laplace(torus_drift, probe_scalar, Event(t, y1, y2))
     want = [scalar_laplace(torus_drift, probe_scalar, Event(t[n], y1[n], y2[n])) for n in range(25)]
     assert_allclose(batched, want, rtol=1e-13)
+
+
+@pytest.mark.parametrize("route", ["material_dt", "convected_dt"])
+def test_material_proxy_route_builds_no_frame(monkeypatch, route):
+    # the CartesianProxy path reads only the proxy's parts: the probe's own
+    # chart jet, and no geometry or motion of the event
+    surface = get_scenario("torus-breathing-drift")
+    calls = {"jet": 0, "u_jet": 0}
+    for name in calls:
+        method = getattr(surface, name)
+
+        def counted(*args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(*args)
+
+        monkeypatch.setattr(surface, name, counted)
+    closure = probe_field(surface, 2)
+    ev = sample_events(surface, 1, 7)[0]
+    if route == "material_dt":
+        material_dt(surface, closure, ev)
+    else:
+        convected_dt(surface, closure, ev, DerivKind.Material)
+    assert calls == {"jet": 1, "u_jet": 0}
+
+
+@pytest.mark.parametrize("route", ["scalar_dot", "material_dt"])
+def test_proxy_routes_reject_events_outside_the_domain(route):
+    # y1 = 0.01 lies in the sphere's excluded pole band
+    surface = get_scenario("sphere-expanding")
+    ev = Event(0.3, np.array([1.0, 0.01]), np.array([1.0, 1.0]))
+    with pytest.raises(DomainError):
+        if route == "scalar_dot":
+            scalar_dot(surface, probe_scalar, ev)
+        else:
+            material_dt(surface, probe_field(surface, 2), ev)
