@@ -2,8 +2,9 @@
 
 A moving surface is described by one chart ``X(t, y1, y2) -> R^3`` on a
 rectangular coordinate domain (axes may be periodic).  Every scenario ships
-closed-form derivative jets; a fourth-order finite-difference backend covers
-arbitrary user charts and doubles as a cross-check oracle.
+closed-form derivative jets, and its chart is the point X of those jets; a
+fourth-order finite-difference backend covers arbitrary user charts and
+doubles as a cross-check oracle.
 
 Conventions: arrays carry component axes first and broadcast axes last, so a
 jet evaluated on a grid of shape S has ``X: (3,)+S``, ``dX: (3,2)+S`` with
@@ -26,7 +27,6 @@ __all__ = [
     "ChartJet",
     "MovingSurface",
     "ChartMotion",
-    "eval_jet",
     "make_observer_pair",
     "rotating_chart_motion",
     "get_scenario",
@@ -154,10 +154,6 @@ class MovingSurface:
     def space_step(self) -> float:
         return self.fd_step if self.fd_step is not None else 1e-3 * self.domain.scale
 
-    def position(self, t, y1, y2):
-        y1, y2 = self.domain.wrap(y1, y2)
-        return self.chart(t, y1, y2)
-
     def jet(self, t, y1, y2) -> ChartJet:
         y1, y2 = self.domain.wrap(y1, y2)
         if self.jets is not None:
@@ -204,10 +200,10 @@ def _require_event_inside(surface: MovingSurface, event: Event) -> None:
     surface.domain.require_inside(event.y1, event.y2, pad)
 
 
-def eval_jet(surface: MovingSurface, event: Event) -> ChartJet:
-    """Evaluate the chart jet at one event, with a domain check (geometry_from_jet checks det g)."""
-    _require_event_inside(surface, event)
-    return surface.jet(event.t, event.y1, event.y2)
+def _position(jets: Callable) -> Callable:
+    """The chart X(t, y1, y2) of closed-form jets: their point X, so a
+    surface's chart and jets are one definition."""
+    return lambda t, y1, y2: jets(t, y1, y2).X
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +264,6 @@ def make_observer_pair(surface: MovingSurface, motion: ChartMotion):
     """
     base = surface
 
-    def chart_b(t, z1, z2):
-        y = motion.phi(t, z1, z2)
-        return base.position(t, y[0], y[1])
-
     def jets_b(t, z1, z2):
         y = motion.phi(t, z1, z2)
         ja = base.jet(t, y[0], y[1])
@@ -303,7 +295,7 @@ def make_observer_pair(surface: MovingSurface, motion: ChartMotion):
 
     observed = MovingSurface(
         name=base.name + "+observer",
-        chart=chart_b,
+        chart=_position(jets_b),
         domain=base.domain,
         u_field=u_b,
         jets=jets_b,
@@ -354,16 +346,6 @@ def _sphere_jets(R_of_t: Callable, Rdot_of_t: Callable) -> Callable:
     return jets
 
 
-def _sphere_chart(R_of_t: Callable) -> Callable:
-    def chart(t, y1, y2):
-        y1 = np.asarray(y1, float)
-        y2 = np.asarray(y2, float)
-        st, ct = np.sin(y1), np.cos(y1)
-        return R_of_t(t) * np.stack([st * np.cos(y2), st * np.sin(y2), ct])
-
-    return chart
-
-
 def _torus_jets(R0: float, r_of_t: Callable, rdot_of_t: Callable) -> Callable:
     def jets(t, y1, y2):
         y1 = np.asarray(y1, float)
@@ -397,17 +379,6 @@ def _torus_jets(R0: float, r_of_t: Callable, rdot_of_t: Callable) -> Callable:
     return jets
 
 
-def _torus_chart(R0: float, r_of_t: Callable) -> Callable:
-    def chart(t, y1, y2):
-        y1 = np.asarray(y1, float)
-        y2 = np.asarray(y2, float)
-        r = r_of_t(t)
-        w = R0 + r * np.cos(y1)
-        return np.stack([w * np.cos(y2), w * np.sin(y2), r * np.sin(y1)])
-
-    return chart
-
-
 def _const_u(c1: float, c2: float) -> dict:
     """The MovingSurface fields of the constant relative velocity (c1, c2)."""
 
@@ -428,11 +399,6 @@ def _const_u(c1: float, c2: float) -> dict:
 def _plane(name: str, domain: Domain, rate: float) -> MovingSurface:
     """The plane z = 0 under the shear chart (y1, y2) -> (y1 + rate t y2, y2, 0);
     rate 0 gives the static identity chart."""
-
-    def chart(t, y1, y2):
-        y1 = np.asarray(y1, float)
-        y2 = np.asarray(y2, float)
-        return np.stack([y1 + rate * t * y2, y2, np.zeros_like(y1)])
 
     def jets(t, y1, y2):
         y1 = np.asarray(y1, float)
@@ -457,7 +423,9 @@ def _plane(name: str, domain: Domain, rate: float) -> MovingSurface:
             dVt=dVt,
         )
 
-    return MovingSurface(name=name, chart=chart, domain=domain, jets=jets, static=rate == 0)
+    return MovingSurface(
+        name=name, chart=_position(jets), domain=domain, jets=jets, static=rate == 0
+    )
 
 
 def _square_domain() -> Domain:
@@ -473,20 +441,18 @@ def _sphere(name: str, R: Callable, Rd: Callable, **fields) -> MovingSurface:
     a band around each pole cut out; ``fields`` are further MovingSurface
     fields."""
     domain = Domain((POLE_BAND, np.pi - POLE_BAND), (0.0, 2 * np.pi), periodic2=True)
+    jets = _sphere_jets(R, Rd)
     return MovingSurface(
-        name=name, chart=_sphere_chart(R), domain=domain, jets=_sphere_jets(R, Rd), **fields
+        name=name, chart=_position(jets), domain=domain, jets=jets, **fields
     )
 
 
 def _torus(name: str, r: Callable, rd: Callable, **fields) -> MovingSurface:
     """Torus of tube radius r(t) (rate rd(t)) about a circle of radius 2;
     ``fields`` are further MovingSurface fields."""
+    jets = _torus_jets(2.0, r, rd)
     return MovingSurface(
-        name=name,
-        chart=_torus_chart(2.0, r),
-        domain=_torus_domain(),
-        jets=_torus_jets(2.0, r, rd),
-        **fields,
+        name=name, chart=_position(jets), domain=_torus_domain(), jets=jets, **fields
     )
 
 

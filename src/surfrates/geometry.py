@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from ._fd import _at_time, c4_d1, c4_grad
-from .chart_kernel import _FD_TIME_STEP, ChartJet, Event, MovingSurface, eval_jet
+from .chart_kernel import _FD_TIME_STEP, ChartJet, Event, MovingSurface, _require_event_inside
 from .errors import NonEmbeddingError
 from .util import _maxabs, _pack, _unpack, det2, inv2
 
@@ -160,7 +160,8 @@ def geometry_from_jet(jet: ChartJet) -> GeometrySample:
 
 
 def geometry_at(surface: MovingSurface, event: Event) -> GeometrySample:
-    return geometry_from_jet(eval_jet(surface, event))
+    _require_event_inside(surface, event)
+    return geometry_from_jet(surface.jet(event.t, event.y1, event.y2))
 
 
 class MotionSample:

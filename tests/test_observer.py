@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from surfrates.chart_kernel import (
     Event,
+    fd_variant,
     get_scenario,
     make_observer_pair,
     rotating_chart_motion,
@@ -101,3 +102,16 @@ def test_point_map_on_a_batch_equals_each_event(pair):
     for k, ev_b in enumerate(events):
         ev_a = point_map(ev_b)
         assert (batch.t[k], batch.y1[k], batch.y2[k]) == (ev_a.t, ev_a.y1, ev_a.y2)
+
+
+def test_fd_twin_of_observed_surface_matches_its_jets(pair):
+    # the observed chart is the point X of the observed jets, so the
+    # finite-difference twin differentiates the same map that the jets do
+    _, observed, _, _ = pair
+    fd = fd_variant(observed)
+    for ev in sample_events(observed, 4, 21):
+        exact = observed.jet(ev.t, ev.y1, ev.y2)
+        approx = fd.jet(ev.t, ev.y1, ev.y2)
+        assert_array_equal(approx.X, exact.X)
+        for key in ("dX", "ddX", "Vt", "dVt"):
+            assert_allclose(getattr(approx, key), getattr(exact, key), atol=1e-6)
