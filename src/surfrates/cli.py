@@ -43,7 +43,7 @@ from .probes import (
     probe_scalar,
     probe_scalar_b,
 )
-from .thinfilm import LIMIT_QUANTITIES, _order_json, fit_order, limit_study
+from .thinfilm import _order_json, fit_order, limit_study
 from .timederiv import (
     DerivKind,
     _advected_parts,
@@ -328,7 +328,7 @@ def run_converge_fd(scenario: str, seed: int = 7) -> dict:
 def run_converge_thinfilm(scenario: str, seed: int = 7) -> dict:
     surface = get_scenario(scenario)
     ev = sample_events(surface, 1, seed)[0]
-    reports = [limit_study(surface, qty, ev) for qty in LIMIT_QUANTITIES]
+    reports = limit_study(surface, ev)
     return {
         "kind": "thinfilm",
         "reports": [r.to_json_obj() for r in reports],

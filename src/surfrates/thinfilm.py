@@ -10,16 +10,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from ._fd import _at_time, c4_grad
 from .chart_kernel import Event, MovingSurface
-from .errors import ConfigError, ShellDegenerateError
+from .errors import ShellDegenerateError
 from .geometry import _metric, geometry_at, motion_at
 from .probes import _stack
 from .timederiv import DerivKind, _advected_parts, _via_material
-from .util import _mm, _scaled_norm, inv2
+from .util import _scaled_norm, inv2
 
 __all__ = [
     "shell_velocity",
@@ -35,6 +36,9 @@ LIMIT_QUANTITIES = (
     "JaumannDt",
     "Deformation",
 )
+
+# the convected rates of the first three quantities
+_LIMIT_KINDS = (DerivKind.Upper, DerivKind.Lower, DerivKind.Jaumann)
 
 ORDER_FLOOR = 1e-10
 
@@ -134,48 +138,34 @@ def _worst_norm(a) -> float:
     return float(np.max(_scaled_norm(a, nb=np.ndim(a) - 2)))
 
 
-def limit_study(
-    surface: MovingSurface,
-    quantity: str,
-    event: Event,
-) -> ConvergenceReport:
-    """Compare bulk shell derivatives at offsets xi with the surface-side
-    derivative, and fit the convergence order.  On a batch of events each
-    row holds the largest error over the batch."""
-    if quantity not in LIMIT_QUANTITIES:
-        raise ConfigError(
-            f"unknown limit quantity {quantity!r}; pick one of {LIMIT_QUANTITIES}"
-        )
-    mot = motion_at(surface, event)
-    rows = []
-    if quantity == "Deformation":
-        S_surf = 0.5 * (mot.Gcal + np.einsum("ab...->ba...", mot.Gcal))
-        scale = max(1.0, _worst_norm(S_surf))
-        for xi in _XI_SEQUENCE:
-            gradv = shell_velocity_gradient(surface, event, xi)
-            S_shell = 0.5 * (gradv + np.einsum("ab...->ba...", gradv))
-            rows.append((xi, _worst_norm(S_shell - S_surf)))
-        return ConvergenceReport(quantity, rows, fit_order(rows, scale))
+def limit_study(surface: MovingSurface, event: Event) -> list[ConvergenceReport]:
+    """Compare bulk shell quantities at offsets xi with their surface values
+    and fit each convergence order; one report per entry of
+    ``LIMIT_QUANTITIES``, in that order.
 
-    kind = {
-        "UpperDt": DerivKind.Upper,
-        "LowerDt": DerivKind.Lower,
-        "JaumannDt": DerivKind.Jaumann,
-    }[quantity]
-    # the proxy and its material rate from one stencil call; the surface
-    # value is convected_dt's ViaMaterial formula applied to them
+    Each side applies the same formulas to its velocity gradient: the
+    upper, lower and Jaumann rates of a probe are convected_dt's ViaMaterial
+    formula, and the deformation is the symmetric part.  The shell side
+    takes one shell gradient per offset.  On a batch of events each row
+    holds the largest error over the batch.
+    """
+    # the proxy and its material rate from one stencil call, shared by both sides
     R, Dm = _advected_parts(surface, _probe_rank2, event)
-    surf_val = _via_material(mot, 2, kind, R, Dm)
-    scale = max(1.0, _worst_norm(surf_val))
+
+    def quantities(grad):
+        """The LIMIT_QUANTITIES values of a gradient with Gcal and Acal."""
+        rates = [_via_material(grad, 2, kind, R, Dm) for kind in _LIMIT_KINDS]
+        return rates + [0.5 * (grad.Gcal + np.einsum("ab...->ba...", grad.Gcal))]
+
+    surface_vals = quantities(motion_at(surface, event))
+    shell_vals = []
     for xi in _XI_SEQUENCE:
-        gradv = shell_velocity_gradient(surface, event, xi)
-        gradvT = np.einsum("ab...->ba...", gradv)
-        if kind == DerivKind.Upper:
-            shell_val = Dm - _mm(gradv, R) - _mm(R, gradvT)
-        elif kind == DerivKind.Lower:
-            shell_val = Dm + _mm(gradvT, R) + _mm(R, gradv)
-        else:
-            W = 0.5 * (gradv - gradvT)
-            shell_val = Dm - _mm(W, R) + _mm(R, W)
-        rows.append((xi, _worst_norm(shell_val - surf_val)))
-    return ConvergenceReport(quantity, rows, fit_order(rows, scale))
+        G = shell_velocity_gradient(surface, event, xi)
+        spin = 0.5 * (G - np.einsum("ab...->ba...", G))
+        shell_vals.append(quantities(SimpleNamespace(Gcal=G, Acal=spin)))
+    reports = []
+    for quantity, value, *shell in zip(LIMIT_QUANTITIES, surface_vals, *shell_vals):
+        rows = [(xi, _worst_norm(v - value)) for xi, v in zip(_XI_SEQUENCE, shell)]
+        scale = max(1.0, _worst_norm(value))
+        reports.append(ConvergenceReport(quantity, rows, fit_order(rows, scale)))
+    return reports

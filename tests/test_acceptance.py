@@ -525,8 +525,7 @@ def test_criterion_10_thin_film_limits():
     for name in DERIV_SCENARIOS:
         surface = get_scenario(name)
         ev = sample_events(surface, 1, SEED)[0]
-        for quantity in LIMIT_QUANTITIES:
-            rep = limit_study(surface, quantity, ev)
+        for rep in limit_study(surface, ev):
             all_ok = all_ok and rep.fitted_order >= 0.9
             if np.isfinite(rep.fitted_order):
                 worst_finite = (
@@ -535,7 +534,7 @@ def test_criterion_10_thin_film_limits():
                     else min(worst_finite, rep.fitted_order)
                 )
             if rep.fitted_order < 0.9:
-                details.append(f"{name}:{quantity}={rep.fitted_order:.2f}")
+                details.append(f"{name}:{rep.quantity}={rep.fitted_order:.2f}")
     ok = all_ok
     _record(
         10,

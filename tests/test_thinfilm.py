@@ -17,6 +17,11 @@ from surfrates.thinfilm import (
 )
 
 
+def _report(surface, quantity, event):
+    """The limit study's report of one quantity."""
+    return limit_study(surface, event)[LIMIT_QUANTITIES.index(quantity)]
+
+
 def test_shell_velocity_reduces_to_material(torus_drift, torus_events):
     ev = torus_events[1]
     mot = motion_at(torus_drift, ev)
@@ -39,14 +44,14 @@ def test_shell_degenerate_offset(torus_static):
 @pytest.mark.parametrize("quantity", LIMIT_QUANTITIES)
 def test_limit_orders_torus_drift(torus_drift, quantity):
     ev = sample_events(torus_drift, 1, 7)[0]
-    rep = limit_study(torus_drift, quantity, ev)
+    rep = _report(torus_drift, quantity, ev)
     assert rep.fitted_order >= 0.9
     assert len(rep.rows) == 4
 
 
 def test_exact_limits_report_inf(torus_drift):
     ev = sample_events(torus_drift, 1, 9)[0]
-    rep = limit_study(torus_drift, "JaumannDt", ev)
+    rep = _report(torus_drift, "JaumannDt", ev)
     assert math.isinf(rep.fitted_order)
     assert rep.to_json_obj()["fitted_order"] == "inf"
 
@@ -64,7 +69,23 @@ def test_limit_study_detects_biased_shell_gradient(torus_drift, quantity, monkey
 
     monkeypatch.setattr(thinfilm, "shell_velocity_gradient", biased)
     ev = sample_events(torus_drift, 1, 7)[0]
-    assert limit_study(torus_drift, quantity, ev).fitted_order < 0.9
+    assert _report(torus_drift, quantity, ev).fitted_order < 0.9
+
+
+def test_limit_study_takes_one_shell_gradient_per_offset(monkeypatch):
+    from surfrates.cli import run_converge_thinfilm
+
+    calls = []
+    exact = thinfilm.shell_velocity_gradient
+
+    def counted(surface, event, xi):
+        calls.append(xi)
+        return exact(surface, event, xi)
+
+    monkeypatch.setattr(thinfilm, "shell_velocity_gradient", counted)
+    report = run_converge_thinfilm("torus-breathing-drift")
+    assert [r["quantity"] for r in report["reports"]] == list(LIMIT_QUANTITIES)
+    assert calls == [0.1, 0.05, 0.025, 0.0125]
 
 
 def test_fit_order_recovers_slope():
@@ -76,7 +97,7 @@ def test_fit_order_recovers_slope():
 
 def test_convergence_report_json_shape(torus_drift):
     ev = sample_events(torus_drift, 1, 7)[0]
-    rep = limit_study(torus_drift, "UpperDt", ev)
+    rep = _report(torus_drift, "UpperDt", ev)
     obj = rep.to_json_obj()
     assert obj["quantity"] == "UpperDt"
     assert isinstance(obj["fitted_order"], float)
@@ -133,8 +154,8 @@ def test_batch_with_one_focal_point_raises(torus_static):
 @pytest.mark.parametrize("quantity", LIMIT_QUANTITIES)
 def test_batch_limit_rows_are_the_worst_event(torus_drift, quantity):
     events = sample_events(torus_drift, 3, 7)
-    rep = limit_study(torus_drift, quantity, _as_batch(events))
-    singles = [limit_study(torus_drift, quantity, ev).rows for ev in events]
+    rep = _report(torus_drift, quantity, _as_batch(events))
+    singles = [_report(torus_drift, quantity, ev).rows for ev in events]
     exact = math.isinf(rep.fitted_order)
     assert exact == (quantity == "JaumannDt")
     for k, (xi, err) in enumerate(rep.rows):
