@@ -8,6 +8,7 @@ timestamps, so repeated runs with the same arguments are byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -392,22 +393,16 @@ def cmd_verify(args) -> int:
     return 0 if report["all_pass"] else 1
 
 
+def _from_args(cls, args):
+    """A dataclass cls built from the parsed arguments named as its fields;
+    a field without a flag keeps its default."""
+    given = vars(args)
+    return cls(**{f.name: given[f.name] for f in dataclasses.fields(cls) if f.name in given})
+
+
 def cmd_flow(args) -> int:
     surface = get_scenario(args.scenario)
-    params = LdGParams(L=args.L, a=args.a, b=args.b, c=args.c)
-    config = FlowConfig(
-        mode=args.mode,
-        n=args.n,
-        dt=args.dt,
-        steps=args.steps,
-        method=args.method,
-        ic=args.ic,
-        seed=args.seed,
-        beta0=args.beta0,
-        amplitude=args.amplitude,
-        snapshot_every=args.snapshot_every,
-        crosscheck_every=args.crosscheck_every,
-    )
+    params, config = (_from_args(cls, args) for cls in (LdGParams, FlowConfig))
     out = _outdir(args.out)
     result = run_flow(surface, params, config, out_dir=out)
     first = result.energy_rows[0]
@@ -417,23 +412,11 @@ def cmd_flow(args) -> int:
         "crosscheck_max_residual": (
             float(np.max([r[2] for r in result.crosschecks])) if result.crosschecks else None
         ),
-        "config": {
-            "amplitude": config.amplitude,
-            "crosscheck_every": config.crosscheck_every,
-            "beta0": config.beta0,
-            "dt": config.dt,
-            "ic": config.ic,
-            "method": config.method,
-            "mode": config.mode,
-            "n": config.n,
-            "seed": config.seed,
-            "snapshot_every": config.snapshot_every,
-            "steps": config.steps,
-        },
+        "config": dataclasses.asdict(config),
         "energy_final": last[4],
         "energy_initial": first[4],
         "monotone": monotone,
-        "params": {"L": params.L, "a": params.a, "b": params.b, "c": params.c},
+        "params": dataclasses.asdict(params),
         "scenario": args.scenario,
         "stability_bound": result.bound,
     }

@@ -107,6 +107,10 @@ class FlowConfig:
             raise ConfigError(f"unknown initial condition {self.ic!r}; pick one of {sorted(IC_REGISTRY)}")
         if self.dt <= 0 or self.steps < 0:
             raise ConfigError("dt must be positive and steps nonnegative")
+        if self.snapshot_every < 0 or self.crosscheck_every < 0:
+            raise ConfigError("snapshot_every and crosscheck_every must be nonnegative (0 is off)")
+        if self.crosscheck_samples < 1:
+            raise ConfigError("crosscheck_samples must be at least 1")
         if self.crosscheck_every > 0 and not self.mode.startswith("Conforming"):
             raise ConfigError(f"the cross-check compares conforming routes; {self.mode} has none")
 
@@ -291,7 +295,6 @@ def _conf_state_rate(gg, params, kind: DerivKind, mot, Q, q, beta):
 class FlowResult:
     config: FlowConfig
     params: LdGParams
-    mode: str
     energy_rows: list
     crosschecks: list
     bound: float
@@ -477,7 +480,6 @@ def run_flow(
     result = FlowResult(
         config=config,
         params=params,
-        mode=config.mode,
         energy_rows=energy_rows,
         crosschecks=crosschecks,
         bound=bound,

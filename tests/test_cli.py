@@ -2,7 +2,7 @@ import json
 import math
 import os
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -268,6 +268,28 @@ def test_flow_report_config_records_the_amplitude(tmp_path):
         assert main(["flow", "--n", "16", "--steps", "2", "--out", str(out), *extra]) == 0
         configs.append(_strict_json(out / "flow_report.json")["config"])
     assert [c["amplitude"] for c in configs] == [0.1, 0.05]
+
+
+def test_flow_report_records_every_config_and_params_field(tmp_path):
+    assert main(["flow", "--n", "16", "--steps", "2", "--out", str(tmp_path)]) == 0
+    report = _strict_json(tmp_path / "flow_report.json")
+    assert report["config"] == asdict(FlowConfig(n=16, steps=2))
+    assert report["params"] == asdict(LdGParams())
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--mode", "FullQ_Material", "--crosscheck-every", "-1"],
+        ["--crosscheck-every", "-2"],
+        ["--snapshot-every", "-1"],
+    ],
+)
+def test_flow_negative_every_is_a_config_error(tmp_path, capsys, extra):
+    rc = main(["flow", "--n", "16", "--steps", "2", "--out", str(tmp_path), *extra])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("n_events", [1, 3])

@@ -231,6 +231,9 @@ def test_params_validation():
         FlowConfig(method="leapfrog")
     with pytest.raises(ConfigError):
         FlowConfig(ic="unknown-ic")
+    for bad in ({"snapshot_every": -1}, {"crosscheck_every": -1}, {"crosscheck_samples": 0}):
+        with pytest.raises(ConfigError):
+            FlowConfig(**bad)
 
 
 @pytest.mark.parametrize(
