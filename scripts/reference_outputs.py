@@ -21,8 +21,9 @@ thread) and writes each run's files under ``OUTDIR``.  ``compare`` compares
 every file byte for byte, then every verify row: it prints the number of
 byte-identical files of each kind (converge, flow, verify), the number of
 bit-identical rows and the old and new worst residual of each row that
-moved.  For an ``energy.csv`` that differs it prints the largest absolute
-change of each column, and for a ``flow_report.json`` or a
+moved.  For an ``energy.csv`` or a ``converge_*.csv`` that differs it
+prints the largest absolute change of each column (cells equal on both
+sides are skipped), and for a ``flow_report.json`` or a
 ``converge_*.json`` that of each key whose value changed (a list item's key
 is its index).  It exits 1 if a file differs outside the verify reports, a file is
 missing, or a verify row fails its tolerance; otherwise 0.
@@ -115,16 +116,21 @@ def _is_number(x) -> bool:
 
 def _largest_changes(a: Path, b: Path) -> list[str]:
     """The largest absolute change from a to b of each column of an
-    energy.csv, or of each changed key of a flow_report.json or a
-    converge_*.json."""
-    if a.name == "energy.csv":
+    energy.csv or a converge_*.csv, or of each changed key of a
+    flow_report.json or a converge_*.json."""
+    if a.suffix == ".csv":
         ra, rb = (list(csv.reader(p.read_text().splitlines())) for p in (a, b))
         if ra[0] != rb[0] or len(ra) != len(rb):
             return [f"columns or row count changed: {len(ra) - 1} -> {len(rb) - 1} rows"]
-        return [
-            f"{col} {max(abs(float(y[j]) - float(x[j])) for x, y in zip(ra[1:], rb[1:])):.3g}"
-            for j, col in enumerate(ra[0])
-        ]
+        # equal cells are skipped, so an "inf" on both sides is no change
+        changes = (
+            max(
+                (abs(float(y[j]) - float(x[j])) for x, y in zip(ra[1:], rb[1:]) if x[j] != y[j]),
+                default=0.0,
+            )
+            for j in range(len(ra[0]))
+        )
+        return [f"{col} {change:.3g}" for col, change in zip(ra[0], changes)]
     if a.name == "flow_report.json" or (a.name.startswith("converge_") and a.suffix == ".json"):
         la, lb = (_leaves(json.loads(p.read_text())) for p in (a, b))
         lines = []
