@@ -26,7 +26,6 @@ __all__ = [
     "Domain",
     "ChartJet",
     "MovingSurface",
-    "ChartMotion",
     "make_observer_pair",
     "rotating_chart_motion",
     "get_scenario",
@@ -112,10 +111,11 @@ class Domain:
 
 @dataclass
 class ChartJet:
-    """Space/time derivative jet of a chart at one event (or a batch).
+    """Space/time derivative jet of a chart (three components) or of a chart
+    map y = phi_t(z) (two components) at one event, or a batch.
 
     ``X`` point, ``dX[:, i]`` first derivatives, ``ddX[:, i, j]`` second
-    derivatives (symmetric in i, j), ``Vt`` the chart velocity, and
+    derivatives (symmetric in i, j), ``Vt`` the time derivative, and
     ``dVt[:, i]`` its spatial derivatives.
     """
 
@@ -210,88 +210,63 @@ def _position(jets: Callable) -> Callable:
 # observer pairs
 
 
-@dataclass
-class ChartMotion:
-    """Time-dependent diffeomorphism y = phi_t(z) of the chart domain.
+def rotating_chart_motion(omega: float) -> Callable:
+    """Uniform drift of the second (periodic) coordinate, phi_t(z) = (z1, z2 + omega t),
+    as its jets ``(t, z1, z2) -> ChartJet``."""
 
-    ``dphi[j, i] = d phi^j / d z^i``, ``ddphi[j, i, k]`` second derivatives,
-    ``dtphi[j] = d_t phi^j``, ``ddtphi[j, i] = d_i d_t phi^j``.
-    """
-
-    phi: Callable
-    dphi: Callable
-    dtphi: Callable
-    ddphi: Callable
-    ddtphi: Callable
-
-
-def rotating_chart_motion(omega: float) -> ChartMotion:
-    """Uniform drift of the second (periodic) coordinate: phi_t(z) = (z1, z2 + omega t)."""
-
-    def phi(t, z1, z2):
+    def jets(t, z1, z2):
         z1 = np.asarray(z1, float)
-        return np.stack([z1, np.asarray(z2, float) + omega * t])
+        s = np.shape(z1)
+        dX = np.zeros((2, 2) + s)
+        dX[0, 0] = 1.0
+        dX[1, 1] = 1.0
+        Vt = np.zeros((2,) + s)
+        Vt[1] = omega
+        return ChartJet(
+            X=np.stack([z1, np.asarray(z2, float) + omega * t]),
+            dX=dX,
+            ddX=np.zeros((2, 2, 2) + s),
+            Vt=Vt,
+            dVt=np.zeros((2, 2) + s),
+        )
 
-    def dphi(t, z1, z2):
-        s = np.shape(np.asarray(z1, float))
-        out = np.zeros((2, 2) + s)
-        out[0, 0] = 1.0
-        out[1, 1] = 1.0
-        return out
-
-    def dtphi(t, z1, z2):
-        s = np.shape(np.asarray(z1, float))
-        out = np.zeros((2,) + s)
-        out[1] = omega
-        return out
-
-    def ddphi(t, z1, z2):
-        return np.zeros((2, 2, 2) + np.shape(np.asarray(z1, float)))
-
-    def ddtphi(t, z1, z2):
-        return np.zeros((2, 2) + np.shape(np.asarray(z1, float)))
-
-    return ChartMotion(phi, dphi, dtphi, ddphi, ddtphi)
+    return jets
 
 
-def make_observer_pair(surface: MovingSurface, motion: ChartMotion):
+def make_observer_pair(surface: MovingSurface, motion: Callable):
     """Build a second observer of the same moving surface.
 
-    Returns ``(surface, observed, point_map)`` where ``observed`` has chart
-    ``X_B(t, z) = X_A(t, phi_t(z))`` and a relative velocity recomputed so the
-    material velocity is unchanged, and ``point_map`` sends an event of B,
-    or a batch, to the event of A at the same spatial point and time.
+    ``motion(t, z1, z2)`` gives the jets of a chart map y = phi_t(z) as a
+    two-component ``ChartJet``.  Returns ``(surface, observed, point_map)``
+    where ``observed`` has chart ``X_B(t, z) = X_A(t, phi_t(z))`` and a
+    relative velocity recomputed so the material velocity is unchanged, and
+    ``point_map`` sends an event of B, or a batch, to the event of A at the
+    same spatial point and time.
     """
     base = surface
 
     def jets_b(t, z1, z2):
-        y = motion.phi(t, z1, z2)
-        ja = base.jet(t, y[0], y[1])
-        dphi = motion.dphi(t, z1, z2)
-        dtphi = motion.dtphi(t, z1, z2)
-        ddphi = motion.ddphi(t, z1, z2)
-        ddtphi = motion.ddtphi(t, z1, z2)
-        dX = np.einsum("aj...,ji...->ai...", ja.dX, dphi)
+        m = motion(t, z1, z2)
+        ja = base.jet(t, m.X[0], m.X[1])
+        dX = np.einsum("aj...,ji...->ai...", ja.dX, m.dX)
         ddX = (
-            np.einsum("ajl...,ji...,lk...->aik...", ja.ddX, dphi, dphi)
-            + np.einsum("aj...,jik...->aik...", ja.dX, ddphi)
+            np.einsum("ajl...,ji...,lk...->aik...", ja.ddX, m.dX, m.dX)
+            + np.einsum("aj...,jik...->aik...", ja.dX, m.ddX)
         )
-        Vt = ja.Vt + np.einsum("aj...,j...->a...", ja.dX, dtphi)
+        Vt = ja.Vt + np.einsum("aj...,j...->a...", ja.dX, m.Vt)
         dVt = (
-            np.einsum("al...,li...->ai...", ja.dVt, dphi)
-            + np.einsum("ajl...,j...,li...->ai...", ja.ddX, dtphi, dphi)
-            + np.einsum("aj...,ji...->ai...", ja.dX, ddtphi)
+            np.einsum("al...,li...->ai...", ja.dVt, m.dX)
+            + np.einsum("ajl...,j...,li...->ai...", ja.ddX, m.Vt, m.dX)
+            + np.einsum("aj...,ji...->ai...", ja.dX, m.dVt)
         )
         return ChartJet(X=ja.X, dX=dX, ddX=ddX, Vt=Vt, dVt=dVt)
 
     def u_b(t, z1, z2):
-        dphi = motion.dphi(t, z1, z2)
-        if np.any(np.abs(det2(dphi)) < 1e-12):
-            raise InversionError("chart motion Jacobian is singular at requested point")
-        y = motion.phi(t, z1, z2)
-        ua = base.u(t, y[0], y[1])
-        rel = ua - motion.dtphi(t, z1, z2)
-        return np.einsum("ji...,j...->i...", inv2(dphi), rel)
+        m = motion(t, z1, z2)
+        if np.any(np.abs(det2(m.dX)) < 1e-12):
+            raise InversionError("chart map Jacobian is singular at requested point")
+        ua = base.u(t, m.X[0], m.X[1])
+        return np.einsum("ji...,j...->i...", inv2(m.dX), ua - m.Vt)
 
     observed = MovingSurface(
         name=base.name + "+observer",
@@ -305,7 +280,7 @@ def make_observer_pair(surface: MovingSurface, motion: ChartMotion):
     )
 
     def point_map(event: Event) -> Event:
-        y = motion.phi(event.t, event.y1, event.y2)
+        y = motion(event.t, event.y1, event.y2).X
         y1, y2 = base.domain.wrap(y[0], y[1])
         return Event(event.t, y1, y2)
 

@@ -188,7 +188,7 @@ def test_criterion_04_observer_invariance():
 
     def through_motion(f):
         def g(t, z1, z2):
-            y = motion.phi(t, z1, z2)
+            y = motion(t, z1, z2).X
             return f(t, y[0], y[1])
 
         return g
@@ -198,7 +198,7 @@ def test_criterion_04_observer_invariance():
     rank2_b = FieldClosure(2, through_motion(rank2_a.eval))
 
     def q_eval_b(t, z1, z2):
-        y = motion.phi(t, z1, z2)
+        y = motion(t, z1, z2).X
         return q_a.q_eval(t, y[0], y[1])
 
     q_b = QFieldClosure(q_eval_b)

@@ -3,13 +3,16 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from surfrates.chart_kernel import (
+    ChartJet,
     Event,
+    MovingSurface,
     fd_variant,
     get_scenario,
     make_observer_pair,
     rotating_chart_motion,
     sample_events,
 )
+from surfrates.errors import InversionError
 from surfrates.geometry import geometry_at, motion_at
 from surfrates.probes import probe_field, probe_scalar
 from surfrates.timederiv import DerivKind, FieldClosure, convected_dt, material_dt, scalar_dot
@@ -55,7 +58,7 @@ def test_scalar_rate_invariant(pair):
     base, observed, point_map, motion = pair
 
     def f_b(t, z1, z2):
-        y = motion.phi(t, z1, z2)
+        y = motion(t, z1, z2).X
         return probe_scalar(t, y[0], y[1])
 
     for ev_b in sample_events(observed, 4, 9):
@@ -71,7 +74,7 @@ def test_derivative_invariance(pair, rank):
     PA = probe_field(base, rank)
 
     def eval_b(t, z1, z2):
-        y = motion.phi(t, z1, z2)
+        y = motion(t, z1, z2).X
         return PA.eval(t, y[0], y[1])
 
     PB = FieldClosure(rank, eval_b)
@@ -115,3 +118,37 @@ def test_fd_twin_of_observed_surface_matches_its_jets(pair):
         assert_array_equal(approx.X, exact.X)
         for key in ("dX", "ddX", "Vt", "dVt"):
             assert_allclose(getattr(approx, key), getattr(exact, key), atol=1e-6)
+
+
+def test_map_jets_match_fd_jets_of_its_point(pair):
+    # a chart map is a two-component ChartJet, so the finite-difference jets
+    # of its point X are the jets of any user map phi
+    base, _, _, motion = pair
+    fd = MovingSurface("map", chart=lambda t, a, b: motion(t, a, b).X, domain=base.domain)
+    for ev in sample_events(base, 4, 5):
+        exact = motion(ev.t, ev.y1, ev.y2)
+        approx = fd.jet(ev.t, ev.y1, ev.y2)
+        for key in ("X", "dX", "ddX", "Vt", "dVt"):
+            assert_allclose(getattr(approx, key), getattr(exact, key), atol=1e-6)
+
+
+def test_singular_map_raises_inversion_error():
+    surface = get_scenario("torus-breathing-drift")
+
+    def collapse(t, z1, z2):
+        # phi_t(z) = (z1, 0.3): the second column of its Jacobian vanishes
+        z1 = np.asarray(z1, float)
+        s = np.shape(z1)
+        dX = np.zeros((2, 2) + s)
+        dX[0, 0] = 1.0
+        return ChartJet(
+            X=np.stack([z1, np.full(s, 0.3)]),
+            dX=dX,
+            ddX=np.zeros((2, 2, 2) + s),
+            Vt=np.zeros((2,) + s),
+            dVt=np.zeros((2, 2) + s),
+        )
+
+    _, observed, _ = make_observer_pair(surface, collapse)
+    with pytest.raises(InversionError, match="singular"):
+        observed.u(0.4, 1.0, 2.0)
