@@ -34,7 +34,7 @@ from .diffops import (
 from .errors import ConfigError, StabilityError, SurfratesError
 from .fields import g_inner_rank2, pi_q_components, project, q_from_cart, q_to_cart
 from .geometry import IdentityReport, check_identities, geometry_at, motion_at
-from .landau import ENERGY_RISE_TOL, FLOW_MODES, FlowConfig, LdGParams, run_flow
+from .landau import ENERGY_RISE_TOL, FlowConfig, LdGParams, run_flow
 from .probes import (
     probe_conforming_q_field,
     probe_field,
@@ -394,10 +394,9 @@ def cmd_verify(args) -> int:
 
 
 def _from_args(cls, args):
-    """A dataclass cls built from the parsed arguments named as its fields;
-    a field without a flag keeps its default."""
+    """A dataclass cls built from the parsed arguments named as its fields."""
     given = vars(args)
-    return cls(**{f.name: given[f.name] for f in dataclasses.fields(cls) if f.name in given})
+    return cls(**{f.name: given[f.name] for f in dataclasses.fields(cls)})
 
 
 def cmd_flow(args) -> int:
@@ -487,21 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pf = sub.add_parser("flow", help="integrate a surface Landau-de Gennes flow")
     pf.add_argument("--scenario", default="torus-static")
-    pf.add_argument("--mode", default="Conforming_Material", choices=FLOW_MODES)
-    pf.add_argument("--n", type=int, default=48)
-    pf.add_argument("--dt", type=float, default=1e-4)
-    pf.add_argument("--steps", type=int, default=200)
-    pf.add_argument("--method", default="euler", choices=("euler", "rk4"))
-    pf.add_argument("--ic", default="random-smooth")
-    pf.add_argument("--seed", type=int, default=0)
-    pf.add_argument("--beta0", type=float, default=0.3)
-    pf.add_argument("--amplitude", type=float, default=0.1)
-    pf.add_argument("--L", type=float, default=1.0)
-    pf.add_argument("--a", type=float, default=-1.0)
-    pf.add_argument("--b", type=float, default=0.0)
-    pf.add_argument("--c", type=float, default=1.0)
-    pf.add_argument("--snapshot-every", type=int, default=0)
-    pf.add_argument("--crosscheck-every", type=int, default=0)
+    # one flag per setting; the dataclasses check the values
+    for f in dataclasses.fields(LdGParams) + dataclasses.fields(FlowConfig):
+        pf.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
     pf.add_argument("--out", default=None)
 
     pc = sub.add_parser("converge", help="convergence studies")

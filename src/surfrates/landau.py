@@ -70,6 +70,9 @@ FLOW_MODES = (
 # The largest energy rise per step that a flow on a static surface allows.
 ENERGY_RISE_TOL = 1e-10
 
+# Random chart points of each conforming-Laplacian cross-check.
+CROSSCHECK_SAMPLES = 4
+
 
 @dataclass
 class LdGParams:
@@ -88,7 +91,7 @@ class FlowConfig:
     mode: str = "Conforming_Material"
     n: int = 48
     dt: float = 1e-4
-    steps: int = 100
+    steps: int = 200
     method: str = "euler"
     ic: str = "random-smooth"
     seed: int = 0
@@ -96,7 +99,6 @@ class FlowConfig:
     amplitude: float = 0.1
     snapshot_every: int = 0
     crosscheck_every: int = 0
-    crosscheck_samples: int = 4
 
     def __post_init__(self):
         if self.mode not in FLOW_MODES:
@@ -109,8 +111,6 @@ class FlowConfig:
             raise ConfigError("dt must be positive and steps nonnegative")
         if self.snapshot_every < 0 or self.crosscheck_every < 0:
             raise ConfigError("snapshot_every and crosscheck_every must be nonnegative (0 is off)")
-        if self.crosscheck_samples < 1:
-            raise ConfigError("crosscheck_samples must be at least 1")
         if self.crosscheck_every > 0 and not self.mode.startswith("Conforming"):
             raise ConfigError(f"the cross-check compares conforming routes; {self.mode} has none")
 
@@ -326,7 +326,7 @@ def _state_residuals(Q: np.ndarray):
     return float(np.max(np.abs(tr))), float(np.max(np.abs(sym)))
 
 
-def _crosscheck_residual(surface, gg, q, beta, n_samples, seed):
+def _crosscheck_residual(surface, gg, q, beta, seed):
     """Dual-path conforming-Laplacian residual on the trigonometric
     interpolant of the current state: the largest over a batch of random
     chart points, or NaN if any point gives NaN."""
@@ -344,7 +344,7 @@ def _crosscheck_residual(surface, gg, q, beta, n_samples, seed):
     rng = np.random.default_rng(seed)
     dom = surface.domain
     lo, hi = zip(dom.y1_range, dom.y2_range)
-    a, b = rng.uniform(lo, hi, size=(n_samples, 2)).T
+    a, b = rng.uniform(lo, hi, size=(CROSSCHECK_SAMPLES, 2)).T
     return float(np.max(_conforming_route_residual(surface, closure, Event(t, a, b))))
 
 
@@ -460,9 +460,7 @@ def run_flow(
             arrays = dict(zip(names, state))
             snapshots.append(_write_snapshot(out_dir, step, t, config.mode, arrays))
         if config.crosscheck_every and step % config.crosscheck_every == 0:
-            res = _crosscheck_residual(
-                surface, gg, state[0], state[1], config.crosscheck_samples, config.seed + step
-            )
+            res = _crosscheck_residual(surface, gg, state[0], state[1], config.seed + step)
             crosschecks.append((step, t, res))
         if step == config.steps:
             break

@@ -446,7 +446,6 @@ def test_criterion_08_decomposition_live_check():
         steps=300,
         seed=8,
         crosscheck_every=100,
-        crosscheck_samples=3,
     )
     res = run_flow(tor, LdGParams(), cfg)
     worst_flow = max(r[2] for r in res.crosschecks)

@@ -12,7 +12,7 @@ from surfrates.chart_kernel import MovingSurface, get_scenario, list_scenarios
 from surfrates.cli import main, run_converge_thinfilm, run_verify
 from surfrates.errors import ConfigError
 from surfrates.geometry import IdentityReport
-from surfrates.landau import FlowConfig, LdGParams, run_flow
+from surfrates.landau import FLOW_MODES, FlowConfig, LdGParams, run_flow
 from surfrates.thinfilm import LIMIT_QUANTITIES
 from surfrates.timederiv import QFieldClosure
 
@@ -275,6 +275,26 @@ def test_flow_report_records_every_config_and_params_field(tmp_path):
     report = _strict_json(tmp_path / "flow_report.json")
     assert report["config"] == asdict(FlowConfig(n=16, steps=2))
     assert report["params"] == asdict(LdGParams())
+
+
+def test_flow_flag_defaults_are_the_dataclass_defaults():
+    args = cli.build_parser().parse_args(["flow"])
+    assert cli._from_args(FlowConfig, args) == FlowConfig()
+    assert cli._from_args(LdGParams, args) == LdGParams()
+
+
+@pytest.mark.parametrize(
+    "flag, value, names",
+    [("--mode", "Bogus", FLOW_MODES), ("--method", "leapfrog", ("euler", "rk4"))],
+)
+def test_flow_bad_choice_is_a_config_error_naming_the_choices(
+    tmp_path, capsys, flag, value, names
+):
+    rc = main(["flow", "--n", "16", "--steps", "2", "--out", str(tmp_path), flag, value])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert all(name in err for name in names)
 
 
 @pytest.mark.parametrize(

@@ -231,7 +231,7 @@ def test_params_validation():
         FlowConfig(method="leapfrog")
     with pytest.raises(ConfigError):
         FlowConfig(ic="unknown-ic")
-    for bad in ({"snapshot_every": -1}, {"crosscheck_every": -1}, {"crosscheck_samples": 0}):
+    for bad in ({"snapshot_every": -1}, {"crosscheck_every": -1}):
         with pytest.raises(ConfigError):
             FlowConfig(**bad)
 
@@ -324,7 +324,7 @@ def test_flow_snapshots_written(torus_static, tmp_path):
 
 
 def test_flow_crosschecks_small(torus_static):
-    cfg = FlowConfig(n=24, dt=1e-4, steps=20, crosscheck_every=10, crosscheck_samples=2, seed=6)
+    cfg = FlowConfig(n=24, dt=1e-4, steps=20, crosscheck_every=10, seed=6)
     res = run_flow(torus_static, LdGParams(), cfg)
     assert len(res.crosschecks) == 3
     assert max(r[2] for r in res.crosschecks) < 1e-5
