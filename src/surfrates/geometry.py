@@ -38,7 +38,6 @@ __all__ = [
     "MotionSample",
     "geometry_from_jet",
     "geometry_at",
-    "motion_from_jet",
     "motion_at",
     "motion_grid",
     "IdentityReport",
@@ -265,10 +264,6 @@ class MotionSample:
         return 0.5 * (self.Gcal - np.einsum("ab...->ba...", self.Gcal))
 
 
-def motion_from_jet(geom: GeometrySample, u2, du) -> MotionSample:
-    return MotionSample(geom, u2, du)
-
-
 def motion_at(
     surface: MovingSurface, event: Event, geom: GeometrySample | None = None
 ) -> MotionSample:
@@ -276,7 +271,7 @@ def motion_at(
         geom = geometry_at(surface, event)
     u2 = surface.u(event.t, event.y1, event.y2)
     du = surface.u_jet(event.t, event.y1, event.y2)
-    return motion_from_jet(geom, u2, du)
+    return MotionSample(geom, u2, du)
 
 
 def _frame(surface: MovingSurface, event: Event, geom=None, mot=None):
@@ -291,11 +286,9 @@ def _frame(surface: MovingSurface, event: Event, geom=None, mot=None):
 def motion_grid(
     surface: MovingSurface, t: float, Y1, Y2, geom: GeometrySample | None = None
 ) -> MotionSample:
-    if geom is None:
-        geom = geometry_from_jet(surface.jet(t, Y1, Y2))
-    u2 = surface.u(t, Y1, Y2)
-    du = surface.u_jet(t, Y1, Y2)
-    return motion_from_jet(geom, u2, du)
+    """The motion at the grid points (Y1, Y2) at time t: ``motion_at`` of
+    that event."""
+    return motion_at(surface, Event(t, Y1, Y2), geom)
 
 
 # ---------------------------------------------------------------------------
