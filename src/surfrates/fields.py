@@ -29,7 +29,6 @@ __all__ = [
     "q_split_to_split",
     "q_from_cart",
     "q_to_cart",
-    "q_identity_part",
     "g_inner_rank2",
 ]
 
@@ -211,12 +210,6 @@ def q_from_cart(geom: GeometrySample, cart: np.ndarray) -> QSplit:
 
 def q_to_cart(geom: GeometrySample, qs: QSplit) -> np.ndarray:
     return reconstruct(geom, q_split_to_split(geom, qs))
-
-
-def q_identity_part(geom: GeometrySample) -> np.ndarray:
-    """The proxy of nu nu - Pi_S/2, the unit basis element along beta."""
-    nu = geom.nu
-    return np.einsum("a...,b...->ab...", nu, nu) - 0.5 * tangential_projector(geom)
 
 
 def g_inner_rank2(geom: GeometrySample, a2: np.ndarray, b2: np.ndarray) -> np.ndarray:

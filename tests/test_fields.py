@@ -179,15 +179,6 @@ def test_trace_relation(geom):
     assert_allclose(np.sum(Q * Q), expected, atol=1e-12)
 
 
-def test_q_identity_part(geom):
-    from surfrates.fields import q_identity_part
-
-    E = q_identity_part(geom)
-    P = tangential_projector(geom)
-    assert_allclose(E, np.outer(geom.nu, geom.nu) - 0.5 * P, atol=1e-12)
-    assert_allclose(np.sum(E * E), 1.5, atol=1e-12)
-
-
 def test_conforming_blocks_reassemble_to_cq_projection(torus_drift):
     # the (q, beta) blocks of a symmetric traceless proxy, reassembled with
     # eta = 0, give its CQ projection, which is computed independently
