@@ -22,3 +22,62 @@ def test_package_all_unique_and_resolves():
     assert len(exported) == len(set(exported))
     missing = [attr for attr in exported if not hasattr(surfrates, attr)]
     assert missing == []
+
+
+def _rejections():
+    """(error, call) of each argument check that the public routes make."""
+    from surfrates import (
+        ConfigError,
+        DerivKind,
+        FieldClosure,
+        FlowConfig,
+        RankError,
+        conforming_laplace,
+        convected_dt,
+        get_scenario,
+        material_dt,
+        probe_conforming_q_field,
+        probe_field,
+        probe_tangential,
+        sample_events,
+        surface_laplace,
+        tangential_dt,
+    )
+    from surfrates.cli import run_verify
+
+    surface = get_scenario("torus-breathing-drift")
+    ev = sample_events(surface, 1, 5)[0]
+    f1, f2 = probe_field(surface, 1), probe_field(surface, 2)
+    rank3 = FieldClosure(3, f2.eval)
+    return {
+        "surface_laplace-path": (ConfigError, lambda: surface_laplace(surface, f2, ev, "Bogus")),
+        "surface_laplace-rank1": (RankError, lambda: surface_laplace(surface, f1, ev, "Decomposed")),
+        "conforming_laplace-path": (
+            ConfigError,
+            lambda: conforming_laplace(surface, probe_conforming_q_field(surface), ev, "Bogus"),
+        ),
+        "material_dt-path": (ConfigError, lambda: material_dt(surface, f2, ev, "Bogus")),
+        "material_dt-rank3": (RankError, lambda: material_dt(surface, rank3, ev)),
+        "tangential_dt-path": (
+            ConfigError,
+            lambda: tangential_dt(surface, probe_tangential(2), ev, DerivKind.Upper, "Bogus"),
+        ),
+        "tangential_dt-conforming": (
+            ConfigError,
+            lambda: tangential_dt(surface, probe_tangential(2), ev, DerivKind.ConformingMaterial),
+        ),
+        "convected_dt-conforming": (
+            ConfigError,
+            lambda: convected_dt(surface, f2, ev, DerivKind.ConformingMaterial),
+        ),
+        "run_verify-suite": (ConfigError, lambda: run_verify("torus-static", "bogus")),
+        "FlowConfig-dt": (ConfigError, lambda: FlowConfig(dt=0.0)),
+        "FlowConfig-steps": (ConfigError, lambda: FlowConfig(steps=-1)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_rejections()))
+def test_bad_argument_raises_the_named_error(case):
+    error, call = _rejections()[case]
+    with pytest.raises(error):
+        call()

@@ -10,7 +10,7 @@ import pytest
 from surfrates import _fd, cli
 from surfrates.chart_kernel import MovingSurface, get_scenario, list_scenarios
 from surfrates.cli import main, run_converge_thinfilm, run_verify
-from surfrates.errors import ConfigError
+from surfrates.errors import ConfigError, StabilityError
 from surfrates.geometry import IdentityReport
 from surfrates.landau import FLOW_MODES, FlowConfig, LdGParams, run_flow
 from surfrates.thinfilm import LIMIT_QUANTITIES
@@ -157,6 +157,19 @@ def test_flow_unstable_dt_exit_one(tmp_path, capsys):
     )
     assert rc == 1
     assert "stability error" in capsys.readouterr().err
+
+
+def test_energy_rise_stops_a_static_flow(tmp_path, monkeypatch, capsys):
+    # the flow run against its driving force raises the energy, which the
+    # static-surface watchdog must catch
+    import surfrates.landau as landau
+
+    rhs_full = landau.rhs_full
+    monkeypatch.setattr(landau, "rhs_full", lambda *args: -rhs_full(*args))
+    with pytest.raises(StabilityError, match=r"energy rose by 0\.193266 at step 1"):
+        run_flow(get_scenario("torus-static"), LdGParams(), FlowConfig(n=16, steps=3))
+    assert main(["flow", "--n", "16", "--steps", "3", "--out", str(tmp_path)]) == 1
+    assert "energy rose" in capsys.readouterr().err
 
 
 def test_outdir_env_override(tmp_path, monkeypatch):

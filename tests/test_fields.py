@@ -72,17 +72,20 @@ def test_tangential_projector_idempotent(geom):
 
 
 @settings(deadline=None, max_examples=30)
-@given(R=mat3, S=mat3)
-def test_projection_self_adjoint_pythagoras(torus_drift, torus_events, R, S):
+@given(R=mat3, S=mat3, p=vec3, q=vec3)
+def test_projection_self_adjoint_pythagoras(torus_drift, torus_events, R, S, p, q):
+    # rank 2 (R, S) and rank 1 (p, q) proxies, each rank inferred from its shape
     geom = geometry_at(torus_drift, torus_events[1])
-    PR = project(geom, R, "Tangential")
-    PS = project(geom, S, "Tangential")
-    assert_allclose(np.sum(PR * S), np.sum(R * PS), atol=1e-10)
-    # idempotence and Pythagoras
-    assert_allclose(project(geom, PR, "Tangential"), PR, atol=1e-10)
-    assert_allclose(
-        np.sum(R * R), np.sum(PR * PR) + np.sum((R - PR) * (R - PR)), atol=1e-9
-    )
+    for A, B in ((R, S), (p, q)):
+        PA = project(geom, A, "Tangential")
+        PB = project(geom, B, "Tangential")
+        assert_allclose(np.sum(PA * B), np.sum(A * PB), atol=1e-10)
+        # idempotence and Pythagoras
+        assert_allclose(project(geom, PA, "Tangential"), PA, atol=1e-10)
+        assert_allclose(
+            np.sum(A * A), np.sum(PA * PA) + np.sum((A - PA) * (A - PA)), atol=1e-9
+        )
+    assert_allclose(project(geom, p, "Tangential") @ geom.nu, 0.0, atol=1e-12)
 
 
 @settings(deadline=None, max_examples=30)

@@ -176,6 +176,28 @@ def test_tangential_closure_rejects_normal_component(torus_drift, torus_events):
         closure.comp_eval(ev.t, ev.y1, ev.y2)
 
 
+@pytest.mark.parametrize("rank", [1, 2])
+def test_tangential_closure_from_cart_keeps_the_components(torus_drift, rank):
+    # a Cartesian closure embedded from the tangential probe converts back to
+    # the probe's components, and both give the same tangential rates
+    probe = probe_tangential(rank)
+
+    def eval_cart(t, a, b):
+        geom = geometry_from_jet(torus_drift.jet(t, a, b))
+        comps = probe.comp_eval(t, a, b)
+        return geom.embed_vec(comps) if rank == 1 else geom.embed_contra(comps)
+
+    closure = TangentialFieldClosure.from_cart(torus_drift, FieldClosure(rank, eval_cart))
+    events = sample_events(torus_drift, 3, 17)
+    ev = Event(*map(np.array, zip(*[(e.t, e.y1, e.y2) for e in events])))
+    got = closure.comp_eval(ev.t, ev.y1, ev.y2)
+    assert np.max(np.abs(got - probe.comp_eval(ev.t, ev.y1, ev.y2))) < 1e-12
+    for kind in (DerivKind.Material, DerivKind.Upper, DerivKind.Lower, DerivKind.Jaumann):
+        a = tangential_dt(torus_drift, closure, ev, kind)
+        b = tangential_dt(torus_drift, probe, ev, kind)
+        assert np.max(np.abs(a - b)) < 1e-10, kind
+
+
 def test_corotating_field_has_zero_jaumann_rate(sphere_rot):
     # rigid rotation: chart components frozen along the flow are corotating,
     # so the Jaumann rate vanishes
