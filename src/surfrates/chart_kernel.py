@@ -52,6 +52,14 @@ class Event:
     y2: float
 
 
+def _into_cell(y, lo: float, hi: float):
+    """y reduced to the periodic cell [lo, hi); y itself if it lies inside."""
+    y = np.asarray(y, float)
+    if y.size and lo < y.min() and y.max() < hi:
+        return y
+    return lo + np.mod(y - lo, hi - lo)
+
+
 @dataclass(frozen=True)
 class Domain:
     """Admissible rectangle of chart coordinates with per-axis periodicity.
@@ -78,13 +86,17 @@ class Domain:
 
     def wrap(self, y1, y2):
         """Reduce periodic coordinates to the fundamental cell, broadcast
-        against each other, so a chart closure always gets equal shapes."""
+        against each other, so a chart closure always gets equal shapes.
+
+        A periodic axis whose values all lie strictly inside (lo, hi), as
+        grid nodes do, is returned as a float array without the reduction
+        lo + mod(y - lo, hi - lo).  For lo = 0, the case of every registered
+        periodic axis, that reduction gives those values back bit for bit.
+        """
         if self.periodic1:
-            lo, hi = self.y1_range
-            y1 = lo + np.mod(np.asarray(y1, float) - lo, hi - lo)
+            y1 = _into_cell(y1, *self.y1_range)
         if self.periodic2:
-            lo, hi = self.y2_range
-            y2 = lo + np.mod(np.asarray(y2, float) - lo, hi - lo)
+            y2 = _into_cell(y2, *self.y2_range)
         if np.shape(y1) != np.shape(y2):
             y1, y2 = np.broadcast_arrays(y1, y2)
         return y1, y2

@@ -45,6 +45,75 @@ def test_domain_wrap_periodic():
     assert_allclose(y2, 2.0 * np.pi - 0.2)
 
 
+def _periodic_axes():
+    """(scenario, axis, lo, hi) of every periodic axis of a registered domain."""
+    out = []
+    for name in list_scenarios():
+        dom = get_scenario(name).domain
+        for axis, (rng, periodic) in enumerate(
+            ((dom.y1_range, dom.periodic1), (dom.y2_range, dom.periodic2))
+        ):
+            if periodic:
+                out.append(pytest.param(name, axis, *rng, id=f"{name}-y{axis + 1}"))
+    return out
+
+
+def _wrapped(dom, axis, y):
+    other = np.full(np.shape(y), 0.5 * sum((dom.y1_range, dom.y2_range)[1 - axis]))
+    return dom.wrap(*((y, other) if axis == 0 else (other, y)))[axis]
+
+
+def _reduced(lo, hi, y):
+    return lo + np.mod(np.asarray(y, float) - lo, hi - lo)
+
+
+@pytest.mark.parametrize("name, axis, lo, hi", _periodic_axes())
+def test_wrap_keeps_in_cell_values_bit_for_bit(name, axis, lo, hi):
+    # grid nodes and random values strictly inside the cell, and the nearest
+    # floats to its ends, come back as the reduction gives them
+    dom = get_scenario(name).domain
+    nodes = lo + (np.arange(128) + 0.5) * (hi - lo) / 128
+    inside = np.random.default_rng(7).uniform(lo, hi, 200)
+    ends = np.array([np.nextafter(lo, hi), 1e-300 + lo, np.nextafter(hi, lo)])
+    for y in (nodes, inside[inside > lo], ends, np.meshgrid(nodes, nodes)[0]):
+        got = _wrapped(dom, axis, y)
+        assert got.tobytes() == _reduced(lo, hi, y).tobytes()
+    assert _wrapped(dom, axis, nodes) is nodes
+
+
+@pytest.mark.parametrize("name, axis, lo, hi", _periodic_axes())
+def test_wrap_reduces_values_outside_the_cell(name, axis, lo, hi):
+    # one value at lo, below lo, exactly at hi or far outside sends the whole
+    # array through the reduction, -0.0 included
+    dom = get_scenario(name).domain
+    span = hi - lo
+    for bad in (lo, -0.0, lo - 0.2, hi, hi + 1e-9, lo - 50.0 * span, lo + 1e3 * span):
+        y = np.array([lo + 0.25 * span, bad, lo + 0.75 * span])
+        got = _wrapped(dom, axis, y)
+        assert got.tobytes() == _reduced(lo, hi, y).tobytes()
+        assert np.all((got >= lo) & (got <= hi))
+    assert _wrapped(dom, axis, np.array([hi]))[0] == lo
+
+
+def test_wrap_takes_scalars_mixed_shapes_and_empty_arrays():
+    dom = get_scenario("sphere-static").domain
+    y1, y2 = dom.wrap(1.0, 2.0 * np.pi + 0.5)
+    assert np.shape(y1) == np.shape(y2) == ()
+    assert y1 == 1.0 and y2 == pytest.approx(0.5, abs=1e-15)
+    y1, y2 = dom.wrap(np.asarray(1.0), np.asarray(0.5))
+    assert np.shape(y1) == np.shape(y2) == () and float(y2) == 0.5
+    y1, y2 = dom.wrap(1.0, np.array([0.5, 7.0, -1.0]))
+    assert y1.shape == y2.shape == (3,)
+    assert_allclose(y2, [0.5, 7.0 - 2.0 * np.pi, 2.0 * np.pi - 1.0], rtol=0, atol=1e-15)
+    # an empty array has no minimum, so the in-cell test must not ask for one
+    with pytest.raises(ValueError):
+        np.empty(0).min()
+    for y1 in (np.empty(0), 1.0):
+        got = dom.wrap(y1, np.empty(0))
+        assert got[0].shape == got[1].shape == (0,)
+    assert dom.wrap(np.empty((0, 3)), np.empty((0, 3)))[1].shape == (0, 3)
+
+
 def test_domain_contains_nonperiodic():
     dom = Domain((0.0, 1.0), (0.0, 1.0), False, False)
     assert dom.contains(0.5, 0.5)
