@@ -325,11 +325,13 @@ def grid_gradient(gg: GridGeometry, F: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return _central_d(F, -2, gg.h1), _central_d(F, -1, gg.h2)
 
 
-def grid_laplace(gg: GridGeometry, F: np.ndarray) -> np.ndarray:
+def grid_laplace(gg: GridGeometry, F: np.ndarray, grad=None) -> np.ndarray:
     """Divergence-form Laplace-Beltrami on the periodic grid, elementwise in
     any leading component axes.  Exactly self-adjoint and negative
-    semidefinite against the sqrt(det g) cell weights."""
-    d1, d2 = grid_gradient(gg, F)
+    semidefinite against the sqrt(det g) cell weights.  ``grad`` is
+    ``grid_gradient(gg, F)`` if the caller has already taken it; it reads
+    only ``ginv`` and ``sqrtdetg`` of the grid's geometry."""
+    d1, d2 = grid_gradient(gg, F) if grad is None else grad
     ginv = gg.geom.ginv
     sq = gg.geom.sqrtdetg
     F1 = sq * (ginv[0, 0] * d1 + ginv[0, 1] * d2)

@@ -216,9 +216,10 @@ def bulk_gradient(params: LdGParams, Q: np.ndarray):
     )
 
 
-def energy(gg: GridGeometry, params: LdGParams, Q: np.ndarray):
-    """(elastic, bulk, total) by midpoint quadrature on the grid."""
-    d1, d2 = grid_gradient(gg, Q)
+def energy(gg: GridGeometry, params: LdGParams, Q: np.ndarray, grad=None):
+    """(elastic, bulk, total) by midpoint quadrature on the grid; ``grad`` is
+    ``grid_gradient(gg, Q)`` if already taken."""
+    d1, d2 = grid_gradient(gg, Q) if grad is None else grad
     ginv = gg.geom.ginv
     s11 = np.einsum("ab...,ab...->...", d1, d1)
     s12 = np.einsum("ab...,ab...->...", d1, d2)
@@ -229,9 +230,10 @@ def energy(gg: GridGeometry, params: LdGParams, Q: np.ndarray):
     return elastic, bulk, elastic + bulk
 
 
-def rhs_full(gg: GridGeometry, params: LdGParams, Q: np.ndarray) -> np.ndarray:
-    """Gradient-flow driving force on the full proxy: L lap Q - bulk gradient."""
-    return params.L * grid_laplace(gg, Q) - bulk_gradient(params, Q)
+def rhs_full(gg: GridGeometry, params: LdGParams, Q: np.ndarray, grad=None) -> np.ndarray:
+    """Gradient-flow driving force on the full proxy: L lap Q - bulk gradient;
+    ``grad`` is ``grid_gradient(gg, Q)`` if already taken."""
+    return params.L * grid_laplace(gg, Q, grad) - bulk_gradient(params, Q)
 
 
 def conforming_to_proxy(gg: GridGeometry, q: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -268,21 +270,23 @@ def _checked_bound(gg: GridGeometry, params: LdGParams, dt: float) -> float:
 # derivative of the stepped state.
 
 
-def _parts(gg, v, F, rank: int):
-    """Grid parts of a state block for the time partial -F."""
-    return _Parts(v, -F, np.stack(grid_gradient(gg, v), axis=rank))
+def _parts(gg, v, F, rank: int, grad=None):
+    """Grid parts of a state block for the time partial -F; ``grad`` is
+    ``grid_gradient(gg, v)`` if already taken."""
+    return _Parts(v, -F, np.stack(grid_gradient(gg, v) if grad is None else grad, axis=rank))
 
 
-def _full_state_rate(gg, params, kind: DerivKind, mot, Q, *_state):
-    """Rate of the full proxy Q; the state (Q,) adds nothing to read."""
-    Dm = _advected(_parts(gg, Q, rhs_full(gg, params, Q), 2), mot.u2, 2)
+def _full_state_rate(gg, params, kind: DerivKind, mot, Q, dQ, *_state):
+    """Rate of the full proxy Q; the driving force and the advection share
+    its gradient dQ, and the state (Q,) adds nothing to read."""
+    Dm = _advected(_parts(gg, Q, rhs_full(gg, params, Q, dQ), 2, dQ), mot.u2, 2)
     return (-_via_material(mot, 2, kind, Q, Dm),)
 
 
-def _conf_state_rate(gg, params, kind: DerivKind, mot, Q, q, beta):
+def _conf_state_rate(gg, params, kind: DerivKind, mot, Q, dQ, q, beta):
     """Rate of (q, beta) from the conforming blocks of the driving force on
-    the state's proxy Q."""
-    q_rhs, beta_rhs = _conforming_blocks(gg.geom, rhs_full(gg, params, Q))
+    the state's proxy Q, whose gradient is dQ."""
+    q_rhs, beta_rhs = _conforming_blocks(gg.geom, rhs_full(gg, params, Q, dQ))
     dq = _tangential(gg.geom, mot, _Block(2, _parts(gg, q, q_rhs, 2)), kind)
     return -dq, -_advected(_parts(gg, beta, beta_rhs, 0), mot.u2)
 
@@ -416,12 +420,15 @@ def run_flow(
     if not conforming:
         state = (conforming_to_proxy(gg, *state),)
 
-    def rate(t, st, Q=None):
-        """The state's rate at t; Q is its proxy if already built."""
+    def rate(t, st, Q=None, dQ=None):
+        """The state's rate at t; Q is its proxy and dQ the proxy's
+        gradient, each if already taken."""
         gg, mot = frame_at(t)
         if Q is None:
             Q = to_proxy(gg, *st)
-        return state_rate(gg, params, kind, mot, Q, *st)
+        if dQ is None:
+            dQ = grid_gradient(gg, Q)
+        return state_rate(gg, params, kind, mot, Q, dQ, *st)
 
     def axpy(st, ds, h):
         return tuple(s + h * d for s, d in zip(st, ds))
@@ -438,11 +445,13 @@ def run_flow(
     t = 0.0
     prev_total = None
     # The step-start proxy serves the energy, the first stage's rate and,
-    # after the last step, the final state.
+    # after the last step, the final state; its gradient serves the energy
+    # and the first stage.
     for step in range(config.steps + 1):
         gg, _ = frame_at(t)
         Q = to_proxy(gg, *state)
-        e_el, e_bulk, e_tot = energy(gg, params, Q)
+        dQ = grid_gradient(gg, Q)
+        e_el, e_bulk, e_tot = energy(gg, params, Q, dQ)
         tr_res, sym_res = _state_residuals(Q)
         if not all(map(math.isfinite, (e_el, e_bulk, e_tot, tr_res, sym_res))):
             raise StabilityError(
@@ -465,10 +474,10 @@ def run_flow(
         if step == config.steps:
             break
         if config.method == "euler":
-            state = axpy(state, rate(t, state, Q), config.dt)
+            state = axpy(state, rate(t, state, Q, dQ), config.dt)
         else:
             h = config.dt
-            k1 = rate(t, state, Q)
+            k1 = rate(t, state, Q, dQ)
             k2 = rate(t + 0.5 * h, axpy(state, k1, 0.5 * h))
             k3 = rate(t + 0.5 * h, axpy(state, k2, 0.5 * h))
             k4 = rate(t + h, axpy(state, k3, h))

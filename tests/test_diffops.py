@@ -156,6 +156,14 @@ def test_grid_laplace_self_adjoint_negative(torus_static):
     assert np.sum(LF * F * gg.weights) <= 1e-12
 
 
+@pytest.mark.parametrize("shape", [(24, 24), (3, 3, 24, 24)])
+def test_grid_laplace_of_a_given_gradient_has_the_same_bits(torus_drift, shape):
+    gg = make_grid(torus_drift, 0.4, 24)
+    F = np.random.default_rng(9).normal(size=shape)
+    want = grid_laplace(gg, F)
+    assert grid_laplace(gg, F, grid_gradient(gg, F)).tobytes() == want.tobytes()
+
+
 def test_grid_gradient_matches_symbol(flat_torus):
     gg = make_grid(flat_torus, 0.0, 32)
     k = 2.0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from surfrates import landau
+from surfrates import diffops, landau
 from surfrates.chart_kernel import get_scenario
 from surfrates.diffops import make_grid
 from surfrates.geometry import geometry_from_jet
@@ -16,6 +16,7 @@ from surfrates.landau import (
     conforming_to_proxy,
     energy,
     initial_state,
+    rhs_full,
     run_flow,
     stability_bound,
 )
@@ -171,6 +172,44 @@ def test_conforming_flow_builds_one_proxy_per_stage(monkeypatch, torus_static, m
     monkeypatch.setattr(landau, "conforming_to_proxy", counted)
     steps = 3
     run_flow(torus_static, LdGParams(), FlowConfig(n=16, steps=steps, method=method))
+    assert len(calls) == per_step * steps + 1
+
+
+def test_rhs_full_and_energy_of_a_given_gradient_have_the_same_bits(torus_drift):
+    gg = make_grid(torus_drift, 0.4, 24)
+    Q = conforming_to_proxy(gg, *initial_state(gg, FlowConfig(n=24, seed=3)))
+    Q = Q + 0.01 * np.random.default_rng(4).normal(size=Q.shape)
+    params = LdGParams(b=0.5)
+    dQ = diffops.grid_gradient(gg, Q)
+    assert rhs_full(gg, params, Q, dQ).tobytes() == rhs_full(gg, params, Q).tobytes()
+    assert energy(gg, params, Q, dQ) == energy(gg, params, Q)
+
+
+@pytest.mark.parametrize(
+    "mode, method, scenario, per_step",
+    [
+        ("FullQ_Jaumann", "rk4", "torus_drift", 4),
+        ("FullQ_Material", "euler", "torus_drift", 1),
+        ("Conforming_Material", "euler", "torus_static", 3),
+        ("Conforming_Jaumann", "rk4", "torus_drift", 12),
+    ],
+)
+def test_flow_takes_one_gradient_per_stage(monkeypatch, request, mode, method, scenario, per_step):
+    # the step-start proxy's gradient serves the energy and the first stage,
+    # and each stage's proxy gradient serves the Laplacian and, in the
+    # full-tensor modes, the advection; conforming stages add q and beta
+    calls = []
+    original = diffops.grid_gradient
+
+    def counted(gg, F):
+        calls.append(F.shape)
+        return original(gg, F)
+
+    for module in (diffops, landau):
+        monkeypatch.setattr(module, "grid_gradient", counted)
+    steps = 3
+    cfg = FlowConfig(mode=mode, n=16, dt=1e-3, steps=steps, method=method)
+    run_flow(request.getfixturevalue(scenario), LdGParams(), cfg)
     assert len(calls) == per_step * steps + 1
 
 
