@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,7 +35,7 @@ from .diffops import (
 )
 from .errors import ConfigError, StabilityError
 from .fields import QSplit, _conforming_blocks, pi_q_components
-from .geometry import geometry_from_jet, motion_grid
+from .geometry import GeometrySample, geometry_from_jet, motion_grid
 from .timederiv import (
     DerivKind,
     QFieldClosure,
@@ -352,6 +352,13 @@ def _crosscheck_residual(surface, gg, q, beta, seed):
     return float(np.max(_conforming_route_residual(surface, closure, Event(t, a, b))))
 
 
+class _FrameGeometry(SimpleNamespace):
+    """The geometry arrays that a flow frame keeps, by their GeometrySample
+    names; ``embed_contra`` is GeometrySample's and reads ``dX``."""
+
+    embed_contra = GeometrySample.embed_contra
+
+
 def _write_snapshot(out_dir, step, t, mode, arrays):
     files = {}
     for name, arr in arrays.items():
@@ -383,15 +390,20 @@ def run_flow(
     conforming = config.mode.startswith("Conforming")
     kind = DerivKind(config.mode.split("_")[1])
     jaumann = kind == DerivKind.Jaumann
-    # A frame keeps the MotionSample arrays that the mode's formula reads, and
-    # not the sample, whose cached intermediate blocks would raise peak memory.
+    # A frame keeps the geometry and MotionSample arrays that the mode's step
+    # reads, and not the samples: the chart jet's other blocks, the other
+    # geometry and the motion's cached intermediate blocks would raise peak
+    # memory.  grid_laplace and energy read ginv and sqrtdetg; the conforming
+    # proxy and projection read dX and nu, and _tangential reads Gamma.
     if conforming:
         names = ("q", "beta")
         state_rate, to_proxy = _conf_state_rate, conforming_to_proxy
+        geo_read = ("ginv", "sqrtdetg", "dX", "nu", "Gamma")
         read = ("u2", "G_obs", "A") if jaumann else ("u2", "G_obs")
     else:
         names = ("Q",)
         state_rate, to_proxy = _full_state_rate, lambda gg, Q: Q
+        geo_read = ("ginv", "sqrtdetg")
         read = ("u2", "Acal") if jaumann else ("u2",)
 
     # Frames (grid, motion arrays) by stage time.  An RK4 step reuses at most
@@ -400,20 +412,28 @@ def run_flow(
     # A static surface has one frame for the whole run, built at t = 0.
     frames = {}
 
+    def add_frame(gg):
+        """Keep the frame of the full grid gg; returns its stability bound."""
+        bound = _checked_bound(gg, params, config.dt)
+        mot = motion_grid(surface, gg.t, gg.Y1, gg.Y2, gg.geom)
+        frames[gg.t] = (
+            replace(gg, geom=_FrameGeometry(**{a: getattr(gg.geom, a) for a in geo_read})),
+            SimpleNamespace(**{a: getattr(mot, a) for a in read}),
+        )
+        return bound
+
     def frame_at(t):
         if surface.static:
             t = 0.0
         if t not in frames:
             if len(frames) == 2:
                 del frames[next(iter(frames))]
-            gg = make_grid(surface, t, config.n)
-            _checked_bound(gg, params, config.dt)
-            mot = motion_grid(surface, t, gg.Y1, gg.Y2, gg.geom)
-            frames[t] = gg, SimpleNamespace(**{a: getattr(mot, a) for a in read})
+            add_frame(make_grid(surface, t, config.n))
         return frames[t]
 
-    gg, _ = frame_at(0.0)
-    bound = stability_bound(gg, params)
+    # The initial state is built on the full grid at t = 0.
+    gg = make_grid(surface, 0.0, config.n)
+    bound = add_frame(gg)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     state = initial_state(gg, config)
@@ -478,6 +498,7 @@ def run_flow(
         else:
             h = config.dt
             k1 = rate(t, state, Q, dQ)
+            del dQ  # k2 to k4 take their own; freeing it lowers the peak memory
             k2 = rate(t + 0.5 * h, axpy(state, k1, 0.5 * h))
             k3 = rate(t + 0.5 * h, axpy(state, k2, 0.5 * h))
             k4 = rate(t + h, axpy(state, k3, h))

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -156,6 +158,40 @@ def test_flow_frames_compute_only_the_motion_they_read(monkeypatch, torus_drift,
     assert len(samples) == 1 + 2 * 2
     for sample in samples:
         assert not set(unread) & set(vars(sample))
+
+
+@pytest.mark.parametrize(
+    "mode, unread",
+    [
+        ("FullQ_Jaumann", ("X", "dX", "ddX", "Vt", "dVt")),
+        ("Conforming_Material", ("X", "ddX", "Vt", "dVt")),
+    ],
+)
+def test_flow_frames_keep_only_the_geometry_they_read(monkeypatch, torus_drift, mode, unread):
+    # a frame keeps the geometry arrays its step reads, so each grid's
+    # GeometrySample and the chart jet's other blocks are gone by the time
+    # any energy is taken
+    refs = []
+    make_grid, energy = landau.make_grid, landau.energy
+
+    def recorded(*args):
+        gg = make_grid(*args)
+        jet = gg.geom.jet
+        refs.extend([weakref.ref(gg.geom)] + [weakref.ref(getattr(jet, b)) for b in unread])
+        return gg
+
+    alive = []
+
+    def checked(*args):
+        alive.append(sum(ref() is not None for ref in refs))
+        return energy(*args)
+
+    monkeypatch.setattr(landau, "make_grid", recorded)
+    monkeypatch.setattr(landau, "energy", checked)
+    cfg = FlowConfig(mode=mode, n=16, dt=1e-3, steps=3, method="rk4")
+    run_flow(torus_drift, LdGParams(), cfg)
+    assert len(refs) == (1 + len(unread)) * (1 + 2 * cfg.steps)
+    assert alive == [0] * (cfg.steps + 1)
 
 
 @pytest.mark.parametrize("method, per_step", [("euler", 1), ("rk4", 4)])
