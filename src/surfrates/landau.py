@@ -493,6 +493,8 @@ def run_flow(
             crosschecks.append((step, t, res))
         if step == config.steps:
             break
+        # RK4's k4 runs at the next step's time, so the two share a frame
+        t_next = (step + 1) * config.dt
         if config.method == "euler":
             state = axpy(state, rate(t, state, Q, dQ), config.dt)
         else:
@@ -501,9 +503,9 @@ def run_flow(
             del dQ  # k2 to k4 take their own; freeing it lowers the peak memory
             k2 = rate(t + 0.5 * h, axpy(state, k1, 0.5 * h))
             k3 = rate(t + 0.5 * h, axpy(state, k2, 0.5 * h))
-            k4 = rate(t + h, axpy(state, k3, h))
+            k4 = rate(t_next, axpy(state, k3, h))
             state = combine_rk4(state, k1, k2, k3, k4, h)
-        t = (step + 1) * config.dt
+        t = t_next
 
     result = FlowResult(
         config=config,

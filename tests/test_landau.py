@@ -129,6 +129,20 @@ def test_moving_flow_builds_each_stage_time_once(monkeypatch, torus_drift, mode)
         assert len(ts) >= 1 + 2 * cfg.steps, name
 
 
+def test_rk4_stage_times_meet_the_next_step(monkeypatch, torus_drift):
+    # k4 runs at the next step's time (step + 1) * dt, so a moving RK4 run
+    # builds 2 * steps + 1 frames; with dt = 1e-4, t + dt differs from
+    # (step + 1) * dt by one ulp at step 6
+    times = _record_frame_builds(monkeypatch)
+    dt, steps = 1e-4, 8
+    run_flow(torus_drift, LdGParams(), FlowConfig(n=16, dt=dt, steps=steps, method="rk4"))
+    want = [0.0]
+    for step in range(steps):
+        want += [step * dt + 0.5 * dt, (step + 1) * dt]
+    assert len(times["make_grid"]) == 2 * steps + 1
+    assert times == {"make_grid": want, "motion_grid": want}
+
+
 @pytest.mark.parametrize("method", ["euler", "rk4"])
 def test_static_flow_builds_one_frame(monkeypatch, torus_static, method):
     times = _record_frame_builds(monkeypatch)
