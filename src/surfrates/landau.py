@@ -7,7 +7,8 @@ restricted to the conforming subbundle (no tangent-normal coupling).
 Each mode's state rate is the driving force minus the mode's derivative
 formula from ``timederiv`` (``_advected``, ``_via_material`` or
 ``_tangential``), applied to grid parts, so the flows step with the formulas
-that ``verify`` checks.
+that ``verify`` checks.  ``grid_laplace``, ``rhs_full`` and ``energy`` take a
+gradient already taken, so a flow stage takes its proxy's gradient once.
 
 States live on doubly periodic chart grids.  The elastic energy uses the
 same central differences and cell weights as the divergence-form grid
@@ -270,16 +271,15 @@ def _checked_bound(gg: GridGeometry, params: LdGParams, dt: float) -> float:
 # derivative of the stepped state.
 
 
-def _parts(gg, v, F, rank: int, grad=None):
-    """Grid parts of a state block for the time partial -F; ``grad`` is
-    ``grid_gradient(gg, v)`` if already taken."""
-    return _Parts(v, -F, np.stack(grid_gradient(gg, v) if grad is None else grad, axis=rank))
+def _parts(gg, v, F, rank: int):
+    """Grid parts of a state block for the time partial -F."""
+    return _Parts(v, -F, np.stack(grid_gradient(gg, v), axis=rank))
 
 
 def _full_state_rate(gg, params, kind: DerivKind, mot, Q, dQ, *_state):
-    """Rate of the full proxy Q; the driving force and the advection share
-    its gradient dQ, and the state (Q,) adds nothing to read."""
-    Dm = _advected(_parts(gg, Q, rhs_full(gg, params, Q, dQ), 2, dQ), mot.u2, 2)
+    """Rate of the full proxy Q; the driving force and the advection parts
+    share its gradient dQ, and the state (Q,) adds nothing to read."""
+    Dm = _advected(_Parts(Q, -rhs_full(gg, params, Q, dQ), np.stack(dQ, axis=2)), mot.u2, 2)
     return (-_via_material(mot, 2, kind, Q, Dm),)
 
 
@@ -382,7 +382,12 @@ def run_flow(
 
     The state is a tuple of grid arrays: ``(q, beta)`` in the conforming
     modes, ``(Q,)`` in the full-tensor modes.  Each stage's grid and motion
-    are built once per stage time, and once per run on a static surface.
+    are built once per stage time, and once per run on a static surface; a
+    frame keeps only the geometry and motion arrays its mode's step reads.
+    RK4's last stage runs at the next step's time, so a moving RK4 run builds
+    2 * steps + 1 frames.  Each stage takes the gradient of its proxy once,
+    for the Laplacian and, in the full-tensor modes, the advection; the
+    step-start gradient also serves the energy.
     Raises StabilityError if dt exceeds the mesh bound on any grid of the
     run, if an energy or the state turns non-finite, or if the total energy
     rises along a static-surface run.
@@ -407,8 +412,9 @@ def run_flow(
         read = ("u2", "Acal") if jaumann else ("u2",)
 
     # Frames (grid, motion arrays) by stage time.  An RK4 step reuses at most
-    # two times (t + h/2 for k2 and k3, t + h for k4 and the next step), so
-    # two frames suffice; the oldest is evicted before a new one is built.
+    # two times (t + h/2 for k2 and k3, (step + 1) dt for k4 and the next
+    # step), so two frames suffice; the oldest is evicted before a new one is
+    # built.
     # A static surface has one frame for the whole run, built at t = 0.
     frames = {}
 
