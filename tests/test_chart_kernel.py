@@ -70,15 +70,17 @@ def _reduced(lo, hi, y):
 @pytest.mark.parametrize("name, axis, lo, hi", _periodic_axes())
 def test_wrap_keeps_in_cell_values_bit_for_bit(name, axis, lo, hi):
     # grid nodes and random values strictly inside the cell, and the nearest
-    # floats to its ends, come back as the reduction gives them
+    # floats to its ends, come back as the reduction gives them, whether the
+    # array is small enough to be reduced or large enough to be tested
     dom = get_scenario(name).domain
     nodes = lo + (np.arange(128) + 0.5) * (hi - lo) / 128
-    inside = np.random.default_rng(7).uniform(lo, hi, 200)
+    grid = np.meshgrid(nodes, nodes)[0]
+    inside = np.random.default_rng(7).uniform(lo, hi, 300)
     ends = np.array([np.nextafter(lo, hi), 1e-300 + lo, np.nextafter(hi, lo)])
-    for y in (nodes, inside[inside > lo], ends, np.meshgrid(nodes, nodes)[0]):
+    for y in (nodes, grid, inside[inside > lo], ends, np.resize(ends, 300)):
         got = _wrapped(dom, axis, y)
         assert got.tobytes() == _reduced(lo, hi, y).tobytes()
-    assert _wrapped(dom, axis, nodes) is nodes
+    assert _wrapped(dom, axis, grid) is grid
 
 
 @pytest.mark.parametrize("name, axis, lo, hi", _periodic_axes())
@@ -88,10 +90,12 @@ def test_wrap_reduces_values_outside_the_cell(name, axis, lo, hi):
     dom = get_scenario(name).domain
     span = hi - lo
     for bad in (lo, -0.0, lo - 0.2, hi, hi + 1e-9, lo - 50.0 * span, lo + 1e3 * span):
-        y = np.array([lo + 0.25 * span, bad, lo + 0.75 * span])
-        got = _wrapped(dom, axis, y)
-        assert got.tobytes() == _reduced(lo, hi, y).tobytes()
-        assert np.all((got >= lo) & (got <= hi))
+        for size in (3, 300):
+            y = np.linspace(lo + 0.25 * span, lo + 0.75 * span, size)
+            y[size // 2] = bad
+            got = _wrapped(dom, axis, y)
+            assert got.tobytes() == _reduced(lo, hi, y).tobytes()
+            assert np.all((got >= lo) & (got <= hi))
     assert _wrapped(dom, axis, np.array([hi]))[0] == lo
 
 
