@@ -118,28 +118,24 @@ def _record_frame_builds(monkeypatch):
     return times
 
 
-@pytest.mark.parametrize("mode", ["FullQ_Jaumann", "Conforming_Jaumann"])
-def test_moving_flow_builds_each_stage_time_once(monkeypatch, torus_drift, mode):
+@pytest.mark.parametrize(
+    "mode, dt, steps",
+    [
+        pytest.param("FullQ_Jaumann", 1e-3, 6, id="FullQ_Jaumann"),
+        pytest.param("Conforming_Jaumann", 1e-3, 6, id="Conforming_Jaumann"),
+        # t + dt differs from (step + 1) * dt by one ulp at step 6
+        pytest.param("FullQ_Material", 1e-4, 8, id="FullQ_Material-ulp"),
+    ],
+)
+def test_moving_flow_builds_each_stage_time_once(monkeypatch, torus_drift, mode, dt, steps):
+    # t0, then t + h/2 and (step + 1) * dt per step: k4 runs at the next
+    # step's time, so an RK4 run builds exactly 2 * steps + 1 frames
     times = _record_frame_builds(monkeypatch)
-    cfg = FlowConfig(mode=mode, n=16, dt=1e-3, steps=6, method="rk4")
-    run_flow(torus_drift, LdGParams(), cfg)
-    for name, ts in times.items():
-        assert len(ts) == len(set(ts)), name
-        # t0 and two new stage times per step (t + h/2, t + h)
-        assert len(ts) >= 1 + 2 * cfg.steps, name
-
-
-def test_rk4_stage_times_meet_the_next_step(monkeypatch, torus_drift):
-    # k4 runs at the next step's time (step + 1) * dt, so a moving RK4 run
-    # builds 2 * steps + 1 frames; with dt = 1e-4, t + dt differs from
-    # (step + 1) * dt by one ulp at step 6
-    times = _record_frame_builds(monkeypatch)
-    dt, steps = 1e-4, 8
-    run_flow(torus_drift, LdGParams(), FlowConfig(n=16, dt=dt, steps=steps, method="rk4"))
+    run_flow(torus_drift, LdGParams(), FlowConfig(mode=mode, n=16, dt=dt, steps=steps, method="rk4"))
     want = [0.0]
     for step in range(steps):
         want += [step * dt + 0.5 * dt, (step + 1) * dt]
-    assert len(times["make_grid"]) == 2 * steps + 1
+    assert len(want) == 2 * steps + 1
     assert times == {"make_grid": want, "motion_grid": want}
 
 
