@@ -52,18 +52,12 @@ class Event:
     y2: float
 
 
-# Below this many values, the two reductions that test whether an array lies
-# in the periodic cell cost about as much as the mod reduction they can skip
-# (on a 2-core Xeon VM: 4.6 against 3.9 us for one value, 4.6 against 9.1 us
-# for 256, 7 against 232 us for a 128 x 128 grid).
-_CELL_TEST_MIN_SIZE = 256
-
-
 def _into_cell(y, lo: float, hi: float):
-    """y reduced to the periodic cell [lo, hi); a large y that lies strictly
-    inside it is returned as it is."""
+    """y reduced to the periodic cell [lo, hi).  On a cell with lo = 0, a y
+    that lies strictly inside it is returned as it is, since the reduction
+    would give it back bit for bit."""
     y = np.asarray(y, float)
-    if y.size >= _CELL_TEST_MIN_SIZE and lo < y.min() and y.max() < hi:
+    if lo == 0 and y.size and 0 < y.min() and y.max() < hi:
         return y
     return lo + np.mod(y - lo, hi - lo)
 
@@ -96,11 +90,12 @@ class Domain:
         """Reduce periodic coordinates to the fundamental cell, broadcast
         against each other, so a chart closure always gets equal shapes.
 
-        A periodic axis of at least 256 values that all lie strictly inside
-        (lo, hi), as the nodes of a grid do, is returned as a float array
-        without the reduction lo + mod(y - lo, hi - lo).  For lo = 0, the
-        case of every registered periodic axis, that reduction gives those
-        values back bit for bit.
+        A periodic axis with lo = 0, as every registered one has, whose
+        values all lie strictly inside (0, hi), as the nodes of a grid do, is
+        returned as a float array without the reduction
+        lo + mod(y - lo, hi - lo): that reduction gives those values back bit
+        for bit.  On an axis with lo != 0 it may not, so such an axis is
+        always reduced.
         """
         if self.periodic1:
             y1 = _into_cell(y1, *self.y1_range)

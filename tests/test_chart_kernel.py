@@ -70,8 +70,8 @@ def _reduced(lo, hi, y):
 @pytest.mark.parametrize("name, axis, lo, hi", _periodic_axes())
 def test_wrap_keeps_in_cell_values_bit_for_bit(name, axis, lo, hi):
     # grid nodes and random values strictly inside the cell, and the nearest
-    # floats to its ends, come back as the reduction gives them, whether the
-    # array is small enough to be reduced or large enough to be tested
+    # floats to its ends, come back as the reduction gives them, in arrays
+    # of a few values and of many
     dom = get_scenario(name).domain
     nodes = lo + (np.arange(128) + 0.5) * (hi - lo) / 128
     grid = np.meshgrid(nodes, nodes)[0]
@@ -97,6 +97,18 @@ def test_wrap_reduces_values_outside_the_cell(name, axis, lo, hi):
             assert got.tobytes() == _reduced(lo, hi, y).tobytes()
             assert np.all((got >= lo) & (got <= hi))
     assert _wrapped(dom, axis, np.array([hi]))[0] == lo
+
+
+def test_wrap_reduces_every_array_on_a_cell_off_zero():
+    # on (-pi, pi) the reduction rounds some in-cell values, so a point gets
+    # the reduction's bits alike in a stencil of 3 values and in a batch of 300
+    dom = Domain((-np.pi, np.pi), (0.0, 1.0), True, False)
+    y = np.random.default_rng(3).uniform(-1.0, 1.0, 300)
+    want = _reduced(-np.pi, np.pi, y)
+    assert np.count_nonzero(want != y) > 100
+    assert _wrapped(dom, 0, y).tobytes() == want.tobytes()
+    for i in range(0, 300, 3):
+        assert _wrapped(dom, 0, y[i : i + 3]).tobytes() == want[i : i + 3].tobytes()
 
 
 def test_wrap_takes_scalars_mixed_shapes_and_empty_arrays():
