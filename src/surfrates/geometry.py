@@ -17,13 +17,14 @@ outputs made the flows slower.  Index conventions:
   ``b_cov[i]`` the normal-coupling covector, for both the material and the
   chart (observer) velocity.
 
-``MotionSample`` computes each kinematic block on first read and keeps it.
-A flow frame keeps only the arrays its rate reads, not the sample, whose
-cached intermediate blocks would raise the flow's peak memory.
+``GeometrySample`` computes its metric at construction and every other field
+on first read; ``MotionSample`` computes each kinematic block on first read.
+Both keep what they computed.  A flow frame keeps only the arrays its rate
+reads, not the samples, whose cached intermediate blocks would raise the
+flow's peak memory.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -45,24 +46,60 @@ __all__ = [
 ]
 
 
-@dataclass
 class GeometrySample:
-    jet: ChartJet
-    g: np.ndarray
-    ginv: np.ndarray
-    sqrtdetg: np.ndarray
-    Gamma_low: np.ndarray
-    Gamma: np.ndarray
-    nu: np.ndarray
-    dnu: np.ndarray
-    II: np.ndarray
-    B_mixed: np.ndarray
-    H: np.ndarray
-    K: np.ndarray
+    """The geometry of a chart at the points of its jet.
+
+    The metric ``g``, its inverse ``ginv`` and ``sqrtdetg`` are computed at
+    construction, which raises NonEmbeddingError where det g < 1e-12.  The
+    other fields (``nu``, ``Gamma_low``, ``Gamma``, ``II``, ``B_mixed``,
+    ``H``, ``K``, ``dnu``) are computed on first read and kept, so a caller
+    pays only for what it reads.
+    """
+
+    def __init__(self, jet: ChartJet):
+        self.jet = jet
+        self.g = _metric(jet.dX)
+        detg = det2(self.g)
+        if np.any(detg < 1e-12):
+            raise NonEmbeddingError("det g below 1e-12: chart is not an embedding here")
+        self.ginv = inv2(self.g)
+        self.sqrtdetg = np.sqrt(detg)
 
     @property
     def dX(self) -> np.ndarray:
         return self.jet.dX
+
+    @cached_property
+    def nu(self) -> np.ndarray:
+        return _unit_normal(self.jet.dX)
+
+    @cached_property
+    def Gamma_low(self) -> np.ndarray:
+        return np.einsum("aij...,ak...->ijk...", self.jet.ddX, self.jet.dX)
+
+    @cached_property
+    def Gamma(self) -> np.ndarray:
+        return np.einsum("kl...,ijl...->kij...", self.ginv, self.Gamma_low)
+
+    @cached_property
+    def II(self) -> np.ndarray:
+        return np.einsum("aij...,a...->ij...", self.jet.ddX, self.nu)
+
+    @cached_property
+    def B_mixed(self) -> np.ndarray:
+        return np.einsum("ik...,kj...->ij...", self.ginv, self.II)
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        return np.einsum("ii...->...", self.B_mixed)
+
+    @cached_property
+    def K(self) -> np.ndarray:
+        return det2(self.B_mixed)
+
+    @cached_property
+    def dnu(self) -> np.ndarray:
+        return -np.einsum("aj...,ji...->ai...", self.jet.dX, self.B_mixed)
 
     def embed_mixed(self, M: np.ndarray) -> np.ndarray:
         """Push a mixed tangential operator M^i_j to its 3x3 Cartesian proxy
@@ -129,33 +166,7 @@ def _covariant_derivative(geom: GeometrySample, v, dv, up: int, low: int = 0):
 
 
 def geometry_from_jet(jet: ChartJet) -> GeometrySample:
-    g = _metric(jet.dX)
-    detg = det2(g)
-    if np.any(detg < 1e-12):
-        raise NonEmbeddingError("det g below 1e-12: chart is not an embedding here")
-    ginv = inv2(g)
-    Gamma_low = np.einsum("aij...,ak...->ijk...", jet.ddX, jet.dX)
-    Gamma = np.einsum("kl...,ijl...->kij...", ginv, Gamma_low)
-    nu = _unit_normal(jet.dX)
-    II = np.einsum("aij...,a...->ij...", jet.ddX, nu)
-    B_mixed = np.einsum("ik...,kj...->ij...", ginv, II)
-    H = np.einsum("ii...->...", B_mixed)
-    K = det2(B_mixed)
-    dnu = -np.einsum("aj...,ji...->ai...", jet.dX, B_mixed)
-    return GeometrySample(
-        jet=jet,
-        g=g,
-        ginv=ginv,
-        sqrtdetg=np.sqrt(detg),
-        Gamma_low=Gamma_low,
-        Gamma=Gamma,
-        nu=nu,
-        dnu=dnu,
-        II=II,
-        B_mixed=B_mixed,
-        H=H,
-        K=K,
-    )
+    return GeometrySample(jet)
 
 
 def geometry_at(surface: MovingSurface, event: Event) -> GeometrySample:

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from surfrates import landau
 from surfrates.chart_kernel import (
+    ChartJet,
     Domain,
     Event,
     MovingSurface,
@@ -16,13 +18,18 @@ from surfrates.chart_kernel import (
 )
 from surfrates.errors import NonEmbeddingError
 from surfrates.geometry import (
+    GeometrySample,
     _covariant_derivative,
+    _metric,
+    _unit_normal,
     check_identities,
     geometry_at,
     geometry_from_jet,
     motion_at,
     motion_grid,
 )
+from surfrates.landau import FlowConfig, LdGParams, run_flow
+from surfrates.util import det2, inv2
 
 MOTION_FIELDS = (
     "V_o", "V_m", "dV_o", "dV_m", "u2", "Du", "vperp", "G",
@@ -126,6 +133,92 @@ def test_degenerate_chart_raises():
     )
     with pytest.raises(NonEmbeddingError):
         geometry_at(bad, Event(0.0, 0.5, 0.5))
+
+
+def _eager_geometry(jet):
+    """Every GeometrySample field by the formulas, in the order, of the
+    eager geometry_from_jet that computed them all at construction."""
+    g = _metric(jet.dX)
+    detg = det2(g)
+    ginv = inv2(g)
+    Gamma_low = np.einsum("aij...,ak...->ijk...", jet.ddX, jet.dX)
+    Gamma = np.einsum("kl...,ijl...->kij...", ginv, Gamma_low)
+    nu = _unit_normal(jet.dX)
+    II = np.einsum("aij...,a...->ij...", jet.ddX, nu)
+    B_mixed = np.einsum("ik...,kj...->ij...", ginv, II)
+    H = np.einsum("ii...->...", B_mixed)
+    K = det2(B_mixed)
+    dnu = -np.einsum("aj...,ji...->ai...", jet.dX, B_mixed)
+    return {
+        "g": g, "ginv": ginv, "sqrtdetg": np.sqrt(detg), "Gamma_low": Gamma_low,
+        "Gamma": Gamma, "nu": nu, "dnu": dnu, "II": II, "B_mixed": B_mixed,
+        "H": H, "K": K,
+    }
+
+
+def _grid_and_batch(surface):
+    """A 32x32 grid inside the surface's domain, and a batch of 5 events."""
+    (a1, b1), (a2, b2) = surface.domain.y1_range, surface.domain.y2_range
+    frac = np.linspace(0.05, 0.95, 32)
+    Y1, Y2 = np.meshgrid(a1 + frac * (b1 - a1), a2 + frac * (b2 - a2), indexing="ij")
+    events = sample_events(surface, 5, 77)
+    batch = Event(*(np.array([getattr(e, k) for e in events]) for k in ("t", "y1", "y2")))
+    return Event(0.45, Y1, Y2), batch
+
+
+@pytest.mark.parametrize("name", list_scenarios())
+@pytest.mark.parametrize("where", ["grid", "batch"])
+def test_geometry_fields_on_first_read_equal_the_eager_formulas(name, where):
+    # fields computed on first read, in reverse order of their dependencies,
+    # have the bits and the memory layout of the eager formulas
+    surface = get_scenario(name)
+    ev = _grid_and_batch(surface)[where == "batch"]
+    jet = surface.jet(ev.t, ev.y1, ev.y2)
+    want = _eager_geometry(jet)
+    geom = geometry_from_jet(jet)
+    assert set(vars(geom)) == {"jet", "g", "ginv", "sqrtdetg"}
+    for field in reversed(list(want)):
+        got = getattr(geom, field)
+        assert got.shape == want[field].shape, field
+        assert got.strides == want[field].strides, field
+        assert got.tobytes() == want[field].tobytes(), field
+        assert getattr(geom, field) is got, field
+
+
+@pytest.mark.parametrize("mode", ["FullQ_Material", "FullQ_Jaumann"])
+def test_full_tensor_flow_frames_compute_no_curvature(monkeypatch, torus_drift, mode):
+    # a full-tensor frame and its motion read the metric, its inverse, the
+    # area element and (through the motion) the normal; every other geometry
+    # field of the frame's GeometrySample is never computed
+    geoms = []
+    make_grid = landau.make_grid
+
+    def recorded(*args):
+        gg = make_grid(*args)
+        geoms.append(gg.geom)
+        return gg
+
+    monkeypatch.setattr(landau, "make_grid", recorded)
+    cfg = FlowConfig(mode=mode, n=16, dt=1e-3, steps=2, method="rk4")
+    run_flow(torus_drift, LdGParams(), cfg)
+    assert len(geoms) == 1 + 2 * cfg.steps
+    for geom in geoms:
+        computed = set(vars(geom))
+        assert {"g", "ginv", "sqrtdetg"} <= computed
+        assert not {"Gamma_low", "Gamma", "II", "B_mixed", "H", "K", "dnu"} & computed
+
+
+def test_degenerate_jet_raises_at_construction():
+    # d_2 X parallel to d_1 X at one of three points: det g = 0 there
+    dX = np.zeros((3, 2, 3))
+    dX[0, 0] = dX[1, 1] = 1.0
+    dX[:, 1, 2] = dX[:, 0, 2]
+    zeros = np.zeros((3, 3))
+    jet = ChartJet(X=zeros, dX=dX, ddX=np.zeros((3, 2, 2, 3)), Vt=zeros, dVt=np.zeros((3, 2, 3)))
+    with pytest.raises(NonEmbeddingError):
+        geometry_from_jet(jet)
+    with pytest.raises(NonEmbeddingError):
+        GeometrySample(jet)
 
 
 @settings(deadline=None, max_examples=40)
