@@ -337,34 +337,72 @@ def _sphere_jets(R_of_t: Callable, Rdot_of_t: Callable) -> Callable:
     return jets
 
 
+def _distinct(y: np.ndarray) -> np.ndarray:
+    """y with each stride-0 axis cut to length 1: the values of a broadcast
+    view, such as a grid axis that ``Domain.wrap`` broadcast against the
+    other, once each; the result broadcasts back to y."""
+    return y[tuple(slice(None, 1) if s == 0 else slice(None) for s in y.strides)]
+
+
 def _torus_jets(R0: float, r_of_t: Callable, rdot_of_t: Callable) -> Callable:
     def jets(t, y1, y2):
         y1 = np.asarray(y1, float)
         y2 = np.asarray(y2, float)
-        st, ct = np.sin(y1), np.cos(y1)
-        sp, cp = np.sin(y2), np.cos(y2)
-        zero = np.zeros_like(st)
         r = r_of_t(t)
         rd = rdot_of_t(t)
-        w = R0 + r * ct
-        X = np.stack([w * cp, w * sp, r * st])
-        dXa = np.stack([-r * st * cp, -r * st * sp, r * ct])
-        dXb = np.stack([-w * sp, w * cp, zero])
-        dX = np.stack([dXa, dXb], axis=1)
-        d_aa = np.stack([-r * ct * cp, -r * ct * sp, -r * st])
-        d_ab = np.stack([r * st * sp, -r * st * cp, zero])
-        d_bb = np.stack([-w * cp, -w * sp, zero])
-        ddX = np.stack(
-            [np.stack([d_aa, d_ab], axis=1), np.stack([d_ab, d_bb], axis=1)], axis=1
-        )
-        Vt = rd * np.stack([ct * cp, ct * sp, st])
-        dVt = np.stack(
-            [
-                rd * np.stack([-st * cp, -st * sp, ct]),
-                rd * np.stack([-ct * sp, ct * cp, zero]),
-            ],
-            axis=1,
-        )
+        shape = np.broadcast_shapes(np.shape(r), y1.shape, y2.shape)
+        # The sines and cosines depend on one axis each, so on grid axes they
+        # and the products of r and rd with them are taken on n values.  Each
+        # component is the product of the componentwise formula, in its
+        # order, written into C-ordered arrays; its minus sign sits on a
+        # factor, which negation leaves exact.
+        a, b = _distinct(y1), _distinct(y2)
+        st, ct = np.sin(a), np.cos(a)
+        sp, cp = np.sin(b), np.cos(b)
+        rs, rc = r * st, r * ct
+        w = R0 + rc
+        X = np.empty((3,) + shape)
+        dX = np.empty((3, 2) + shape)
+        ddX = np.empty((3, 2, 2) + shape)
+        Vt = np.empty((3,) + shape)
+        dVt = np.empty((3, 2) + shape)
+
+        def put(out, f, g, scale=None):
+            """out = f * g, then scale * (f * g) if scale is given.  Each out
+            is indexed ``[k, ...]``, which stays a 0-d array at a single
+            point, where ``[k]`` would be a scalar that cannot be written."""
+            np.multiply(f, g, out=out)
+            if scale is not None:
+                np.multiply(scale, out, out=out)
+
+        put(X[0, ...], w, cp)
+        put(X[1, ...], w, sp)
+        X[2, ...] = rs
+        put(dX[0, 0, ...], -rs, cp)
+        put(dX[1, 0, ...], -rs, sp)
+        dX[2, 0, ...] = rc
+        put(dX[0, 1, ...], -w, sp)
+        dX[1, 1, ...] = X[0]
+        dX[2, 1, ...] = 0.0
+        put(ddX[0, 0, 0, ...], -rc, cp)
+        put(ddX[1, 0, 0, ...], -rc, sp)
+        ddX[2, 0, 0, ...] = -rs
+        put(ddX[0, 0, 1, ...], rs, sp)
+        ddX[1, 0, 1, ...] = dX[0, 0]
+        ddX[2, 0, 1, ...] = 0.0
+        ddX[:, 1, 0, ...] = ddX[:, 0, 1]
+        put(ddX[0, 1, 1, ...], -w, cp)
+        ddX[1, 1, 1, ...] = dX[0, 1]
+        ddX[2, 1, 1, ...] = 0.0
+        put(Vt[0, ...], ct, cp, rd)
+        put(Vt[1, ...], ct, sp, rd)
+        put(Vt[2, ...], rd, st)
+        put(dVt[0, 0, ...], -st, cp, rd)
+        put(dVt[1, 0, ...], -st, sp, rd)
+        put(dVt[2, 0, ...], rd, ct)
+        put(dVt[0, 1, ...], -ct, sp, rd)
+        dVt[1, 1, ...] = Vt[0]
+        put(dVt[2, 1, ...], rd, 0.0)
         return ChartJet(X=X, dX=dX, ddX=ddX, Vt=Vt, dVt=dVt)
 
     return jets

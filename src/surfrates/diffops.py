@@ -300,7 +300,10 @@ def make_grid(surface: MovingSurface, t: float, n1: int, n2: int | None = None) 
     y1 = a1 + (np.arange(n1) + 0.5) * h1
     y2 = a2 + (np.arange(n2) + 0.5) * h2
     Y1, Y2 = np.meshgrid(y1, y2, indexing="ij")
-    geom = geometry_from_jet(surface.jet(t, Y1, Y2))
+    # the chart gets the axes, which Domain.wrap broadcasts into views of the
+    # grid's shape, so closures that work per axis (the torus jets) take
+    # their factors on n1 + n2 values
+    geom = geometry_from_jet(surface.jet(t, y1[:, None], y2[None, :]))
     weights = geom.sqrtdetg * h1 * h2
     return GridGeometry(
         surface=surface, t=t, n1=n1, n2=n2, y1=y1, y2=y2, Y1=Y1, Y2=Y2,

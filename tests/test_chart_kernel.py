@@ -4,7 +4,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from surfrates import _fd
 from surfrates.chart_kernel import (
+    _BREATHING,
     _T_RANGE,
+    _UNIT,
+    ChartJet,
     Domain,
     Event,
     fd_variant,
@@ -211,3 +214,110 @@ def test_static_scenarios_have_zero_chart_velocity():
         jet = surface.jet(ev.t, ev.y1, ev.y2)
         assert_allclose(jet.Vt, 0.0, atol=1e-15)
         assert_allclose(jet.dVt, 0.0, atol=1e-15)
+
+
+JET_BLOCKS = ("X", "dX", "ddX", "Vt", "dVt")
+# (tube radius, its rate) of each registered torus, about a circle of radius 2
+TORI = {"torus-static": _UNIT, "torus-breathing": _BREATHING, "torus-breathing-drift": _BREATHING}
+
+
+def _stacked_torus_jet(name, t, y1, y2):
+    """The torus jet as np.stack of its componentwise formulas on full
+    coordinate arrays: the bits and the memory layout that the per-axis
+    torus jets keep."""
+    r_of_t, rd_of_t = TORI[name]
+    y1 = np.asarray(y1, float)
+    y2 = np.asarray(y2, float)
+    st, ct = np.sin(y1), np.cos(y1)
+    sp, cp = np.sin(y2), np.cos(y2)
+    zero = np.zeros_like(st)
+    r, rd = r_of_t(t), rd_of_t(t)
+    w = 2.0 + r * ct
+    d_aa = np.stack([-r * ct * cp, -r * ct * sp, -r * st])
+    d_ab = np.stack([r * st * sp, -r * st * cp, zero])
+    d_bb = np.stack([-w * cp, -w * sp, zero])
+    return ChartJet(
+        X=np.stack([w * cp, w * sp, r * st]),
+        dX=np.stack(
+            [np.stack([-r * st * cp, -r * st * sp, r * ct]), np.stack([-w * sp, w * cp, zero])],
+            axis=1,
+        ),
+        ddX=np.stack(
+            [np.stack([d_aa, d_ab], axis=1), np.stack([d_ab, d_bb], axis=1)], axis=1
+        ),
+        Vt=rd * np.stack([ct * cp, ct * sp, st]),
+        dVt=np.stack(
+            [
+                rd * np.stack([-st * cp, -st * sp, ct]),
+                rd * np.stack([-ct * sp, ct * cp, zero]),
+            ],
+            axis=1,
+        ),
+    )
+
+
+def _assert_same_jet(got, want):
+    for key in JET_BLOCKS:
+        a, b = np.asarray(getattr(got, key)), getattr(want, key)
+        assert a.shape == b.shape, key
+        assert a.flags.c_contiguous, key
+        assert a.strides == b.strides, key
+        assert a.tobytes() == b.tobytes(), key
+
+
+def _grid_axes(surface, n1=24, n2=20):
+    (a1, b1), (a2, b2) = surface.domain.y1_range, surface.domain.y2_range
+    return (
+        a1 + (np.arange(n1) + 0.5) * (b1 - a1) / n1,
+        a2 + (np.arange(n2) + 0.5) * (b2 - a2) / n2,
+    )
+
+
+@pytest.mark.parametrize("name", list(TORI))
+@pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
+def test_torus_jets_on_grid_axes_equal_the_stacked_formulas(name, t):
+    # the jets on the grid axes, which Domain.wrap broadcasts into stride-0
+    # views, and on the full meshgrid both have the bits and the C-ordered
+    # strides of the stacked formulas; a transposed layout would pass into
+    # every einsum of the flow state
+    surface = get_scenario(name)
+    y1, y2 = _grid_axes(surface)
+    Y1, Y2 = np.meshgrid(y1, y2, indexing="ij")
+    want = _stacked_torus_jet(name, t, Y1, Y2)
+    _assert_same_jet(surface.jet(t, y1[:, None], y2[None, :]), want)
+    _assert_same_jet(surface.jet(t, Y1, Y2), want)
+
+
+@pytest.mark.parametrize("name", list(TORI))
+@pytest.mark.parametrize("kind", ["scalar", "0-d", "batch"])
+def test_torus_jets_at_points_equal_the_stacked_formulas(name, kind):
+    surface = get_scenario(name)
+    events = sample_events(surface, 5, 31)
+    if kind == "batch":
+        t, y1, y2 = (np.array(v) for v in zip(*((e.t, e.y1, e.y2) for e in events)))
+    else:
+        cast = float if kind == "scalar" else np.array
+        t, y1, y2 = (cast(v) for v in (events[0].t, events[0].y1, events[0].y2))
+    _assert_same_jet(surface.jet(t, y1, y2), _stacked_torus_jet(name, t, y1, y2))
+
+
+@pytest.mark.parametrize(
+    "name",
+    [n for n in list_scenarios() if get_scenario(n).domain.periodic1 and get_scenario(n).domain.periodic2],
+)
+def test_closures_on_grid_axes_equal_their_values_on_the_meshgrid(name):
+    # make_grid hands the chart its axes as (n1, 1) and (1, n2) arrays;
+    # every closure of a doubly periodic scenario, the plane jets of
+    # flat-torus and the constant relative velocity included, gives there
+    # what it gives on the meshgrid
+    surface = get_scenario(name)
+    y1, y2 = _grid_axes(surface)
+    Y1, Y2 = np.meshgrid(y1, y2, indexing="ij")
+    for t in (0.0, 0.37, 1.0):
+        axes, grid = surface.jet(t, y1[:, None], y2[None, :]), surface.jet(t, Y1, Y2)
+        for key in JET_BLOCKS:
+            assert_array_equal(getattr(axes, key), getattr(grid, key), strict=True)
+        for closure in (surface.u, surface.u_jet):
+            assert_array_equal(
+                closure(t, y1[:, None], y2[None, :]), closure(t, Y1, Y2), strict=True
+            )
