@@ -258,7 +258,7 @@ def _stacked_torus_jet(name, t, y1, y2):
 
 def _assert_same_jet(got, want):
     for key in JET_BLOCKS:
-        a, b = np.asarray(getattr(got, key)), getattr(want, key)
+        a, b = getattr(got, key), getattr(want, key)
         assert a.shape == b.shape, key
         assert a.flags.c_contiguous, key
         assert a.strides == b.strides, key
