@@ -121,16 +121,21 @@ class GeometrySample:
         return self.embed_vec(np.einsum("ij...,j...->i...", self.ginv, w_cov))
 
 
-def _unit_normal(dX: np.ndarray) -> np.ndarray:
-    """Unit normal d_1 X x d_2 X / |d_1 X x d_2 X| from the chart tangents.
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product a x b of vectors with their component axis first.
 
-    The cross product is stacked from its components, so the normal of a grid
-    is C-ordered with its component axis first; ``np.cross(..., axis=0)``
-    returns a transposed view, whose layout the einsums would carry into
-    every array made from the normal.
+    The product is stacked from its components, so the product of grid
+    vectors is C-ordered with its component axis first; ``np.cross(...,
+    axis=0)`` returns a transposed view, whose layout the einsums would carry
+    into every array made from it.
     """
-    (a1, a2, a3), (b1, b2, b3) = dX[:, 0], dX[:, 1]
-    cross = np.stack([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1])
+    (a1, a2, a3), (b1, b2, b3) = a, b
+    return np.stack([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1])
+
+
+def _unit_normal(dX: np.ndarray) -> np.ndarray:
+    """Unit normal d_1 X x d_2 X / |d_1 X x d_2 X| from the chart tangents."""
+    cross = _cross(dX[:, 0], dX[:, 1])
     return cross / np.sqrt(np.einsum("a...,a...->...", cross, cross))
 
 
@@ -271,8 +276,20 @@ class MotionSample:
 
     @cached_property
     def Acal(self) -> np.ndarray:
-        """Acal = (Gcal - Gcal^T) / 2."""
-        return 0.5 * (self.Gcal - np.einsum("ab...->ba...", self.Gcal))
+        """Acal = (Gcal - Gcal^T) / 2 in closed form, from G and b3 (not
+        from Gcal or A): the cross-product matrix [w]x of
+        w = b3 x nu - omega sqrt(det g) nu, where
+        omega = ((G g^-1)_12 - (G g^-1)_21) / 2 (README, Design notes)."""
+        G, geom = self.G, self.geom
+        omega = 0.5 * (
+            np.einsum("k...,k...->...", G[0], geom.ginv[:, 1])
+            - np.einsum("k...,k...->...", G[1], geom.ginv[:, 0])
+        )
+        w = _cross(self.b3, geom.nu) - (omega * geom.sqrtdetg) * geom.nu
+        (w1, w2, w3), (n1, n2, n3) = w, -w
+        zero = np.zeros_like(w1)
+        spin = np.stack([zero, n3, w2, w3, zero, n1, n2, w1, zero])
+        return spin.reshape((3, 3) + spin.shape[1:])
 
 
 def motion_at(
