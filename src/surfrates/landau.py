@@ -189,32 +189,34 @@ def initial_state(gg: GridGeometry, config: FlowConfig):
 # energy and right-hand sides
 
 
+def _dot(A: np.ndarray, B: np.ndarray):
+    """A : B, the sum of the componentwise products of two 3x3 fields."""
+    return np.einsum("ab...,ab...->...", A, B)
+
+
 def _square(Q: np.ndarray):
-    """tr Q^2 and Q^2."""
-    return np.einsum("ab...,ab...->...", Q, Q), np.einsum("ac...,cb...->ab...", Q, Q)
-
-
-def _traces(Q: np.ndarray):
-    """tr Q^2, tr Q^3 and tr Q^4 (Q^2 is freed on return)."""
-    tr2, Q2 = _square(Q)
-    tr3 = np.einsum("ab...,bc...,ca...->...", Q, Q, Q)
-    return tr2, tr3, np.einsum("ab...,ab...->...", Q2, Q2)
+    return np.einsum("ac...,cb...->ab...", Q, Q)
 
 
 def bulk_density(params: LdGParams, Q: np.ndarray):
-    tr2, tr3, tr4 = _traces(Q)
-    return params.a * tr2 + (2.0 * params.b / 3.0) * tr3 + params.c * tr4
+    """a tr Q^2 + (2b/3) tr Q^3 + c tr Q^4; tr Q^3 is formed only when
+    b != 0."""
+    dens = params.a * _dot(Q, Q)
+    if params.b:
+        dens = dens + (2.0 * params.b / 3.0) * np.einsum("ab...,bc...,ca...->...", Q, Q, Q)
+    Q2 = _square(Q)
+    return dens + params.c * _dot(Q2, Q2)
 
 
 def bulk_gradient(params: LdGParams, Q: np.ndarray):
-    """Traceless-symmetric gradient of the bulk density."""
-    tr2, Q2 = _square(Q)
-    eye = np.eye(3).reshape((3, 3) + (1,) * (Q.ndim - 2))
-    return 2.0 * (
-        params.a * Q
-        + params.b * (Q2 - (tr2 / 3.0) * eye)
-        + params.c * tr2 * Q
-    )
+    """Traceless-symmetric gradient of the bulk density; Q^2 is formed only
+    when b != 0."""
+    tr2 = _dot(Q, Q)
+    grad = params.a * Q
+    if params.b:
+        eye = np.eye(3).reshape((3, 3) + (1,) * (Q.ndim - 2))
+        grad = grad + params.b * (_square(Q) - (tr2 / 3.0) * eye)
+    return 2.0 * (grad + params.c * tr2 * Q)
 
 
 def energy(gg: GridGeometry, params: LdGParams, Q: np.ndarray, grad=None):
