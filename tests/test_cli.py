@@ -11,7 +11,7 @@ from surfrates import _fd, cli
 from surfrates.chart_kernel import MovingSurface, get_scenario, list_scenarios
 from surfrates.cli import main, run_converge_thinfilm, run_verify
 from surfrates.errors import ConfigError, StabilityError
-from surfrates.geometry import IdentityReport
+from surfrates.geometry import IdentityReport, MotionSample
 from surfrates.landau import FLOW_MODES, FlowConfig, LdGParams, run_flow
 from surfrates.thinfilm import LIMIT_QUANTITIES
 from surfrates.timederiv import QFieldClosure
@@ -77,6 +77,25 @@ def test_verify_all_covers_forty_identities(tmp_path):
     report = run_verify("torus-breathing", "all", n_events=2, seed=5)
     assert report["n_identities"] >= 40
     assert report["all_pass"] is True
+
+
+@pytest.mark.parametrize("scenario", ["torus-breathing-drift", "sphere-rigid-rotation"])
+@pytest.mark.parametrize(
+    "field, factor, row",
+    [("A", 2.0, "jaumann-rank2-dual-path"), ("Acal", 0.999, "jaumann-halfsum-rank2")],
+)
+def test_jaumann_routes_read_independent_spins(monkeypatch, scenario, field, factor, row):
+    # the Decomposed Jaumann route reads the spin A, the ViaMaterial route
+    # Acal, and the half-sum of Upper and Lower Gcal; a fault in one spin
+    # fails the row that compares its route with another
+    def passes():
+        report = run_verify(scenario, "all", 3, 7)
+        return {r["identity_name"]: r["pass"] for r in report["identities"]}[row]
+
+    assert passes()
+    formula = MotionSample.__dict__[field].func
+    monkeypatch.setattr(MotionSample, field, property(lambda mot: factor * formula(mot)))
+    assert not passes()
 
 
 def test_converge_fd_csv(tmp_path):

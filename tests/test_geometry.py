@@ -250,6 +250,26 @@ def test_gcal_antisymmetric_block_structure(torus_drift, torus_events):
     assert_allclose(mot.Acal + mot.Acal.T, 0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("name", list_scenarios())
+def test_acal_closed_form_is_the_antisymmetric_part_of_gcal(name):
+    # the cross-product matrix of b3 x nu - omega sqrt(det g) nu equals
+    # (Gcal - Gcal^T)/2 at round-off, is exactly antisymmetric, and has the
+    # memory layout of that difference; it is built without Gcal and A
+    surface = get_scenario(name)
+    grid, batch = _grid_and_batch(surface)
+    ev = grid if surface.domain.periodic1 and surface.domain.periodic2 else batch
+    mot = motion_at(surface, ev)
+    Acal = mot.Acal
+    assert not {"Gcal", "A"} & set(vars(mot))
+    want = 0.5 * (mot.Gcal - np.einsum("ab...->ba...", mot.Gcal))
+    assert np.max(np.abs(Acal - want)) <= 1e-13 * max(1.0, np.max(np.abs(mot.Gcal)))
+    assert not np.any(Acal + np.einsum("ab...->ba...", Acal))
+    assert not np.any(np.einsum("aa...->a...", Acal))
+    assert Acal.flags.c_contiguous
+    assert Acal.shape == want.shape
+    assert Acal.strides == want.strides
+
+
 @pytest.mark.parametrize(
     "name", [name for name in list_scenarios() if get_scenario(name).static]
 )

@@ -30,10 +30,11 @@ def _constant_beta_proxy(gg, beta0):
     return conforming_to_proxy(gg, q, beta)
 
 
-def test_bulk_gradient_is_traceless_symmetric_gradient_of_density():
+@pytest.mark.parametrize("b", [0.0, 2.0])
+def test_bulk_gradient_is_traceless_symmetric_gradient_of_density(b):
     # the central difference of bulk_density along a traceless symmetric H
     # equals the pairing of bulk_gradient with H; the gradient is itself
-    # traceless and symmetric
+    # traceless and symmetric, with the cubic term (b = 2) and without it
     rng = np.random.default_rng(3)
 
     def traceless_sym(m):
@@ -42,13 +43,43 @@ def test_bulk_gradient_is_traceless_symmetric_gradient_of_density():
 
     Q = traceless_sym(rng.normal(size=(3, 3)))
     H = traceless_sym(rng.normal(size=(3, 3)))
-    params = LdGParams(a=-1.0, b=2.0, c=1.5)
+    params = LdGParams(a=-1.0, b=b, c=1.5)
     eps = 1e-6
     fd = (bulk_density(params, Q + eps * H) - bulk_density(params, Q - eps * H)) / (2 * eps)
     grad = bulk_gradient(params, Q)
     assert_allclose(fd, np.sum(grad * H), rtol=1e-8)
     assert abs(np.trace(grad)) < 1e-12
     assert np.max(np.abs(grad - grad.T)) < 1e-12
+
+
+def _unguarded_bulk(params, Q):
+    """bulk_density and bulk_gradient with every term formed, b = 0 or not."""
+    tr2 = np.einsum("ab...,ab...->...", Q, Q)
+    Q2 = np.einsum("ac...,cb...->ab...", Q, Q)
+    tr3 = np.einsum("ab...,bc...,ca...->...", Q, Q, Q)
+    tr4 = np.einsum("ab...,ab...->...", Q2, Q2)
+    eye = np.eye(3).reshape((3, 3) + (1,) * (Q.ndim - 2))
+    density = params.a * tr2 + (2.0 * params.b / 3.0) * tr3 + params.c * tr4
+    gradient = 2.0 * (
+        params.a * Q + params.b * (Q2 - (tr2 / 3.0) * eye) + params.c * tr2 * Q
+    )
+    return density, gradient
+
+
+@pytest.mark.parametrize("shape", [(), (128, 128)])
+@pytest.mark.parametrize("b", [0.0, 2.0])
+def test_bulk_terms_equal_the_unguarded_formula(shape, b):
+    # the cubic term is formed only when b != 0; on a random symmetric Q
+    # both functions keep the bits of the formula that forms every term
+    rng = np.random.default_rng(29)
+    M = rng.normal(size=(3, 3) + shape)
+    Q = M + np.einsum("ab...->ba...", M)
+    params = LdGParams(a=-0.7, b=b, c=1.3)
+    density, gradient = _unguarded_bulk(params, Q)
+    assert bulk_density(params, Q).tobytes() == density.tobytes()
+    got = bulk_gradient(params, Q)
+    assert got.strides == gradient.strides
+    assert got.tobytes() == gradient.tobytes()
 
 
 def test_bulk_trace_literals(torus_static):
@@ -149,7 +180,7 @@ def test_static_flow_builds_one_frame(monkeypatch, torus_static, method):
 @pytest.mark.parametrize(
     "mode, unread",
     [
-        ("FullQ_Jaumann", ("G_obs", "Du", "vperp", "V_m", "b_obs3")),
+        ("FullQ_Jaumann", ("G_obs", "Du", "vperp", "V_m", "b_obs3", "Gcal")),
         ("Conforming_Jaumann", ("Gcal", "Acal")),
     ],
 )
