@@ -307,36 +307,6 @@ def make_observer_pair(surface: MovingSurface, motion: Callable):
 # scenario registry
 
 
-def _sphere_jets(R_of_t: Callable, Rdot_of_t: Callable) -> Callable:
-    def jets(t, y1, y2):
-        y1 = np.asarray(y1, float)
-        y2 = np.asarray(y2, float)
-        st, ct = np.sin(y1), np.cos(y1)
-        sp, cp = np.sin(y2), np.cos(y2)
-        zero = np.zeros_like(st)
-        R = R_of_t(t)
-        Rd = Rdot_of_t(t)
-        s = np.stack([st * cp, st * sp, ct])
-        s_a = np.stack([ct * cp, ct * sp, -st])
-        s_b = np.stack([-st * sp, st * cp, zero])
-        s_aa = -s
-        s_ab = np.stack([-ct * sp, ct * cp, zero])
-        s_bb = np.stack([-st * cp, -st * sp, zero])
-        dX = np.stack([R * s_a, R * s_b], axis=1)
-        ddX = np.stack(
-            [
-                np.stack([R * s_aa, R * s_ab], axis=1),
-                np.stack([R * s_ab, R * s_bb], axis=1),
-            ],
-            axis=1,
-        )
-        Vt = Rd * s
-        dVt = np.stack([Rd * s_a, Rd * s_b], axis=1)
-        return ChartJet(X=R * s, dX=dX, ddX=ddX, Vt=Vt, dVt=dVt)
-
-    return jets
-
-
 def _distinct(y: np.ndarray) -> np.ndarray:
     """y with each stride-0 axis cut to length 1: the values of a broadcast
     view, such as a grid axis that ``Domain.wrap`` broadcast against the
@@ -344,65 +314,54 @@ def _distinct(y: np.ndarray) -> np.ndarray:
     return y[tuple(slice(None, 1) if s == 0 else slice(None) for s in y.strides)]
 
 
-def _torus_jets(R0: float, r_of_t: Callable, rdot_of_t: Callable) -> Callable:
+def _revolution_jets(R0: float, profile: tuple, r_of_t: Callable, rdot_of_t: Callable) -> Callable:
+    """Jets of a circle of radius r(t) (rate rd(t)) rotated about the z axis:
+    X = rho e(y2) + z e3 with e = (cos y2, sin y2, 0), rho = R0 + r p(y1) and
+    z = r q(y1).  ``profile`` is (p, q, s) with p' = s q and q' = -s p:
+    (cos, sin, -1) for a torus about a circle of radius R0, and (sin, cos, 1)
+    for a sphere (R0 = 0) with y1 measured from the pole."""
+    p_of, q_of, s = profile
+
     def jets(t, y1, y2):
-        y1 = np.asarray(y1, float)
-        y2 = np.asarray(y2, float)
-        r = r_of_t(t)
-        rd = rdot_of_t(t)
-        shape = np.broadcast_shapes(np.shape(r), y1.shape, y2.shape)
-        # The sines and cosines depend on one axis each, so on grid axes they
-        # and the products of r and rd with them are taken on n values.  Each
-        # component is the product of the componentwise formula, in its
-        # order, written into C-ordered arrays; its minus sign sits on a
-        # factor, which negation leaves exact.
-        a, b = _distinct(y1), _distinct(y2)
-        st, ct = np.sin(a), np.cos(a)
-        sp, cp = np.sin(b), np.cos(b)
-        rs, rc = r * st, r * ct
-        w = R0 + rc
+        r, rd = r_of_t(t), rdot_of_t(t)
+        shape = np.broadcast_shapes(np.shape(r), np.shape(y1), np.shape(y2))
+        # The profile and e depend on one axis each, so on grid axes they and
+        # the products of r with them are taken on n values.  Every block is
+        # a radial part times e or e' = (-sin y2, cos y2, 0) plus an axial
+        # part times e3, written into C-ordered arrays; its minus signs sit
+        # on factors, which negation leaves exact.
+        a, b = (_distinct(np.asarray(y, float)) for y in (y1, y2))
+        p, q = p_of(a), q_of(a)
+        dp, dq = s * q, -s * p
+        e = (np.cos(b), np.sin(b))
+        de = (-e[1], e[0])
+        rp, rq, rdp = r * p, r * q, r * dp
+        rho = R0 + rp
         X = np.empty((3,) + shape)
         dX = np.empty((3, 2) + shape)
         ddX = np.empty((3, 2, 2) + shape)
         Vt = np.empty((3,) + shape)
         dVt = np.empty((3, 2) + shape)
 
-        def put(out, f, g, scale=None):
-            """out = f * g, then scale * (f * g) if scale is given.  Each out
-            is indexed ``[k, ...]``, which stays a 0-d array at a single
-            point, where ``[k]`` would be a scalar that cannot be written."""
-            np.multiply(f, g, out=out)
-            if scale is not None:
-                np.multiply(scale, out, out=out)
+        def put(out, radial, axial, e, scale=None):
+            """out = radial e + axial e3, then scale * out if scale is given;
+            ``out[k, ...]`` stays a 0-d array, writable, at a single point."""
+            for k in (0, 1):
+                np.multiply(radial, e[k], out=out[k, ...])
+                if scale is not None:
+                    np.multiply(scale, out[k, ...], out=out[k, ...])
+            out[2, ...] = axial if scale is None else np.multiply(scale, axial)
 
-        put(X[0, ...], w, cp)
-        put(X[1, ...], w, sp)
-        X[2, ...] = rs
-        put(dX[0, 0, ...], -rs, cp)
-        put(dX[1, 0, ...], -rs, sp)
-        dX[2, 0, ...] = rc
-        put(dX[0, 1, ...], -w, sp)
-        dX[1, 1, ...] = X[0]
-        dX[2, 1, ...] = 0.0
-        put(ddX[0, 0, 0, ...], -rc, cp)
-        put(ddX[1, 0, 0, ...], -rc, sp)
-        ddX[2, 0, 0, ...] = -rs
-        put(ddX[0, 0, 1, ...], rs, sp)
-        ddX[1, 0, 1, ...] = dX[0, 0]
-        ddX[2, 0, 1, ...] = 0.0
+        put(X, rho, rq, e)
+        put(dX[:, 0], rdp, r * dq, e)
+        put(dX[:, 1], rho, 0.0, de)
+        put(ddX[:, 0, 0], -rp, -rq, e)
+        put(ddX[:, 0, 1], rdp, 0.0, de)
         ddX[:, 1, 0, ...] = ddX[:, 0, 1]
-        put(ddX[0, 1, 1, ...], -w, cp)
-        ddX[1, 1, 1, ...] = dX[0, 1]
-        ddX[2, 1, 1, ...] = 0.0
-        put(Vt[0, ...], ct, cp, rd)
-        put(Vt[1, ...], ct, sp, rd)
-        put(Vt[2, ...], rd, st)
-        put(dVt[0, 0, ...], -st, cp, rd)
-        put(dVt[1, 0, ...], -st, sp, rd)
-        put(dVt[2, 0, ...], rd, ct)
-        put(dVt[0, 1, ...], -ct, sp, rd)
-        dVt[1, 1, ...] = Vt[0]
-        put(dVt[2, 1, ...], rd, 0.0)
+        put(ddX[:, 1, 1], -rho, 0.0, e)
+        put(Vt, p, q, e, rd)
+        put(dVt[:, 0], dp, dq, e, rd)
+        put(dVt[:, 1], p, 0.0, de, rd)
         return ChartJet(X=X, dX=dX, ddX=ddX, Vt=Vt, dVt=dVt)
 
     return jets
@@ -465,28 +424,32 @@ def _torus_domain() -> Domain:
     return Domain((0.0, 2 * np.pi), (0.0, 2 * np.pi), periodic1=True, periodic2=True)
 
 
-def _sphere(name: str, R: Callable, Rd: Callable, **fields) -> MovingSurface:
-    """Sphere of radius R(t) (rate Rd(t)) in polar and azimuthal angles, with
-    a band around each pole cut out; ``fields`` are further MovingSurface
-    fields."""
-    domain = Domain((POLE_BAND, np.pi - POLE_BAND), (0.0, 2 * np.pi), periodic2=True)
-    jets = _sphere_jets(R, Rd)
-    return MovingSurface(
-        name=name, chart=_position(jets), domain=domain, jets=jets, **fields
-    )
+def _revolution(R0: float, profile: tuple, domain: Domain) -> Callable:
+    """The factory ``(name, r, rd, **fields) -> MovingSurface`` of the
+    surfaces of revolution (R0, profile) of radius r(t) (rate rd(t)) on
+    ``domain``; ``fields`` are further MovingSurface fields."""
+
+    def surface(name: str, r: Callable, rd: Callable, **fields) -> MovingSurface:
+        jets = _revolution_jets(R0, profile, r, rd)
+        return MovingSurface(name=name, chart=_position(jets), domain=domain, jets=jets, **fields)
+
+    return surface
 
 
-def _torus(name: str, r: Callable, rd: Callable, **fields) -> MovingSurface:
-    """Torus of tube radius r(t) (rate rd(t)) about a circle of radius 2;
-    ``fields`` are further MovingSurface fields."""
-    jets = _torus_jets(2.0, r, rd)
-    return MovingSurface(
-        name=name, chart=_position(jets), domain=_torus_domain(), jets=jets, **fields
-    )
+# the sphere, with a band around each pole cut out, and the torus about a
+# circle of radius 2
+_sphere = _revolution(
+    0.0,
+    (np.sin, np.cos, 1.0),
+    Domain((POLE_BAND, np.pi - POLE_BAND), (0.0, 2 * np.pi), periodic2=True),
+)
+_torus = _revolution(2.0, (np.cos, np.sin, -1.0), _torus_domain())
 
 
-# (radius, rate) of a fixed unit radius and of the breathing torus tube
+# (radius, rate) of a fixed unit radius, of the growing sphere and of the
+# breathing torus tube
 _UNIT = (lambda t: 1.0, lambda t: 0.0)
+_GROWING = (lambda t: 1.0 + 0.25 * t, lambda t: 0.25)
 _BREATHING = (lambda t: 1.0 + 0.15 * np.sin(t), lambda t: 0.15 * np.cos(t))
 
 # scenario factories, each called with its registered name
@@ -494,7 +457,7 @@ _REGISTRY: dict[str, Callable[[str], MovingSurface]] = {
     "plane-static": lambda name: _plane(name, _square_domain(), 0.0),
     "plane-shear": lambda name: _plane(name, _square_domain(), 0.4),
     "sphere-static": lambda name: _sphere(name, *_UNIT, static=True),
-    "sphere-expanding": lambda name: _sphere(name, lambda t: 1.0 + 0.25 * t, lambda t: 0.25),
+    "sphere-expanding": lambda name: _sphere(name, *_GROWING),
     "sphere-rigid-rotation": lambda name: _sphere(
         name, *_UNIT, static=True, **_const_u(0.0, 0.7)
     ),
