@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from surfrates import _fd
 from surfrates.chart_kernel import (
     _BREATHING,
+    _GROWING,
     _T_RANGE,
     _UNIT,
     ChartJet,
@@ -256,13 +257,60 @@ def _stacked_torus_jet(name, t, y1, y2):
     )
 
 
-def _assert_same_jet(got, want):
+# (radius, its rate) of each registered sphere
+SPHERES = {"sphere-static": _UNIT, "sphere-expanding": _GROWING, "sphere-rigid-rotation": _UNIT}
+
+
+def _stacked_sphere_jet(name, t, y1, y2):
+    """The sphere jet as R(t) times np.stack of the unit sphere's
+    componentwise formulas on full coordinate arrays."""
+    R_of_t, Rd_of_t = SPHERES[name]
+    y1 = np.asarray(y1, float)
+    y2 = np.asarray(y2, float)
+    st, ct = np.sin(y1), np.cos(y1)
+    sp, cp = np.sin(y2), np.cos(y2)
+    zero = np.zeros_like(st)
+    R, Rd = R_of_t(t), Rd_of_t(t)
+    s = np.stack([st * cp, st * sp, ct])
+    s_a = np.stack([ct * cp, ct * sp, -st])
+    s_b = np.stack([-st * sp, st * cp, zero])
+    s_ab = np.stack([-ct * sp, ct * cp, zero])
+    s_bb = np.stack([-st * cp, -st * sp, zero])
+    return ChartJet(
+        X=R * s,
+        dX=np.stack([R * s_a, R * s_b], axis=1),
+        ddX=np.stack(
+            [np.stack([R * -s, R * s_ab], axis=1), np.stack([R * s_ab, R * s_bb], axis=1)],
+            axis=1,
+        ),
+        Vt=Rd * s,
+        dVt=np.stack([Rd * s_a, Rd * s_b], axis=1),
+    )
+
+
+def _assert_same_jet(got, want, maxulp=0):
+    """Equal shapes and C-ordered strides, and equal bytes, or with maxulp
+    equal within maxulp units in the last place."""
     for key in JET_BLOCKS:
         a, b = getattr(got, key), getattr(want, key)
         assert a.shape == b.shape, key
         assert a.flags.c_contiguous, key
         assert a.strides == b.strides, key
-        assert a.tobytes() == b.tobytes(), key
+        if maxulp:
+            np.testing.assert_array_max_ulp(a, b, maxulp)
+        else:
+            assert a.tobytes() == b.tobytes(), key
+
+
+def _assert_stacked_jet(name, got, t, y1, y2):
+    """got is the stacked jet of the sphere or torus name: to the bit, except
+    on a sphere of radius R(t) != 1, where the jets take (R sin y1) cos y2
+    for R (sin y1 cos y2) and may differ in the last places."""
+    if name in TORI:
+        _assert_same_jet(got, _stacked_torus_jet(name, t, y1, y2))
+    else:
+        maxulp = 0 if SPHERES[name] is _UNIT else 4
+        _assert_same_jet(got, _stacked_sphere_jet(name, t, y1, y2), maxulp)
 
 
 def _grid_axes(surface, n1=24, n2=20):
@@ -273,22 +321,22 @@ def _grid_axes(surface, n1=24, n2=20):
     )
 
 
-@pytest.mark.parametrize("name", list(TORI))
+@pytest.mark.parametrize("name", list(TORI) + list(SPHERES))
 @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
 def test_torus_jets_on_grid_axes_equal_the_stacked_formulas(name, t):
-    # the jets on the grid axes, which Domain.wrap broadcasts into stride-0
-    # views, and on the full meshgrid both have the bits and the C-ordered
-    # strides of the stacked formulas; a transposed layout would pass into
-    # every einsum of the flow state
+    # the jets of every surface of revolution, the spheres too, on the grid
+    # axes, which Domain.wrap broadcasts into stride-0 views, and on the full
+    # meshgrid both have the bits and the C-ordered strides of the stacked
+    # formulas; a transposed layout would pass into every einsum of the flow
+    # state
     surface = get_scenario(name)
     y1, y2 = _grid_axes(surface)
     Y1, Y2 = np.meshgrid(y1, y2, indexing="ij")
-    want = _stacked_torus_jet(name, t, Y1, Y2)
-    _assert_same_jet(surface.jet(t, y1[:, None], y2[None, :]), want)
-    _assert_same_jet(surface.jet(t, Y1, Y2), want)
+    _assert_stacked_jet(name, surface.jet(t, y1[:, None], y2[None, :]), t, Y1, Y2)
+    _assert_stacked_jet(name, surface.jet(t, Y1, Y2), t, Y1, Y2)
 
 
-@pytest.mark.parametrize("name", list(TORI))
+@pytest.mark.parametrize("name", list(TORI) + list(SPHERES))
 @pytest.mark.parametrize("kind", ["scalar", "0-d", "batch"])
 def test_torus_jets_at_points_equal_the_stacked_formulas(name, kind):
     surface = get_scenario(name)
@@ -298,7 +346,7 @@ def test_torus_jets_at_points_equal_the_stacked_formulas(name, kind):
     else:
         cast = float if kind == "scalar" else np.array
         t, y1, y2 = (cast(v) for v in (events[0].t, events[0].y1, events[0].y2))
-    _assert_same_jet(surface.jet(t, y1, y2), _stacked_torus_jet(name, t, y1, y2))
+    _assert_stacked_jet(name, surface.jet(t, y1, y2), t, y1, y2)
 
 
 @pytest.mark.parametrize(
