@@ -58,6 +58,9 @@ __all__ = [
     "FourierInterpolant",
 ]
 
+# the fewest grid nodes per axis that the wide stencils of the grid operators take
+_MIN_NODES = 16
+
 
 # ---------------------------------------------------------------------------
 # operators at events
@@ -291,8 +294,8 @@ def make_grid(surface: MovingSurface, t: float, n1: int, n2: int | None = None) 
     dom = surface.domain
     if not (dom.periodic1 and dom.periodic2):
         raise ConfigError("grids require a doubly periodic chart domain")
-    if min(n1, n2) < 16:
-        raise StencilError("grid resolution below 16 nodes per axis")
+    if min(n1, n2) < _MIN_NODES:
+        raise StencilError(f"grid resolution below {_MIN_NODES} nodes per axis")
     a1, b1 = dom.y1_range
     a2, b2 = dom.y2_range
     h1 = (b1 - a1) / n1

@@ -27,6 +27,7 @@ import numpy as np
 
 from .chart_kernel import Event, MovingSurface
 from .diffops import (
+    _MIN_NODES,
     FourierInterpolant,
     GridGeometry,
     _conforming_route_residual,
@@ -83,6 +84,8 @@ class LdGParams:
     c: float = 1.0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.L, self.a, self.b, self.c)):
+            raise ConfigError("L, a, b and c must be finite")
         if not self.L > 0:
             raise ConfigError("elastic constant L must be positive")
 
@@ -108,8 +111,10 @@ class FlowConfig:
             raise ConfigError("method must be 'euler' or 'rk4'")
         if self.ic not in IC_REGISTRY:
             raise ConfigError(f"unknown initial condition {self.ic!r}; pick one of {sorted(IC_REGISTRY)}")
-        if self.dt <= 0 or self.steps < 0:
+        if not self.dt > 0 or self.steps < 0:
             raise ConfigError("dt must be positive and steps nonnegative")
+        if self.n < _MIN_NODES:
+            raise ConfigError(f"grid resolution n must be at least {_MIN_NODES}")
         if self.snapshot_every < 0 or self.crosscheck_every < 0:
             raise ConfigError("snapshot_every and crosscheck_every must be nonnegative (0 is off)")
         if self.crosscheck_every > 0 and not self.mode.startswith("Conforming"):

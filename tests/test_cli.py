@@ -344,6 +344,21 @@ def test_flow_negative_every_is_a_config_error(tmp_path, capsys, extra):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [["--n", "8"], ["--dt", "nan"], ["--a", "nan"], ["--L", "inf"], ["--b=-inf"]],
+    ids=["n-below-16", "dt-nan", "a-nan", "L-inf", "b-minus-inf"],
+)
+def test_flow_settings_that_cannot_run_are_config_errors(tmp_path, capsys, extra):
+    # a grid too coarse for the stencils and a non-finite step or parameter
+    # are rejected with the settings (exit 2), before a run could fail on
+    # them (exit 1)
+    rc = main(["flow", "--n", "16", "--steps", "2", "--out", str(tmp_path), *extra])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("n_events", [1, 3])
 def test_verify_and_converge_take_batched_path(monkeypatch, n_events):
     # every closure behind `verify`, `converge --kind thinfilm` and the flow
