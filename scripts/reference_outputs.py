@@ -11,6 +11,11 @@ with the same fixed runs on both trees:
 * ``converge --kind fd``, ``laplace`` and ``thinfilm``, each with its
   default scenario and seed.
 
+"Every scenario" and "the flow modes" are those that the tree registers
+(``list_scenarios()`` and ``landau.FLOW_MODES``), so the set of a tree with
+a new scenario holds its verify report, and ``compare`` lists it as a file
+that only one side has.
+
 Usage::
 
     python scripts/reference_outputs.py write TREE OUTDIR
@@ -39,26 +44,21 @@ import subprocess
 import sys
 from pathlib import Path
 
-SCENARIOS = (
-    "flat-torus",
-    "plane-shear",
-    "plane-static",
-    "sphere-expanding",
-    "sphere-rigid-rotation",
-    "sphere-static",
-    "torus-breathing",
-    "torus-breathing-drift",
-    "torus-static",
-)
 FLOW_SCENARIOS = ("torus-static", "torus-breathing-drift")
-FLOW_MODES = ("FullQ_Material", "FullQ_Jaumann", "Conforming_Material", "Conforming_Jaumann")
 FLOW_ARGS = ("--n", "48", "--steps", "30", "--dt", "1e-3")
+# the registered scenarios and the flow modes of the tree that runs this, as JSON
+LIST_NAMES = (
+    "import json; from surfrates.chart_kernel import list_scenarios; "
+    "from surfrates.landau import FLOW_MODES; "
+    "print(json.dumps([list_scenarios(), list(FLOW_MODES)]))"
+)
 
 
-def _runs():
-    """(output subdirectory, command-line arguments) of every reference run."""
+def _runs(scenarios, modes):
+    """(output subdirectory, command-line arguments) of every reference run
+    on the given registered scenarios and flow modes."""
     for scenario in FLOW_SCENARIOS:
-        for mode in FLOW_MODES:
+        for mode in modes:
             for method in ("euler", "rk4"):
                 args = ("flow", "--scenario", scenario, "--mode", mode, "--method", method)
                 yield f"flow/{scenario}_{mode}_{method}", args + FLOW_ARGS
@@ -66,7 +66,7 @@ def _runs():
         "flow", "--scenario", "torus-breathing-drift", "--mode", "Conforming_Jaumann",
         "--method", "rk4", "--crosscheck-every", "5",
     ) + FLOW_ARGS
-    for scenario in SCENARIOS:
+    for scenario in scenarios:
         yield "verify", (
             "verify", "--scenario", scenario, "--suite", "all", "--events", "3",
             "--seed", "20240",
@@ -78,8 +78,11 @@ def _runs():
 def write(tree: Path, outdir: Path) -> int:
     env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"), OPENBLAS_NUM_THREADS="1")
     env.pop("SURFRATES_OUTDIR", None)
+    names = subprocess.run(
+        [sys.executable, "-c", LIST_NAMES], env=env, capture_output=True, text=True, check=True
+    )
     status = 0
-    for sub, args in _runs():
+    for sub, args in _runs(*json.loads(names.stdout)):
         out = outdir / sub
         out.mkdir(parents=True, exist_ok=True)
         cmd = [sys.executable, "-m", "surfrates.cli", *args, "--out", str(out)]
