@@ -324,11 +324,11 @@ def _grid_axes(surface, n1=24, n2=20):
 @pytest.mark.parametrize("name", list(TORI) + list(SPHERES))
 @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
 def test_torus_jets_on_grid_axes_equal_the_stacked_formulas(name, t):
-    # the jets of every surface of revolution, the spheres too, on the grid
-    # axes, which Domain.wrap broadcasts into stride-0 views, and on the full
-    # meshgrid both have the bits and the C-ordered strides of the stacked
-    # formulas; a transposed layout would pass into every einsum of the flow
-    # state
+    # the jets of every surface of revolution on the grid axes, which
+    # Domain.wrap broadcasts into stride-0 views, and on the full meshgrid
+    # both have the C-ordered strides of the stacked formulas and their bits
+    # (within 4 ulp on the expanding sphere); a transposed layout would pass
+    # into every einsum of the flow state
     surface = get_scenario(name)
     y1, y2 = _grid_axes(surface)
     Y1, Y2 = np.meshgrid(y1, y2, indexing="ij")
