@@ -1,46 +1,27 @@
 """Central finite-difference stencils used by the evaluation backends.
 
-The time stencil ``c4_d1`` takes a callable of a single real argument and
-differentiates it at ``x``.
-
-The other stencils call their callable once for all their points: every
-argument is an array of the broadcast coordinate shape with the stencil
-offsets on one extra trailing axis (component axes first, broadcast axes
-last).  ``c4_grad`` and ``c4_hess`` take ``f2(a, b)`` of two chart
-coordinates; ``c2_c4_dt_grad`` takes ``f3(t, a, b)``, and ``t`` carries the
-same trailing stencil axis as the coordinates, so the value, the time
-derivative and both partials come from one call on 11 points.  The callable
-must either broadcast over that axis, returning its component axes followed
-by exactly those coordinate axes, or fail loudly: raise, or return an array
-whose trailing axes are not the coordinate shape.  Such a pointwise-only
-callable is then evaluated offset by offset, which is the only per-offset
-path.  Stencil arithmetic is elementwise and combines the offsets in the
-order of the one-dimensional formulas.
+Every stencil takes ``f3(t, y1, y2)`` of time and two chart coordinates and
+calls it once for all its points: each argument is an array of the
+broadcast coordinate shape with the stencil offsets on one extra trailing
+axis (component axes first, broadcast axes last), and a coordinate that the
+stencil does not difference carries zero offsets.  ``c4_dt`` differences t
+(4 points), ``c4_grad`` both chart coordinates (8 points), ``c4_hess``
+takes their second partials too (25 points), and ``c2_c4_dt_grad`` takes
+the value, the time derivative and both partials (11 points).  Stencils
+nest: a closure may itself call a stencil on the coordinates it is given,
+and the innermost call then sees the offsets of both on two trailing axes.
+The callable must either broadcast over that axis, returning its component
+axes followed by exactly those coordinate axes, or fail loudly: raise, or
+return an array whose trailing axes are not the coordinate shape.  Such a
+pointwise-only callable is then evaluated offset by offset, which is the
+only per-offset path.  Stencil arithmetic is elementwise and combines the
+offsets in the order of the one-dimensional formulas.
 """
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["c4_d1", "c4_grad", "c4_hess", "c2_c4_dt_grad"]
-
-
-def _at_time(fn, t):
-    """fn(t, a, b) as a closure of the chart coordinates.  An array t gains a
-    unit axis for each axis that the broadcast coordinates carry after the
-    event's own axes (the stencil axes)."""
-
-    def at(a, b):
-        if np.ndim(t) == 0:
-            return fn(t, a, b)
-        extra = max(np.ndim(a), np.ndim(b)) - np.ndim(t)
-        return fn(np.reshape(t, np.shape(t) + (1,) * extra), a, b)
-
-    return at
-
-
-def c4_d1(f, x, h):
-    """Fourth-order central first derivative."""
-    return (-f(x + 2 * h) + 8.0 * f(x + h) - 8.0 * f(x - h) + f(x - 2 * h)) / (12.0 * h)
+__all__ = ["c4_dt", "c4_grad", "c4_hess", "c2_c4_dt_grad"]
 
 
 def _at_offsets(f, coords, offsets):
@@ -77,17 +58,24 @@ def _steps(h):
     return np.array([2 * h, h, -h, -2 * h])
 
 
-def c4_grad(f2, y1, y2, h):
-    """Both fourth-order central partials (d/dy1, d/dy2) of a callable of two
-    real arguments at (y1, y2), from one call on the 8 axis offsets."""
+def c4_dt(f3, t, y1, y2, ht):
+    """Fourth-order central time derivative (step ``ht``) at (t, y1, y2), from
+    one call on t +- ht and t +- 2 ht."""
+    z = np.zeros(4)
+    return _d1(_at_offsets(f3, (t, y1, y2), (_steps(ht), z, z)), ht)
+
+
+def c4_grad(f3, t, y1, y2, h):
+    """Both fourth-order central partials (d/dy1, d/dy2) at (t, y1, y2), from
+    one call on the 8 axis offsets."""
     s, z = _steps(h), np.zeros(4)
-    F = _at_offsets(f2, (y1, y2), (np.concatenate([s, z]), np.concatenate([z, s])))
+    F = _at_offsets(f3, (t, y1, y2), (np.zeros(8), np.concatenate([s, z]), np.concatenate([z, s])))
     return _d1(F[..., :4], h), _d1(F[..., 4:], h)
 
 
-def c4_hess(f2, y1, y2, h):
-    """Value, both partials and the three second partials of a callable of
-    two real arguments at (y1, y2), from one call on 25 points.
+def c4_hess(f3, t, y1, y2, h):
+    """Value, both partials and the three second partials in the chart
+    coordinates at (t, y1, y2), from one call on 25 points.
 
     The points are the centre, the offsets +-h and +-2h on each axis, and the
     4x4 grid of both axis offsets.  Returns ``(f, f1, f2, f11, f12, f22)``:
@@ -97,7 +85,7 @@ def c4_hess(f2, y1, y2, h):
     s, z = _steps(h), np.zeros(4)
     d1 = np.concatenate([[0.0], s, z, np.repeat(s, 4)])
     d2 = np.concatenate([[0.0], z, s, np.tile(s, 4)])
-    F = _at_offsets(f2, (y1, y2), (d1, d2))
+    F = _at_offsets(f3, (t, y1, y2), (np.zeros(25), d1, d2))
     # a copy, so a returned value does not keep all 25 points alive
     f0, a, b = F[..., 0].copy(), F[..., 1:5], F[..., 5:9]
     mixed = F[..., 9:].reshape(F.shape[:-1] + (4, 4))
@@ -112,8 +100,8 @@ def c4_hess(f2, y1, y2, h):
 
 def c2_c4_dt_grad(f3, t, y1, y2, ht, h):
     """Value, second-order central time derivative (step ``ht``) and both
-    fourth-order central partials (step ``h``) of a callable of time and two
-    chart coordinates at (t, y1, y2), from one call on 11 points.
+    fourth-order central partials (step ``h``) at (t, y1, y2), from one call
+    on 11 points.
 
     The points are the centre, t +- ht, and the 8 axis offsets of
     ``c4_grad``.  Returns ``(f, ft, f1, f2)``.

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._fd import c4_d1, c4_grad, c4_hess
+from ._fd import c4_dt, c4_grad, c4_hess
 from .errors import ConfigError, DomainError, InversionError
 from .util import det2, inv2
 
@@ -177,22 +177,14 @@ class MovingSurface:
         return self._fd_jet(t, y1, y2)
 
     def _fd_jet(self, t, y1, y2) -> ChartJet:
-        h = self.space_step
-        ht = _FD_TIME_STEP
-        t, y1, y2 = np.broadcast_arrays(*(np.asarray(v, float) for v in (t, y1, y2)))
-        # t carries the spatial stencils' trailing offset axis, as y1 and y2 do
-        ts = t[..., None]
-        pos = self.chart
-
-        X, d1, d2, d11, d12, d22 = c4_hess(lambda a, b: pos(ts, a, b), y1, y2, h)
+        h, ht, pos = self.space_step, _FD_TIME_STEP, self.chart
+        X, d1, d2, d11, d12, d22 = c4_hess(pos, t, y1, y2, h)
         dX = np.stack([d1, d2], axis=1)
         ddX = np.stack(
             [np.stack([d11, d12], axis=1), np.stack([d12, d22], axis=1)], axis=1
         )
-        Vt = c4_d1(lambda s: pos(s, y1, y2), t, ht)
-        dVt = np.stack(
-            c4_grad(lambda a, b: c4_d1(lambda s: pos(s, a, b), ts, ht), y1, y2, h), axis=1
-        )
+        Vt = c4_dt(pos, t, y1, y2, ht)
+        dVt = np.stack(c4_grad(lambda s, a, b: c4_dt(pos, s, a, b, ht), t, y1, y2, h), axis=1)
         return ChartJet(X=X, dX=dX, ddX=ddX, Vt=Vt, dVt=dVt)
 
     def u(self, t, y1, y2):
@@ -204,9 +196,7 @@ class MovingSurface:
         y1, y2 = self.domain.wrap(y1, y2)
         if self.u_jets is not None:
             return self.u_jets(t, y1, y2)
-        return np.stack(
-            c4_grad(lambda a, b: self.u_field(t, a, b), y1, y2, self.space_step), axis=1
-        )
+        return np.stack(c4_grad(self.u_field, t, y1, y2, self.space_step), axis=1)
 
 
 def _require_event_inside(surface: MovingSurface, event: Event) -> None:

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from ._fd import _at_time, c4_grad
+from ._fd import c4_grad
 from .chart_kernel import (
     _T_RANGE,
     Event,
@@ -235,8 +235,8 @@ def _suite_laplace(surface, ev, geom, mot, report: IdentityReport):
     lap_f = scalar_laplace(surface, probe_scalar, ev, geom)
     lap_g = scalar_laplace(surface, probe_scalar_b, ev, geom)
     lap_p = scalar_laplace(surface, prod, ev, geom)
-    df = np.stack(c4_grad(_at_time(probe_scalar, t), y1, y2, h))
-    dg = np.stack(c4_grad(_at_time(probe_scalar_b, t), y1, y2, h))
+    df = np.stack(c4_grad(probe_scalar, t, y1, y2, h))
+    dg = np.stack(c4_grad(probe_scalar_b, t, y1, y2, h))
     rhs = (
         probe_scalar(t, y1, y2) * lap_g
         + probe_scalar_b(t, y1, y2) * lap_f

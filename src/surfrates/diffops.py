@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._fd import _at_time, c4_grad, c4_hess
+from ._fd import c4_grad, c4_hess
 from .chart_kernel import Event, MovingSurface
 from .errors import ConfigError, RankError, StencilError
 from .fields import (
@@ -73,9 +73,7 @@ def scalar_laplace(
     closure; elementwise on array values."""
     if geom is None:
         geom = geometry_at(surface, event)
-    _, f1, f2, f11, f12, f22 = c4_hess(
-        _at_time(f, event.t), event.y1, event.y2, surface.space_step
-    )
+    _, f1, f2, f11, f12, f22 = c4_hess(f, event.t, event.y1, event.y2, surface.space_step)
     hess = np.stack([np.stack([f11, f12]), np.stack([f12, f22])])
     full = _covariant_derivative(geom, np.stack([f1, f2]), hess, 0, 1)
     return np.einsum("kl...,kl...->...", geom.ginv, full)
@@ -91,27 +89,26 @@ def _sweep_parts(
     ``c4_grad``.  T carries its new lower index after the block's own
     indices.  ``fn`` is called 4 times in all."""
     h = surface.space_step
-    fn_at, jet_at = _at_time(fn, event.t), _at_time(surface.jet, event.t)
     comps = [(2,) * k for k in ranks]
     lifted = [(2,) * (k + 1) for k in ranks]
 
-    def packed(a, b):
-        return _pack(fn_at(a, b), comps, np.broadcast_shapes(np.shape(a), np.shape(b)))
+    def packed(s, a, b):
+        return _pack(fn(s, a, b), comps, np.broadcast_shapes(*map(np.shape, (s, a, b))))
 
-    def first(a, b, g):
-        vals = _unpack(packed(a, b), comps)
-        d1, d2 = (_unpack(d, comps) for d in c4_grad(packed, a, b, h))
+    def first(s, a, b, g):
+        vals = _unpack(packed(s, a, b), comps)
+        d1, d2 = (_unpack(d, comps) for d in c4_grad(packed, s, a, b, h))
         return vals, [
             _covariant_derivative(g, v, np.stack([x, y], axis=k), k)
             for k, v, x, y in zip(ranks, vals, d1, d2)
         ]
 
-    def T_of(a, b):
-        Ts = first(a, b, geometry_from_jet(jet_at(a, b)))[1]
+    def T_of(s, a, b):
+        Ts = first(s, a, b, geometry_from_jet(surface.jet(s, a, b)))[1]
         return _pack(Ts, lifted, np.shape(a))
 
-    vals, Ts = first(event.y1, event.y2, geom)
-    d1, d2 = (_unpack(d, lifted) for d in c4_grad(T_of, event.y1, event.y2, h))
+    vals, Ts = first(event.t, event.y1, event.y2, geom)
+    d1, d2 = (_unpack(d, lifted) for d in c4_grad(T_of, event.t, event.y1, event.y2, h))
     out = []
     for k, v, T, x, y in zip(ranks, vals, Ts, d1, d2):
         c = "ij"[:k]
@@ -130,12 +127,10 @@ def _curvature_squares(geom: GeometrySample):
 
 
 def _grad_H_cov(surface: MovingSurface, event: Event) -> np.ndarray:
-    jet_at = _at_time(surface.jet, event.t)
+    def H_of(s, a, b):
+        return geometry_from_jet(surface.jet(s, a, b)).H
 
-    def H_of(a, b):
-        return geometry_from_jet(jet_at(a, b)).H
-
-    return np.stack(c4_grad(H_of, event.y1, event.y2, surface.space_step))
+    return np.stack(c4_grad(H_of, event.t, event.y1, event.y2, surface.space_step))
 
 
 def surface_laplace(

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._fd import _at_time, c4_d1, c4_grad
+from ._fd import c4_dt, c4_grad
 from .chart_kernel import _FD_TIME_STEP, ChartJet, Event, MovingSurface, _require_event_inside
 from .errors import NonEmbeddingError
 from .util import _maxabs, _pack, _unpack, det2, inv2
@@ -391,15 +391,13 @@ def check_identities(
     )
     add("gauss-formula", gauss)
 
-    jet_at = _at_time(surface.jet, t)
-
-    def space_parts(a, b):
+    def space_parts(s, a, b):
         """nu, g and g^-1 packed, from one chart jet."""
-        dX = jet_at(a, b).dX
+        dX = surface.jet(s, a, b).dX
         g = _metric(dX)
         return _pack([_unit_normal(dX), g, inv2(g)], _SPACE_PARTS, g.shape[2:])
 
-    d1, d2 = (_unpack(d, _SPACE_PARTS) for d in c4_grad(space_parts, y1, y2, h))
+    d1, d2 = (_unpack(d, _SPACE_PARTS) for d in c4_grad(space_parts, t, y1, y2, h))
     # partial index l first
     fd_dnu, fd_dg, fd_dginv = (np.stack(pair) for pair in zip(d1, d2))
     add("weingarten", fd_dnu - np.einsum("ai...->ia...", geom.dnu))
@@ -439,17 +437,17 @@ def check_identities(
         )
         add(f"velocity-gradient-split-{tag}", resid)
 
-    def time_parts(s):
+    def time_parts(s, a, b):
         """nu, g, the covariant proxies g eta and g r g of the probes, and
         eta and r themselves, packed, from one chart jet."""
-        dX = surface.jet(s, y1, y2).dX
+        dX = surface.jet(s, a, b).dX
         gs = _metric(dX)
-        eta, r = probe_vector_comps(s, y1, y2), probe_matrix_comps(s, y1, y2)
+        eta, r = probe_vector_comps(s, a, b), probe_matrix_comps(s, a, b)
         covs = [_contract_metric(gs, eta, 1), _contract_metric(gs, r, 2)]
         return _pack([_unit_normal(dX), gs, *covs, eta, r], _TIME_PARTS, gs.shape[2:])
 
     fd_dtnu, fd_dtg, deta_cov, dr_cov, deta, dr = _unpack(
-        c4_d1(time_parts, t, _FD_TIME_STEP), _TIME_PARTS
+        c4_dt(time_parts, t, y1, y2, _FD_TIME_STEP), _TIME_PARTS
     )
 
     # normal rates

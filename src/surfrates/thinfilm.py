@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ._fd import _at_time, c4_grad
+from ._fd import c4_grad
 from .chart_kernel import Event, MovingSurface
 from .errors import ShellDegenerateError
 from .geometry import _metric, geometry_at, motion_at
@@ -79,8 +79,8 @@ def shell_velocity_gradient(surface: MovingSurface, event: Event, xi: float) -> 
         )
     mot = motion_at(surface, event, geom)
     dchi = geom.dX + xi * geom.dnu
-    velocity = _at_time(lambda s, a, b: shell_velocity(surface, Event(s, a, b), xi), event.t)
-    dV = np.stack(c4_grad(velocity, event.y1, event.y2, surface.space_step), axis=1)
+    velocity = lambda s, a, b: shell_velocity(surface, Event(s, a, b), xi)
+    dV = np.stack(c4_grad(velocity, event.t, event.y1, event.y2, surface.space_step), axis=1)
     # d_xi V = d_t nu + u^k d_k nu = -(lift of b[V_m])
     dxi = -mot.b3
     # (dV, d_xi V) F^-1: the chart partials against the rows g_chi^-1 d chi^T,

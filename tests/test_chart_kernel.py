@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -198,6 +200,22 @@ def test_fd_jets_broadcast_array_time(name, monkeypatch):
         point = surface.jet(ev.t, ev.y1, ev.y2)
         for key in ("X", "dX", "ddX", "Vt", "dVt"):
             assert_array_equal(getattr(batched, key)[..., k], getattr(point, key))
+
+
+@pytest.mark.parametrize("name", ALL_SCENARIOS)
+def test_fd_jet_takes_three_chart_calls(name):
+    # one chart call per stencil: X and its partials (25 points), Vt (4) and
+    # dVt, the time stencil nested in the spatial one (8 x 4)
+    surface = fd_variant(get_scenario(name))
+    points = []
+
+    def chart(t, y1, y2):
+        points.append(np.broadcast(t, y1, y2).size)
+        return surface.chart(t, y1, y2)
+
+    ev = sample_events(surface, 1, 3)[0]
+    replace(surface, chart=chart).jet(ev.t, ev.y1, ev.y2)
+    assert points == [25, 4, 32]
 
 
 def test_fd_u_jets_match_analytic(torus_drift):

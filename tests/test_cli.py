@@ -8,10 +8,17 @@ import numpy as np
 import pytest
 
 from surfrates import _fd, cli
-from surfrates.chart_kernel import MovingSurface, get_scenario, list_scenarios
-from surfrates.cli import main, run_converge_thinfilm, run_verify
+from surfrates.chart_kernel import (
+    Event,
+    MovingSurface,
+    fd_variant,
+    get_scenario,
+    list_scenarios,
+    sample_events,
+)
+from surfrates.cli import main, run_converge_fd, run_converge_thinfilm, run_verify
 from surfrates.errors import ConfigError, StabilityError
-from surfrates.geometry import IdentityReport, MotionSample
+from surfrates.geometry import IdentityReport, MotionSample, check_identities
 from surfrates.landau import FLOW_MODES, FlowConfig, LdGParams, run_flow
 from surfrates.thinfilm import LIMIT_QUANTITIES
 from surfrates.timederiv import QFieldClosure
@@ -377,6 +384,22 @@ def test_verify_and_converge_take_batched_path(monkeypatch, n_events):
     assert max(row[2] for row in result.crosschecks) < 1e-5
 
 
+def test_fd_twins_take_batched_path(monkeypatch):
+    # an FD twin's time stencil nests inside its spatial ones on one
+    # convention, so its identities and `converge --kind fd` make no
+    # per-offset call
+    def no_fallback(f, *args):
+        raise AssertionError(f"per-offset stencil fallback for {f!r}")
+
+    monkeypatch.setattr(_fd, "_per_offset", no_fallback)
+    for scenario in list_scenarios():
+        surface = fd_variant(get_scenario(scenario))
+        events = sample_events(surface, 3, 5)
+        batch = Event(*map(np.array, zip(*[(e.t, e.y1, e.y2) for e in events])))
+        assert check_identities(surface, batch).all_pass
+    assert run_converge_fd("torus-breathing")["fitted_order"] > 3.5
+
+
 def _counting_probes(monkeypatch):
     """Patches the probes of `verify` so that each closure call is counted
     under (probe, attribute)."""
@@ -470,9 +493,9 @@ def test_verify_evaluates_each_closure_once_per_side(monkeypatch, n_events):
 
 
 @pytest.mark.parametrize("n_events", [1, 3])
-def test_geometry_identities_take_six_chart_jets(monkeypatch, n_events):
-    # for the whole batch of events: one for their geometry, one for every spatial partial and one
-    # per time offset for every time derivative
+def test_geometry_identities_take_three_chart_jets(monkeypatch, n_events):
+    # for the whole batch of events: one for their geometry, one for the spatial stencil of all
+    # partials and one for the time stencil of all time derivatives
     jets = Counter()
     orig = MovingSurface.jet
 
@@ -482,7 +505,7 @@ def test_geometry_identities_take_six_chart_jets(monkeypatch, n_events):
 
     monkeypatch.setattr(MovingSurface, "jet", jet)
     assert run_verify("torus-breathing-drift", "geometry", n_events=n_events, seed=5)["all_pass"]
-    assert jets["jet"] == 6
+    assert jets["jet"] == 3
 
 
 @pytest.mark.parametrize("suite", ["geometry", "all"])
