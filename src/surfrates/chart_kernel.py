@@ -486,6 +486,8 @@ def fd_variant(surface: MovingSurface, step: Optional[float] = None) -> MovingSu
 def sample_events(surface: MovingSurface, n: int, seed: int) -> list[Event]:
     """Seeded random events strictly inside the admissible domain; a non-periodic
     axis keeps 4% of its span plus four spatial steps clear at each end."""
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     d = surface.domain
     pads = []

@@ -442,7 +442,6 @@ _CONVERGE_DEFAULT_SCENARIO = {
 
 def cmd_converge(args) -> int:
     scenario = args.scenario or _CONVERGE_DEFAULT_SCENARIO[args.kind]
-    out = _outdir(args.out)
     if args.kind == "fd":
         report = run_converge_fd(scenario, args.seed)
         csvs = [("converge_fd.csv", report["rows"], report["fitted_order"])]
@@ -459,6 +458,7 @@ def cmd_converge(args) -> int:
             )
             for rep in report["reports"]
         ]
+    out = _outdir(args.out)
     for fname, rows, order in csvs:
         with open(os.path.join(out, fname), "w") as fh:
             fh.write("step,error,fitted_order\n")

@@ -115,6 +115,8 @@ class FlowConfig:
             raise ConfigError("dt must be positive and steps nonnegative")
         if self.n < _MIN_NODES:
             raise ConfigError(f"grid resolution n must be at least {_MIN_NODES}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.snapshot_every < 0 or self.crosscheck_every < 0:
             raise ConfigError("snapshot_every and crosscheck_every must be nonnegative (0 is off)")
         if self.crosscheck_every > 0 and not self.mode.startswith("Conforming"):

@@ -353,14 +353,32 @@ def test_flow_negative_every_is_a_config_error(tmp_path, capsys, extra):
 
 @pytest.mark.parametrize(
     "extra",
-    [["--n", "8"], ["--dt", "nan"], ["--a", "nan"], ["--L", "inf"], ["--b=-inf"]],
-    ids=["n-below-16", "dt-nan", "a-nan", "L-inf", "b-minus-inf"],
+    [["--n", "8"], ["--dt", "nan"], ["--a", "nan"], ["--L", "inf"], ["--b=-inf"], ["--seed=-1"]],
+    ids=["n-below-16", "dt-nan", "a-nan", "L-inf", "b-minus-inf", "seed-minus-1"],
 )
 def test_flow_settings_that_cannot_run_are_config_errors(tmp_path, capsys, extra):
-    # a grid too coarse for the stencils and a non-finite step or parameter
-    # are rejected with the settings (exit 2), before a run could fail on
-    # them (exit 1)
+    # a grid too coarse for the stencils, a non-finite step or parameter and
+    # a negative seed are rejected with the settings (exit 2), before a run
+    # could fail on them (exit 1)
     rc = main(["flow", "--n", "16", "--steps", "2", "--out", str(tmp_path), *extra])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["verify", "--scenario", "torus-static"],
+        ["converge", "--kind", "fd"],
+        ["converge", "--kind", "thinfilm"],
+    ],
+    ids=["verify", "converge-fd", "converge-thinfilm"],
+)
+def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
+    # numpy's generators reject a negative seed; the command does so first,
+    # with exit 2, and writes nothing, not even the output directory
+    rc = main([*command, "--seed=-1", "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
