@@ -199,6 +199,29 @@ class MovingSurface:
         return np.stack(c4_grad(self.u_field, t, y1, y2, self.space_step), axis=1)
 
 
+def _memo_jets(surface: MovingSurface) -> MovingSurface:
+    """The surface with its closed-form jets evaluated once per distinct point
+    set (t, y1, y2), keyed on the shapes and bytes of the points as ``jets``
+    receives them; every array of a kept jet is read-only, so no caller can
+    change a shared jet in place.  The memo lives as long as the returned
+    surface.  A surface without closed-form jets comes back unchanged."""
+    jets = surface.jets
+    if jets is None:
+        return surface
+    memo: dict = {}
+
+    def memo_jets(t, y1, y2):
+        key = tuple((np.shape(a), np.asarray(a, float).tobytes()) for a in (t, y1, y2))
+        jet = memo.get(key)
+        if jet is None:
+            jet = memo[key] = jets(t, y1, y2)
+            for a in vars(jet).values():
+                a.flags.writeable = False
+        return jet
+
+    return replace(surface, jets=memo_jets)
+
+
 def _require_event_inside(surface: MovingSurface, event: Event) -> None:
     """DomainError unless every point of the event is admissible, with room
     for the stencils of finite-difference jets."""

@@ -19,6 +19,7 @@ from ._fd import c4_grad
 from .chart_kernel import (
     _T_RANGE,
     Event,
+    _memo_jets,
     fd_variant,
     get_scenario,
     list_scenarios,
@@ -273,7 +274,9 @@ def run_verify(
         raise ConfigError(f"unknown suite {suite!r}; pick one of {SUITES}")
     if n_events < 1:
         raise ConfigError(f"verify needs at least one event, got {n_events}")
-    surface = get_scenario(scenario)
+    # every route, probe and stencil of the call asks for the same few chart
+    # point sets; each is evaluated once
+    surface = _memo_jets(get_scenario(scenario))
     events = sample_events(surface, n_events, seed)
     ev = Event(*map(np.array, zip(*[(e.t, e.y1, e.y2) for e in events])))
     geom = geometry_at(surface, ev)
@@ -441,6 +444,8 @@ _CONVERGE_DEFAULT_SCENARIO = {
 
 
 def cmd_converge(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {args.seed}")
     scenario = args.scenario or _CONVERGE_DEFAULT_SCENARIO[args.kind]
     if args.kind == "fd":
         report = run_converge_fd(scenario, args.seed)

@@ -13,6 +13,7 @@ from surfrates.chart_kernel import (
     ChartJet,
     Domain,
     Event,
+    _memo_jets,
     fd_variant,
     get_scenario,
     list_scenarios,
@@ -200,6 +201,38 @@ def test_fd_jets_broadcast_array_time(name, monkeypatch):
         point = surface.jet(ev.t, ev.y1, ev.y2)
         for key in ("X", "dX", "ddX", "Vt", "dVt"):
             assert_array_equal(getattr(batched, key)[..., k], getattr(point, key))
+
+
+def test_memo_jets_keep_one_read_only_jet_per_point_set():
+    # equal points, in new arrays, give the one kept jet, bit-equal to the
+    # surface's own; a t one ulp off is another point set; no array of a kept
+    # jet can be written
+    surface = get_scenario("torus-breathing-drift")
+    memo = _memo_jets(surface)
+    y1, y2 = np.array([0.4, 1.3]), np.array([2.0, 5.1])
+    jet = memo.jet(0.3, y1, y2)
+    assert memo.jet(np.float64(0.3), y1.copy(), y2.copy()) is jet
+    own = surface.jet(0.3, y1, y2)
+    for key in ("X", "dX", "ddX", "Vt", "dVt"):
+        assert_array_equal(getattr(jet, key), getattr(own, key))
+        assert not getattr(jet, key).flags.writeable
+    with pytest.raises(ValueError):
+        jet.dX[0, 0] = 1.0
+    off = memo.jet(np.nextafter(0.3, 1.0), y1, y2)
+    assert off is not jet
+    assert memo.jet(np.nextafter(0.3, 1.0), y1, y2) is off
+    # the same values on another shape are another point set
+    assert memo.jet(0.3, y1[:, None], y2[:, None]) is not jet
+    assert own.dX.flags.writeable
+
+
+def test_memo_jets_leave_fd_twins_and_the_surface_alone():
+    surface = get_scenario("sphere-expanding")
+    twin = fd_variant(surface)
+    assert _memo_jets(twin) is twin
+    jets = surface.jets
+    assert _memo_jets(surface).jets is not jets
+    assert surface.jets is jets
 
 
 @pytest.mark.parametrize("name", ALL_SCENARIOS)

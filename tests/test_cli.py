@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import os
+import weakref
 from collections import Counter
 from dataclasses import asdict, replace
 
@@ -11,6 +13,7 @@ from surfrates import _fd, cli
 from surfrates.chart_kernel import (
     Event,
     MovingSurface,
+    _memo_jets,
     fd_variant,
     get_scenario,
     list_scenarios,
@@ -372,8 +375,9 @@ def test_flow_settings_that_cannot_run_are_config_errors(tmp_path, capsys, extra
         ["verify", "--scenario", "torus-static"],
         ["converge", "--kind", "fd"],
         ["converge", "--kind", "thinfilm"],
+        ["converge", "--kind", "laplace"],
     ],
-    ids=["verify", "converge-fd", "converge-thinfilm"],
+    ids=["verify", "converge-fd", "converge-thinfilm", "converge-laplace"],
 )
 def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
     # numpy's generators reject a negative seed; the command does so first,
@@ -524,6 +528,84 @@ def test_geometry_identities_take_three_chart_jets(monkeypatch, n_events):
     monkeypatch.setattr(MovingSurface, "jet", jet)
     assert run_verify("torus-breathing-drift", "geometry", n_events=n_events, seed=5)["all_pass"]
     assert jets["jet"] == 3
+
+
+@pytest.mark.parametrize(
+    "scenario, evaluations",
+    [
+        ("torus-breathing-drift", 8),
+        ("sphere-expanding", 7),
+        ("sphere-rigid-rotation", 7),
+        ("plane-shear", 7),
+    ],
+)
+def test_verify_evaluates_each_chart_point_set_once(monkeypatch, scenario, evaluations):
+    # every route, probe and stencil of one call asks for a few point sets
+    # only (33 and 32 chart jets without the memo); the torus adds the grid
+    # of the periodic Laplacian checks
+    calls = Counter()
+
+    def counted(name):
+        surface = get_scenario(name)
+        jets = surface.jets
+
+        def counting(*args):
+            calls[name] += 1
+            return jets(*args)
+
+        return replace(surface, jets=counting)
+
+    monkeypatch.setattr(cli, "get_scenario", counted)
+    assert run_verify(scenario, "all", n_events=1, seed=5)["all_pass"]
+    assert calls == {scenario: evaluations}
+
+
+@pytest.mark.parametrize("n_events", [1, 3])
+def test_verify_memo_changes_no_report(monkeypatch, n_events):
+    def reports():
+        return [
+            json.dumps(run_verify(s, "all", n_events=n_events, seed=5), sort_keys=True)
+            for s in list_scenarios()
+        ]
+
+    memoized = reports()
+    monkeypatch.setattr(cli, "_memo_jets", lambda surface: surface)
+    assert reports() == memoized
+
+
+def test_verify_memo_dies_with_the_call(monkeypatch):
+    # the suites see a memoized copy of the scenario, whose closure is gone
+    # once the call returns; the scenario keeps the registry's own jets
+    seen = []
+    orig_get, orig_sample = cli.get_scenario, cli.sample_events
+
+    def get(name):
+        surface = orig_get(name)
+        seen.append((surface, surface.jets))
+        return surface
+
+    def sample(surface, n, seed):
+        seen.append(weakref.ref(surface.jets))
+        return orig_sample(surface, n, seed)
+
+    monkeypatch.setattr(cli, "get_scenario", get)
+    monkeypatch.setattr(cli, "sample_events", sample)
+    assert run_verify("torus-breathing-drift", "all", n_events=2, seed=5)["all_pass"]
+    (scenario, jets), memo = seen
+    gc.collect()
+    assert memo() is None
+    assert scenario.jets is jets
+
+
+def test_memoized_fd_twins_keep_the_fd_tolerance():
+    # an FD twin has no closed-form jets to memoize, so its identities keep
+    # the FD tolerance
+    surface = fd_variant(get_scenario("torus-breathing-drift"))
+    events = sample_events(surface, 2, 5)
+    batch = Event(*map(np.array, zip(*[(e.t, e.y1, e.y2) for e in events])))
+    report = check_identities(_memo_jets(surface), batch)
+    assert report.all_pass
+    assert {tol for _, tol in report.rows.values()} == {1e-6}
 
 
 @pytest.mark.parametrize("suite", ["geometry", "all"])
