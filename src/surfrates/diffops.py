@@ -309,14 +309,26 @@ def make_grid(surface: MovingSurface, t: float, n1: int, n2: int | None = None) 
     )
 
 
-def _central_d(F: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """(F[i+1] - F[i-1]) / 2h along a periodic axis, as a C-ordered array;
-    slices into one output give the bits of the two-roll form."""
-    out = np.empty(F.shape, np.result_type(F, 1.0))
-    f, d = np.moveaxis(F, axis, 0), np.moveaxis(out, axis, 0)
-    np.subtract(f[2:], f[:-2], out=d[1:-1])
-    np.subtract(f[1], f[-1], out=d[0])
-    np.subtract(f[0], f[-2], out=d[-1])
+def _central_d(F: np.ndarray, axis: int, h: float, out: np.ndarray | None = None) -> np.ndarray:
+    """(F[i+1] - F[i-1]) / 2h along the periodic axis -2 or -1, with the
+    bits of the two-roll form, into ``out`` (a new array if None; a given
+    one must be C-ordered).  The interior is one subtraction on the flat
+    C-ordered buffer, shifted by the axis stride (n2 or 1); then the two
+    periodic ends overwrite the values that crossed a row or component
+    boundary.  The input is read as a C-ordered array, which copies only a
+    non-contiguous one."""
+    F = np.ascontiguousarray(F)
+    if out is None:
+        out = np.empty(F.shape, np.result_type(F, 1.0))
+    # a reshape of a non-contiguous out would copy, and the writes be lost
+    assert out.flags.c_contiguous and out.shape == F.shape
+    s = F.shape[-1] if axis == -2 else 1
+    f, d = F.reshape(-1), out.reshape(-1)
+    np.subtract(f[2 * s:], f[: -2 * s], out=d[s:-s])
+    # index tuples, not moveaxis, whose cost counts on small planes
+    tail = (slice(None),) * (-1 - axis)
+    np.subtract(F[(..., 1) + tail], F[(..., -1) + tail], out=out[(..., 0) + tail])
+    np.subtract(F[(..., 0) + tail], F[(..., -2) + tail], out=out[(..., -1) + tail])
     out /= 2.0 * h
     return out
 
@@ -331,13 +343,31 @@ def grid_laplace(gg: GridGeometry, F: np.ndarray, grad=None) -> np.ndarray:
     any leading component axes.  Exactly self-adjoint and negative
     semidefinite against the sqrt(det g) cell weights.  ``grad`` is
     ``grid_gradient(gg, F)`` if the caller has already taken it; it reads
-    only ``ginv`` and ``sqrtdetg`` of the grid's geometry."""
+    only ``ginv`` and ``sqrtdetg`` of the grid's geometry.
+
+    The chain sq (g^{i1} d1 + g^{i2} d2), its two central differences, their
+    sum and the division by sq runs one component plane at a time, in four
+    plane-sized scratch buffers that stay in cache, and writes each plane of
+    the result once; every operation is that of the whole-array form, so the
+    values keep its bits."""
     d1, d2 = grid_gradient(gg, F) if grad is None else grad
     ginv = gg.geom.ginv
     sq = gg.geom.sqrtdetg
-    F1 = sq * (ginv[0, 0] * d1 + ginv[0, 1] * d2)
-    F2 = sq * (ginv[1, 0] * d1 + ginv[1, 1] * d2)
-    return (_central_d(F1, -2, gg.h1) + _central_d(F2, -1, gg.h2)) / sq
+    (g11, g12), (g21, g22) = ginv
+    dtype = np.result_type(d1, d2, ginv, sq)
+    out = np.empty(d1.shape, dtype)
+    F1, F2, D1, D2 = (np.empty(d1.shape[-2:], dtype) for _ in range(4))
+    for c in np.ndindex(d1.shape[:-2]):
+        np.multiply(g11, d1[c], out=F1)
+        np.add(F1, np.multiply(g12, d2[c], out=D1), out=F1)
+        np.multiply(sq, F1, out=F1)
+        np.multiply(g21, d1[c], out=F2)
+        np.add(F2, np.multiply(g22, d2[c], out=D2), out=F2)
+        np.multiply(sq, F2, out=F2)
+        plane = out[c]
+        np.add(_central_d(F1, -2, gg.h1, D1), _central_d(F2, -1, gg.h2, D2), out=plane)
+        plane /= sq
+    return out
 
 
 class FourierInterpolant:

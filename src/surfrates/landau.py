@@ -217,13 +217,17 @@ def bulk_density(params: LdGParams, Q: np.ndarray):
 
 def bulk_gradient(params: LdGParams, Q: np.ndarray):
     """Traceless-symmetric gradient of the bulk density; Q^2 is formed only
-    when b != 0."""
+    when b != 0.  The sums keep the order of 2 (a Q + b (Q^2 - tr Q^2 / 3)
+    + c tr Q^2 Q) and build the result in the buffer of c tr Q^2 Q."""
     tr2 = _dot(Q, Q)
+    out = params.c * tr2 * Q
     grad = params.a * Q
     if params.b:
         eye = np.eye(3).reshape((3, 3) + (1,) * (Q.ndim - 2))
-        grad = grad + params.b * (_square(Q) - (tr2 / 3.0) * eye)
-    return 2.0 * (grad + params.c * tr2 * Q)
+        grad += params.b * (_square(Q) - (tr2 / 3.0) * eye)
+    out += grad
+    out *= 2.0
+    return out
 
 
 def energy(gg: GridGeometry, params: LdGParams, Q: np.ndarray, grad=None):
@@ -242,8 +246,12 @@ def energy(gg: GridGeometry, params: LdGParams, Q: np.ndarray, grad=None):
 
 def rhs_full(gg: GridGeometry, params: LdGParams, Q: np.ndarray, grad=None) -> np.ndarray:
     """Gradient-flow driving force on the full proxy: L lap Q - bulk gradient;
-    ``grad`` is ``grid_gradient(gg, Q)`` if already taken."""
-    return params.L * grid_laplace(gg, Q, grad) - bulk_gradient(params, Q)
+    ``grad`` is ``grid_gradient(gg, Q)`` if already taken.  Scales and
+    subtracts in the Laplacian's own output."""
+    out = grid_laplace(gg, Q, grad)
+    out *= params.L
+    out -= bulk_gradient(params, Q)
+    return out
 
 
 def conforming_to_proxy(gg: GridGeometry, q: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -334,9 +342,13 @@ ENERGY_COLUMNS = (
 
 
 def _state_residuals(Q: np.ndarray):
+    """max |tr Q| and max |Q_ab - Q_ba|, the latter over the pairs a < b:
+    the diagonal differences are 0 and |x - y| = |y - x|, so it is the
+    largest entry of |Q - Q^T|.  A non-finite entry of Q makes one of the
+    two non-finite."""
     tr = np.einsum("aa...->...", Q)
-    sym = Q - np.einsum("ab...->ba...", Q)
-    return float(np.max(np.abs(tr))), float(np.max(np.abs(sym)))
+    sym = [np.max(np.abs(Q[a, b] - Q[b, a])) for a, b in zip(*np.triu_indices(len(Q), 1))]
+    return float(np.max(np.abs(tr))), float(np.max(sym))
 
 
 def _crosscheck_residual(surface, gg, q, beta, seed):
@@ -465,14 +477,24 @@ def run_flow(
             dQ = grid_gradient(gg, Q)
         return state_rate(gg, params, kind, mot, Q, dQ, *st)
 
+    # The sums accumulate into their first product, in the order of
+    # s + h d and s + (h / 6) (a + 2 b + 2 c + d), and write no argument:
+    # in the full-tensor modes the proxy is the state.
     def axpy(st, ds, h):
-        return tuple(s + h * d for s, d in zip(st, ds))
+        out = tuple(h * d for d in ds)
+        for acc, s in zip(out, st):
+            acc += s
+        return out
 
     def combine_rk4(st, k1, k2, k3, k4, h):
-        return tuple(
-            s + (h / 6.0) * (a + 2 * b + 2 * c + d)
-            for s, a, b, c, d in zip(st, k1, k2, k3, k4)
-        )
+        out = tuple(2 * b for b in k2)
+        for acc, s, a, c, d in zip(out, st, k1, k3, k4):
+            acc += a
+            acc += 2 * c
+            acc += d
+            acc *= h / 6.0
+            acc += s
+        return out
 
     energy_rows = []
     crosschecks = []

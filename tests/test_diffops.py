@@ -175,7 +175,7 @@ def test_grid_gradient_matches_symbol(flat_torus):
 
 @pytest.mark.parametrize("shape", [(20, 24), (3, 2, 20, 24)])
 def test_central_d_slices_equal_the_roll_form(shape):
-    # the slice stencil gives the bits of the two-roll difference on either
+    # the flat stencil gives the bits of the two-roll difference on either
     # axis, as a C-ordered array
     F = np.random.default_rng(8).normal(size=shape)
     for axis, h in ((-2, 0.3), (-1, 0.07)):
@@ -183,6 +183,59 @@ def test_central_d_slices_equal_the_roll_form(shape):
         want = (np.roll(F, -1, axis=axis) - np.roll(F, 1, axis=axis)) / (2.0 * h)
         assert got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
+
+
+def _whole_array_central_d(F, axis, h):
+    """The whole-array periodic difference that _central_d replaced: slices
+    of F along the axis into one new C-ordered output."""
+    out = np.empty(F.shape, np.result_type(F, 1.0))
+    f, d = np.moveaxis(F, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(f[2:], f[:-2], out=d[1:-1])
+    np.subtract(f[1], f[-1], out=d[0])
+    np.subtract(f[0], f[-2], out=d[-1])
+    out /= 2.0 * h
+    return out
+
+
+def _whole_array_laplace(gg, F):
+    """The whole-array grid Laplacian that the plane-by-plane one replaced."""
+    d1, d2 = _whole_array_central_d(F, -2, gg.h1), _whole_array_central_d(F, -1, gg.h2)
+    ginv = gg.geom.ginv
+    sq = gg.geom.sqrtdetg
+    F1 = sq * (ginv[0, 0] * d1 + ginv[0, 1] * d2)
+    F2 = sq * (ginv[1, 0] * d1 + ginv[1, 1] * d2)
+    return (_whole_array_central_d(F1, -2, gg.h1) + _whole_array_central_d(F2, -1, gg.h2)) / sq
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["float", "transposed", "int"])
+@pytest.mark.parametrize("comps", [(), (2, 2), (3, 3)])
+@pytest.mark.parametrize("n1, n2", [(24, 24), (16, 20)])
+def test_grid_kernels_keep_the_bits_of_the_whole_array_form(torus_drift, n1, n2, comps, kind):
+    # the flat subtraction with its two end fixes and the plane-by-plane
+    # Laplacian give the bits of the whole-array forms, on square and
+    # non-square grids, for C-ordered, transposed and integer inputs
+    gg = make_grid(torus_drift, 0.4, n1, n2)
+    rng = np.random.default_rng(12)
+    if kind == "transposed":
+        F = rng.normal(size=comps + (n2, n1)).swapaxes(-1, -2)
+        assert not F.flags.c_contiguous
+    elif kind == "int":
+        F = rng.integers(-50, 50, size=comps + (n1, n2))
+    else:
+        F = rng.normal(size=comps + (n1, n2))
+    want = _whole_array_central_d(F, -2, gg.h1), _whole_array_central_d(F, -1, gg.h2)
+    grad = grid_gradient(gg, F)
+    for got, ref in zip(grad, want):
+        _assert_same_bits(got, ref)
+    lap = _whole_array_laplace(gg, F)
+    _assert_same_bits(grid_laplace(gg, F), lap)
+    _assert_same_bits(grid_laplace(gg, F, grad), lap)
 
 
 def test_fourier_interpolant_reproduces_band_limited(torus_static):

@@ -135,6 +135,73 @@ def test_non_finite_state_stops_static_run(torus_static):
         run_flow(torus_static, LdGParams(), cfg)
 
 
+def test_symmetry_residual_equals_the_full_formula():
+    # the upper-triangle residual is the largest entry of |Q - Q^T|
+    Q = np.random.default_rng(31).normal(size=(3, 3, 20, 24))
+    tr, sym = landau._state_residuals(Q)
+    assert tr == float(np.max(np.abs(np.einsum("aa...->...", Q))))
+    assert sym == float(np.max(np.abs(Q - np.einsum("ab...->ba...", Q))))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("slot", [(0, 0), (2, 2), (0, 1), (2, 1)])
+def test_non_finite_entry_gives_a_non_finite_residual(monkeypatch, torus_static, slot, bad):
+    # a non-finite entry on the diagonal or in one off-diagonal slot makes a
+    # residual non-finite, and that alone stops the run: the energies are
+    # replaced by finite values
+    M = np.random.default_rng(32).normal(size=(3, 3, 16, 16))
+    Q = M + np.einsum("ab...->ba...", M)
+    Q[slot + (3, 5)] = bad
+    assert not all(map(np.isfinite, landau._state_residuals(Q)))
+
+    original = landau.conforming_to_proxy
+
+    def poisoned(gg, q, beta):
+        P = original(gg, q, beta)
+        P[slot + (3, 5)] = bad
+        return P
+
+    monkeypatch.setattr(landau, "conforming_to_proxy", poisoned)
+    monkeypatch.setattr(landau, "energy", lambda *args: (0.0, 0.0, 0.0))
+    cfg = FlowConfig(mode="FullQ_Material", n=16, steps=1)
+    with pytest.raises(StabilityError, match="not finite at step 0"):
+        run_flow(torus_static, LdGParams(), cfg)
+
+
+def _as_bytes(result):
+    """The bytes of an array, or of each array or float of a tuple."""
+    if isinstance(result, tuple):
+        return tuple(map(_as_bytes, result))
+    return np.asarray(result).tobytes()
+
+
+@pytest.mark.parametrize("b", [0.0, 0.5])
+def test_kernels_write_no_argument(torus_drift, b):
+    # with every input array read-only, an in-place write into an argument
+    # raises; each kernel returns the bytes it gives on writable inputs
+    gg = make_grid(torus_drift, 0.4, 24)
+    q, beta = initial_state(gg, FlowConfig(n=24, seed=6))
+    Q = conforming_to_proxy(gg, q, beta) + 0.01 * np.random.default_rng(7).normal(size=(3, 3, 24, 24))
+    dQ = diffops.grid_gradient(gg, Q)
+    params = LdGParams(b=b)
+    kernels = {
+        "grid_gradient": lambda: diffops.grid_gradient(gg, Q),
+        "grid_laplace": lambda: diffops.grid_laplace(gg, Q),
+        "grid_laplace_of_grad": lambda: diffops.grid_laplace(gg, Q, dQ),
+        "bulk_gradient": lambda: bulk_gradient(params, Q),
+        "rhs_full": lambda: rhs_full(gg, params, Q),
+        "rhs_full_of_grad": lambda: rhs_full(gg, params, Q, dQ),
+        "energy": lambda: energy(gg, params, Q, dQ),
+        "conforming_to_proxy": lambda: conforming_to_proxy(gg, q, beta),
+    }
+    want = {name: _as_bytes(kernel()) for name, kernel in kernels.items()}
+    geometry = [getattr(gg.geom, name) for name in ("ginv", "sqrtdetg", "dX", "nu")]
+    for arr in [Q, *dQ, q, beta, gg.weights, *geometry]:
+        arr.flags.writeable = False
+    for name, kernel in kernels.items():
+        assert _as_bytes(kernel()) == want[name], name
+
+
 def _record_frame_builds(monkeypatch):
     """Times passed to landau.make_grid and landau.motion_grid, by name."""
     times = {"make_grid": [], "motion_grid": []}
