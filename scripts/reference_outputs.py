@@ -20,6 +20,7 @@ Usage::
 
     python scripts/reference_outputs.py write TREE OUTDIR
     python scripts/reference_outputs.py compare OLD_OUTDIR NEW_OUTDIR
+    python scripts/reference_outputs.py fingerprint [FILE]
 
 ``write`` runs the command line of ``TREE/src`` in subprocesses (one BLAS
 thread) and writes each run's files under ``OUTDIR``.  ``compare`` compares
@@ -32,20 +33,35 @@ sides are skipped), and for a ``flow_report.json`` or a
 ``converge_*.json`` that of each key whose value changed (a list item's key
 is its index).  It exits 1 if a file differs outside the verify reports, a file is
 missing, or a verify row fails its tolerance; otherwise 0.
+
+``fingerprint`` runs the command line of this script's own tree in process
+and writes, to ``tests/data/reference_fingerprint.json`` by default, the
+last row of ``energy.csv`` of each of the 16 reference flows at n=16, 10
+steps and dt=1e-3, and the fitted order of each converge study, each as
+the command writes it.  ``tests/test_fingerprint.py`` reruns the same and
+compares the strings, so a change that moves a flow or an order fails
+tier-1 until the file is regenerated.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import filecmp
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parents[1]
+FINGERPRINT = ROOT / "tests" / "data" / "reference_fingerprint.json"
 FLOW_SCENARIOS = ("torus-static", "torus-breathing-drift")
 FLOW_ARGS = ("--n", "48", "--steps", "30", "--dt", "1e-3")
+FINGERPRINT_FLOW_ARGS = ("--n", "16", "--steps", "10", "--dt", "1e-3")
+CONVERGE_KINDS = ("fd", "laplace", "thinfilm")
 # the registered scenarios and the flow modes of the tree that runs this, as JSON
 LIST_NAMES = (
     "import json; from surfrates.chart_kernel import list_scenarios; "
@@ -54,14 +70,21 @@ LIST_NAMES = (
 )
 
 
-def _runs(scenarios, modes):
-    """(output subdirectory, command-line arguments) of every reference run
-    on the given registered scenarios and flow modes."""
+def _flow_runs(modes, flow_args):
+    """(name, command-line arguments) of each reference flow of the given
+    modes, with the grid, steps and dt of flow_args."""
     for scenario in FLOW_SCENARIOS:
         for mode in modes:
             for method in ("euler", "rk4"):
                 args = ("flow", "--scenario", scenario, "--mode", mode, "--method", method)
-                yield f"flow/{scenario}_{mode}_{method}", args + FLOW_ARGS
+                yield f"{scenario}_{mode}_{method}", args + flow_args
+
+
+def _runs(scenarios, modes):
+    """(output subdirectory, command-line arguments) of every reference run
+    on the given registered scenarios and flow modes."""
+    for name, args in _flow_runs(modes, FLOW_ARGS):
+        yield f"flow/{name}", args
     yield "flow/crosscheck", (
         "flow", "--scenario", "torus-breathing-drift", "--mode", "Conforming_Jaumann",
         "--method", "rk4", "--crosscheck-every", "5",
@@ -71,7 +94,7 @@ def _runs(scenarios, modes):
             "verify", "--scenario", scenario, "--suite", "all", "--events", "3",
             "--seed", "20240",
         )
-    for kind in ("fd", "laplace", "thinfilm"):
+    for kind in CONVERGE_KINDS:
         yield "converge", ("converge", "--kind", kind)
 
 
@@ -91,6 +114,33 @@ def write(tree: Path, outdir: Path) -> int:
             print(f"exit {done.returncode}: {' '.join(args)}\n{done.stderr}", file=sys.stderr)
             status = 1
     return status
+
+
+def fingerprint() -> dict:
+    """The last energy.csv row of each reference flow at
+    FINGERPRINT_FLOW_ARGS and the fitted order of each converge study's CSV,
+    as strings written by the importable surfrates, run in this process."""
+    from surfrates import cli
+    from surfrates.landau import FLOW_MODES
+
+    def run(args, out):
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = cli.main([*args, "--out", out])
+        if status != 0:
+            raise RuntimeError(f"exit {status}: {' '.join(args)}")
+
+    flows = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, args in _flow_runs(FLOW_MODES, FINGERPRINT_FLOW_ARGS):
+            run(args, tmp)
+            flows[name] = Path(tmp, "energy.csv").read_text().splitlines()[-1]
+        for kind in CONVERGE_KINDS:
+            run(("converge", "--kind", kind), tmp)
+        orders = {
+            path.stem: next(csv.DictReader(path.read_text().splitlines()))["fitted_order"]
+            for path in Path(tmp).glob("converge_*.csv")
+        }
+    return {"converge": orders, "flows": flows}
 
 
 def _files(root: Path) -> set[str]:
@@ -200,9 +250,16 @@ def main(argv=None) -> int:
     c = sub.add_parser("compare", help="compare two output directories")
     c.add_argument("old", type=Path)
     c.add_argument("new", type=Path)
+    f = sub.add_parser("fingerprint", help="write the fingerprint of this tree's reference runs")
+    f.add_argument("file", type=Path, nargs="?", default=FINGERPRINT)
     args = p.parse_args(argv)
     if args.command == "write":
         return write(args.tree, args.outdir)
+    if args.command == "fingerprint":
+        sys.path.insert(0, str(ROOT / "src"))
+        args.file.parent.mkdir(parents=True, exist_ok=True)
+        args.file.write_text(json.dumps(fingerprint(), indent=2, sort_keys=True) + "\n")
+        return 0
     return compare(args.old, args.new)
 
 

@@ -52,16 +52,6 @@ class Event:
     y2: float
 
 
-def _into_cell(y, lo: float, hi: float):
-    """y reduced to the periodic cell [lo, hi).  On a cell with lo = 0, a y
-    that lies strictly inside it is returned as it is, since the reduction
-    would give it back bit for bit."""
-    y = np.asarray(y, float)
-    if lo == 0 and y.size and 0 < y.min() and y.max() < hi:
-        return y
-    return lo + np.mod(y - lo, hi - lo)
-
-
 @dataclass(frozen=True)
 class Domain:
     """Admissible rectangle of chart coordinates with per-axis periodicity.
@@ -90,17 +80,16 @@ class Domain:
         """Reduce periodic coordinates to the fundamental cell, broadcast
         against each other, so a chart closure always gets equal shapes.
 
-        A periodic axis with lo = 0, as every registered one has, whose
-        values all lie strictly inside (0, hi), as the nodes of a grid do, is
-        returned as a float array without the reduction
-        lo + mod(y - lo, hi - lo): that reduction gives those values back bit
-        for bit.  On an axis with lo != 0 it may not, so such an axis is
-        always reduced.
+        A periodic axis is reduced as lo + mod(y - lo, hi - lo); on a cell
+        with lo = 0, as every registered one has, that gives values strictly
+        inside the cell back bit for bit.
         """
         if self.periodic1:
-            y1 = _into_cell(y1, *self.y1_range)
+            lo, hi = self.y1_range
+            y1 = lo + np.mod(np.asarray(y1, float) - lo, hi - lo)
         if self.periodic2:
-            y2 = _into_cell(y2, *self.y2_range)
+            lo, hi = self.y2_range
+            y2 = lo + np.mod(np.asarray(y2, float) - lo, hi - lo)
         if np.shape(y1) != np.shape(y2):
             y1, y2 = np.broadcast_arrays(y1, y2)
         return y1, y2

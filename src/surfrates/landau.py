@@ -293,16 +293,17 @@ def _parts(gg, v, F, rank: int):
     return _Parts(v, -F, np.stack(grid_gradient(gg, v), axis=rank))
 
 
-def _full_state_rate(gg, params, kind: DerivKind, mot, Q, dQ, *_state):
-    """Rate of the full proxy Q; the driving force and the advection parts
-    share its gradient dQ, and the state (Q,) adds nothing to read."""
+def _full_state_rate(gg, params, kind: DerivKind, mot, state, Q, dQ):
+    """Rate of the full proxy Q, which is the state (Q,); the driving force
+    and the advection parts share its gradient dQ."""
     Dm = _advected(_Parts(Q, -rhs_full(gg, params, Q, dQ), np.stack(dQ, axis=2)), mot.u2, 2)
     return (-_via_material(mot, 2, kind, Q, Dm),)
 
 
-def _conf_state_rate(gg, params, kind: DerivKind, mot, Q, dQ, q, beta):
-    """Rate of (q, beta) from the conforming blocks of the driving force on
-    the state's proxy Q, whose gradient is dQ."""
+def _conf_state_rate(gg, params, kind: DerivKind, mot, state, Q, dQ):
+    """Rate of the state (q, beta) from the conforming blocks of the driving
+    force on its proxy Q, whose gradient is dQ."""
+    q, beta = state
     q_rhs, beta_rhs = _conforming_blocks(gg.geom, rhs_full(gg, params, Q, dQ))
     dq = _tangential(gg.geom, mot, _Block(2, _parts(gg, q, q_rhs, 2)), kind)
     return -dq, -_advected(_parts(gg, beta, beta_rhs, 0), mot.u2)
@@ -402,11 +403,14 @@ def run_flow(
     """Integrate the gradient flow; returns energies, residuals and the final state.
 
     The state is a tuple of grid arrays: ``(q, beta)`` in the conforming
-    modes, ``(Q,)`` in the full-tensor modes.  Each stage's grid and motion
-    are built once per stage time, and once per run on a static surface; a
-    frame keeps only the geometry and motion arrays its mode's step reads.
-    RK4's last stage runs at the next step's time, so a moving RK4 run builds
-    2 * steps + 1 frames.  Each stage takes the gradient of its proxy once,
+    modes, ``(Q,)`` in the full-tensor modes.  A step holds one frame, the
+    grid and motion at a stage time, and replaces it when a stage moves to a
+    new time, so at each energy evaluation only the current frame is alive.
+    A frame is built once per stage time, and once per run on a static
+    surface; it keeps only the geometry and motion arrays its mode's step
+    reads, and its motion is built on the grid axes.  RK4's last stage runs
+    at the next step's time, so a moving RK4 run builds 2 * steps + 1
+    frames.  Each stage takes the gradient of its proxy once,
     for the Laplacian and, in the full-tensor modes, the advection; the
     step-start gradient also serves the energy.
     Raises StabilityError if dt exceeds the mesh bound on any grid of the
@@ -432,50 +436,43 @@ def run_flow(
         geo_read = ("ginv", "sqrtdetg")
         read = ("u2", "Acal") if jaumann else ("u2",)
 
-    # Frames (grid, motion arrays) by stage time.  An RK4 step reuses at most
-    # two times (t + h/2 for k2 and k3, (step + 1) dt for k4 and the next
-    # step), so two frames suffice; the oldest is evicted before a new one is
-    # built.
-    # A static surface has one frame for the whole run, built at t = 0.
-    frames = {}
-
-    def add_frame(gg):
-        """Keep the frame of the full grid gg; returns its stability bound."""
-        bound = _checked_bound(gg, params, config.dt)
-        mot = motion_grid(surface, gg.t, gg.Y1, gg.Y2, gg.geom)
-        frames[gg.t] = (
+    def lean_frame(gg):
+        """The frame of the full grid gg: the grid with the geometry arrays
+        the step reads, and the motion arrays it reads, built on the axes."""
+        mot = motion_grid(surface, gg.t, gg.y1[:, None], gg.y2[None, :], gg.geom)
+        return (
             replace(gg, geom=_FrameGeometry(**{a: getattr(gg.geom, a) for a in geo_read})),
             SimpleNamespace(**{a: getattr(mot, a) for a in read}),
         )
-        return bound
 
-    def frame_at(t):
-        if surface.static:
-            t = 0.0
-        if t not in frames:
-            if len(frames) == 2:
-                del frames[next(iter(frames))]
-            add_frame(make_grid(surface, t, config.n))
-        return frames[t]
+    def frame_for(f, t):
+        """The frame at t: f on a static surface or when f is at t, else a
+        new frame on a grid whose stability bound is checked."""
+        if surface.static or f[0].t == t:
+            return f
+        gg = make_grid(surface, t, config.n)
+        _checked_bound(gg, params, config.dt)
+        return lean_frame(gg)
 
     # The initial state is built on the full grid at t = 0.
     gg = make_grid(surface, 0.0, config.n)
-    bound = add_frame(gg)
+    bound = _checked_bound(gg, params, config.dt)
+    f = lean_frame(gg)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     state = initial_state(gg, config)
     if not conforming:
         state = (conforming_to_proxy(gg, *state),)
 
-    def rate(t, st, Q=None, dQ=None):
-        """The state's rate at t; Q is its proxy and dQ the proxy's
+    def rate(frame, st, Q=None, dQ=None):
+        """The state's rate on the frame; Q is its proxy and dQ the proxy's
         gradient, each if already taken."""
-        gg, mot = frame_at(t)
+        gg, mot = frame
         if Q is None:
             Q = to_proxy(gg, *st)
         if dQ is None:
             dQ = grid_gradient(gg, Q)
-        return state_rate(gg, params, kind, mot, Q, dQ, *st)
+        return state_rate(gg, params, kind, mot, st, Q, dQ)
 
     # The sums accumulate into their first product, in the order of
     # s + h d and s + (h / 6) (a + 2 b + 2 c + d), and write no argument:
@@ -503,9 +500,10 @@ def run_flow(
     prev_total = None
     # The step-start proxy serves the energy, the first stage's rate and,
     # after the last step, the final state; its gradient serves the energy
-    # and the first stage.
+    # and the first stage.  RK4's k4 leaves f at the next step's time.
     for step in range(config.steps + 1):
-        gg, _ = frame_at(t)
+        f = frame_for(f, t)
+        gg = f[0]
         Q = to_proxy(gg, *state)
         dQ = grid_gradient(gg, Q)
         e_el, e_bulk, e_tot = energy(gg, params, Q, dQ)
@@ -530,17 +528,18 @@ def run_flow(
             crosschecks.append((step, t, res))
         if step == config.steps:
             break
-        # RK4's k4 runs at the next step's time, so the two share a frame
         t_next = (step + 1) * config.dt
         if config.method == "euler":
-            state = axpy(state, rate(t, state, Q, dQ), config.dt)
+            state = axpy(state, rate(f, state, Q, dQ), config.dt)
         else:
             h = config.dt
-            k1 = rate(t, state, Q, dQ)
-            del dQ  # k2 to k4 take their own; freeing it lowers the peak memory
-            k2 = rate(t + 0.5 * h, axpy(state, k1, 0.5 * h))
-            k3 = rate(t + 0.5 * h, axpy(state, k2, 0.5 * h))
-            k4 = rate(t_next, axpy(state, k3, h))
+            k1 = rate(f, state, Q, dQ)
+            del dQ, gg, Q  # k2 to k4 take their own; freeing them lowers the peak memory
+            f = frame_for(f, t + 0.5 * h)
+            k2 = rate(f, axpy(state, k1, 0.5 * h))
+            k3 = rate(f, axpy(state, k2, 0.5 * h))
+            f = frame_for(f, t_next)
+            k4 = rate(f, axpy(state, k3, h))
             state = combine_rk4(state, k1, k2, k3, k4, h)
         t = t_next
 

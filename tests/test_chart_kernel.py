@@ -87,7 +87,6 @@ def test_wrap_keeps_in_cell_values_bit_for_bit(name, axis, lo, hi):
     for y in (nodes, grid, inside[inside > lo], ends, np.resize(ends, 300)):
         got = _wrapped(dom, axis, y)
         assert got.tobytes() == _reduced(lo, hi, y).tobytes()
-    assert _wrapped(dom, axis, grid) is grid
 
 
 @pytest.mark.parametrize("name, axis, lo, hi", _periodic_axes())
@@ -128,7 +127,7 @@ def test_wrap_takes_scalars_mixed_shapes_and_empty_arrays():
     y1, y2 = dom.wrap(1.0, np.array([0.5, 7.0, -1.0]))
     assert y1.shape == y2.shape == (3,)
     assert_allclose(y2, [0.5, 7.0 - 2.0 * np.pi, 2.0 * np.pi - 1.0], rtol=0, atol=1e-15)
-    # an empty array has no minimum, so the in-cell test must not ask for one
+    # an empty array, which has no minimum, is reduced like any other
     with pytest.raises(ValueError):
         np.empty(0).min()
     for y1 in (np.empty(0), 1.0):

@@ -12,6 +12,7 @@ from surfrates.chart_kernel import (
     Domain,
     Event,
     MovingSurface,
+    fd_variant,
     get_scenario,
     list_scenarios,
     sample_events,
@@ -319,6 +320,26 @@ def test_motion_fields_do_not_depend_on_read_order(torus_drift, conforming):
     mot = motion_grid(torus_drift, t, Y1, Y2, geom)
     for name in names:
         assert np.array_equal(getattr(mot, name), getattr(full, name)), name
+
+
+_DOUBLY_PERIODIC = [
+    pytest.param(get_scenario(name), id=name)
+    for name in list_scenarios()
+    if get_scenario(name).domain.periodic1 and get_scenario(name).domain.periodic2
+] + [pytest.param(fd_variant(get_scenario("torus-breathing-drift")), id="fd-torus-breathing-drift")]
+
+
+@pytest.mark.parametrize("surface", _DOUBLY_PERIODIC)
+def test_motion_on_grid_axes_equals_motion_on_the_meshgrid(surface):
+    # a flow frame builds its motion on the grid axes, which Domain.wrap
+    # broadcasts into the meshgrid's point set; every array the flow reads
+    # keeps its bits, finite-difference u-jets included
+    gg = landau.make_grid(surface, 0.37, 16, 20)
+    axes = motion_grid(surface, gg.t, gg.y1[:, None], gg.y2[None, :], gg.geom)
+    grid = motion_grid(surface, gg.t, gg.Y1, gg.Y2, gg.geom)
+    for name in ("u2", "du", "G_obs", "A", "Acal"):
+        got, want = getattr(axes, name), getattr(grid, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
 
 # Covariant derivatives written out index by index, the partial index l last

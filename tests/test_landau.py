@@ -298,6 +298,33 @@ def test_flow_frames_keep_only_the_geometry_they_read(monkeypatch, torus_drift, 
     assert alive == [0] * (cfg.steps + 1)
 
 
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("mode", ["FullQ_Material", "Conforming_Jaumann"])
+def test_one_frame_is_alive_at_each_energy(monkeypatch, torus_drift, mode, method):
+    # a step holds one frame, so when it takes the energy the frames of the
+    # earlier stage times are gone; a frame is seen by the u2 it keeps
+    refs = []
+    motion_grid, energy = landau.motion_grid, landau.energy
+
+    def recorded(*args):
+        mot = motion_grid(*args)
+        refs.append(weakref.ref(mot.u2))
+        return mot
+
+    alive = []
+
+    def checked(*args):
+        alive.append(sum(ref() is not None for ref in refs))
+        return energy(*args)
+
+    monkeypatch.setattr(landau, "motion_grid", recorded)
+    monkeypatch.setattr(landau, "energy", checked)
+    cfg = FlowConfig(mode=mode, n=16, dt=1e-3, steps=4, method=method)
+    run_flow(torus_drift, LdGParams(), cfg)
+    assert len(refs) == 1 + (2 if method == "rk4" else 1) * cfg.steps
+    assert alive == [1] * (cfg.steps + 1)
+
+
 @pytest.mark.parametrize("method, per_step", [("euler", 1), ("rk4", 4)])
 def test_conforming_flow_builds_one_proxy_per_stage(monkeypatch, torus_static, method, per_step):
     # the step-start proxy serves the energy and the first stage, and the
