@@ -45,7 +45,7 @@ _FD_TIME_STEP = 1e-3
 @dataclass(frozen=True)
 class Event:
     """A point (t, y1, y2) in the time-extended chart domain, or a batch of
-    points: y1 and y2 arrays of one shape, t a float or an array of it."""
+    points: y1 and y2 arrays that broadcast together, t a float or an array."""
 
     t: float
     y1: float

@@ -247,10 +247,9 @@ def _suite_laplace(surface, ev, geom, mot, report: IdentityReport):
 
     dom = surface.domain
     if dom.periodic1 and dom.periodic2:
-        t0 = _T_RANGE[0]
-        gg = make_grid(surface, t0, 32)
-        F = probe_scalar(0.3, gg.Y1, gg.Y2)
-        G = probe_scalar_b(0.3, gg.Y1, gg.Y2)
+        gg = make_grid(surface, _T_RANGE[0], 32)
+        F = probe_scalar(0.3, gg.y1[:, None], gg.y2[None, :])
+        G = probe_scalar_b(0.3, gg.y1[:, None], gg.y2[None, :])
         LF = grid_laplace(gg, F)
         LG = grid_laplace(gg, G)
         ip1 = float(np.sum(LF * G * gg.weights))
@@ -351,8 +350,8 @@ def run_converge_laplace(scenario: str) -> dict:
     rows = []
     for n in (16, 32, 64, 128):
         gg = make_grid(surface, t0, n)
-        F = f(t0, gg.Y1, gg.Y2)
-        ref = scalar_laplace(surface, f, Event(t0, gg.Y1, gg.Y2), gg.geom)
+        F = f(t0, gg.y1[:, None], gg.y2[None, :])
+        ref = scalar_laplace(surface, f, Event(t0, gg.y1[:, None], gg.y2[None, :]), gg.geom)
         err = _maxabs(grid_laplace(gg, F) - ref)
         rows.append((gg.h1, err))
     order = fit_order(rows)

@@ -269,14 +269,14 @@ def _conforming_route_residual(
 
 @dataclass
 class GridGeometry:
+    """A periodic grid at time t: its points are the cell-centred axes y1 and
+    y2, which consumers broadcast as y1[:, None] and y2[None, :]."""
     surface: MovingSurface
     t: float
     n1: int
     n2: int
     y1: np.ndarray
     y2: np.ndarray
-    Y1: np.ndarray
-    Y2: np.ndarray
     h1: float
     h2: float
     geom: GeometrySample
@@ -284,6 +284,9 @@ class GridGeometry:
 
 
 def make_grid(surface: MovingSurface, t: float, n1: int, n2: int | None = None) -> GridGeometry:
+    """The n1 x n2 cell-centred grid at time t (n2 = n1 if None).  The chart
+    jet gets the broadcast axes, which Domain.wrap takes as views, so per-axis
+    closures (the torus jets) take their factors on n1 + n2 values."""
     if n2 is None:
         n2 = n1
     dom = surface.domain
@@ -297,15 +300,10 @@ def make_grid(surface: MovingSurface, t: float, n1: int, n2: int | None = None) 
     h2 = (b2 - a2) / n2
     y1 = a1 + (np.arange(n1) + 0.5) * h1
     y2 = a2 + (np.arange(n2) + 0.5) * h2
-    Y1, Y2 = np.meshgrid(y1, y2, indexing="ij")
-    # the chart gets the axes, which Domain.wrap broadcasts into views of the
-    # grid's shape, so closures that work per axis (the torus jets) take
-    # their factors on n1 + n2 values
     geom = geometry_from_jet(surface.jet(t, y1[:, None], y2[None, :]))
     weights = geom.sqrtdetg * h1 * h2
     return GridGeometry(
-        surface=surface, t=t, n1=n1, n2=n2, y1=y1, y2=y2, Y1=Y1, Y2=Y2,
-        h1=h1, h2=h2, geom=geom, weights=weights,
+        surface=surface, t=t, n1=n1, n2=n2, y1=y1, y2=y2, h1=h1, h2=h2, geom=geom, weights=weights,
     )
 
 

@@ -315,9 +315,8 @@ def motion_grid(
     surface: MovingSurface, t: float, Y1, Y2, geom: GeometrySample | None = None
 ) -> MotionSample:
     """The motion at the grid points (Y1, Y2) at time t: ``motion_at`` of
-    that event.  Y1 and Y2 may be the full coordinate arrays or the axes as
-    (n1, 1) and (1, n2) arrays, which Domain.wrap broadcasts into the same
-    points; the flow passes the axes."""
+    that event.  The flow passes a grid's axes, y1[:, None] and y2[None, :],
+    which Domain.wrap broadcasts to the grid's points."""
     return motion_at(surface, Event(t, Y1, Y2), geom)
 
 

@@ -413,10 +413,13 @@ def run_flow(
     frames.  Each stage takes the gradient of its proxy once,
     for the Laplacian and, in the full-tensor modes, the advection; the
     step-start gradient also serves the energy.
-    Raises StabilityError if dt exceeds the mesh bound on any grid of the
-    run, if an energy or the state turns non-finite, or if the total energy
-    rises along a static-surface run.
+    Raises ConfigError if snapshots are asked for without an out_dir, and
+    StabilityError if dt exceeds the mesh bound on any grid of the run, if
+    an energy or the state turns non-finite, or if the total energy rises
+    along a static-surface run.
     """
+    if config.snapshot_every and out_dir is None:
+        raise ConfigError("snapshot_every needs an out_dir to write the snapshots to")
     conforming = config.mode.startswith("Conforming")
     kind = DerivKind(config.mode.split("_")[1])
     jaumann = kind == DerivKind.Jaumann
@@ -520,7 +523,7 @@ def run_flow(
                 "reduce dt or check the configuration"
             )
         prev_total = e_tot
-        if config.snapshot_every and step % config.snapshot_every == 0 and out_dir:
+        if config.snapshot_every and step % config.snapshot_every == 0:
             arrays = dict(zip(names, state))
             snapshots.append(_write_snapshot(out_dir, step, t, config.mode, arrays))
         if config.crosscheck_every and step % config.crosscheck_every == 0:

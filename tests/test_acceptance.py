@@ -371,7 +371,7 @@ def test_criterion_07_laplacian_equivalence():
                 amp = rng.normal(size=(3, 3)) * np.exp(-(k1 * k1 + k2 * k2))
                 ph = rng.uniform(0, 2 * np.pi)
                 F += amp[..., None, None] * np.cos(
-                    k1 * gg.Y1 + k2 * gg.Y2 + ph
+                    k1 * gg.y1[:, None] + k2 * gg.y2[None, :] + ph
                 )
         return F
 

@@ -31,6 +31,7 @@ def _rejections():
         DerivKind,
         FieldClosure,
         FlowConfig,
+        LdGParams,
         RankError,
         conforming_laplace,
         convected_dt,
@@ -39,6 +40,7 @@ def _rejections():
         probe_conforming_q_field,
         probe_field,
         probe_tangential,
+        run_flow,
         sample_events,
         surface_laplace,
         tangential_dt,
@@ -73,6 +75,10 @@ def _rejections():
         "run_verify-suite": (ConfigError, lambda: run_verify("torus-static", "bogus")),
         "FlowConfig-dt": (ConfigError, lambda: FlowConfig(dt=0.0)),
         "FlowConfig-steps": (ConfigError, lambda: FlowConfig(steps=-1)),
+        "run_flow-snapshot-without-out_dir": (
+            ConfigError,
+            lambda: run_flow(surface, LdGParams(), FlowConfig(n=16, steps=1, snapshot_every=1)),
+        ),
     }
 
 

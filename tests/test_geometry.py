@@ -17,6 +17,7 @@ from surfrates.chart_kernel import (
     list_scenarios,
     sample_events,
 )
+from surfrates.diffops import scalar_laplace
 from surfrates.errors import NonEmbeddingError
 from surfrates.geometry import (
     _covariant_derivative,
@@ -29,6 +30,7 @@ from surfrates.geometry import (
     motion_grid,
 )
 from surfrates.landau import FlowConfig, LdGParams, run_flow
+from surfrates.probes import probe_scalar, probe_scalar_b
 from surfrates.util import det2, inv2
 
 MOTION_FIELDS = (
@@ -331,15 +333,27 @@ _DOUBLY_PERIODIC = [
 
 @pytest.mark.parametrize("surface", _DOUBLY_PERIODIC)
 def test_motion_on_grid_axes_equals_motion_on_the_meshgrid(surface):
-    # a flow frame builds its motion on the grid axes, which Domain.wrap
-    # broadcasts into the meshgrid's point set; every array the flow reads
-    # keeps its bits, finite-difference u-jets included
+    # a grid's points are its axes, which the flow's motion and the grid
+    # checks of verify and converge broadcast; every array they read keeps
+    # the bits of the meshgrid's point set, finite-difference u-jets included
     gg = landau.make_grid(surface, 0.37, 16, 20)
-    axes = motion_grid(surface, gg.t, gg.y1[:, None], gg.y2[None, :], gg.geom)
-    grid = motion_grid(surface, gg.t, gg.Y1, gg.Y2, gg.geom)
-    for name in ("u2", "du", "G_obs", "A", "Acal"):
-        got, want = getattr(axes, name), getattr(grid, name)
+    A1, A2 = gg.y1[:, None], gg.y2[None, :]
+    Y1, Y2 = np.meshgrid(gg.y1, gg.y2, indexing="ij")
+
+    def same_bits(got, want, name):
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+    axes = motion_grid(surface, gg.t, A1, A2, gg.geom)
+    grid = motion_grid(surface, gg.t, Y1, Y2, gg.geom)
+    for name in ("u2", "du", "G_obs", "A", "Acal"):
+        same_bits(getattr(axes, name), getattr(grid, name), name)
+    for probe in (probe_scalar, probe_scalar_b):
+        same_bits(probe(0.3, A1, A2), probe(0.3, Y1, Y2), probe.__name__)
+    same_bits(
+        scalar_laplace(surface, probe_scalar, Event(gg.t, A1, A2), gg.geom),
+        scalar_laplace(surface, probe_scalar, Event(gg.t, Y1, Y2), gg.geom),
+        "scalar_laplace",
+    )
 
 
 # Covariant derivatives written out index by index, the partial index l last

@@ -398,8 +398,8 @@ def test_band_limited_matches_the_direct_cosine_sum(torus_static, shape):
     # in the same order, and leaves the generator where the direct sum does
     gg = make_grid(torus_static, 0.0, *shape)
     dom = torus_static.domain
-    x1 = 2.0 * np.pi / dom.spans[0] * (gg.Y1 - dom.y1_range[0])
-    x2 = 2.0 * np.pi / dom.spans[1] * (gg.Y2 - dom.y2_range[0])
+    x1 = 2.0 * np.pi / dom.spans[0] * (gg.y1[:, None] - dom.y1_range[0])
+    x2 = 2.0 * np.pi / dom.spans[1] * (gg.y2[None, :] - dom.y2_range[0])
     direct, want = np.random.default_rng(21), np.zeros(shape)
     for k1 in range(-3, 4):
         for k2 in range(-3, 4):
@@ -417,7 +417,8 @@ def test_grid_arrays_are_c_ordered(torus_drift):
     # the normal, the conforming proxy and the stepped state are C-ordered
     n = 32
     gg = make_grid(torus_drift, 0.0, n)
-    assert geometry_from_jet(torus_drift.jet(0.0, gg.Y1, gg.Y2)).nu.flags.c_contiguous
+    Y1, Y2 = np.meshgrid(gg.y1, gg.y2, indexing="ij")
+    assert geometry_from_jet(torus_drift.jet(0.0, Y1, Y2)).nu.flags.c_contiguous
     q, beta = initial_state(gg, FlowConfig(n=n))
     assert conforming_to_proxy(gg, q, beta).flags.c_contiguous
     dt = 0.5 * stability_bound(gg, LdGParams())
