@@ -4,179 +4,35 @@ The package computes material and convected (upper, lower, Jaumann) rates of
 scalar, tangential-vector, and 2-tensor fields on parametrized surfaces that
 move and deform in three dimensions, together with surface differential
 operators and a gradient-flow integrator for tensor order parameters.
+
+Each module's ``__all__`` is the one list of its public names; the package
+exports exactly the union of them.
 """
-from .chart_kernel import (
-    ChartJet,
-    Domain,
-    Event,
-    MovingSurface,
-    fd_variant,
-    get_scenario,
-    list_scenarios,
-    make_observer_pair,
-    rotating_chart_motion,
-    sample_events,
+from . import (
+    chart_kernel, diffops, errors, fields, geometry, landau, probes, thinfilm, timederiv, util
 )
-from .diffops import (
-    FourierInterpolant,
-    GridGeometry,
-    conforming_laplace,
-    grid_gradient,
-    grid_laplace,
-    make_grid,
-    scalar_laplace,
-    surface_laplace,
-)
-from .errors import (
-    ConfigError,
-    DomainError,
-    InversionError,
-    MissingSplitError,
-    NonEmbeddingError,
-    NotConformingError,
-    NotQTensorError,
-    NotTangentialError,
-    RankError,
-    ShellDegenerateError,
-    StabilityError,
-    StencilError,
-    SurfratesError,
-)
-from .fields import (
-    QSplit,
-    TensorSplit,
-    g_inner_rank2,
-    pi_q_components,
-    project,
-    q_from_cart,
-    q_to_cart,
-    reconstruct,
-    split_tensor,
-    tangential_projector,
-)
-from .geometry import (
-    GeometrySample,
-    IdentityReport,
-    MotionSample,
-    check_identities,
-    geometry_at,
-    motion_at,
-    motion_grid,
-)
-from .landau import (
-    FLOW_MODES,
-    FlowConfig,
-    FlowResult,
-    LdGParams,
-    bulk_density,
-    energy,
-    run_flow,
-    stability_bound,
-)
-from .probes import (
-    probe_conforming_q_field,
-    probe_field,
-    probe_q_field,
-    probe_scalar,
-    probe_tangential,
-)
-from .thinfilm import (
-    LIMIT_QUANTITIES,
-    ConvergenceReport,
-    limit_study,
-    shell_velocity,
-    shell_velocity_gradient,
-)
-from .timederiv import (
-    DerivKind,
-    FieldClosure,
-    QFieldClosure,
-    TangentialFieldClosure,
-    convected_dt,
-    material_dt,
-    q_dt,
-    scalar_dot,
-    tangential_dt,
-)
-from .util import rel_residual
+from .chart_kernel import *
+from .diffops import *
+from .errors import *
+from .fields import *
+from .geometry import *
+from .landau import *
+from .probes import *
+from .thinfilm import *
+from .timederiv import *
+from .util import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChartJet",
-    "ConfigError",
-    "ConvergenceReport",
-    "DerivKind",
-    "Domain",
-    "DomainError",
-    "Event",
-    "FLOW_MODES",
-    "FieldClosure",
-    "FlowConfig",
-    "FlowResult",
-    "FourierInterpolant",
-    "GeometrySample",
-    "GridGeometry",
-    "IdentityReport",
-    "InversionError",
-    "LIMIT_QUANTITIES",
-    "LdGParams",
-    "MissingSplitError",
-    "MotionSample",
-    "MovingSurface",
-    "NonEmbeddingError",
-    "NotConformingError",
-    "NotQTensorError",
-    "NotTangentialError",
-    "QFieldClosure",
-    "QSplit",
-    "RankError",
-    "ShellDegenerateError",
-    "StabilityError",
-    "StencilError",
-    "SurfratesError",
-    "TangentialFieldClosure",
-    "TensorSplit",
-    "bulk_density",
-    "check_identities",
-    "conforming_laplace",
-    "convected_dt",
-    "energy",
-    "fd_variant",
-    "g_inner_rank2",
-    "geometry_at",
-    "get_scenario",
-    "grid_gradient",
-    "grid_laplace",
-    "limit_study",
-    "list_scenarios",
-    "make_grid",
-    "make_observer_pair",
-    "material_dt",
-    "motion_at",
-    "motion_grid",
-    "pi_q_components",
-    "probe_conforming_q_field",
-    "probe_field",
-    "probe_q_field",
-    "probe_scalar",
-    "probe_tangential",
-    "project",
-    "q_dt",
-    "q_from_cart",
-    "q_to_cart",
-    "reconstruct",
-    "rel_residual",
-    "rotating_chart_motion",
-    "run_flow",
-    "sample_events",
-    "scalar_dot",
-    "scalar_laplace",
-    "shell_velocity",
-    "shell_velocity_gradient",
-    "split_tensor",
-    "stability_bound",
-    "surface_laplace",
-    "tangential_dt",
-    "tangential_projector",
+    *chart_kernel.__all__,
+    *diffops.__all__,
+    *errors.__all__,
+    *fields.__all__,
+    *geometry.__all__,
+    *landau.__all__,
+    *probes.__all__,
+    *thinfilm.__all__,
+    *timederiv.__all__,
+    *util.__all__,
 ]

@@ -32,7 +32,6 @@ __all__ = [
     "list_scenarios",
     "fd_variant",
     "sample_events",
-    "POLE_BAND",
 ]
 
 POLE_BAND = 0.15
@@ -212,8 +211,10 @@ def _memo_jets(surface: MovingSurface) -> MovingSurface:
 
 
 def _require_event_inside(surface: MovingSurface, event: Event) -> None:
-    """DomainError unless every point of the event is admissible, with room
-    for the stencils of finite-difference jets."""
+    """DomainError unless every point of the event is finite and admissible,
+    with room for the stencils of finite-difference jets."""
+    if not all(np.isfinite(c).all() for c in (event.t, event.y1, event.y2)):
+        raise DomainError("event coordinates t, y1 and y2 must be finite")
     pad = 0.0 if surface.jets is not None else 2.5 * surface.space_step
     surface.domain.require_inside(event.y1, event.y2, pad)
 

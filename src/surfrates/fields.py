@@ -25,8 +25,6 @@ __all__ = [
     "project",
     "pi_q_components",
     "tangential_projector",
-    "q_split_from_split",
-    "q_split_to_split",
     "q_from_cart",
     "q_to_cart",
     "g_inner_rank2",

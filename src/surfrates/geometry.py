@@ -37,7 +37,6 @@ from .util import _maxabs, _pack, _unpack, det2, inv2
 __all__ = [
     "GeometrySample",
     "MotionSample",
-    "geometry_from_jet",
     "geometry_at",
     "motion_at",
     "motion_grid",

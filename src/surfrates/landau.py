@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -49,15 +49,12 @@ from .timederiv import (
 )
 
 __all__ = [
+    "FLOW_MODES",
     "LdGParams",
     "FlowConfig",
     "FlowResult",
-    "IC_REGISTRY",
-    "initial_state",
-    "bulk_gradient",
     "bulk_density",
     "energy",
-    "rhs_full",
     "stability_bound",
     "run_flow",
 ]
@@ -113,6 +110,8 @@ class FlowConfig:
             raise ConfigError(f"unknown initial condition {self.ic!r}; pick one of {sorted(IC_REGISTRY)}")
         if not self.dt > 0 or self.steps < 0:
             raise ConfigError("dt must be positive and steps nonnegative")
+        if not (math.isfinite(self.beta0) and math.isfinite(self.amplitude)):
+            raise ConfigError("beta0 and amplitude must be finite")
         if self.n < _MIN_NODES:
             raise ConfigError(f"grid resolution n must be at least {_MIN_NODES}")
         if self.seed < 0:
@@ -315,16 +314,12 @@ def _conf_state_rate(gg, params, kind: DerivKind, mot, state, Q, dQ):
 
 @dataclass
 class FlowResult:
-    config: FlowConfig
-    params: LdGParams
     energy_rows: list
     crosschecks: list
     bound: float
-    final_t: float
     final_Q: np.ndarray
     final_q: np.ndarray | None = None
     final_beta: np.ndarray | None = None
-    snapshots: list = field(default_factory=list)
 
     @property
     def energies(self) -> np.ndarray:
@@ -391,7 +386,6 @@ def _write_snapshot(out_dir, step, t, mode, arrays):
     path = os.path.join(out_dir, f"snap_{step:06d}.json")
     with open(path, "w") as fh:
         json.dump(header, fh, sort_keys=True, indent=2)
-    return path
 
 
 def run_flow(
@@ -498,7 +492,6 @@ def run_flow(
 
     energy_rows = []
     crosschecks = []
-    snapshots = []
     t = 0.0
     prev_total = None
     # The step-start proxy serves the energy, the first stage's rate and,
@@ -524,8 +517,7 @@ def run_flow(
             )
         prev_total = e_tot
         if config.snapshot_every and step % config.snapshot_every == 0:
-            arrays = dict(zip(names, state))
-            snapshots.append(_write_snapshot(out_dir, step, t, config.mode, arrays))
+            _write_snapshot(out_dir, step, t, config.mode, dict(zip(names, state)))
         if config.crosscheck_every and step % config.crosscheck_every == 0:
             res = _crosscheck_residual(surface, gg, state[0], state[1], config.seed + step)
             crosschecks.append((step, t, res))
@@ -547,16 +539,12 @@ def run_flow(
         t = t_next
 
     result = FlowResult(
-        config=config,
-        params=params,
         energy_rows=energy_rows,
         crosschecks=crosschecks,
         bound=bound,
-        final_t=t,
         final_Q=Q,
         final_q=state[0] if conforming else None,
         final_beta=state[1] if conforming else None,
-        snapshots=snapshots,
     )
     if out_dir is not None:
         with open(os.path.join(out_dir, "energy.csv"), "w") as fh:

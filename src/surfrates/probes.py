@@ -16,12 +16,7 @@ from .timederiv import FieldClosure, QFieldClosure, TangentialFieldClosure
 
 __all__ = [
     "probe_scalar",
-    "probe_scalar_b",
-    "probe_vector_comps",
-    "probe_vector_comps_b",
-    "probe_matrix_comps",
     "probe_field",
-    "probe_field_b",
     "probe_tangential",
     "probe_q_field",
     "probe_conforming_q_field",

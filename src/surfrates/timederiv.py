@@ -55,7 +55,6 @@ from .geometry import (
 from .util import _pack, _unpack
 
 __all__ = [
-    "DT_TIME_STEP",
     "DerivKind",
     "FieldClosure",
     "TangentialFieldClosure",

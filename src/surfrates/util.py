@@ -6,7 +6,7 @@ from functools import reduce
 
 import numpy as np
 
-__all__ = ["rel_residual", "inv2", "det2"]
+__all__ = ["rel_residual"]
 
 
 def _maxabs(a) -> float:

@@ -17,11 +17,21 @@ def test_module_all_resolves(name):
     assert missing == []
 
 
+# every module but the stencil helpers (_fd) and the command line (cli)
+REEXPORTED = sorted(set(MODULES) - {"_fd", "cli"})
+
+
 def test_package_all_unique_and_resolves():
     exported = surfrates.__all__
     assert len(exported) == len(set(exported))
     missing = [attr for attr in exported if not hasattr(surfrates, attr)]
     assert missing == []
+    # one list of public names: the package exports exactly its modules'
+    # __all__, each name as the module's own object
+    modules = [importlib.import_module(f"surfrates.{name}") for name in REEXPORTED]
+    assert set().union(*(mod.__all__ for mod in modules)) == set(exported)
+    for mod in modules:
+        assert [a for a in mod.__all__ if getattr(mod, a) is not getattr(surfrates, a)] == []
 
 
 def _rejections():

@@ -356,13 +356,31 @@ def test_flow_negative_every_is_a_config_error(tmp_path, capsys, extra):
 
 @pytest.mark.parametrize(
     "extra",
-    [["--n", "8"], ["--dt", "nan"], ["--a", "nan"], ["--L", "inf"], ["--b=-inf"], ["--seed=-1"]],
-    ids=["n-below-16", "dt-nan", "a-nan", "L-inf", "b-minus-inf", "seed-minus-1"],
+    [
+        ["--n", "8"],
+        ["--dt", "nan"],
+        ["--a", "nan"],
+        ["--L", "inf"],
+        ["--b=-inf"],
+        ["--seed=-1"],
+        ["--amplitude", "nan"],
+        ["--beta0", "inf"],
+    ],
+    ids=[
+        "n-below-16",
+        "dt-nan",
+        "a-nan",
+        "L-inf",
+        "b-minus-inf",
+        "seed-minus-1",
+        "amplitude-nan",
+        "beta0-inf",
+    ],
 )
 def test_flow_settings_that_cannot_run_are_config_errors(tmp_path, capsys, extra):
-    # a grid too coarse for the stencils, a non-finite step or parameter and
-    # a negative seed are rejected with the settings (exit 2), before a run
-    # could fail on them (exit 1)
+    # a grid too coarse for the stencils, a non-finite step, parameter or
+    # initial value and a negative seed are rejected with the settings
+    # (exit 2), before a run could fail on them (exit 1)
     rc = main(["flow", "--n", "16", "--steps", "2", "--out", str(tmp_path), *extra])
     assert rc == 2
     assert "config error" in capsys.readouterr().err

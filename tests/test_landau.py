@@ -129,8 +129,15 @@ def test_stability_bound_rechecked_along_moving_run():
         run_flow(surface, params, FlowConfig(n=24, dt=dt, steps=40))
 
 
-def test_non_finite_state_stops_static_run(torus_static):
-    cfg = FlowConfig(n=16, steps=3, ic="constant-beta", beta0=float("nan"))
+def test_non_finite_state_stops_static_run(monkeypatch, torus_static):
+    # FlowConfig rejects a non-finite beta0, so the NaN comes from the
+    # initial condition itself
+    def nan_beta(gg, config):
+        q, beta = landau.IC_REGISTRY["constant-beta"](gg, config)
+        return q, np.full_like(beta, np.nan)
+
+    monkeypatch.setitem(landau.IC_REGISTRY, "nan-beta", nan_beta)
+    cfg = FlowConfig(n=16, steps=3, ic="nan-beta")
     with pytest.raises(StabilityError, match="not finite at step 0"):
         run_flow(torus_static, LdGParams(), cfg)
 

@@ -454,11 +454,30 @@ def test_material_proxy_route_builds_no_frame(monkeypatch, route):
     assert calls == {"jet": 1, "u_jet": 0}
 
 
+@pytest.mark.parametrize(
+    "scenario, ev",
+    [
+        ("sphere-expanding", Event(0.3, np.array([1.0, 0.01]), np.array([1.0, 1.0]))),
+        ("sphere-expanding", Event(0.3, 1.0, np.nan)),
+        ("torus-breathing-drift", Event(0.3, np.nan, 1.0)),
+        ("torus-breathing-drift", Event(np.nan, 1.0, 1.0)),
+        ("torus-breathing-drift", Event(0.3, np.inf, 1.0)),
+        ("torus-breathing-drift", Event(0.3, np.array([1.0, 2.0]), np.array([1.0, -np.inf]))),
+    ],
+    ids=[
+        "pole-band",
+        "sphere-y2-nan",
+        "torus-y1-nan",
+        "torus-t-nan",
+        "torus-y1-inf",
+        "torus-batch-y2-minus-inf",
+    ],
+)
 @pytest.mark.parametrize("route", ["scalar_dot", "material_dt"])
-def test_proxy_routes_reject_events_outside_the_domain(route):
-    # y1 = 0.01 lies in the sphere's excluded pole band
-    surface = get_scenario("sphere-expanding")
-    ev = Event(0.3, np.array([1.0, 0.01]), np.array([1.0, 1.0]))
+def test_proxy_routes_reject_events_outside_the_domain(route, scenario, ev):
+    # y1 = 0.01 lies in the sphere's excluded pole band; a non-finite
+    # coordinate, on a periodic axis too, lies in no domain
+    surface = get_scenario(scenario)
     with pytest.raises(DomainError):
         if route == "scalar_dot":
             scalar_dot(surface, probe_scalar, ev)
