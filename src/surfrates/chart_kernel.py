@@ -76,8 +76,8 @@ class Domain:
         return min(self.spans)
 
     def wrap(self, y1, y2):
-        """Reduce periodic coordinates to the fundamental cell, broadcast
-        against each other, so a chart closure always gets equal shapes.
+        """Reduce periodic coordinates to the fundamental cell; each
+        coordinate keeps the shape it was given.
 
         A periodic axis is reduced as lo + mod(y - lo, hi - lo); on a cell
         with lo = 0, as every registered one has, that gives values strictly
@@ -89,8 +89,6 @@ class Domain:
         if self.periodic2:
             lo, hi = self.y2_range
             y2 = lo + np.mod(np.asarray(y2, float) - lo, hi - lo)
-        if np.shape(y1) != np.shape(y2):
-            y1, y2 = np.broadcast_arrays(y1, y2)
         return y1, y2
 
     def contains(self, y1, y2, pad: float = 0.0) -> bool:
@@ -131,7 +129,7 @@ class ChartJet:
 
 
 def _zero_u(t, y1, y2):
-    return np.zeros((2,) + np.shape(np.asarray(y1, float)))
+    return np.zeros((2,) + np.broadcast_shapes(np.shape(y1), np.shape(y2)))
 
 
 @dataclass
@@ -143,6 +141,11 @@ class MovingSurface:
     without it the jets are finite differences of ``chart``.  ``static``
     declares that neither the chart nor ``u_field`` depends on t, so the
     geometry and motion at t0 hold at every time.
+
+    ``jets``, ``u_field`` and ``u_jets`` get the coordinates as the caller
+    gave them, periodic ones reduced to the cell (on a grid, its axes
+    y1[:, None] and y2[None, :]), and broadcast them; a ``chart`` without
+    jets is called by the stencils, on arguments of equal shapes.
     """
 
     name: str
@@ -234,7 +237,7 @@ def rotating_chart_motion(omega: float) -> Callable:
     as its jets ``(t, z1, z2) -> ChartJet``."""
 
     def jets(t, z1, z2):
-        z1 = np.asarray(z1, float)
+        z1, z2 = np.broadcast_arrays(np.asarray(z1, float), np.asarray(z2, float))
         s = np.shape(z1)
         dX = np.zeros((2, 2) + s)
         dX[0, 0] = 1.0
@@ -242,7 +245,7 @@ def rotating_chart_motion(omega: float) -> Callable:
         Vt = np.zeros((2,) + s)
         Vt[1] = omega
         return ChartJet(
-            X=np.stack([z1, np.asarray(z2, float) + omega * t]),
+            X=np.stack([z1, z2 + omega * t]),
             dX=dX,
             ddX=np.zeros((2, 2, 2) + s),
             Vt=Vt,
@@ -310,13 +313,6 @@ def make_observer_pair(surface: MovingSurface, motion: Callable):
 # scenario registry
 
 
-def _distinct(y: np.ndarray) -> np.ndarray:
-    """y with each stride-0 axis cut to length 1: the values of a broadcast
-    view, such as a grid axis that ``Domain.wrap`` broadcast against the
-    other, once each; the result broadcasts back to y."""
-    return y[tuple(slice(None, 1) if s == 0 else slice(None) for s in y.strides)]
-
-
 def _revolution_jets(R0: float, profile: tuple, r_of_t: Callable, rdot_of_t: Callable) -> Callable:
     """Jets of a circle of radius r(t) (rate rd(t)) rotated about the z axis:
     X = rho e(y2) + z e3 with e = (cos y2, sin y2, 0), rho = R0 + r p(y1) and
@@ -333,7 +329,7 @@ def _revolution_jets(R0: float, profile: tuple, r_of_t: Callable, rdot_of_t: Cal
         # a radial part times e or e' = (-sin y2, cos y2, 0) plus an axial
         # part times e3, written into C-ordered arrays; its minus signs sit
         # on factors, which negation leaves exact.
-        a, b = (_distinct(np.asarray(y, float)) for y in (y1, y2))
+        a, b = np.asarray(y1, float), np.asarray(y2, float)
         p, q = p_of(a), q_of(a)
         dp, dq = s * q, -s * p
         e = (np.cos(b), np.sin(b))
@@ -374,15 +370,13 @@ def _const_u(c1: float, c2: float) -> dict:
     """The MovingSurface fields of the constant relative velocity (c1, c2)."""
 
     def u_field(t, y1, y2):
-        s = np.shape(np.asarray(y1, float))
-        out = np.zeros((2,) + s)
+        out = np.zeros((2,) + np.broadcast_shapes(np.shape(y1), np.shape(y2)))
         out[0] = c1
         out[1] = c2
         return out
 
     def u_jets(t, y1, y2):
-        s = np.shape(np.asarray(y1, float))
-        return np.zeros((2, 2) + s)
+        return np.zeros((2, 2) + np.broadcast_shapes(np.shape(y1), np.shape(y2)))
 
     return {"u_field": u_field, "u_jets": u_jets}
 
@@ -392,8 +386,7 @@ def _plane(name: str, domain: Domain, rate: float) -> MovingSurface:
     rate 0 gives the static identity chart."""
 
     def jets(t, y1, y2):
-        y1 = np.asarray(y1, float)
-        y2 = np.asarray(y2, float)
+        y1, y2 = np.broadcast_arrays(np.asarray(y1, float), np.asarray(y2, float))
         zero = np.zeros_like(y1)
         one = np.ones_like(y1)
         s = np.shape(y1)

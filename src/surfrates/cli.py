@@ -78,12 +78,10 @@ CROSSCHECK_TOL = 1e-5
 
 
 def _outdir(arg_out: str | None) -> str:
-    if arg_out:
-        out = arg_out
-    else:
-        out = os.environ.get("SURFRATES_OUTDIR", ".")
-    os.makedirs(out, exist_ok=True)
-    return out
+    """The output directory: ``--out``, or $SURFRATES_OUTDIR, or the current
+    directory.  It is not created here, so a command that fails on its
+    settings writes nothing."""
+    return arg_out or os.environ.get("SURFRATES_OUTDIR", ".")
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +377,7 @@ def _dump_json(obj: dict, path: str):
 def cmd_verify(args) -> int:
     report = run_verify(args.scenario, args.suite, args.events, args.seed)
     out = _outdir(args.out)
+    os.makedirs(out, exist_ok=True)
     path = os.path.join(out, f"verify_{args.scenario}_{args.suite}.json")
     _dump_json(report, path)
     for row in report["identities"]:
@@ -404,6 +403,7 @@ def _from_args(cls, args):
 def cmd_flow(args) -> int:
     surface = get_scenario(args.scenario)
     params, config = (_from_args(cls, args) for cls in (LdGParams, FlowConfig))
+    # run_flow creates out once its first grid passes the stability check
     out = _outdir(args.out)
     result = run_flow(surface, params, config, out_dir=out)
     first = result.energy_rows[0]
@@ -463,6 +463,7 @@ def cmd_converge(args) -> int:
             for rep in report["reports"]
         ]
     out = _outdir(args.out)
+    os.makedirs(out, exist_ok=True)
     for fname, rows, order in csvs:
         with open(os.path.join(out, fname), "w") as fh:
             fh.write("step,error,fitted_order\n")

@@ -285,8 +285,8 @@ class GridGeometry:
 
 def make_grid(surface: MovingSurface, t: float, n1: int, n2: int | None = None) -> GridGeometry:
     """The n1 x n2 cell-centred grid at time t (n2 = n1 if None).  The chart
-    jet gets the broadcast axes, which Domain.wrap takes as views, so per-axis
-    closures (the torus jets) take their factors on n1 + n2 values."""
+    jet gets the axes y1[:, None] and y2[None, :], so per-axis closures (the
+    torus jets) take their factors on n1 + n2 values."""
     if n2 is None:
         n2 = n1
     dom = surface.domain

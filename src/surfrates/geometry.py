@@ -315,7 +315,7 @@ def motion_grid(
 ) -> MotionSample:
     """The motion at the grid points (Y1, Y2) at time t: ``motion_at`` of
     that event.  The flow passes a grid's axes, y1[:, None] and y2[None, :],
-    which Domain.wrap broadcasts to the grid's points."""
+    which the closures of the surface broadcast to the grid's points."""
     return motion_at(surface, Event(t, Y1, Y2), geom)
 
 

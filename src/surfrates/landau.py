@@ -108,8 +108,8 @@ class FlowConfig:
             raise ConfigError("method must be 'euler' or 'rk4'")
         if self.ic not in IC_REGISTRY:
             raise ConfigError(f"unknown initial condition {self.ic!r}; pick one of {sorted(IC_REGISTRY)}")
-        if not self.dt > 0 or self.steps < 0:
-            raise ConfigError("dt must be positive and steps nonnegative")
+        if not 0 < self.dt < math.inf or self.steps < 0:
+            raise ConfigError("dt must be positive and finite, and steps nonnegative")
         if not (math.isfinite(self.beta0) and math.isfinite(self.amplitude)):
             raise ConfigError("beta0 and amplitude must be finite")
         if self.n < _MIN_NODES:

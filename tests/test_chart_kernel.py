@@ -17,6 +17,8 @@ from surfrates.chart_kernel import (
     fd_variant,
     get_scenario,
     list_scenarios,
+    make_observer_pair,
+    rotating_chart_motion,
     sample_events,
 )
 from surfrates.errors import ConfigError, DomainError
@@ -124,15 +126,19 @@ def test_wrap_takes_scalars_mixed_shapes_and_empty_arrays():
     assert y1 == 1.0 and y2 == pytest.approx(0.5, abs=1e-15)
     y1, y2 = dom.wrap(np.asarray(1.0), np.asarray(0.5))
     assert np.shape(y1) == np.shape(y2) == () and float(y2) == 0.5
+    # each coordinate keeps its own shape, and a scalar on the non-periodic
+    # axis comes back as given
     y1, y2 = dom.wrap(1.0, np.array([0.5, 7.0, -1.0]))
-    assert y1.shape == y2.shape == (3,)
+    assert y1 == 1.0 and np.shape(y1) == () and y2.shape == (3,)
     assert_allclose(y2, [0.5, 7.0 - 2.0 * np.pi, 2.0 * np.pi - 1.0], rtol=0, atol=1e-15)
+    y1, y2 = dom.wrap(np.full((4, 1), 1.0), np.linspace(0.0, 7.0, 5)[None, :])
+    assert y1.shape == (4, 1) and y2.shape == (1, 5)
     # an empty array, which has no minimum, is reduced like any other
     with pytest.raises(ValueError):
         np.empty(0).min()
     for y1 in (np.empty(0), 1.0):
         got = dom.wrap(y1, np.empty(0))
-        assert got[0].shape == got[1].shape == (0,)
+        assert np.shape(got[0]) == np.shape(y1) and got[1].shape == (0,)
     assert dom.wrap(np.empty((0, 3)), np.empty((0, 3)))[1].shape == (0, 3)
 
 
@@ -374,9 +380,9 @@ def _grid_axes(surface, n1=24, n2=20):
 @pytest.mark.parametrize("name", list(TORI) + list(SPHERES))
 @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
 def test_torus_jets_on_grid_axes_equal_the_stacked_formulas(name, t):
-    # the jets of every surface of revolution on the grid axes, which
-    # Domain.wrap broadcasts into stride-0 views, and on the full meshgrid
-    # both have the C-ordered strides of the stacked formulas and their bits
+    # the jets of every surface of revolution on the grid axes, (n1, 1) and
+    # (1, n2) arrays that the jets broadcast, and on the full meshgrid both
+    # have the C-ordered strides of the stacked formulas and their bits
     # (within 4 ulp on the expanding sphere); a transposed layout would pass
     # into every einsum of the flow state
     surface = get_scenario(name)
@@ -399,23 +405,37 @@ def test_torus_jets_at_points_equal_the_stacked_formulas(name, kind):
     _assert_stacked_jet(name, surface.jet(t, y1, y2), t, y1, y2)
 
 
+def _assert_same_bytes(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize(
-    "name",
-    [n for n in list_scenarios() if get_scenario(n).domain.periodic1 and get_scenario(n).domain.periodic2],
+    "make",
+    [pytest.param(lambda n=n: get_scenario(n), id=n) for n in list_scenarios()]
+    + [
+        pytest.param(lambda: fd_variant(get_scenario("plane-shear")), id="plane-shear+fd"),
+        pytest.param(
+            lambda: make_observer_pair(
+                get_scenario("torus-breathing-drift"), rotating_chart_motion(0.35)
+            )[1],
+            id="torus-breathing-drift+observer",
+        ),
+    ],
 )
-def test_closures_on_grid_axes_equal_their_values_on_the_meshgrid(name):
-    # make_grid hands the chart its axes as (n1, 1) and (1, n2) arrays;
-    # every closure of a doubly periodic scenario, the plane jets of
-    # flat-torus and the constant relative velocity included, gives there
-    # what it gives on the meshgrid
-    surface = get_scenario(name)
+def test_closures_on_grid_axes_equal_their_values_on_the_meshgrid(make):
+    # make_grid and the grid checks hand the chart its axes as (n1, 1) and
+    # (1, n2) arrays, and Domain.wrap passes them on as they are; every
+    # closure, whether closed-form (the plane jets, the zero and the
+    # constant relative velocity, the chart motion of an observer) or a
+    # stencil, broadcasts them and gives the shape and bytes it gives on the
+    # meshgrid
+    surface = make()
     y1, y2 = _grid_axes(surface)
     Y1, Y2 = np.meshgrid(y1, y2, indexing="ij")
     for t in (0.0, 0.37, 1.0):
         axes, grid = surface.jet(t, y1[:, None], y2[None, :]), surface.jet(t, Y1, Y2)
         for key in JET_BLOCKS:
-            assert_array_equal(getattr(axes, key), getattr(grid, key), strict=True)
+            _assert_same_bytes(getattr(axes, key), getattr(grid, key))
         for closure in (surface.u, surface.u_jet):
-            assert_array_equal(
-                closure(t, y1[:, None], y2[None, :]), closure(t, Y1, Y2), strict=True
-            )
+            _assert_same_bytes(closure(t, y1[:, None], y2[None, :]), closure(t, Y1, Y2))

@@ -181,11 +181,13 @@ def test_flow_unstable_dt_exit_one(tmp_path, capsys):
             "--steps",
             "2",
             "--out",
-            str(tmp_path),
+            str(tmp_path / "out"),
         ]
     )
     assert rc == 1
     assert "stability error" in capsys.readouterr().err
+    # the first grid fails its bound check before the run writes anything
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_energy_rise_stops_a_static_flow(tmp_path, monkeypatch, capsys):
@@ -359,29 +361,34 @@ def test_flow_negative_every_is_a_config_error(tmp_path, capsys, extra):
     [
         ["--n", "8"],
         ["--dt", "nan"],
+        ["--dt", "inf"],
         ["--a", "nan"],
         ["--L", "inf"],
         ["--b=-inf"],
         ["--seed=-1"],
         ["--amplitude", "nan"],
         ["--beta0", "inf"],
+        ["--scenario", "plane-shear"],
     ],
     ids=[
         "n-below-16",
         "dt-nan",
+        "dt-inf",
         "a-nan",
         "L-inf",
         "b-minus-inf",
         "seed-minus-1",
         "amplitude-nan",
         "beta0-inf",
+        "plane-not-periodic",
     ],
 )
 def test_flow_settings_that_cannot_run_are_config_errors(tmp_path, capsys, extra):
     # a grid too coarse for the stencils, a non-finite step, parameter or
-    # initial value and a negative seed are rejected with the settings
-    # (exit 2), before a run could fail on them (exit 1)
-    rc = main(["flow", "--n", "16", "--steps", "2", "--out", str(tmp_path), *extra])
+    # initial value, a negative seed and a scenario without a periodic grid
+    # are rejected with the settings (exit 2), before a run could fail on
+    # them (exit 1), and the output directory is not created
+    rc = main(["flow", "--n", "16", "--steps", "2", "--out", str(tmp_path / "out"), *extra])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
