@@ -405,23 +405,34 @@ def cmd_flow(args) -> int:
     params, config = (_from_args(cls, args) for cls in (LdGParams, FlowConfig))
     # run_flow creates out once its first grid passes the stability check
     out = _outdir(args.out)
-    result = run_flow(surface, params, config, out_dir=out)
+    path = os.path.join(out, "flow_report.json")
+    run = {
+        "config": dataclasses.asdict(config),
+        "params": dataclasses.asdict(params),
+        "scenario": args.scenario,
+    }
+    try:
+        result = run_flow(surface, params, config, out_dir=out)
+    except StabilityError as exc:
+        # a failure on the first grid comes before out exists, and has no step
+        if exc.step is not None:
+            failure = {"reason": str(exc), "step": exc.step, "t": exc.t}
+            _dump_json({**run, "failure": failure}, path)
+            print(f"failure report: {path}", file=sys.stderr)
+        raise
     first = result.energy_rows[0]
     last = result.energy_rows[-1]
     monotone = bool(np.all(np.diff(result.energies) <= ENERGY_RISE_TOL))
     report = {
+        **run,
         "crosscheck_max_residual": (
             float(np.max([r[2] for r in result.crosschecks])) if result.crosschecks else None
         ),
-        "config": dataclasses.asdict(config),
         "energy_final": last[4],
         "energy_initial": first[4],
         "monotone": monotone,
-        "params": dataclasses.asdict(params),
-        "scenario": args.scenario,
         "stability_bound": result.bound,
     }
-    path = os.path.join(out, "flow_report.json")
     _dump_json(report, path)
     print(
         f"flow {config.mode} on {args.scenario}: {config.steps} steps, "

@@ -64,7 +64,16 @@ class StencilError(SurfratesError):
 
 class StabilityError(SurfratesError):
     """Time step too large: energy increased on a static surface, or the
-    configured dt exceeds the diffusive stability bound."""
+    configured dt exceeds the diffusive stability bound.
+
+    ``step`` is the flow step being taken, counted as the energy rows count
+    them, and ``t`` the time of the grid or state that failed the check;
+    both are None when it failed before the run began."""
+
+    def __init__(self, message: str, step: int | None = None, t: float | None = None):
+        super().__init__(message)
+        self.step = step
+        self.t = t
 
 
 class ConfigError(SurfratesError):

@@ -7,8 +7,12 @@ restricted to the conforming subbundle (no tangent-normal coupling).
 Each mode's state rate is the driving force minus the mode's derivative
 formula from ``timederiv`` (``_advected``, ``_via_material`` or
 ``_tangential``), applied to grid parts, so the flows step with the formulas
-that ``verify`` checks.  ``grid_laplace``, ``rhs_full`` and ``energy`` take a
-gradient already taken, so a flow stage takes its proxy's gradient once.
+that ``verify`` checks.  The exception is a frame at rest, where every
+motion array the rate reads is zero: each transport term is then a product
+with an exact zero, which leaves the driving force's bits, so the rate is
+the driving force itself.  ``grid_laplace``, ``rhs_full`` and ``energy``
+take a gradient already taken, so a flow stage takes its proxy's gradient
+once.
 
 States live on doubly periodic chart grids.  The elastic energy uses the
 same central differences and cell weights as the divergence-form grid
@@ -270,12 +274,17 @@ def stability_bound(gg: GridGeometry, params: LdGParams) -> float:
     return 0.2 * dymin * dymin / params.L
 
 
-def _checked_bound(gg: GridGeometry, params: LdGParams, dt: float) -> float:
-    """The stability bound of the grid; StabilityError if dt exceeds it."""
+def _checked_bound(
+    gg: GridGeometry, params: LdGParams, dt: float, step: int | None = None
+) -> float:
+    """The stability bound of the grid; StabilityError if dt exceeds it,
+    naming the step being taken."""
     bound = stability_bound(gg, params)
     if dt > bound:
         raise StabilityError(
-            f"dt={dt:g} exceeds the explicit stability bound {bound:g} at t={gg.t:g}"
+            f"dt={dt:g} exceeds the explicit stability bound {bound:g} at t={gg.t:g}",
+            step,
+            gg.t,
         )
     return bound
 
@@ -294,16 +303,23 @@ def _parts(gg, v, F, rank: int):
 
 def _full_state_rate(gg, params, kind: DerivKind, mot, state, Q, dQ):
     """Rate of the full proxy Q, which is the state (Q,); the driving force
-    and the advection parts share its gradient dQ."""
-    Dm = _advected(_Parts(Q, -rhs_full(gg, params, Q, dQ), np.stack(dQ, axis=2)), mot.u2, 2)
+    and the advection parts share its gradient dQ.  A frame at rest (mot
+    None) steps with the driving force alone."""
+    F = rhs_full(gg, params, Q, dQ)
+    if mot is None:
+        return (F,)
+    Dm = _advected(_Parts(Q, -F, np.stack(dQ, axis=2)), mot.u2, 2)
     return (-_via_material(mot, 2, kind, Q, Dm),)
 
 
 def _conf_state_rate(gg, params, kind: DerivKind, mot, state, Q, dQ):
     """Rate of the state (q, beta) from the conforming blocks of the driving
-    force on its proxy Q, whose gradient is dQ."""
-    q, beta = state
-    q_rhs, beta_rhs = _conforming_blocks(gg.geom, rhs_full(gg, params, Q, dQ))
+    force on its proxy Q, whose gradient is dQ.  A frame at rest (mot None)
+    steps with those blocks alone."""
+    blocks = _conforming_blocks(gg.geom, rhs_full(gg, params, Q, dQ))
+    if mot is None:
+        return blocks
+    (q, beta), (q_rhs, beta_rhs) = state, blocks
     dq = _tangential(gg.geom, mot, _Block(2, _parts(gg, q, q_rhs, 2)), kind)
     return -dq, -_advected(_parts(gg, beta, beta_rhs, 0), mot.u2)
 
@@ -369,6 +385,12 @@ def _crosscheck_residual(surface, gg, q, beta, seed):
     return float(np.max(_conforming_route_residual(surface, closure, Event(t, a, b))))
 
 
+def _at_rest(mot) -> bool:
+    """Whether every motion array of a flow frame is zero, so that each
+    transport term of its state rate is a product with an exact zero."""
+    return not any(map(np.any, vars(mot).values()))
+
+
 class _FrameGeometry(SimpleNamespace):
     """The geometry arrays that a flow frame keeps, by their GeometrySample
     names; ``embed_contra`` is GeometrySample's and reads ``dX``."""
@@ -406,11 +428,17 @@ def run_flow(
     at the next step's time, so a moving RK4 run builds 2 * steps + 1
     frames.  Each stage takes the gradient of its proxy once,
     for the Laplacian and, in the full-tensor modes, the advection; the
-    step-start gradient also serves the energy.
+    step-start gradient also serves the energy.  A frame whose motion
+    arrays (those its mode reads) are all zero is at rest, and its stages
+    step with the driving force alone; the test reads the arrays, not
+    ``surface.static``, since a static surface can carry a relative
+    velocity.
     Raises ConfigError if snapshots are asked for without an out_dir, and
     StabilityError if dt exceeds the mesh bound on any grid of the run, if
     an energy or the state turns non-finite, or if the total energy rises
-    along a static-surface run.
+    along a static-surface run.  The error's ``step`` and ``t`` name the
+    step and the time of the grid or state that failed; they are None if
+    the first grid fails, before out_dir is created.
     """
     if config.snapshot_every and out_dir is None:
         raise ConfigError("snapshot_every needs an out_dir to write the snapshots to")
@@ -435,20 +463,22 @@ def run_flow(
 
     def lean_frame(gg):
         """The frame of the full grid gg: the grid with the geometry arrays
-        the step reads, and the motion arrays it reads, built on the axes."""
+        the step reads, and the motion arrays it reads, built on the axes,
+        or None in place of the motion if it is at rest."""
         mot = motion_grid(surface, gg.t, gg.y1[:, None], gg.y2[None, :], gg.geom)
+        mot = SimpleNamespace(**{a: getattr(mot, a) for a in read})
         return (
             replace(gg, geom=_FrameGeometry(**{a: getattr(gg.geom, a) for a in geo_read})),
-            SimpleNamespace(**{a: getattr(mot, a) for a in read}),
+            None if _at_rest(mot) else mot,
         )
 
-    def frame_for(f, t):
+    def frame_for(f, t, step):
         """The frame at t: f on a static surface or when f is at t, else a
         new frame on a grid whose stability bound is checked."""
         if surface.static or f[0].t == t:
             return f
         gg = make_grid(surface, t, config.n)
-        _checked_bound(gg, params, config.dt)
+        _checked_bound(gg, params, config.dt, step)
         return lean_frame(gg)
 
     # The initial state is built on the full grid at t = 0.
@@ -498,7 +528,7 @@ def run_flow(
     # after the last step, the final state; its gradient serves the energy
     # and the first stage.  RK4's k4 leaves f at the next step's time.
     for step in range(config.steps + 1):
-        f = frame_for(f, t)
+        f = frame_for(f, t, step)
         gg = f[0]
         Q = to_proxy(gg, *state)
         dQ = grid_gradient(gg, Q)
@@ -507,13 +537,17 @@ def run_flow(
         if not all(map(math.isfinite, (e_el, e_bulk, e_tot, tr_res, sym_res))):
             raise StabilityError(
                 f"energy or state is not finite at step {step} (t={t:g}); "
-                "reduce dt or the initial amplitude"
+                "reduce dt or the initial amplitude",
+                step,
+                t,
             )
         energy_rows.append((step, t, e_el, e_bulk, e_tot, tr_res, sym_res))
         if surface.static and prev_total is not None and e_tot > prev_total + ENERGY_RISE_TOL:
             raise StabilityError(
                 f"energy rose by {e_tot - prev_total:g} at step {step}; "
-                "reduce dt or check the configuration"
+                "reduce dt or check the configuration",
+                step,
+                t,
             )
         prev_total = e_tot
         if config.snapshot_every and step % config.snapshot_every == 0:
@@ -526,14 +560,15 @@ def run_flow(
         t_next = (step + 1) * config.dt
         if config.method == "euler":
             state = axpy(state, rate(f, state, Q, dQ), config.dt)
+            del dQ, gg, Q  # the next step takes its own; freeing them first lowers the peak memory
         else:
             h = config.dt
             k1 = rate(f, state, Q, dQ)
             del dQ, gg, Q  # k2 to k4 take their own; freeing them lowers the peak memory
-            f = frame_for(f, t + 0.5 * h)
+            f = frame_for(f, t + 0.5 * h, step)
             k2 = rate(f, axpy(state, k1, 0.5 * h))
             k3 = rate(f, axpy(state, k2, 0.5 * h))
-            f = frame_for(f, t_next)
+            f = frame_for(f, t_next, step)
             k4 = rate(f, axpy(state, k3, h))
             state = combine_rk4(state, k1, k2, k3, k4, h)
         t = t_next

@@ -201,6 +201,28 @@ def test_energy_rise_stops_a_static_flow(tmp_path, monkeypatch, capsys):
         run_flow(get_scenario("torus-static"), LdGParams(), FlowConfig(n=16, steps=3))
     assert main(["flow", "--n", "16", "--steps", "3", "--out", str(tmp_path)]) == 1
     assert "energy rose" in capsys.readouterr().err
+    failure = _strict_json(tmp_path / "flow_report.json")["failure"]
+    assert failure["reason"].startswith("energy rose by 0.193266 at step 1;")
+    assert (failure["step"], failure["t"]) == (1, 1e-4)
+
+
+def test_flow_failing_mid_run_reports_its_step(tmp_path, capsys):
+    # dt passes the bound of the t = 0 grid (0.0130); the breathing tube
+    # thickens, and the grid at the start of step 28 has a lower one
+    out = tmp_path / "out"
+    args = ["--scenario", "torus-breathing", "--n", "24", "--dt", "0.0126", "--steps", "40"]
+    assert main(["flow", *args, "--out", str(out)]) == 1
+    assert "bound 0.0125587 at t=0.3528" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["flow_report.json"]
+    report = _strict_json(out / "flow_report.json")
+    assert sorted(report) == ["config", "failure", "params", "scenario"]
+    assert report["scenario"] == "torus-breathing"
+    assert report["config"]["dt"] == 0.0126
+    failure = report["failure"]
+    assert (failure["step"], failure["t"]) == (28, 0.3528)
+    assert failure["reason"] == (
+        "dt=0.0126 exceeds the explicit stability bound 0.0125587 at t=0.3528"
+    )
 
 
 def test_outdir_env_override(tmp_path, monkeypatch):

@@ -1,11 +1,12 @@
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from surfrates import diffops, landau
-from surfrates.chart_kernel import get_scenario
+from surfrates.chart_kernel import _const_u, get_scenario
 from surfrates.diffops import make_grid
 from surfrates.geometry import geometry_from_jet
 from surfrates.errors import ConfigError, StabilityError
@@ -364,14 +365,16 @@ def test_rhs_full_and_energy_of_a_given_gradient_have_the_same_bits(torus_drift)
     [
         ("FullQ_Jaumann", "rk4", "torus_drift", 4),
         ("FullQ_Material", "euler", "torus_drift", 1),
-        ("Conforming_Material", "euler", "torus_static", 3),
+        ("Conforming_Material", "euler", "torus_static", 1),
+        ("Conforming_Material", "euler", "torus_drift", 3),
         ("Conforming_Jaumann", "rk4", "torus_drift", 12),
     ],
 )
 def test_flow_takes_one_gradient_per_stage(monkeypatch, request, mode, method, scenario, per_step):
     # the step-start proxy's gradient serves the energy and the first stage,
     # and each stage's proxy gradient serves the Laplacian and, in the
-    # full-tensor modes, the advection; conforming stages add q and beta
+    # full-tensor modes, the advection; conforming stages add q and beta,
+    # except on a frame at rest, which takes no transport term
     calls = []
     original = diffops.grid_gradient
 
@@ -385,6 +388,43 @@ def test_flow_takes_one_gradient_per_stage(monkeypatch, request, mode, method, s
     cfg = FlowConfig(mode=mode, n=16, dt=1e-3, steps=steps, method=method)
     run_flow(request.getfixturevalue(scenario), LdGParams(), cfg)
     assert len(calls) == per_step * steps + 1
+
+
+def _flow_bytes(result):
+    """The energy rows and the bytes of the final state of a flow."""
+    state = (result.final_Q, result.final_q, result.final_beta)
+    return result.energy_rows, [None if a is None else a.tobytes() for a in state]
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("mode", landau.FLOW_MODES)
+@pytest.mark.parametrize("scenario", ["torus_static", "flat_torus"])
+def test_frames_at_rest_keep_the_bits_of_the_formulas(monkeypatch, request, scenario, mode, method):
+    # every motion array of these frames is zero, so the driving force alone
+    # gives the rate that the transport formulas give
+    rest = []
+    at_rest = landau._at_rest
+    monkeypatch.setattr(landau, "_at_rest", lambda mot: rest.append(at_rest(mot)) or rest[-1])
+    surface = request.getfixturevalue(scenario)
+    cfg = FlowConfig(mode=mode, n=16, dt=1e-3, steps=5, method=method)
+    shortcut = _flow_bytes(run_flow(surface, LdGParams(b=0.5), cfg))
+    assert rest == [True]
+    monkeypatch.setattr(landau, "_at_rest", lambda mot: False)
+    assert shortcut == _flow_bytes(run_flow(surface, LdGParams(b=0.5), cfg))
+
+
+@pytest.mark.parametrize("mode", landau.FLOW_MODES)
+def test_a_static_surface_with_a_relative_velocity_is_not_at_rest(torus_static, mode):
+    # static=True, and u = (0.3, 0.2) moves the material over the fixed torus,
+    # so the transport terms are not zero and the flow differs
+    drifting = replace(torus_static, **_const_u(0.3, 0.2))
+    assert drifting.static
+    cfg = FlowConfig(mode=mode, n=16, dt=1e-3, steps=5)
+    still = run_flow(torus_static, LdGParams(), cfg)
+    moved = run_flow(drifting, LdGParams(), cfg)
+    assert still.energies[0] == moved.energies[0]
+    change = np.max(np.abs(moved.final_Q - still.final_Q)) / np.max(np.abs(still.final_Q))
+    assert change > 1e-4
 
 
 @pytest.mark.parametrize("scenario", ["torus_static", "torus_drift"])
