@@ -92,7 +92,6 @@ class Domain:
         return y1, y2
 
     def contains(self, y1, y2, pad: float = 0.0) -> bool:
-        y1, y2 = self.wrap(y1, y2)
         ok = True
         if not self.periodic1:
             lo, hi = self.y1_range

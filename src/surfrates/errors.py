@@ -8,7 +8,6 @@ __all__ = [
     "InversionError",
     "RankError",
     "MissingSplitError",
-    "NotTangentialError",
     "NotQTensorError",
     "NotConformingError",
     "StencilError",
@@ -42,11 +41,6 @@ class RankError(SurfratesError):
 class MissingSplitError(SurfratesError):
     """A decomposed computation path was requested for a field closure that does
     not provide split components."""
-
-
-class NotTangentialError(SurfratesError):
-    """Supplied values have a normal component above tolerance where a tangential
-    field is required."""
 
 
 class NotQTensorError(SurfratesError):

@@ -74,16 +74,20 @@ def split_tensor(geom: GeometrySample, cart: np.ndarray, rank: int) -> TensorSpl
 
 
 def reconstruct(geom: GeometrySample, split: TensorSplit) -> np.ndarray:
+    """The Cartesian proxy of a split.  A rank-2 split whose coupling blocks
+    are both all zero (a conforming Q-tensor; a zero block may be broadcast,
+    as (2, 1, 1)) skips their products: adding an exact zero keeps every
+    nonzero entry's bits, so only the sign of an exact zero can differ."""
     _check_rank(split.rank)
-    dX, nu = geom.dX, geom.nu
+    nu = geom.nu
     if split.rank == 1:
         return geom.embed_vec(split.r2) + split.phi * nu
+    # the sums go in place, so the proxy allocates no array per sum
     out = geom.embed_contra(split.r2)
-    etaL3 = geom.embed_vec(split.etaL2)
-    etaR3 = geom.embed_vec(split.etaR2)
-    out = out + np.einsum("a...,b...->ab...", etaL3, nu)
-    out = out + np.einsum("a...,b...->ab...", nu, etaR3)
-    out = out + split.phi * np.einsum("a...,b...->ab...", nu, nu)
+    if np.any(split.etaL2) or np.any(split.etaR2):
+        out += np.einsum("a...,b...->ab...", geom.embed_vec(split.etaL2), nu)
+        out += np.einsum("a...,b...->ab...", nu, geom.embed_vec(split.etaR2))
+    out += split.phi * np.einsum("a...,b...->ab...", nu, nu)
     return out
 
 

@@ -426,9 +426,9 @@ def check_identities(
     )
 
     # velocity gradient split d_j V = G^i_j d_i X + b_j nu (exact on both sides)
-    for tag, V, dV, G, b in (
-        ("observer", mot.V_o, mot.dV_o, mot.G_obs, mot.b_obs_cov),
-        ("material", mot.V_m, mot.dV_m, mot.G, mot.b_cov),
+    for tag, dV, G, b in (
+        ("observer", mot.dV_o, mot.G_obs, mot.b_obs_cov),
+        ("material", mot.dV_m, mot.G, mot.b_cov),
     ):
         resid = (
             dV

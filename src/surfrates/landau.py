@@ -40,7 +40,7 @@ from .diffops import (
     make_grid,
 )
 from .errors import ConfigError, StabilityError
-from .fields import QSplit, _conforming_blocks, pi_q_components
+from .fields import QSplit, _conforming_blocks, pi_q_components, q_to_cart
 from .geometry import GeometrySample, geometry_from_jet, motion_grid
 from .timederiv import (
     DerivKind,
@@ -259,11 +259,9 @@ def rhs_full(gg: GridGeometry, params: LdGParams, Q: np.ndarray, grad=None) -> n
 
 def conforming_to_proxy(gg: GridGeometry, q: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """The proxy embed(q - beta g^-1 / 2) + beta nu nu of a conforming state:
-    ``q_to_cart`` with eta2 = 0, summed in the same order but without the
-    two zero coupling blocks."""
-    geom = gg.geom
-    out = geom.embed_contra(q - 0.5 * beta * geom.ginv)
-    return out + beta * np.einsum("a...,b...->ab...", geom.nu, geom.nu)
+    ``q_to_cart`` with a zero coupling block, given broadcast so that it
+    costs no grid array and ``reconstruct`` skips its products."""
+    return q_to_cart(gg.geom, QSplit(q, np.zeros((2,) + (1,) * beta.ndim), beta))
 
 
 def stability_bound(gg: GridGeometry, params: LdGParams) -> float:
@@ -438,7 +436,9 @@ def run_flow(
     an energy or the state turns non-finite, or if the total energy rises
     along a static-surface run.  The error's ``step`` and ``t`` name the
     step and the time of the grid or state that failed; they are None if
-    the first grid fails, before out_dir is created.
+    the first grid fails, before out_dir is created.  A run that fails
+    after that still writes the ``energy.csv`` rows of the steps before
+    the failure.
     """
     if config.snapshot_every and out_dir is None:
         raise ConfigError("snapshot_every needs an out_dir to write the snapshots to")
@@ -527,53 +527,65 @@ def run_flow(
     # The step-start proxy serves the energy, the first stage's rate and,
     # after the last step, the final state; its gradient serves the energy
     # and the first stage.  RK4's k4 leaves f at the next step's time.
-    for step in range(config.steps + 1):
-        f = frame_for(f, t, step)
-        gg = f[0]
-        Q = to_proxy(gg, *state)
-        dQ = grid_gradient(gg, Q)
-        e_el, e_bulk, e_tot = energy(gg, params, Q, dQ)
-        tr_res, sym_res = _state_residuals(Q)
-        if not all(map(math.isfinite, (e_el, e_bulk, e_tot, tr_res, sym_res))):
-            raise StabilityError(
-                f"energy or state is not finite at step {step} (t={t:g}); "
-                "reduce dt or the initial amplitude",
-                step,
-                t,
-            )
-        energy_rows.append((step, t, e_el, e_bulk, e_tot, tr_res, sym_res))
-        if surface.static and prev_total is not None and e_tot > prev_total + ENERGY_RISE_TOL:
-            raise StabilityError(
-                f"energy rose by {e_tot - prev_total:g} at step {step}; "
-                "reduce dt or check the configuration",
-                step,
-                t,
-            )
-        prev_total = e_tot
-        if config.snapshot_every and step % config.snapshot_every == 0:
-            _write_snapshot(out_dir, step, t, config.mode, dict(zip(names, state)))
-        if config.crosscheck_every and step % config.crosscheck_every == 0:
-            res = _crosscheck_residual(surface, gg, state[0], state[1], config.seed + step)
-            crosschecks.append((step, t, res))
-        if step == config.steps:
-            break
-        t_next = (step + 1) * config.dt
-        if config.method == "euler":
-            state = axpy(state, rate(f, state, Q, dQ), config.dt)
-            del dQ, gg, Q  # the next step takes its own; freeing them first lowers the peak memory
-        else:
-            h = config.dt
-            k1 = rate(f, state, Q, dQ)
-            del dQ, gg, Q  # k2 to k4 take their own; freeing them lowers the peak memory
-            f = frame_for(f, t + 0.5 * h, step)
-            k2 = rate(f, axpy(state, k1, 0.5 * h))
-            k3 = rate(f, axpy(state, k2, 0.5 * h))
-            f = frame_for(f, t_next, step)
-            k4 = rate(f, axpy(state, k3, h))
-            state = combine_rk4(state, k1, k2, k3, k4, h)
-        t = t_next
+    try:
+        for step in range(config.steps + 1):
+            f = frame_for(f, t, step)
+            gg = f[0]
+            Q = to_proxy(gg, *state)
+            dQ = grid_gradient(gg, Q)
+            e_el, e_bulk, e_tot = energy(gg, params, Q, dQ)
+            tr_res, sym_res = _state_residuals(Q)
+            if not all(map(math.isfinite, (e_el, e_bulk, e_tot, tr_res, sym_res))):
+                raise StabilityError(
+                    f"energy or state is not finite at step {step} (t={t:g}); "
+                    "reduce dt or the initial amplitude",
+                    step,
+                    t,
+                )
+            energy_rows.append((step, t, e_el, e_bulk, e_tot, tr_res, sym_res))
+            if surface.static and prev_total is not None and e_tot > prev_total + ENERGY_RISE_TOL:
+                raise StabilityError(
+                    f"energy rose by {e_tot - prev_total:g} at step {step}; "
+                    "reduce dt or check the configuration",
+                    step,
+                    t,
+                )
+            prev_total = e_tot
+            if config.snapshot_every and step % config.snapshot_every == 0:
+                _write_snapshot(out_dir, step, t, config.mode, dict(zip(names, state)))
+            if config.crosscheck_every and step % config.crosscheck_every == 0:
+                res = _crosscheck_residual(surface, gg, state[0], state[1], config.seed + step)
+                crosschecks.append((step, t, res))
+            if step == config.steps:
+                break
+            t_next = (step + 1) * config.dt
+            if config.method == "euler":
+                state = axpy(state, rate(f, state, Q, dQ), config.dt)
+                # the next step takes its own; freeing them first lowers the peak memory
+                del dQ, gg, Q
+            else:
+                h = config.dt
+                k1 = rate(f, state, Q, dQ)
+                del dQ, gg, Q  # k2 to k4 take their own; freeing them lowers the peak memory
+                f = frame_for(f, t + 0.5 * h, step)
+                k2 = rate(f, axpy(state, k1, 0.5 * h))
+                k3 = rate(f, axpy(state, k2, 0.5 * h))
+                f = frame_for(f, t_next, step)
+                k4 = rate(f, axpy(state, k3, h))
+                state = combine_rk4(state, k1, k2, k3, k4, h)
+            t = t_next
+    finally:
+        # a run that fails mid-run keeps the rows of the steps it completed
+        if out_dir is not None:
+            with open(os.path.join(out_dir, "energy.csv"), "w") as fh:
+                fh.write(",".join(ENERGY_COLUMNS) + "\n")
+                for row in energy_rows:
+                    fh.write(
+                        f"{row[0]},{row[1]:.10g},{row[2]:.12g},{row[3]:.12g},"
+                        f"{row[4]:.12g},{row[5]:.3e},{row[6]:.3e}\n"
+                    )
 
-    result = FlowResult(
+    return FlowResult(
         energy_rows=energy_rows,
         crosschecks=crosschecks,
         bound=bound,
@@ -581,12 +593,3 @@ def run_flow(
         final_q=state[0] if conforming else None,
         final_beta=state[1] if conforming else None,
     )
-    if out_dir is not None:
-        with open(os.path.join(out_dir, "energy.csv"), "w") as fh:
-            fh.write(",".join(ENERGY_COLUMNS) + "\n")
-            for row in energy_rows:
-                fh.write(
-                    f"{row[0]},{row[1]:.10g},{row[2]:.12g},{row[3]:.12g},"
-                    f"{row[4]:.12g},{row[5]:.3e},{row[6]:.3e}\n"
-                )
-    return result

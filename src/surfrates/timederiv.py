@@ -31,17 +31,15 @@ import numpy as np
 
 from ._fd import c2_c4_dt_grad
 from .chart_kernel import Event, MovingSurface, _require_event_inside
-from .errors import ConfigError, MissingSplitError, NotTangentialError, RankError
+from .errors import ConfigError, MissingSplitError, RankError
 from .fields import (
     QSplit,
     TensorSplit,
-    _off_structure,
     _require_conforming,
     pi_q_components,
     q_split_to_split,
     q_to_cart,
     reconstruct,
-    split_tensor,
 )
 from .geometry import (
     GeometrySample,
@@ -111,21 +109,6 @@ class TangentialFieldClosure:
 
     rank: int
     comp_eval: Callable
-
-    @staticmethod
-    def from_cart(surface: MovingSurface, closure: FieldClosure) -> "TangentialFieldClosure":
-        if closure.rank not in (1, 2):
-            raise RankError("tangential closures have rank 1 or 2")
-
-        def comp_eval(t, y1, y2):
-            geom = geometry_from_jet(surface.jet(t, y1, y2))
-            split = split_tensor(geom, closure.eval(t, y1, y2), closure.rank)
-            off = (x for x in (split.phi, split.etaL2, split.etaR2) if x is not None)
-            if any(_off_structure(x, split.r2, nb=np.ndim(split.phi)) for x in off):
-                raise NotTangentialError("field has a normal component")
-            return split.r2
-
-        return TangentialFieldClosure(rank=closure.rank, comp_eval=comp_eval)
 
 
 @dataclass
@@ -483,12 +466,13 @@ def _q_formula(geom, mot, parts: list[_Block], kind: DerivKind) -> QSplit:
         )
     q, eta, beta = qb.p.v, eb.p.v, bb.p.v
     qdot = _tangential(geom, mot, qb, DerivKind.Material)
-    etadot = _tangential(geom, mot, eb, DerivKind.Material)
-
     if kind == DerivKind.ConformingMaterial:
+        # the conforming derivative's coupling rate is zero, so the coupling
+        # block's own rate is not taken
         _require_conforming(QSplit(q2=q, eta2=eta, beta=beta))
-        return QSplit(q2=qdot, eta2=np.zeros_like(etadot), beta=betadot)
+        return QSplit(q2=qdot, eta2=np.zeros_like(eta), beta=betadot)
 
+    etadot = _tangential(geom, mot, eb, DerivKind.Material)
     b = mot.b_cov
     bup = _contract_metric(geom.ginv, b, 1)
     qblock = qdot - 2.0 * pi_q_components(geom, np.einsum("i...,j...->ij...", eta, bup))

@@ -213,7 +213,11 @@ def test_flow_failing_mid_run_reports_its_step(tmp_path, capsys):
     args = ["--scenario", "torus-breathing", "--n", "24", "--dt", "0.0126", "--steps", "40"]
     assert main(["flow", *args, "--out", str(out)]) == 1
     assert "bound 0.0125587 at t=0.3528" in capsys.readouterr().err
-    assert sorted(p.name for p in out.iterdir()) == ["flow_report.json"]
+    assert sorted(p.name for p in out.iterdir()) == ["energy.csv", "flow_report.json"]
+    # the rows of steps 0 to 27, computed before the failure, are kept
+    lines = (out / "energy.csv").read_text().splitlines()
+    assert len(lines) == 1 + 28
+    assert lines[-1].startswith("27,0.3402,")
     report = _strict_json(out / "flow_report.json")
     assert sorted(report) == ["config", "failure", "params", "scenario"]
     assert report["scenario"] == "torus-breathing"

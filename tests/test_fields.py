@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from surfrates.chart_kernel import Event
+from surfrates.chart_kernel import Event, sample_events
 from surfrates.diffops import make_grid
 from surfrates.errors import NotConformingError, NotQTensorError, RankError
 from surfrates.fields import (
     QSplit,
+    TensorSplit,
     _conforming_blocks,
     _require_conforming,
     g_inner_rank2,
@@ -208,3 +209,51 @@ def test_conforming_check_scales_each_point():
         _require_conforming(QSplit(q2=q2[..., 0], eta2=eta2[..., 0], beta=beta[0]))
     with pytest.raises(NotConformingError):
         _require_conforming(QSplit(q2=q2, eta2=eta2, beta=beta))
+
+
+def _summed_block_by_block(geom, split):
+    """The rank-2 proxy of a split with every product added, the coupling
+    products included."""
+    nu = geom.nu
+    out = geom.embed_contra(split.r2)
+    out = out + np.einsum("a...,b...->ab...", geom.embed_vec(split.etaL2), nu)
+    out = out + np.einsum("a...,b...->ab...", nu, geom.embed_vec(split.etaR2))
+    return out + split.phi * np.einsum("a...,b...->ab...", nu, nu)
+
+
+def _frames(torus_drift):
+    """The geometry on a 16x16 grid and at a batch of 5 events, with a
+    random rank-2 split of each one's shape."""
+    rng = np.random.default_rng(5)
+    events = sample_events(torus_drift, 5, 31)
+    batch = Event(*map(np.array, zip(*[(e.t, e.y1, e.y2) for e in events])))
+    for geom in (make_grid(torus_drift, 0.3, 16).geom, geometry_at(torus_drift, batch)):
+        shape = geom.nu.shape[1:]
+        r2, eta = rng.normal(size=(2, 2) + shape), rng.normal(size=(2,) + shape)
+        yield geom, r2, eta, rng.normal(size=shape)
+
+
+def test_reconstruct_skips_zero_coupling_blocks_with_the_same_bits(torus_drift):
+    # adding the two zero coupling products changes no nonzero entry, and an
+    # exact zero of either sign compares equal; a zero block given broadcast
+    # is skipped the same way
+    for geom, r2, _, phi in _frames(torus_drift):
+        zero = np.zeros((2,) + phi.shape)
+        want = _summed_block_by_block(geom, TensorSplit(2, r2, phi, zero, zero))
+        for blk in (zero, np.zeros((2,) + (1,) * phi.ndim)):
+            got = reconstruct(geom, TensorSplit(2, r2, phi, blk, blk))
+            assert np.array_equal(got, want)
+            assert got.flags.c_contiguous
+
+
+def test_reconstruct_keeps_a_one_sided_coupling_block(torus_drift):
+    # a split with only its left, or only its right, coupling block nonzero
+    # still gets that block's product
+    for geom, r2, eta, phi in _frames(torus_drift):
+        zero = np.zeros_like(eta)
+        for left, right in ((eta, zero), (zero, eta)):
+            split = TensorSplit(2, r2, phi, left, right)
+            want = _summed_block_by_block(geom, split)
+            assert np.array_equal(reconstruct(geom, split), want)
+            without = reconstruct(geom, TensorSplit(2, r2, phi, zero, zero))
+            assert np.max(np.abs(want - without)) > 0.1

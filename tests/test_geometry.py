@@ -114,6 +114,16 @@ def test_check_identities_on_a_given_frame_matches_its_own(torus_drift):
     assert len(alone.rows) == 15
 
 
+def test_check_identities_builds_no_material_velocity(torus_drift, torus_events):
+    # the velocity-split rows read the velocity gradients only, so the
+    # material velocity V_m (one embed per event) is never built
+    ev = torus_events[0]
+    geom = geometry_at(torus_drift, ev)
+    mot = motion_at(torus_drift, ev, geom)
+    check_identities(torus_drift, ev, geom, mot)
+    assert "dV_m" in vars(mot) and "V_m" not in vars(mot)
+
+
 def test_identity_report_shape(torus_drift, torus_events):
     report = check_identities(torus_drift, torus_events[0])
     obj = report.to_json_obj()

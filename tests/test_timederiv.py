@@ -9,7 +9,6 @@ from surfrates.errors import (
     DomainError,
     MissingSplitError,
     NotConformingError,
-    NotTangentialError,
 )
 from surfrates.fields import QSplit, pi_q_components, q_to_cart, project
 from surfrates.geometry import geometry_at, geometry_from_jet, motion_at, motion_grid
@@ -133,6 +132,25 @@ def test_q_dt_jaumann_closure(torus_drift, torus_events):
         assert rel_residual(q_to_cart(geom, dq), full) < 1e-8
 
 
+def test_conforming_q_dt_takes_no_coupling_rate(torus_drift, torus_events, monkeypatch):
+    # the conforming derivative's coupling rate is zero, so only the q2
+    # block's tangential rate is taken
+    import surfrates.timederiv as timederiv
+
+    calls = []
+    tangential = timederiv._tangential
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return tangential(*args, **kwargs)
+
+    monkeypatch.setattr(timederiv, "_tangential", counted)
+    qcl = probe_conforming_q_field(torus_drift)
+    dq = q_dt(torus_drift, qcl, torus_events[0], DerivKind.ConformingMaterial)
+    assert len(calls) == 1 and calls[0].rank == 2
+    assert np.array_equal(dq.eta2, np.zeros((2,)))
+
+
 def test_q_dt_rejects_upper_lower(torus_drift, torus_events):
     qcl = probe_q_field(torus_drift)
     with pytest.raises(ConfigError):
@@ -159,43 +177,6 @@ def test_missing_split_raises(torus_drift, torus_events):
     closure = FieldClosure(2, lambda t, a, b: np.zeros((3, 3)))
     with pytest.raises(MissingSplitError):
         material_dt(torus_drift, closure, torus_events[0], "Decomposed")
-
-
-def test_tangential_closure_rejects_normal_component(torus_drift, torus_events):
-    ev = torus_events[0]
-    geom = geometry_at(torus_drift, ev)
-
-    def eval_normal(t, a, b):
-        g = geometry_at(torus_drift, Event(t, a, b))
-        return g.nu.copy()
-
-    closure = TangentialFieldClosure.from_cart(
-        torus_drift, FieldClosure(1, eval_normal)
-    )
-    with pytest.raises(NotTangentialError):
-        closure.comp_eval(ev.t, ev.y1, ev.y2)
-
-
-@pytest.mark.parametrize("rank", [1, 2])
-def test_tangential_closure_from_cart_keeps_the_components(torus_drift, rank):
-    # a Cartesian closure embedded from the tangential probe converts back to
-    # the probe's components, and both give the same tangential rates
-    probe = probe_tangential(rank)
-
-    def eval_cart(t, a, b):
-        geom = geometry_from_jet(torus_drift.jet(t, a, b))
-        comps = probe.comp_eval(t, a, b)
-        return geom.embed_vec(comps) if rank == 1 else geom.embed_contra(comps)
-
-    closure = TangentialFieldClosure.from_cart(torus_drift, FieldClosure(rank, eval_cart))
-    events = sample_events(torus_drift, 3, 17)
-    ev = Event(*map(np.array, zip(*[(e.t, e.y1, e.y2) for e in events])))
-    got = closure.comp_eval(ev.t, ev.y1, ev.y2)
-    assert np.max(np.abs(got - probe.comp_eval(ev.t, ev.y1, ev.y2))) < 1e-12
-    for kind in (DerivKind.Material, DerivKind.Upper, DerivKind.Lower, DerivKind.Jaumann):
-        a = tangential_dt(torus_drift, closure, ev, kind)
-        b = tangential_dt(torus_drift, probe, ev, kind)
-        assert np.max(np.abs(a - b)) < 1e-10, kind
 
 
 def test_corotating_field_has_zero_jaumann_rate(sphere_rot):
