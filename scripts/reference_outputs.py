@@ -7,6 +7,8 @@ with the same fixed runs on both trees:
   flow modes, Euler and RK4, n=48, 30 steps, dt=1e-3;
 * the cross-check flow: torus-breathing-drift, Conforming_Jaumann, RK4, with
   the conforming cross-check every 5 steps, same grid and steps;
+* the snapshot flow: torus-breathing-drift, Conforming_Material, Euler, with
+  a snapshot every 10 steps (headers and arrays), same grid and steps;
 * ``verify --suite all --events 3 --seed 20240`` on every scenario;
 * ``converge --kind fd``, ``laplace`` and ``thinfilm``, each with its
   default scenario and seed.
@@ -88,6 +90,10 @@ def _runs(scenarios, modes):
     yield "flow/crosscheck", (
         "flow", "--scenario", "torus-breathing-drift", "--mode", "Conforming_Jaumann",
         "--method", "rk4", "--crosscheck-every", "5",
+    ) + FLOW_ARGS
+    yield "flow/snapshot", (
+        "flow", "--scenario", "torus-breathing-drift", "--mode", "Conforming_Material",
+        "--method", "euler", "--snapshot-every", "10",
     ) + FLOW_ARGS
     for scenario in scenarios:
         yield "verify", (

@@ -33,7 +33,7 @@ from .diffops import (
     surface_laplace,
 )
 from .errors import ConfigError, StabilityError, SurfratesError
-from .fields import g_inner_rank2, pi_q_components, project, q_from_cart, q_to_cart
+from .fields import QSplit, g_inner_rank2, pi_q_components, project, q_from_cart, q_to_cart
 from .geometry import IdentityReport, check_identities, geometry_at, motion_at
 from .landau import ENERGY_RISE_TOL, FlowConfig, LdGParams, run_flow
 from .probes import (
@@ -70,8 +70,6 @@ __all__ = [
     "main",
 ]
 
-SUITES = ("geometry", "derivatives", "qtensor", "laplace", "all")
-
 # Largest conforming-Laplacian cross-route residual a flow may report
 # (acceptance criterion 08).
 CROSSCHECK_TOL = 1e-5
@@ -80,8 +78,12 @@ CROSSCHECK_TOL = 1e-5
 def _outdir(arg_out: str | None) -> str:
     """The output directory: ``--out``, or $SURFRATES_OUTDIR, or the current
     directory.  It is not created here, so a command that fails on its
-    settings writes nothing."""
-    return arg_out or os.environ.get("SURFRATES_OUTDIR", ".")
+    settings writes nothing; a path that exists and is not a directory is
+    a ConfigError."""
+    out = arg_out or os.environ.get("SURFRATES_OUTDIR", ".")
+    if os.path.lexists(out) and not os.path.isdir(out):
+        raise ConfigError(f"output path {out!r} exists and is not a directory")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +167,8 @@ def _suite_qtensor(surface, ev, geom, mot, report: IdentityReport):
     ccl = probe_conforming_q_field(surface)
     cfl = ccl.as_field_closure(surface)
     t, y1, y2 = ev.t, ev.y1, ev.y2
-    # each side's parts once: q_eval's blocks for the Q-split routes, the
-    # full proxy and its material rate for the others
+    # each side's parts once: q_eval's blocks for the Q-split routes and the
+    # pointwise algebra, the full proxy and its material rate for the others
     qparts = _q_parts(surface, qcl, ev)
     Fv, dm_full = _advected_parts(surface, fcl.eval, ev)
 
@@ -185,7 +187,7 @@ def _suite_qtensor(surface, ev, geom, mot, report: IdentityReport):
 
     dup = _via_material(mot, 2, DerivKind.Upper, Fv, dm_full)
     dlo = _via_material(mot, 2, DerivKind.Lower, Fv, dm_full)
-    qs = qcl.q_eval(t, y1, y2)
+    qs = QSplit(*(b.p.v for b in qparts))
     q2 = qs.q2
     pred = qs.beta * _trace(mot.G) - 2.0 * np.sum(_mm(geom.g, mot.G) * q2, axis=(0, 1))
     report.add("qtensor-upper-trace", _scaled(_trace(dup) - pred, pred), 1e-6)
@@ -262,6 +264,7 @@ _SUITE_FUNCS = {
     "qtensor": _suite_qtensor,
     "laplace": _suite_laplace,
 }
+SUITES = (*_SUITE_FUNCS, "all")
 
 
 def run_verify(
@@ -279,7 +282,7 @@ def run_verify(
     geom = geometry_at(surface, ev)
     mot = motion_at(surface, ev, geom)
     report = IdentityReport()
-    names = [s for s in SUITES[:-1]] if suite == "all" else [suite]
+    names = list(_SUITE_FUNCS) if suite == "all" else [suite]
     for name in names:
         _SUITE_FUNCS[name](surface, ev, geom, mot, report)
     identities = report.to_json_obj()
@@ -299,6 +302,14 @@ def run_verify(
 # convergence studies
 
 
+def _study(rows) -> dict:
+    """The fitted order and the rows of a study's (step, error) pairs."""
+    return {
+        "fitted_order": _order_json(fit_order(rows)),
+        "rows": [{"error": e, "step": h} for (h, e) in rows],
+    }
+
+
 def run_converge_fd(scenario: str, seed: int = 7) -> dict:
     surface = get_scenario(scenario)
     if surface.jets is None:
@@ -307,23 +318,10 @@ def run_converge_fd(scenario: str, seed: int = 7) -> dict:
     ja = surface.jet(ev.t, ev.y1, ev.y2)
     rows = []
     for h in (0.02, 0.01, 0.005):
-        fs = fd_variant(surface, h)
-        jf = fs.jet(ev.t, ev.y1, ev.y2)
-        err = max(
-            _maxabs(jf.dX - ja.dX),
-            _maxabs(jf.ddX - ja.ddX),
-            _maxabs(jf.Vt - ja.Vt),
-            _maxabs(jf.dVt - ja.dVt),
-        )
+        jf = fd_variant(surface, h).jet(ev.t, ev.y1, ev.y2)
+        err = max(_maxabs(getattr(jf, k) - getattr(ja, k)) for k in ("dX", "ddX", "Vt", "dVt"))
         rows.append((h, err))
-    order = fit_order(rows)
-    return {
-        "fitted_order": _order_json(order),
-        "kind": "fd",
-        "rows": [{"error": e, "step": h} for (h, e) in rows],
-        "scenario": scenario,
-        "seed": seed,
-    }
+    return {**_study(rows), "kind": "fd", "scenario": scenario, "seed": seed}
 
 
 def run_converge_thinfilm(scenario: str, seed: int = 7) -> dict:
@@ -352,13 +350,7 @@ def run_converge_laplace(scenario: str) -> dict:
         ref = scalar_laplace(surface, f, Event(t0, gg.y1[:, None], gg.y2[None, :]), gg.geom)
         err = _maxabs(grid_laplace(gg, F) - ref)
         rows.append((gg.h1, err))
-    order = fit_order(rows)
-    return {
-        "fitted_order": _order_json(order),
-        "kind": "laplace",
-        "rows": [{"error": e, "step": h} for (h, e) in rows],
-        "scenario": scenario,
-    }
+    return {**_study(rows), "kind": "laplace", "scenario": scenario}
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +367,8 @@ def _dump_json(obj: dict, path: str):
 
 
 def cmd_verify(args) -> int:
-    report = run_verify(args.scenario, args.suite, args.events, args.seed)
     out = _outdir(args.out)
+    report = run_verify(args.scenario, args.suite, args.events, args.seed)
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, f"verify_{args.scenario}_{args.suite}.json")
     _dump_json(report, path)
@@ -457,31 +449,25 @@ def cmd_converge(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {args.seed}")
     scenario = args.scenario or _CONVERGE_DEFAULT_SCENARIO[args.kind]
+    out = _outdir(args.out)
     if args.kind == "fd":
         report = run_converge_fd(scenario, args.seed)
-        csvs = [("converge_fd.csv", report["rows"], report["fitted_order"])]
     elif args.kind == "laplace":
         report = run_converge_laplace(scenario)
-        csvs = [("converge_laplace.csv", report["rows"], report["fitted_order"])]
     else:
         report = run_converge_thinfilm(scenario, args.seed)
-        csvs = [
-            (
-                f"converge_thinfilm_{rep['quantity']}.csv",
-                rep["rows"],
-                rep["fitted_order"],
-            )
-            for rep in report["reports"]
-        ]
-    out = _outdir(args.out)
     os.makedirs(out, exist_ok=True)
-    for fname, rows, order in csvs:
-        with open(os.path.join(out, fname), "w") as fh:
+    # a thin-film study holds one report per quantity, each with its own CSV
+    for study in report.get("reports", [report]):
+        suffix = f"_{study['quantity']}" if "quantity" in study else ""
+        path = os.path.join(out, f"converge_{args.kind}{suffix}.csv")
+        order = study["fitted_order"]
+        with open(path, "w") as fh:
             fh.write("step,error,fitted_order\n")
-            for row in rows:
+            for row in study["rows"]:
                 step = row.get("step", row.get("xi"))
                 fh.write(f"{step:.6g},{row['error']:.6e},{order}\n")
-        print(f"wrote {os.path.join(out, fname)} (fitted_order={order})")
+        print(f"wrote {path} (fitted_order={order})")
     _dump_json(report, os.path.join(out, f"converge_{args.kind}.json"))
     return 0
 

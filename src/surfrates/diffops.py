@@ -237,12 +237,11 @@ def conforming_laplace(
         piQ_B2 = B2c - 0.5 * trB2 * geom.ginv
         qblock = lap_q - trB2 * q + 3.0 * beta * piQ_B2
         bblock = lap_beta + 2.0 * np.einsum("ij...,ij...->...", B2_cov, q) - 3.0 * beta * trB2
-        return QSplit(q2=qblock, eta2=np.zeros_like(qblock[0]), beta=bblock)
-
-    if path != "Projected":
+    elif path == "Projected":
+        full = scalar_laplace(surface, qclosure.as_field_closure(surface).eval, event, geom)
+        qblock, bblock = _conforming_blocks(geom, full)
+    else:
         raise ConfigError(f"unknown conforming_laplace path {path!r}")
-    full = scalar_laplace(surface, qclosure.as_field_closure(surface).eval, event, geom)
-    qblock, bblock = _conforming_blocks(geom, full)
     return QSplit(q2=qblock, eta2=np.zeros_like(qblock[0]), beta=bblock)
 
 

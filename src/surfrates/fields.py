@@ -97,20 +97,20 @@ def tangential_projector(geom: GeometrySample) -> np.ndarray:
     return eye - np.einsum("a...,b...->ab...", geom.nu, geom.nu)
 
 
-def project(geom: GeometrySample, cart: np.ndarray, which: str, rank: int | None = None) -> np.ndarray:
-    """Project a Cartesian proxy onto {Tangential, Q, CQ} structure.
+def project(geom: GeometrySample, cart: np.ndarray, which: str) -> np.ndarray:
+    """Project a Cartesian proxy onto {Tangential, Q, CQ} structure; the
+    proxy's shape gives its rank.
 
     Tangential: rank 1 removes the normal part, rank 2 projects both slots.
     Q: symmetric, surface-traceless, tangential part (rank 2 only).
     CQ: removes the mixed tangent-normal blocks (rank 2 only).
     """
-    if rank is None:
-        if cart.shape == geom.nu.shape:
-            rank = 1
-        elif cart.shape == (3,) + geom.nu.shape:
-            rank = 2
-        else:
-            raise RankError(f"cannot infer rank from proxy shape {cart.shape}")
+    if cart.shape == geom.nu.shape:
+        rank = 1
+    elif cart.shape == (3,) + geom.nu.shape:
+        rank = 2
+    else:
+        raise RankError(f"cannot infer rank from proxy shape {cart.shape}")
     nu = geom.nu
     if which == "Tangential":
         if rank == 1:

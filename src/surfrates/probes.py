@@ -66,55 +66,36 @@ def _matrix_comps_b(t, a, b):
     return _matrix(m11, m12, m21, m22)
 
 
-def _split_rank1(t, a, b):
-    return TensorSplit(rank=1, r2=probe_vector_comps(t, a, b), phi=probe_scalar(t, a, b))
+def _probe(surface: MovingSurface, rank: int, scalar, vector, matrix, other) -> FieldClosure:
+    """Full-field probe split-first from its component functions: rank 1 is
+    (vector, scalar), rank 2 is (matrix, scalar) with coupling vectors
+    vector on the left and other on the right."""
 
+    def split_eval(t, a, b):
+        phi, eta = scalar(t, a, b), vector(t, a, b)
+        if rank == 1:
+            return TensorSplit(rank=1, r2=eta, phi=phi)
+        return TensorSplit(rank=2, r2=matrix(t, a, b), phi=phi, etaL2=eta, etaR2=other(t, a, b))
 
-def _split_rank1_b(t, a, b):
-    return TensorSplit(
-        rank=1, r2=probe_vector_comps_b(t, a, b), phi=probe_scalar_b(t, a, b)
-    )
-
-
-def _split_rank2(t, a, b):
-    return TensorSplit(
-        rank=2,
-        r2=probe_matrix_comps(t, a, b),
-        phi=probe_scalar(t, a, b),
-        etaL2=probe_vector_comps(t, a, b),
-        etaR2=probe_vector_comps_b(t, a, b),
-    )
-
-
-def _split_rank2_b(t, a, b):
-    return TensorSplit(
-        rank=2,
-        r2=_matrix_comps_b(t, a, b),
-        phi=probe_scalar_b(t, a, b),
-        etaL2=probe_vector_comps_b(t, a, b),
-        etaR2=probe_vector_comps(t, a, b),
-    )
-
-
-def _closure_from_split(surface: MovingSurface, rank: int, split_fn) -> FieldClosure:
     def _eval(t, a, b):
         geom = geometry_from_jet(surface.jet(t, a, b))
-        return reconstruct(geom, split_fn(t, a, b))
+        return reconstruct(geom, split_eval(t, a, b))
 
-    return FieldClosure(rank=rank, eval=_eval, split_eval=split_fn)
+    return FieldClosure(rank=rank, eval=_eval, split_eval=split_eval)
 
 
 def probe_field(surface: MovingSurface, rank: int) -> FieldClosure:
     """General full-field probe (tangential, mixed and normal parts all active)."""
-    return _closure_from_split(
-        surface, rank, _split_rank1 if rank == 1 else _split_rank2
+    return _probe(
+        surface, rank, probe_scalar, probe_vector_comps, probe_matrix_comps, probe_vector_comps_b
     )
 
 
 def probe_field_b(surface: MovingSurface, rank: int) -> FieldClosure:
-    """A second, independent probe for product-rule checks."""
-    return _closure_from_split(
-        surface, rank, _split_rank1_b if rank == 1 else _split_rank2_b
+    """A second, independent probe for product-rule checks; its coupling
+    vectors are the first probe's, swapped."""
+    return _probe(
+        surface, rank, probe_scalar_b, probe_vector_comps_b, _matrix_comps_b, probe_vector_comps
     )
 
 
@@ -129,24 +110,26 @@ def _sym_probe(t, a, b):
     return 0.5 * (m + np.einsum("ij...->ji...", m))
 
 
-def probe_q_field(surface: MovingSurface) -> QFieldClosure:
-    """Q-tensor probe with all three blocks active."""
+def _q_probe(surface: MovingSurface, coupling, normal) -> QFieldClosure:
+    """Q-tensor probe: the Q-projection of _sym_probe, the coupling block
+    ``coupling(t, a, b)`` and the normal block ``normal(t, a, b)``.  Without
+    a coupling function the block is zero, at the full shape, since
+    ``_q_parts`` packs every block into one stencil."""
 
     def q_eval(t, a, b):
         geom = geometry_from_jet(surface.jet(t, a, b))
         q2 = pi_q_components(geom, _sym_probe(t, a, b))
-        return QSplit(q2=q2, eta2=probe_vector_comps_b(t, a, b), beta=probe_scalar(t, a, b))
+        eta2 = np.zeros((2,) + q2.shape[2:]) if coupling is None else coupling(t, a, b)
+        return QSplit(q2=q2, eta2=eta2, beta=normal(t, a, b))
 
     return QFieldClosure(q_eval=q_eval)
+
+
+def probe_q_field(surface: MovingSurface) -> QFieldClosure:
+    """Q-tensor probe with all three blocks active."""
+    return _q_probe(surface, probe_vector_comps_b, probe_scalar)
 
 
 def probe_conforming_q_field(surface: MovingSurface) -> QFieldClosure:
     """Conforming probe: no tangent-normal coupling block."""
-
-    def q_eval(t, a, b):
-        geom = geometry_from_jet(surface.jet(t, a, b))
-        q2 = pi_q_components(geom, _sym_probe(t, a, b))
-        eta2 = np.zeros((2,) + q2.shape[2:])
-        return QSplit(q2=q2, eta2=eta2, beta=probe_scalar_b(t, a, b))
-
-    return QFieldClosure(q_eval=q_eval)
+    return _q_probe(surface, None, probe_scalar_b)

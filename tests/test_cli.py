@@ -439,6 +439,36 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["verify", "--scenario", "torus-static"],
+        ["converge", "--kind", "fd"],
+        ["flow", "--n", "16", "--steps", "2"],
+    ],
+    ids=["verify", "converge", "flow"],
+)
+def test_out_naming_an_existing_file_is_a_config_error(
+    tmp_path, capsys, monkeypatch, command, via_env
+):
+    # the output path is checked before any work: a file there is rejected
+    # with exit 2 and left as it was, and nothing else is written
+    for name in ("run_verify", "run_converge_fd", "run_flow"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("ran before --out was checked"))
+    monkeypatch.chdir(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    if via_env:
+        monkeypatch.setenv("SURFRATES_OUTDIR", str(taken))
+    else:
+        command = [*command, "--out", str(taken)]
+    assert main(command) == 2
+    assert "config error" in capsys.readouterr().err
+    assert taken.read_text() == "keep\n"
+    assert list(tmp_path.iterdir()) == [taken]
+
+
 @pytest.mark.parametrize("n_events", [1, 3])
 def test_verify_and_converge_take_batched_path(monkeypatch, n_events):
     # every closure behind `verify`, `converge --kind thinfilm` and the flow
@@ -529,8 +559,8 @@ def test_verify_evaluates_each_closure_once_per_side(monkeypatch, n_events):
     # for the whole batch of events, each probe's split_eval is called once
     # (all Decomposed routes share its parts) and eval once for the proxy
     # routes plus once inside the product closure of the scalar rate; q_eval
-    # serves its own parts, the full proxy built on it, and the pointwise
-    # algebra
+    # serves its own parts, which the pointwise algebra reads too, and the
+    # full proxy built on it
     calls = _counting_probes(monkeypatch)
     assert run_verify("torus-breathing-drift", "derivatives", n_events=n_events, seed=5)[
         "all_pass"
@@ -545,7 +575,7 @@ def test_verify_evaluates_each_closure_once_per_side(monkeypatch, n_events):
     calls.clear()
     assert run_verify("torus-breathing-drift", "qtensor", n_events=n_events, seed=5)["all_pass"]
     assert dict(calls) == {
-        ("probe_q_field", "q_eval"): 3,
+        ("probe_q_field", "q_eval"): 2,
         ("probe_q_field.as_field_closure", "eval"): 1,
         ("probe_conforming_q_field", "q_eval"): 2,
         ("probe_conforming_q_field.as_field_closure", "eval"): 1,

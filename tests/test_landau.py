@@ -1,3 +1,4 @@
+import json
 import weakref
 from dataclasses import replace
 
@@ -575,6 +576,31 @@ def test_flow_snapshots_written(torus_static, tmp_path):
     assert (tmp_path / "snap_000010.json").exists()
     header = (tmp_path / "energy.csv").read_text().splitlines()[0]
     assert header == "step,t,energy_elastic,energy_bulk,energy_total,max_trace_residual,max_sym_residual"
+
+
+@pytest.mark.parametrize(
+    "scenario, mode",
+    [("torus-static", "Conforming_Material"), ("torus-breathing-drift", "FullQ_Jaumann")],
+)
+def test_last_snapshot_reads_back_as_the_final_state(tmp_path, scenario, mode):
+    # the last header names each state array with its file, shape and dtype,
+    # and each file holds that array bit for bit
+    cfg = FlowConfig(n=16, dt=1e-4, steps=10, snapshot_every=5, seed=2, mode=mode)
+    res = run_flow(get_scenario(scenario), LdGParams(), cfg, out_dir=str(tmp_path))
+    if mode.startswith("Conforming"):
+        final = {"q": res.final_q, "beta": res.final_beta}
+    else:
+        final = {"Q": res.final_Q}
+    last = sorted(tmp_path.glob("snap_*.json"))[-1]
+    assert last.name == "snap_000010.json"
+    header = json.loads(last.read_text())
+    assert (header["step"], header["t"], header["mode"]) == (10, 10 * cfg.dt, mode)
+    assert sorted(header["arrays"]) == sorted(final)
+    for name, arr in final.items():
+        entry = header["arrays"][name]
+        assert entry == {"dtype": "<f8", "file": f"snap_000010_{name}.bin", "shape": list(arr.shape)}
+        back = np.fromfile(tmp_path / entry["file"], dtype="<f8").reshape(entry["shape"])
+        assert back.tobytes() == arr.astype("<f8").tobytes()
 
 
 def test_flow_crosschecks_small(torus_static):
