@@ -365,17 +365,25 @@ def _revolution_jets(R0: float, profile: tuple, r_of_t: Callable, rdot_of_t: Cal
     return jets
 
 
-def _const_u(c1: float, c2: float) -> dict:
-    """The MovingSurface fields of the constant relative velocity (c1, c2)."""
+def _trig_u(c1: float, c2: float, a1: float = 0.0, a2: float = 0.0) -> dict:
+    """The MovingSurface fields of the relative velocity
+    u = (c1 + a1 sin y2, c2 + a2 cos y1), with the closed-form u-jets
+    du[0, 1] = a1 cos y2 and du[1, 0] = -a2 sin y1.  A zero amplitude adds
+    no term, so a constant u keeps its bits."""
 
     def u_field(t, y1, y2):
         out = np.zeros((2,) + np.broadcast_shapes(np.shape(y1), np.shape(y2)))
-        out[0] = c1
-        out[1] = c2
+        out[0] = c1 + a1 * np.sin(y2) if a1 else c1
+        out[1] = c2 + a2 * np.cos(y1) if a2 else c2
         return out
 
     def u_jets(t, y1, y2):
-        return np.zeros((2, 2) + np.broadcast_shapes(np.shape(y1), np.shape(y2)))
+        out = np.zeros((2, 2) + np.broadcast_shapes(np.shape(y1), np.shape(y2)))
+        if a1:
+            out[0, 1] = a1 * np.cos(y2)
+        if a2:
+            out[1, 0] = -a2 * np.sin(y1)
+        return out
 
     return {"u_field": u_field, "u_jets": u_jets}
 
@@ -454,11 +462,12 @@ _REGISTRY: dict[str, Callable[[str], MovingSurface]] = {
     "sphere-static": lambda name: _sphere(name, *_UNIT, static=True),
     "sphere-expanding": lambda name: _sphere(name, *_GROWING),
     "sphere-rigid-rotation": lambda name: _sphere(
-        name, *_UNIT, static=True, **_const_u(0.0, 0.7)
+        name, *_UNIT, static=True, **_trig_u(0.0, 0.7)
     ),
     "torus-static": lambda name: _torus(name, *_UNIT, static=True),
     "torus-breathing": lambda name: _torus(name, *_BREATHING),
-    "torus-breathing-drift": lambda name: _torus(name, *_BREATHING, **_const_u(0.3, 0.2)),
+    "torus-breathing-drift": lambda name: _torus(name, *_BREATHING, **_trig_u(0.3, 0.2)),
+    "torus-breathing-swirl": lambda name: _torus(name, *_BREATHING, **_trig_u(0.3, 0.2, 0.2, 0.1)),
     "flat-torus": lambda name: _plane(name, _torus_domain(), 0.0),
 }
 

@@ -78,11 +78,14 @@ CROSSCHECK_TOL = 1e-5
 def _outdir(arg_out: str | None) -> str:
     """The output directory: ``--out``, or $SURFRATES_OUTDIR, or the current
     directory.  It is not created here, so a command that fails on its
-    settings writes nothing; a path that exists and is not a directory is
-    a ConfigError."""
+    settings writes nothing; a path whose nearest existing ancestor (the
+    path itself, if it exists) is not a directory is a ConfigError."""
     out = arg_out or os.environ.get("SURFRATES_OUTDIR", ".")
-    if os.path.lexists(out) and not os.path.isdir(out):
-        raise ConfigError(f"output path {out!r} exists and is not a directory")
+    near = out
+    while near and not os.path.lexists(near):
+        near = os.path.dirname(near)
+    if not os.path.isdir(near or "."):
+        raise ConfigError(f"output path {out!r}: {near!r} exists and is not a directory")
     return out
 
 

@@ -70,6 +70,11 @@ FLOW_MODES = (
     "Conforming_Jaumann",
 )
 
+# Explicit Runge-Kutta methods as (stage times c, integer step weights w,
+# their denominator): stage i > 0 takes the rate of s + (c_i h) k_{i-1}, and
+# the step ends at s + (h / den) (k_0 + w_1 k_1 + ...).
+_METHODS = {"euler": ((0.0,), (1,), 1), "rk4": ((0.0, 0.5, 0.5, 1.0), (1, 2, 2, 1), 6)}
+
 # The largest energy rise per step that a flow on a static surface allows.
 ENERGY_RISE_TOL = 1e-10
 
@@ -108,8 +113,8 @@ class FlowConfig:
     def __post_init__(self):
         if self.mode not in FLOW_MODES:
             raise ConfigError(f"unknown flow mode {self.mode!r}; pick one of {FLOW_MODES}")
-        if self.method not in ("euler", "rk4"):
-            raise ConfigError("method must be 'euler' or 'rk4'")
+        if self.method not in _METHODS:
+            raise ConfigError(f"unknown method {self.method!r}; pick one of {tuple(_METHODS)}")
         if self.ic not in IC_REGISTRY:
             raise ConfigError(f"unknown initial condition {self.ic!r}; pick one of {sorted(IC_REGISTRY)}")
         if not 0 < self.dt < math.inf or self.steps < 0:
@@ -417,7 +422,9 @@ def run_flow(
     """Integrate the gradient flow; returns energies, residuals and the final state.
 
     The state is a tuple of grid arrays: ``(q, beta)`` in the conforming
-    modes, ``(Q,)`` in the full-tensor modes.  A step holds one frame, the
+    modes, ``(Q,)`` in the full-tensor modes.  ``config.method`` names a
+    row of ``_METHODS``, its stage times and step weights, and one stage
+    loop takes the steps of every method.  A step holds one frame, the
     grid and motion at a stage time, and replaces it when a stage moves to a
     new time, so at each energy evaluation only the current frame is alive.
     A frame is built once per stage time, and once per run on a static
@@ -501,32 +508,23 @@ def run_flow(
             dQ = grid_gradient(gg, Q)
         return state_rate(gg, params, kind, mot, st, Q, dQ)
 
-    # The sums accumulate into their first product, in the order of
-    # s + h d and s + (h / 6) (a + 2 b + 2 c + d), and write no argument:
-    # in the full-tensor modes the proxy is the state.
+    # A stage input accumulates into its product, h d + s, and writes no
+    # argument: in the full-tensor modes the proxy is the state.
     def axpy(st, ds, h):
         out = tuple(h * d for d in ds)
         for acc, s in zip(out, st):
             acc += s
         return out
 
-    def combine_rk4(st, k1, k2, k3, k4, h):
-        out = tuple(2 * b for b in k2)
-        for acc, s, a, c, d in zip(out, st, k1, k3, k4):
-            acc += a
-            acc += 2 * c
-            acc += d
-            acc *= h / 6.0
-            acc += s
-        return out
-
+    stage_times, weights, den = _METHODS[config.method]
+    h = config.dt
     energy_rows = []
     crosschecks = []
     t = 0.0
     prev_total = None
     # The step-start proxy serves the energy, the first stage's rate and,
     # after the last step, the final state; its gradient serves the energy
-    # and the first stage.  RK4's k4 leaves f at the next step's time.
+    # and the first stage.  A stage at c = 1 leaves f at the next step's time.
     try:
         for step in range(config.steps + 1):
             f = frame_for(f, t, step)
@@ -559,21 +557,20 @@ def run_flow(
             if step == config.steps:
                 break
             t_next = (step + 1) * config.dt
-            if config.method == "euler":
-                state = axpy(state, rate(f, state, Q, dQ), config.dt)
-                # the next step takes its own; freeing them first lowers the peak memory
-                del dQ, gg, Q
-            else:
-                h = config.dt
-                k1 = rate(f, state, Q, dQ)
-                del dQ, gg, Q  # k2 to k4 take their own; freeing them lowers the peak memory
-                f = frame_for(f, t + 0.5 * h, step)
-                k2 = rate(f, axpy(state, k1, 0.5 * h))
-                k3 = rate(f, axpy(state, k2, 0.5 * h))
-                f = frame_for(f, t_next, step)
-                k4 = rate(f, axpy(state, k3, h))
-                state = combine_rk4(state, k1, k2, k3, k4, h)
-            t = t_next
+            # Each rate returns arrays it owns, so the step sums into k_0 in
+            # place, in the order of the stages, and a stage's k is freed
+            # once the next stage has read it.
+            k = acc = rate(f, state, Q, dQ)
+            del dQ, gg, Q  # the later stages take their own; freeing them lowers the peak memory
+            for ci, wi in zip(stage_times[1:], weights[1:]):
+                f = frame_for(f, t_next if ci == 1 else t + ci * h, step)
+                k = rate(f, axpy(state, k, ci * h))
+                for a, d in zip(acc, k):
+                    a += d if wi == 1 else wi * d
+            for a, s in zip(acc, state):
+                a *= h / den
+                a += s
+            state, t = acc, t_next
     finally:
         # a run that fails mid-run keeps the rows of the steps it completed
         if out_dir is not None:

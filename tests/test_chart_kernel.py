@@ -32,6 +32,7 @@ ALL_SCENARIOS = (
     "torus-static",
     "torus-breathing",
     "torus-breathing-drift",
+    "torus-breathing-swirl",
     "flat-torus",
 )
 
@@ -257,11 +258,14 @@ def test_fd_jet_takes_three_chart_calls(name):
 
 
 def test_fd_u_jets_match_analytic(torus_drift):
-    ev = sample_events(torus_drift, 1, 5)[0]
-    du_a = torus_drift.u_jet(ev.t, ev.y1, ev.y2)
-    fd = fd_variant(torus_drift, 0.005)
-    du_f = fd.u_jet(ev.t, ev.y1, ev.y2)
-    assert_allclose(du_f, du_a, atol=1e-9)
+    # a constant u on torus-breathing-drift, and a u that varies in space on
+    # torus-breathing-swirl, whose closed-form jets are not zero
+    for surface in (torus_drift, get_scenario("torus-breathing-swirl")):
+        ev = sample_events(surface, 1, 5)[0]
+        du_a = surface.u_jet(ev.t, ev.y1, ev.y2)
+        fd = fd_variant(surface, 0.005)
+        du_f = fd.u_jet(ev.t, ev.y1, ev.y2)
+        assert_allclose(du_f, du_a, atol=1e-9)
 
 
 def test_static_scenarios_have_zero_chart_velocity():

@@ -439,7 +439,11 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+@pytest.mark.parametrize(
+    "via_env, below",
+    [(False, False), (True, False), (False, True), (True, True)],
+    ids=["flag", "env", "flag-below", "env-below"],
+)
 @pytest.mark.parametrize(
     "command",
     [
@@ -450,19 +454,21 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
     ids=["verify", "converge", "flow"],
 )
 def test_out_naming_an_existing_file_is_a_config_error(
-    tmp_path, capsys, monkeypatch, command, via_env
+    tmp_path, capsys, monkeypatch, command, via_env, below
 ):
-    # the output path is checked before any work: a file there is rejected
-    # with exit 2 and left as it was, and nothing else is written
+    # the output path is checked before any work: a file there, or a file
+    # above a path that does not exist yet, is rejected with exit 2 and left
+    # as it was, and nothing else is written
     for name in ("run_verify", "run_converge_fd", "run_flow"):
         monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("ran before --out was checked"))
     monkeypatch.chdir(tmp_path)
     taken = tmp_path / "taken"
     taken.write_text("keep\n")
+    out = str(taken / "sub" if below else taken)
     if via_env:
-        monkeypatch.setenv("SURFRATES_OUTDIR", str(taken))
+        monkeypatch.setenv("SURFRATES_OUTDIR", out)
     else:
-        command = [*command, "--out", str(taken)]
+        command = [*command, "--out", out]
     assert main(command) == 2
     assert "config error" in capsys.readouterr().err
     assert taken.read_text() == "keep\n"
@@ -719,3 +725,21 @@ def test_verify_rows_are_the_worst_single_event_rows(monkeypatch, scenario):
     for row in batch["identities"]:
         worst = max(rows[row["identity_name"]] for rows in singles)
         assert abs(row["residual"] - worst) <= 1e-12, row["identity_name"]
+
+
+def test_verify_fails_a_wrong_du_term_where_u_varies(monkeypatch):
+    # dV_m's du term multiplies zeros wherever u is constant; on
+    # torus-breathing-swirl u varies in space, so that term transposed and
+    # tripled fails the rows that read the material velocity gradient
+    def mutant(self):
+        jet = self.geom.jet
+        return (
+            self.dV_o
+            + 3.0 * np.einsum("jk...,ak...->aj...", self.du, jet.dX)
+            + np.einsum("k...,akj...->aj...", self.u2, jet.ddX)
+        )
+
+    monkeypatch.setattr(MotionSample, "dV_m", property(mutant))
+    report = run_verify("torus-breathing-swirl", "all", n_events=2, seed=5)
+    failed = {r["identity_name"] for r in report["identities"] if not r["pass"]}
+    assert "velocity-gradient-additivity" in failed

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from surfrates import diffops, landau
-from surfrates.chart_kernel import _const_u, get_scenario
+from surfrates.chart_kernel import _trig_u, get_scenario
 from surfrates.diffops import make_grid
 from surfrates.geometry import geometry_from_jet
 from surfrates.errors import ConfigError, StabilityError
@@ -24,6 +24,7 @@ from surfrates.landau import (
     run_flow,
     stability_bound,
 )
+from surfrates.thinfilm import fit_order
 
 
 def _constant_beta_proxy(gg, beta0):
@@ -246,6 +247,21 @@ def test_moving_flow_builds_each_stage_time_once(monkeypatch, torus_drift, mode,
     assert times == {"make_grid": want, "motion_grid": want}
 
 
+@pytest.mark.parametrize("mode", landau.FLOW_MODES)
+def test_rk4_is_fourth_order_in_dt_on_a_moving_surface(torus_drift, mode):
+    # the final state at dt = T/4, T/8 and T/16 against dt = T/64: a stage
+    # on the wrong frame time, or with the wrong input, leaves first order
+    T, ref = 0.04, 64
+    final = {
+        m: run_flow(
+            torus_drift, LdGParams(), FlowConfig(mode=mode, n=16, dt=T / m, steps=m, method="rk4")
+        ).final_Q
+        for m in (4, 8, 16, ref)
+    }
+    rows = [(T / m, float(np.max(np.abs(final[m] - final[ref])))) for m in (4, 8, 16)]
+    assert fit_order(rows) >= 3.5
+
+
 @pytest.mark.parametrize("method", ["euler", "rk4"])
 def test_static_flow_builds_one_frame(monkeypatch, torus_static, method):
     times = _record_frame_builds(monkeypatch)
@@ -418,7 +434,7 @@ def test_frames_at_rest_keep_the_bits_of_the_formulas(monkeypatch, request, scen
 def test_a_static_surface_with_a_relative_velocity_is_not_at_rest(torus_static, mode):
     # static=True, and u = (0.3, 0.2) moves the material over the fixed torus,
     # so the transport terms are not zero and the flow differs
-    drifting = replace(torus_static, **_const_u(0.3, 0.2))
+    drifting = replace(torus_static, **_trig_u(0.3, 0.2))
     assert drifting.static
     cfg = FlowConfig(mode=mode, n=16, dt=1e-3, steps=5)
     still = run_flow(torus_static, LdGParams(), cfg)
