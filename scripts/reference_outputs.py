@@ -3,7 +3,8 @@
 A change that should leave the numbers alone is checked against its parent
 with the same fixed runs on both trees:
 
-* 16 reference flows: torus-static and torus-breathing-drift, each of the 4
+* 24 reference flows: torus-static, torus-breathing-drift and
+  torus-breathing-swirl (whose u varies over the surface), each of the 4
   flow modes, Euler and RK4, n=48, 30 steps, dt=1e-3;
 * the cross-check flow: torus-breathing-drift, Conforming_Jaumann, RK4, with
   the conforming cross-check every 5 steps, same grid and steps;
@@ -33,12 +34,13 @@ moved.  For an ``energy.csv`` or a ``converge_*.csv`` that differs it
 prints the largest absolute change of each column (cells equal on both
 sides are skipped), and for a ``flow_report.json`` or a
 ``converge_*.json`` that of each key whose value changed (a list item's key
-is its index).  It exits 1 if a file differs outside the verify reports, a file is
-missing, or a verify row fails its tolerance; otherwise 0.
+is its index).  It exits 1 if a file differs outside the verify reports, a
+file or a verify row is on one side only, or a verify row fails its
+tolerance; otherwise 0.
 
 ``fingerprint`` runs the command line of this script's own tree in process
 and writes, to ``tests/data/reference_fingerprint.json`` by default, the
-last row of ``energy.csv`` of each of the 16 reference flows at n=16, 10
+last row of ``energy.csv`` of each of the 24 reference flows at n=16, 10
 steps and dt=1e-3, and the fitted order of each converge study, each as
 the command writes it.  ``tests/test_fingerprint.py`` reruns the same and
 compares the strings, so a change that moves a flow or an order fails
@@ -60,7 +62,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 FINGERPRINT = ROOT / "tests" / "data" / "reference_fingerprint.json"
-FLOW_SCENARIOS = ("torus-static", "torus-breathing-drift")
+FLOW_SCENARIOS = ("torus-static", "torus-breathing-drift", "torus-breathing-swirl")
 FLOW_ARGS = ("--n", "48", "--steps", "30", "--dt", "1e-3")
 FINGERPRINT_FLOW_ARGS = ("--n", "16", "--steps", "10", "--dt", "1e-3")
 CONVERGE_KINDS = ("fd", "laplace", "thinfilm")

@@ -33,7 +33,16 @@ from .diffops import (
     surface_laplace,
 )
 from .errors import ConfigError, StabilityError, SurfratesError
-from .fields import QSplit, g_inner_rank2, pi_q_components, project, q_from_cart, q_to_cart
+from .fields import (
+    _Q_BLOCKS,
+    _SPLIT_BLOCKS,
+    QSplit,
+    g_inner_rank2,
+    pi_q_components,
+    project,
+    q_from_cart,
+    q_to_cart,
+)
 from .geometry import IdentityReport, check_identities, geometry_at, motion_at
 from .landau import ENERGY_RISE_TOL, FlowConfig, LdGParams, run_flow
 from .probes import (
@@ -53,7 +62,6 @@ from .timederiv import (
     _convected_decomposed,
     _material_decomposed,
     _q_formula,
-    _q_parts,
     _split_parts,
     _via_material,
     material_dt,
@@ -138,7 +146,7 @@ def _suite_derivatives(surface, ev, geom, mot, report: IdentityReport):
         # the Decomposed routes read split
         Pv, da = _advected_parts(surface, P.eval, ev)
         Rv, DmR = _advected_parts(surface, R.eval, ev)
-        split = _split_parts(surface, P, ev, lowered=True)
+        split = _split_parts(surface, P.require_split(), _SPLIT_BLOCKS[rank], ev, lowered=True)
         db = _material_decomposed(geom, mot, rank, split)
         report.add(f"material-rank{rank}-dual-path", _rel(da, db), 1e-6)
         vals = {}
@@ -172,7 +180,7 @@ def _suite_qtensor(surface, ev, geom, mot, report: IdentityReport):
     t, y1, y2 = ev.t, ev.y1, ev.y2
     # each side's parts once: q_eval's blocks for the Q-split routes and the
     # pointwise algebra, the full proxy and its material rate for the others
-    qparts = _q_parts(surface, qcl, ev)
+    qparts = _split_parts(surface, qcl.q_eval, _Q_BLOCKS, ev)
     Fv, dm_full = _advected_parts(surface, fcl.eval, ev)
 
     dmq = _q_formula(geom, mot, qparts, DerivKind.Material)
@@ -190,7 +198,7 @@ def _suite_qtensor(surface, ev, geom, mot, report: IdentityReport):
 
     dup = _via_material(mot, 2, DerivKind.Upper, Fv, dm_full)
     dlo = _via_material(mot, 2, DerivKind.Lower, Fv, dm_full)
-    qs = QSplit(*(b.p.v for b in qparts))
+    qs = QSplit(**{n: b.p.v for n, b in qparts.items()})
     q2 = qs.q2
     pred = qs.beta * _trace(mot.G) - 2.0 * np.sum(_mm(geom.g, mot.G) * q2, axis=(0, 1))
     report.add("qtensor-upper-trace", _scaled(_trace(dup) - pred, pred), 1e-6)

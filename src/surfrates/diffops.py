@@ -31,6 +31,7 @@ from ._fd import c4_grad, c4_hess
 from .chart_kernel import Event, MovingSurface
 from .errors import ConfigError, RankError, StencilError
 from .fields import (
+    _SPLIT_BLOCKS,
     QSplit,
     TensorSplit,
     _conforming_blocks,
@@ -154,10 +155,10 @@ def surface_laplace(
     if closure.rank != 2:
         raise RankError("the Decomposed Laplacian path applies to rank-2 fields")
 
-    split_eval = closure.require_split()
-    blocks = attrgetter("r2", "etaL2", "etaR2", "phi")
+    split_eval, blocks = closure.require_split(), _SPLIT_BLOCKS[2]
+    get = attrgetter(*blocks)
     (r, Dr, lap_r), (eL, DeL, lap_eL), (eR, DeR, lap_eR), (phi, dphi_cov, lap_phi) = _sweep_parts(
-        surface, lambda s, a, b: blocks(split_eval(s, a, b)), (2, 1, 1, 0), event, geom
+        surface, lambda s, a, b: get(split_eval(s, a, b)), blocks.values(), event, geom
     )
     dH_cov = _grad_H_cov(surface, event)
     gradH_up = _contract_metric(geom.ginv, dH_cov, 1)

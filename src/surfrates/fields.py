@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotConformingError, NotQTensorError, RankError
+from .errors import ConfigError, NotConformingError, NotQTensorError, RankError
 from .geometry import GeometrySample
 from .util import _scaled_norm
 
@@ -32,6 +32,11 @@ __all__ = [
 
 # Tolerance of the tangential, Q-tensor and conforming checks, times max(1, |field|).
 _STRUCTURE_TOL = 1e-8
+
+# The block layouts: each block's name and tangential rank (0 for a scalar),
+# of a TensorSplit by its rank and of a QSplit, in the order of the formulas.
+_SPLIT_BLOCKS = {1: {"r2": 1, "phi": 0}, 2: {"r2": 2, "etaL2": 1, "etaR2": 1, "phi": 0}}
+_Q_BLOCKS = {"q2": 2, "eta2": 1, "beta": 0}
 
 
 def _off_structure(x, *refs, nb: int) -> bool:
@@ -117,6 +122,8 @@ def project(geom: GeometrySample, cart: np.ndarray, which: str) -> np.ndarray:
             return cart - np.einsum("a...,a...->...", cart, nu) * nu
         Pi = tangential_projector(geom)
         return np.einsum("ac...,cd...,db...->ab...", Pi, cart, Pi)
+    if which not in ("Q", "CQ"):
+        raise ConfigError(f"unknown projection {which!r}")
     if rank != 2:
         raise RankError(f"projection {which!r} requires rank 2")
     if which == "Q":
@@ -125,17 +132,15 @@ def project(geom: GeometrySample, cart: np.ndarray, which: str) -> np.ndarray:
         Tsym = 0.5 * (T + np.einsum("ab...->ba...", T))
         tr = np.einsum("aa...->...", Tsym)
         return Tsym - 0.5 * tr * Pi
-    if which == "CQ":
-        etaL = np.einsum("ab...,b...->a...", cart, nu)
-        etaL = etaL - np.einsum("a...,a...->...", etaL, nu) * nu
-        etaR = np.einsum("a...,ab...->b...", nu, cart)
-        etaR = etaR - np.einsum("a...,a...->...", etaR, nu) * nu
-        return (
-            cart
-            - np.einsum("a...,b...->ab...", etaL, nu)
-            - np.einsum("a...,b...->ab...", nu, etaR)
-        )
-    raise RankError(f"unknown projection {which!r}")
+    etaL = np.einsum("ab...,b...->a...", cart, nu)
+    etaL = etaL - np.einsum("a...,a...->...", etaL, nu) * nu
+    etaR = np.einsum("a...,ab...->b...", nu, cart)
+    etaR = etaR - np.einsum("a...,a...->...", etaR, nu) * nu
+    return (
+        cart
+        - np.einsum("a...,b...->ab...", etaL, nu)
+        - np.einsum("a...,b...->ab...", nu, etaR)
+    )
 
 
 def _conforming_blocks(geom: GeometrySample, F: np.ndarray):

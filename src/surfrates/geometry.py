@@ -352,7 +352,7 @@ class IdentityReport:
 
 
 # component shapes of the packed parts that the identities difference
-_SPACE_PARTS = ((3,), (2, 2), (2, 2))
+_SPACE_PARTS = ((3,), (2, 2), (2, 2), (2,))
 _TIME_PARTS = ((3,), (2, 2), (2,), (2, 2), (2,), (2, 2))
 
 
@@ -366,7 +366,8 @@ def check_identities(
     event or a batch of events; each residual is the largest over the batch.
 
     Covers the structure equations (Gauss formula, Weingarten map), metric
-    derivative rules, the velocity-gradient split, the normal- and metric-rate
+    derivative rules, the relative-velocity gradient du (the u-jets) against
+    partials of u, the velocity-gradient split, the normal- and metric-rate
     relations, and raising/lowering compatibility of proxy time derivatives.
     ``geom`` and ``mot``, the geometry and motion at the event, are built
     unless given.
@@ -392,14 +393,14 @@ def check_identities(
     add("gauss-formula", gauss)
 
     def space_parts(s, a, b):
-        """nu, g and g^-1 packed, from one chart jet."""
+        """nu, g and g^-1, from one chart jet, and u, packed."""
         dX = surface.jet(s, a, b).dX
         g = _metric(dX)
-        return _pack([_unit_normal(dX), g, inv2(g)], _SPACE_PARTS, g.shape[2:])
+        return _pack([_unit_normal(dX), g, inv2(g), surface.u(s, a, b)], _SPACE_PARTS, g.shape[2:])
 
     d1, d2 = (_unpack(d, _SPACE_PARTS) for d in c4_grad(space_parts, t, y1, y2, h))
     # partial index l first
-    fd_dnu, fd_dg, fd_dginv = (np.stack(pair) for pair in zip(d1, d2))
+    fd_dnu, fd_dg, fd_dginv, fd_du = (np.stack(pair) for pair in zip(d1, d2))
     add("weingarten", fd_dnu - np.einsum("ai...->ia...", geom.dnu))
     # d_l g_ij = Gamma_low[l,i,j] + Gamma_low[l,j,i]
     add("metric-compat-lower", fd_dg - geom.Gamma_low - np.einsum("lij...->lji...", geom.Gamma_low))
@@ -408,6 +409,8 @@ def check_identities(
         + np.einsum("jk...,ilk...->lij...", geom.ginv, geom.Gamma)
     )
     add("metric-compat-upper", fd_dginv - expected)
+    # du[k, j] = d_j u^k, from the u-jets, against the partials of u itself
+    add("relative-velocity-gradient", np.einsum("jk...->kj...", fd_du) - mot.du)
 
     # Cayley-Hamilton for the shape operator: B^2 = H B - K Id
     B = geom.B_mixed

@@ -41,10 +41,10 @@ from .diffops import (
 )
 from .errors import ConfigError, StabilityError
 from .fields import QSplit, _conforming_blocks, pi_q_components, q_to_cart
-from .geometry import GeometrySample, geometry_from_jet, motion_grid
+from .geometry import GeometrySample, motion_grid
+from .probes import _q_probe
 from .timederiv import (
     DerivKind,
-    QFieldClosure,
     _advected,
     _Block,
     _Parts,
@@ -370,22 +370,15 @@ def _crosscheck_residual(surface, gg, q, beta, seed):
     """Dual-path conforming-Laplacian residual on the trigonometric
     interpolant of the current state: the largest over a batch of random
     chart points, or NaN if any point gives NaN."""
-    interp_q = FourierInterpolant(gg, q)
-    interp_b = FourierInterpolant(gg, beta)
-    t = gg.t
-
-    def q_eval(s, a, b):
-        geom = geometry_from_jet(surface.jet(s, a, b))
-        qv = pi_q_components(geom, interp_q(a, b))
-        beta = interp_b(a, b)
-        return QSplit(q2=qv, eta2=np.zeros((2,) + beta.shape), beta=beta)
-
-    closure = QFieldClosure(q_eval=q_eval)
+    interp_q, interp_b = FourierInterpolant(gg, q), FourierInterpolant(gg, beta)
+    closure = _q_probe(
+        surface, lambda s, a, b: interp_q(a, b), None, lambda s, a, b: interp_b(a, b)
+    )
     rng = np.random.default_rng(seed)
     dom = surface.domain
     lo, hi = zip(dom.y1_range, dom.y2_range)
     a, b = rng.uniform(lo, hi, size=(CROSSCHECK_SAMPLES, 2)).T
-    return float(np.max(_conforming_route_residual(surface, closure, Event(t, a, b))))
+    return float(np.max(_conforming_route_residual(surface, closure, Event(gg.t, a, b))))
 
 
 def _at_rest(mot) -> bool:

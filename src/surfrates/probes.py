@@ -110,15 +110,16 @@ def _sym_probe(t, a, b):
     return 0.5 * (m + np.einsum("ij...->ji...", m))
 
 
-def _q_probe(surface: MovingSurface, coupling, normal) -> QFieldClosure:
-    """Q-tensor probe: the Q-projection of _sym_probe, the coupling block
-    ``coupling(t, a, b)`` and the normal block ``normal(t, a, b)``.  Without
-    a coupling function the block is zero, at the full shape, since
-    ``_q_parts`` packs every block into one stencil."""
+def _q_probe(surface: MovingSurface, tangential, coupling, normal) -> QFieldClosure:
+    """The Q-field of the Q-projection of ``tangential(t, a, b)``, the coupling
+    block ``coupling(t, a, b)`` and the normal block ``normal(t, a, b)``: the
+    probes' and the flow cross-check's.  Without a coupling function the block
+    is zero, at the full shape, since ``_split_parts`` packs every block into
+    one stencil."""
 
     def q_eval(t, a, b):
         geom = geometry_from_jet(surface.jet(t, a, b))
-        q2 = pi_q_components(geom, _sym_probe(t, a, b))
+        q2 = pi_q_components(geom, tangential(t, a, b))
         eta2 = np.zeros((2,) + q2.shape[2:]) if coupling is None else coupling(t, a, b)
         return QSplit(q2=q2, eta2=eta2, beta=normal(t, a, b))
 
@@ -127,9 +128,9 @@ def _q_probe(surface: MovingSurface, coupling, normal) -> QFieldClosure:
 
 def probe_q_field(surface: MovingSurface) -> QFieldClosure:
     """Q-tensor probe with all three blocks active."""
-    return _q_probe(surface, probe_vector_comps_b, probe_scalar)
+    return _q_probe(surface, _sym_probe, probe_vector_comps_b, probe_scalar)
 
 
 def probe_conforming_q_field(surface: MovingSurface) -> QFieldClosure:
     """Conforming probe: no tangent-normal coupling block."""
-    return _q_probe(surface, None, probe_scalar_b)
+    return _q_probe(surface, _sym_probe, None, probe_scalar_b)

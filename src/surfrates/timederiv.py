@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -33,6 +34,8 @@ from ._fd import c2_c4_dt_grad
 from .chart_kernel import Event, MovingSurface, _require_event_inside
 from .errors import ConfigError, MissingSplitError, RankError
 from .fields import (
+    _Q_BLOCKS,
+    _SPLIT_BLOCKS,
     QSplit,
     TensorSplit,
     _require_conforming,
@@ -143,9 +146,9 @@ class QFieldClosure:
 #
 # Each route below is "compute parts, then apply the formula".  A proxy-side
 # part comes from the Cartesian closure ``eval``, a Decomposed-side part from
-# ``split_eval`` or ``q_eval``; no value ever passes between the two sides, so
-# every comparison of a proxy route with a Decomposed route compares two
-# independent computations.
+# ``split_eval`` or ``q_eval``, block by block as ``fields`` lays them out; no
+# value ever passes between the two sides, so every comparison of a proxy
+# route with a Decomposed route compares two independent computations.
 
 
 class _Parts(NamedTuple):
@@ -196,29 +199,16 @@ def _block_parts(
 
 
 def _split_parts(
-    surface: MovingSurface, closure: FieldClosure, event: Event, lowered: bool = False
+    surface: MovingSurface, fn: Callable, blocks: dict, event: Event, lowered: bool = False
 ) -> dict[str, _Block]:
-    """Every block of ``closure.split_eval`` by name, from one call of it."""
-    split_eval = closure.require_split()
-    names, ranks = (("r2", "phi"), (1, 0))
-    if closure.rank == 2:
-        names, ranks = (("r2", "etaL2", "etaR2", "phi"), (2, 1, 1, 0))
-
-    def blocks(s, a, b):
-        split = split_eval(s, a, b)
-        return [getattr(split, n) for n in names]
-
-    return dict(zip(names, _block_parts(surface, blocks, ranks, event, lowered)))
-
-
-def _q_parts(surface: MovingSurface, closure: QFieldClosure, event: Event):
-    """The q2, eta2 and beta blocks of ``closure.q_eval``, from one call of it."""
-
-    def blocks(s, a, b):
-        qs = closure.q_eval(s, a, b)
-        return qs.q2, qs.eta2, qs.beta
-
-    return _block_parts(surface, blocks, (2, 1, 0), event)
+    """Every block of the split that ``fn(t, y1, y2)`` returns, by name, from
+    one call of ``fn`` as in _block_parts: ``blocks`` is the split's layout
+    from ``fields``, ``_SPLIT_BLOCKS[rank]`` for a TensorSplit (``fn`` a
+    closure's ``require_split()``) or ``_Q_BLOCKS`` for a QSplit (``fn`` a
+    ``q_eval``)."""
+    get = attrgetter(*blocks)
+    parts = _block_parts(surface, lambda s, a, b: get(fn(s, a, b)), blocks.values(), event, lowered)
+    return dict(zip(blocks, parts))
 
 
 def _advected_parts(surface: MovingSurface, fun: Callable, event: Event):
@@ -322,11 +312,11 @@ def tangential_dt(
 ) -> np.ndarray:
     """Tangential time derivative, returned in contravariant components."""
     kind = DerivKind(kind)
-    geom, mot = _frame(surface, event, geom, mot)
     if closure.rank not in (1, 2):
         raise RankError("tangential_dt supports rank 1 and 2")
     if kind == DerivKind.ConformingMaterial:
         raise ConfigError("ConformingMaterial applies to Q-tensor fields; use q_dt")
+    geom, mot = _frame(surface, event, geom, mot)
     lowered = kind != DerivKind.Material and _check_path(kind, path, "tangential_dt")
     (block,) = _block_parts(
         surface, lambda s, a, b: (closure.comp_eval(s, a, b),), (closure.rank,), event, lowered
@@ -383,15 +373,11 @@ def _via_material(mot, rank: int, kind: DerivKind, R, Dm):
 def _convected_decomposed(geom, mot, rank: int, parts, kind: DerivKind, path: str):
     """convected_dt's Decomposed and Average formulas: each tangential block
     by the matching tangential operator, the normal block advected."""
-    split = TensorSplit(
-        rank=rank,
-        r2=_tangential(geom, mot, parts["r2"], kind, path),
-        phi=np.asarray(_advected(parts["phi"].p, mot.u2)),
-    )
-    if rank == 2:
-        split.etaL2 = _tangential(geom, mot, parts["etaL2"], kind, path)
-        split.etaR2 = _tangential(geom, mot, parts["etaR2"], kind, path)
-    return reconstruct(geom, split)
+    blocks = {
+        n: _tangential(geom, mot, b, kind, path) if b.rank else np.asarray(_advected(b.p, mot.u2))
+        for n, b in parts.items()
+    }
+    return reconstruct(geom, TensorSplit(rank=rank, **blocks))
 
 
 def material_dt(
@@ -412,7 +398,7 @@ def material_dt(
         raise ConfigError(f"unknown material_dt path {path!r}")
 
     geom, mot = _frame(surface, event, geom, mot)
-    parts = _split_parts(surface, closure, event)
+    parts = _split_parts(surface, closure.require_split(), _SPLIT_BLOCKS[closure.rank], event)
     return _material_decomposed(geom, mot, closure.rank, parts)
 
 
@@ -448,7 +434,9 @@ def convected_dt(
         return _via_material(mot, closure.rank, kind, R, Dm)
 
     lowered = _check_path(kind, path, "convected_dt")
-    parts = _split_parts(surface, closure, event, lowered)
+    parts = _split_parts(
+        surface, closure.require_split(), _SPLIT_BLOCKS[closure.rank], event, lowered
+    )
     return _convected_decomposed(geom, mot, closure.rank, parts, kind, path)
 
 
@@ -456,9 +444,9 @@ def convected_dt(
 # Q-tensor derivatives
 
 
-def _q_formula(geom, mot, parts: list[_Block], kind: DerivKind) -> QSplit:
+def _q_formula(geom, mot, parts: dict[str, _Block], kind: DerivKind) -> QSplit:
     """q_dt's formula from the parts of the q2, eta2 and beta blocks."""
-    qb, eb, bb = parts
+    qb, eb, bb = parts["q2"], parts["eta2"], parts["beta"]
     betadot = _advected(bb.p, mot.u2)
     if kind == DerivKind.Jaumann:
         return QSplit(
@@ -501,4 +489,4 @@ def q_dt(
             "upper/lower convected derivatives leave the Q-tensor bundle; use convected_dt"
         )
     geom, mot = _frame(surface, event, geom, mot)
-    return _q_formula(geom, mot, _q_parts(surface, closure, event), kind)
+    return _q_formula(geom, mot, _split_parts(surface, closure.q_eval, _Q_BLOCKS, event), kind)

@@ -44,14 +44,18 @@ def _rejections():
         LdGParams,
         RankError,
         conforming_laplace,
+        TangentialFieldClosure,
         convected_dt,
+        geometry_at,
         get_scenario,
         material_dt,
         probe_conforming_q_field,
         probe_field,
         probe_tangential,
+        project,
         run_flow,
         sample_events,
+        split_tensor,
         surface_laplace,
         tangential_dt,
     )
@@ -59,9 +63,21 @@ def _rejections():
 
     surface = get_scenario("torus-breathing-drift")
     ev = sample_events(surface, 1, 5)[0]
+    geom = geometry_at(surface, ev)
     f1, f2 = probe_field(surface, 1), probe_field(surface, 2)
     rank3 = FieldClosure(3, f2.eval)
+    vec, mat = f1.eval(ev.t, ev.y1, ev.y2), f2.eval(ev.t, ev.y1, ev.y2)
     return {
+        "split_tensor-rank3": (RankError, lambda: split_tensor(geom, mat, 3)),
+        "project-rank1-Q": (RankError, lambda: project(geom, vec, "Q")),
+        "project-name": (ConfigError, lambda: project(geom, mat, "Bogus")),
+        "tangential_dt-rank3": (
+            RankError,
+            lambda: tangential_dt(
+                surface, TangentialFieldClosure(3, probe_tangential(2).comp_eval), ev, "Upper"
+            ),
+        ),
+        "convected_dt-rank3": (RankError, lambda: convected_dt(surface, rank3, ev, "Upper")),
         "surface_laplace-path": (ConfigError, lambda: surface_laplace(surface, f2, ev, "Bogus")),
         "surface_laplace-rank1": (RankError, lambda: surface_laplace(surface, f1, ev, "Decomposed")),
         "conforming_laplace-path": (

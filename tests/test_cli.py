@@ -47,7 +47,7 @@ def test_verify_exit_zero_and_report(tmp_path):
     report = json.loads(path.read_text())
     assert report["all_pass"] is True
     assert report["suite"] == "geometry"
-    assert report["n_identities"] == 15
+    assert report["n_identities"] == 16
 
 
 def test_verify_reports_are_byte_identical(tmp_path):

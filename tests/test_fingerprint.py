@@ -23,5 +23,5 @@ def _reference_outputs():
 def test_reference_runs_match_the_committed_fingerprint():
     ref = _reference_outputs()
     want = json.loads(ref.FINGERPRINT.read_text())
-    assert len(want["flows"]) == 16 and len(want["converge"]) == 6
+    assert len(want["flows"]) == 24 and len(want["converge"]) == 6
     assert ref.fingerprint() == want

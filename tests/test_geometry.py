@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -111,7 +112,24 @@ def test_check_identities_on_a_given_frame_matches_its_own(torus_drift):
     given = check_identities(torus_drift, ev, geom, motion_at(torus_drift, ev, geom))
     alone = check_identities(torus_drift, ev)
     assert given.to_json_obj() == alone.to_json_obj()
-    assert len(alone.rows) == 15
+    assert len(alone.rows) == 16
+
+
+def test_a_wrong_closed_form_u_jet_fails_the_velocity_gradient_row():
+    # every route of the other rows reads du from the same u-jets, so only
+    # the finite-difference partials of u see a sign error in d_1 u^2
+    swirl = get_scenario("torus-breathing-swirl")
+
+    def flipped(t, y1, y2):
+        du = swirl.u_jets(t, y1, y2)
+        du[1, 0] = -du[1, 0]
+        return du
+
+    wrong = dataclasses.replace(swirl, u_jets=flipped)
+    for ev in sample_events(wrong, 3, 0):
+        rows = check_identities(wrong, ev).rows
+        failed = {name for name, (residual, tol) in rows.items() if not residual < tol}
+        assert failed == {"relative-velocity-gradient"}, rows
 
 
 def test_check_identities_builds_no_material_velocity(torus_drift, torus_events):
@@ -127,7 +145,7 @@ def test_check_identities_builds_no_material_velocity(torus_drift, torus_events)
 def test_identity_report_shape(torus_drift, torus_events):
     report = check_identities(torus_drift, torus_events[0])
     obj = report.to_json_obj()
-    assert len(obj) == 15
+    assert len(obj) == 16
     for row in obj:
         assert set(row) == {"identity_name", "residual", "tol", "pass"}
 

@@ -9,6 +9,7 @@ from surfrates.errors import (
     DomainError,
     MissingSplitError,
     NotConformingError,
+    RankError,
 )
 from surfrates.fields import QSplit, pi_q_components, q_to_cart, project
 from surfrates.geometry import geometry_at, geometry_from_jet, motion_at, motion_grid
@@ -433,6 +434,20 @@ def test_material_proxy_route_builds_no_frame(monkeypatch, route):
     else:
         convected_dt(surface, closure, ev, DerivKind.Material)
     assert calls == {"jet": 1, "u_jet": 0}
+
+
+@pytest.mark.parametrize("rank, kind", [(3, DerivKind.Upper), (2, DerivKind.ConformingMaterial)])
+def test_rejected_tangential_dt_builds_no_frame(monkeypatch, torus_drift, rank, kind):
+    # the rank and kind checks come first, as in convected_dt
+    import surfrates.timederiv as timederiv
+
+    def no_frame(*args):
+        raise AssertionError("a rejected call built a frame")
+
+    monkeypatch.setattr(timederiv, "_frame", no_frame)
+    closure = TangentialFieldClosure(rank, probe_tangential(2).comp_eval)
+    with pytest.raises((RankError, ConfigError)):
+        tangential_dt(torus_drift, closure, Event(0.4, 0.7, 1.1), kind)
 
 
 @pytest.mark.parametrize(
