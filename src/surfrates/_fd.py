@@ -15,9 +15,13 @@ axes followed by exactly those coordinate axes, or fail loudly: raise, or
 return an array whose trailing axes are not the coordinate shape.  Such a
 pointwise-only callable is then evaluated offset by offset, which is the
 only per-offset path.  Stencil arithmetic is elementwise and combines the
-offsets in the order of the one-dimensional formulas.
+offsets in the order of the one-dimensional formulas.  ``_each`` puts
+several arrays through one stencil call, holding each array to that
+contract.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -47,6 +51,31 @@ def _per_offset(f, *args):
         [np.asarray(f(*(x[..., k][()] for x in args))) for k in range(args[0].shape[-1])],
         axis=-1,
     )
+
+
+def _each(stencil, f3, t, y1, y2, *steps):
+    """``stencil`` of each array in the list that ``f3(t, y1, y2)`` returns,
+    from one call of ``f3`` on the stencil's points; each output comes back
+    as a list in ``f3``'s order.  An array's component shape is its axes in
+    front of the coordinate shape; one whose trailing axes are not the
+    coordinate shape raises ValueError, so the stencil evaluates ``f3``
+    offset by offset, as it does for a single array."""
+    comps = []
+
+    def packed(s, a, b):
+        shape = np.shape(s)
+        vals = [np.asarray(x) for x in f3(s, a, b)]
+        if any(x.shape[max(x.ndim - len(shape), 0) :] != shape for x in vals):
+            raise ValueError("an array's trailing axes are not the coordinate shape")
+        comps[:] = [x.shape[: x.ndim - len(shape)] for x in vals]
+        return np.concatenate([x.reshape((math.prod(c),) + shape) for x, c in zip(vals, comps)])
+
+    def unpack(F):
+        bounds = np.cumsum([math.prod(c) for c in comps])[:-1]
+        return [x.reshape(c + x.shape[1:]) for x, c in zip(np.split(F, bounds), comps)]
+
+    out = stencil(packed, t, y1, y2, *steps)
+    return tuple(map(unpack, out)) if isinstance(out, tuple) else unpack(out)
 
 
 def _d1(F, h):

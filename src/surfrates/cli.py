@@ -32,7 +32,7 @@ from .diffops import (
     scalar_laplace,
     surface_laplace,
 )
-from .errors import ConfigError, StabilityError, SurfratesError
+from .errors import ConfigError, StabilityError, SurfratesError, _require_counts
 from .fields import (
     _Q_BLOCKS,
     _SPLIT_BLOCKS,
@@ -283,6 +283,7 @@ def run_verify(
 ) -> dict:
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; pick one of {SUITES}")
+    _require_counts(n_events=n_events)
     if n_events < 1:
         raise ConfigError(f"verify needs at least one event, got {n_events}")
     # every route, probe and stencil of the call asks for the same few chart

@@ -11,10 +11,11 @@ event's trailing axes) come in two independent flavors:
   object from the split blocks and curvature couplings.  Like the time
   derivatives, this is "compute parts, then apply the formula": the value,
   covariant derivative and Bochner Laplacian of every block, scalar blocks
-  included, come from two covariant sweeps (``_sweep_parts``) of one packed
+  included, come from two covariant sweeps (``_sweep_parts``) of one
   ``split_eval`` or ``q_eval`` call at the sweep's points and one on their 8
-  axis offsets.  Both sweeps and the Beltrami stencil take their covariant
-  derivatives from ``geometry._covariant_derivative``.
+  axis offsets, packed by ``_fd._each``.  Both sweeps and the Beltrami
+  stencil take their covariant derivatives from
+  ``geometry._covariant_derivative``.
 
 The grid Laplacian uses the divergence form with matched central differences,
 which makes it exactly self-adjoint against the quadrature weights.
@@ -22,14 +23,13 @@ which makes it exactly self-adjoint against the quadrature weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Callable
 
 import numpy as np
 
-from ._fd import c4_grad, c4_hess
+from ._fd import _each, c4_grad, c4_hess
 from .chart_kernel import Event, MovingSurface
-from .errors import ConfigError, RankError, StencilError
+from .errors import ConfigError, RankError, StencilError, _require_counts
 from .fields import (
     _SPLIT_BLOCKS,
     QSplit,
@@ -46,7 +46,7 @@ from .geometry import (
     geometry_from_jet,
 )
 from .timederiv import FieldClosure, QFieldClosure
-from .util import _pack, _scaled_norm, _unpack
+from .util import _scaled_norm
 
 __all__ = [
     "scalar_laplace",
@@ -81,40 +81,39 @@ def scalar_laplace(
 
 
 def _sweep_parts(
-    surface: MovingSurface, fn: Callable, ranks, event: Event, geom: GeometrySample
-) -> list[tuple]:
-    """(value, covariant derivative T, Bochner Laplacian g^{kl} T_{|kl}) of
-    each array that ``fn(t, y1, y2)`` returns (tangential components of the
-    given ranks, 0 for a scalar) at an event, from two covariant sweeps: the
-    packed blocks, then the packed T of every block, each differenced by
-    ``c4_grad``.  T carries its new lower index after the block's own
-    indices.  ``fn`` is called 4 times in all."""
+    surface: MovingSurface, fn: Callable, blocks: dict, event: Event, geom: GeometrySample
+) -> dict[str, tuple]:
+    """(value, covariant derivative T, Bochner Laplacian g^{kl} T_{|kl}) by
+    name of each block in the layout ``blocks`` (name: tangential rank) of
+    the split that ``fn(t, y1, y2)`` returns, at an event, from two covariant
+    sweeps: the blocks, then their T, each differenced by one ``c4_grad``
+    call (``_fd._each``).  T carries its new lower index after the block's
+    own indices.  ``fn`` is called 4 times in all."""
     h = surface.space_step
-    comps = [(2,) * k for k in ranks]
-    lifted = [(2,) * (k + 1) for k in ranks]
 
-    def packed(s, a, b):
-        return _pack(fn(s, a, b), comps, np.broadcast_shapes(*map(np.shape, (s, a, b))))
+    def arrays(s, a, b):
+        split = fn(s, a, b)
+        return [getattr(split, n) for n in blocks]
 
-    def first(s, a, b, g):
-        vals = _unpack(packed(s, a, b), comps)
-        d1, d2 = (_unpack(d, comps) for d in c4_grad(packed, s, a, b, h))
-        return vals, [
+    def covariant(vals, s, a, b, g):
+        d1, d2 = _each(c4_grad, arrays, s, a, b, h)
+        return [
             _covariant_derivative(g, v, np.stack([x, y], axis=k), k)
-            for k, v, x, y in zip(ranks, vals, d1, d2)
+            for k, v, x, y in zip(blocks.values(), vals, d1, d2)
         ]
 
     def T_of(s, a, b):
-        Ts = first(s, a, b, geometry_from_jet(surface.jet(s, a, b)))[1]
-        return _pack(Ts, lifted, np.shape(a))
+        return covariant(arrays(s, a, b), s, a, b, geometry_from_jet(surface.jet(s, a, b)))
 
-    vals, Ts = first(event.t, event.y1, event.y2, geom)
-    d1, d2 = (_unpack(d, lifted) for d in c4_grad(T_of, event.t, event.y1, event.y2, h))
-    out = []
-    for k, v, T, x, y in zip(ranks, vals, Ts, d1, d2):
+    t, y1, y2 = event.t, event.y1, event.y2
+    vals = arrays(t, y1, y2)
+    Ts = covariant(vals, t, y1, y2, geom)
+    d1, d2 = _each(c4_grad, T_of, t, y1, y2, h)
+    out = {}
+    for (n, k), v, T, x, y in zip(blocks.items(), vals, Ts, d1, d2):
         c = "ij"[:k]
         full = _covariant_derivative(geom, T, np.stack([x, y], axis=k + 1), k, 1)
-        out.append((v, T, np.einsum(f"kl...,{c}kl...->{c}...", geom.ginv, full)))
+        out[n] = (v, T, np.einsum(f"kl...,{c}kl...->{c}...", geom.ginv, full))
     return out
 
 
@@ -155,11 +154,9 @@ def surface_laplace(
     if closure.rank != 2:
         raise RankError("the Decomposed Laplacian path applies to rank-2 fields")
 
-    split_eval, blocks = closure.require_split(), _SPLIT_BLOCKS[2]
-    get = attrgetter(*blocks)
-    (r, Dr, lap_r), (eL, DeL, lap_eL), (eR, DeR, lap_eR), (phi, dphi_cov, lap_phi) = _sweep_parts(
-        surface, lambda s, a, b: get(split_eval(s, a, b)), blocks.values(), event, geom
-    )
+    p = _sweep_parts(surface, closure.require_split(), _SPLIT_BLOCKS[2], event, geom)
+    (r, Dr, lap_r), (eL, DeL, lap_eL) = p["r2"], p["etaL2"]
+    (eR, DeR, lap_eR), (phi, dphi_cov, lap_phi) = p["etaR2"], p["phi"]
     dH_cov = _grad_H_cov(surface, event)
     gradH_up = _contract_metric(geom.ginv, dH_cov, 1)
     gradphi_up = _contract_metric(geom.ginv, dphi_cov, 1)
@@ -230,10 +227,9 @@ def conforming_laplace(
     _require_conforming(qs)
 
     if path == "ClosedForm":
-        blocks = attrgetter("q2", "beta")
-        (q, _, lap_q), (beta, _, lap_beta) = _sweep_parts(
-            surface, lambda s, a, b: blocks(qclosure.q_eval(s, a, b)), (2, 0), event, geom
-        )
+        # the conforming subset of the Q layout: its coupling block is zero
+        p = _sweep_parts(surface, qclosure.q_eval, {"q2": 2, "beta": 0}, event, geom)
+        (q, _, lap_q), (beta, _, lap_beta) = p["q2"], p["beta"]
         _, trB2, B2c, B2_cov = _curvature_squares(geom)
         piQ_B2 = B2c - 0.5 * trB2 * geom.ginv
         qblock = lap_q - trB2 * q + 3.0 * beta * piQ_B2
@@ -289,6 +285,7 @@ def make_grid(surface: MovingSurface, t: float, n1: int, n2: int | None = None) 
     torus jets) take their factors on n1 + n2 values."""
     if n2 is None:
         n2 = n1
+    _require_counts(n1=n1, n2=n2)
     dom = surface.domain
     if not (dom.periodic1 and dom.periodic2):
         raise ConfigError("grids require a doubly periodic chart domain")

@@ -1,6 +1,8 @@
 """Exception taxonomy shared by all modules."""
 from __future__ import annotations
 
+from numbers import Integral
+
 __all__ = [
     "SurfratesError",
     "DomainError",
@@ -76,3 +78,11 @@ class ConfigError(SurfratesError):
 
 class ShellDegenerateError(SurfratesError):
     """Thin-shell chart degenerates at the requested offset (1 - xi*kappa <= 0)."""
+
+
+def _require_counts(**counts):
+    """ConfigError naming each count that is not an integer; a numpy integer
+    is one, a float is not."""
+    bad = [f"{k}={v!r}" for k, v in counts.items() if not isinstance(v, Integral)]
+    if bad:
+        raise ConfigError(f"counts must be integers, got {', '.join(bad)}")

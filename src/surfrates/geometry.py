@@ -29,10 +29,10 @@ from functools import cached_property
 
 import numpy as np
 
-from ._fd import c4_dt, c4_grad
+from ._fd import _each, c4_dt, c4_grad
 from .chart_kernel import _FD_TIME_STEP, ChartJet, Event, MovingSurface, _require_event_inside
 from .errors import NonEmbeddingError
-from .util import _maxabs, _pack, _unpack, det2, inv2
+from .util import _maxabs, det2, inv2
 
 __all__ = [
     "GeometrySample",
@@ -351,11 +351,6 @@ class IdentityReport:
         ]
 
 
-# component shapes of the packed parts that the identities difference
-_SPACE_PARTS = ((3,), (2, 2), (2, 2), (2,))
-_TIME_PARTS = ((3,), (2, 2), (2,), (2, 2), (2,), (2, 2))
-
-
 def check_identities(
     surface: MovingSurface,
     event: Event,
@@ -370,7 +365,8 @@ def check_identities(
     partials of u, the velocity-gradient split, the normal- and metric-rate
     relations, and raising/lowering compatibility of proxy time derivatives.
     ``geom`` and ``mot``, the geometry and motion at the event, are built
-    unless given.
+    unless given.  The finite-difference parts come from one space and one
+    time stencil call, each on a plain list of arrays (``_fd._each``).
     """
     # imported here because probes imports this module
     from .probes import probe_matrix_comps, probe_vector_comps
@@ -393,12 +389,12 @@ def check_identities(
     add("gauss-formula", gauss)
 
     def space_parts(s, a, b):
-        """nu, g and g^-1, from one chart jet, and u, packed."""
+        """nu, g and g^-1, from one chart jet, and u."""
         dX = surface.jet(s, a, b).dX
         g = _metric(dX)
-        return _pack([_unit_normal(dX), g, inv2(g), surface.u(s, a, b)], _SPACE_PARTS, g.shape[2:])
+        return [_unit_normal(dX), g, inv2(g), surface.u(s, a, b)]
 
-    d1, d2 = (_unpack(d, _SPACE_PARTS) for d in c4_grad(space_parts, t, y1, y2, h))
+    d1, d2 = _each(c4_grad, space_parts, t, y1, y2, h)
     # partial index l first
     fd_dnu, fd_dg, fd_dginv, fd_du = (np.stack(pair) for pair in zip(d1, d2))
     add("weingarten", fd_dnu - np.einsum("ai...->ia...", geom.dnu))
@@ -442,16 +438,14 @@ def check_identities(
 
     def time_parts(s, a, b):
         """nu, g, the covariant proxies g eta and g r g of the probes, and
-        eta and r themselves, packed, from one chart jet."""
+        eta and r themselves, from one chart jet."""
         dX = surface.jet(s, a, b).dX
         gs = _metric(dX)
         eta, r = probe_vector_comps(s, a, b), probe_matrix_comps(s, a, b)
         covs = [_contract_metric(gs, eta, 1), _contract_metric(gs, r, 2)]
-        return _pack([_unit_normal(dX), gs, *covs, eta, r], _TIME_PARTS, gs.shape[2:])
+        return [_unit_normal(dX), gs, *covs, eta, r]
 
-    fd_dtnu, fd_dtg, deta_cov, dr_cov, deta, dr = _unpack(
-        c4_dt(time_parts, t, y1, y2, _FD_TIME_STEP), _TIME_PARTS
-    )
+    fd_dtnu, fd_dtg, deta_cov, dr_cov, deta, dr = _each(c4_dt, time_parts, t, y1, y2, _FD_TIME_STEP)
 
     # normal rates
     add("normal-rate", fd_dtnu + mot.b_obs3)

@@ -114,8 +114,9 @@ def _q_probe(surface: MovingSurface, tangential, coupling, normal) -> QFieldClos
     """The Q-field of the Q-projection of ``tangential(t, a, b)``, the coupling
     block ``coupling(t, a, b)`` and the normal block ``normal(t, a, b)``: the
     probes' and the flow cross-check's.  Without a coupling function the block
-    is zero, at the full shape, since ``_split_parts`` packs every block into
-    one stencil."""
+    is zero, at the full shape: ``_fd._each`` holds every block of one
+    stencil call to the coordinate shape, and a broadcast block would send
+    the whole closure to the per-offset path."""
 
     def q_eval(t, a, b):
         geom = geometry_from_jet(surface.jet(t, a, b))

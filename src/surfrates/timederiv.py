@@ -25,12 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._fd import c2_c4_dt_grad
+from ._fd import _each, c2_c4_dt_grad
 from .chart_kernel import Event, MovingSurface, _require_event_inside
 from .errors import ConfigError, MissingSplitError, RankError
 from .fields import (
@@ -53,7 +52,6 @@ from .geometry import (
     _metric,
     geometry_from_jet,
 )
-from .util import _pack, _unpack
 
 __all__ = [
     "DerivKind",
@@ -169,46 +167,33 @@ class _Block(NamedTuple):
     w: _Parts | None = None
 
 
-def _block_parts(
-    surface: MovingSurface, fn: Callable, ranks, event: Event, lowered: bool = False
-) -> list[_Block]:
-    """_Block of each array that ``fn(t, y1, y2)`` returns (tangential
-    components of the given ranks, 0 for a scalar), from one space-time
-    stencil call on 11 points.  With ``lowered``, each tangential block's
-    covariant proxy is formed at those points from one chart jet and
-    differenced in the same call."""
-    every = (*ranks, *(k for k in ranks if k and lowered))
-    comps = [(2,) * k for k in every]
-
-    def packed(s, a, b):
-        vals = list(fn(s, a, b))
-        if lowered:
-            g = _metric(surface.jet(s, a, b).dX)
-            vals += [_contract_metric(g, x, k) for x, k in zip(vals, ranks) if k]
-        return _pack(vals, comps, np.shape(s))
-
-    F = c2_c4_dt_grad(
-        packed, event.t, event.y1, event.y2, DT_TIME_STEP, surface.space_step
-    )
-    parts = [
-        _Parts(v, vt, np.stack([d1, d2], axis=k))
-        for k, (v, vt, d1, d2) in zip(every, zip(*(_unpack(x, comps) for x in F)))
-    ]
-    covs = iter(parts[len(ranks) :])
-    return [_Block(k, p, next(covs) if lowered and k else None) for k, p in zip(ranks, parts)]
-
-
 def _split_parts(
     surface: MovingSurface, fn: Callable, blocks: dict, event: Event, lowered: bool = False
 ) -> dict[str, _Block]:
-    """Every block of the split that ``fn(t, y1, y2)`` returns, by name, from
-    one call of ``fn`` as in _block_parts: ``blocks`` is the split's layout
-    from ``fields``, ``_SPLIT_BLOCKS[rank]`` for a TensorSplit (``fn`` a
-    closure's ``require_split()``) or ``_Q_BLOCKS`` for a QSplit (``fn`` a
-    ``q_eval``)."""
-    get = attrgetter(*blocks)
-    parts = _block_parts(surface, lambda s, a, b: get(fn(s, a, b)), blocks.values(), event, lowered)
-    return dict(zip(blocks, parts))
+    """_Block of every block of the split that ``fn(t, y1, y2)`` returns, by
+    name, from one space-time stencil call on 11 points (``_fd._each``).
+    ``blocks`` is the split's layout from ``fields``: ``_SPLIT_BLOCKS[rank]``
+    for a TensorSplit (``fn`` a closure's ``require_split()``), ``_Q_BLOCKS``
+    for a QSplit (``fn`` a ``q_eval``), or ``{"r2": rank}`` for one
+    tangential block.  With ``lowered``, each tangential block's covariant
+    proxy is formed at those points from one chart jet and differenced in
+    the same call."""
+    ranks = list(blocks.values())
+    every = ranks + [k for k in ranks if k and lowered]
+
+    def arrays(s, a, b):
+        split = fn(s, a, b)
+        vals = [getattr(split, n) for n in blocks]
+        if lowered:
+            g = _metric(surface.jet(s, a, b).dX)
+            vals += [_contract_metric(g, x, k) for x, k in zip(vals, ranks) if k]
+        return vals
+
+    F = _each(c2_c4_dt_grad, arrays, event.t, event.y1, event.y2, DT_TIME_STEP, surface.space_step)
+    parts = [_Parts(v, vt, np.stack([d1, d2], axis=k)) for k, v, vt, d1, d2 in zip(every, *F)]
+    covs = iter(parts[len(ranks) :])
+    out = [_Block(k, p, next(covs) if lowered and k else None) for k, p in zip(ranks, parts)]
+    return dict(zip(blocks, out))
 
 
 def _advected_parts(surface: MovingSurface, fun: Callable, event: Event):
@@ -310,7 +295,11 @@ def tangential_dt(
     geom: GeometrySample | None = None,
     mot: MotionSample | None = None,
 ) -> np.ndarray:
-    """Tangential time derivative, returned in contravariant components."""
+    """Tangential time derivative, returned in contravariant components.
+
+    The closure's components are read as the ``r2`` block of a one-block
+    split, so they take the parts builder of every split (``_split_parts``).
+    """
     kind = DerivKind(kind)
     if closure.rank not in (1, 2):
         raise RankError("tangential_dt supports rank 1 and 2")
@@ -318,10 +307,12 @@ def tangential_dt(
         raise ConfigError("ConformingMaterial applies to Q-tensor fields; use q_dt")
     geom, mot = _frame(surface, event, geom, mot)
     lowered = kind != DerivKind.Material and _check_path(kind, path, "tangential_dt")
-    (block,) = _block_parts(
-        surface, lambda s, a, b: (closure.comp_eval(s, a, b),), (closure.rank,), event, lowered
-    )
-    return _tangential(geom, mot, block, kind, path)
+
+    def split(s, a, b):
+        return TensorSplit(closure.rank, r2=closure.comp_eval(s, a, b), phi=None)
+
+    parts = _split_parts(surface, split, {"r2": closure.rank}, event, lowered)
+    return _tangential(geom, mot, parts["r2"], kind, path)
 
 
 # ---------------------------------------------------------------------------

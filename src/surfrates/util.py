@@ -1,7 +1,6 @@
 """Small shared numerical helpers."""
 from __future__ import annotations
 
-import math
 from functools import reduce
 
 import numpy as np
@@ -37,19 +36,6 @@ def rel_residual(a, b) -> float:
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return float(_scaled_norm(a - b, a, b))
-
-
-def _pack(vals, comps, shape):
-    """The arrays on one leading axis, each reshaped from its component shape
-    in ``comps`` followed by ``shape``."""
-    return np.concatenate([np.reshape(x, (math.prod(c),) + shape) for x, c in zip(vals, comps)])
-
-
-def _unpack(F, comps):
-    """The arrays of a packed F, each with its component shape followed by
-    the trailing axes of F."""
-    bounds = np.cumsum([math.prod(c) for c in comps])[:-1]
-    return [x.reshape(c + x.shape[1:]) for x, c in zip(np.split(F, bounds), comps)]
 
 
 def _mm(a, b):

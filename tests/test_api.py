@@ -48,6 +48,7 @@ def _rejections():
         convected_dt,
         geometry_at,
         get_scenario,
+        make_grid,
         material_dt,
         probe_conforming_q_field,
         probe_field,
@@ -101,6 +102,20 @@ def _rejections():
         "run_verify-suite": (ConfigError, lambda: run_verify("torus-static", "bogus")),
         "FlowConfig-dt": (ConfigError, lambda: FlowConfig(dt=0.0)),
         "FlowConfig-steps": (ConfigError, lambda: FlowConfig(steps=-1)),
+        "run_verify-n_events-float": (
+            ConfigError,
+            lambda: run_verify("torus-static", n_events=2.5),
+        ),
+        "FlowConfig-n-float": (ConfigError, lambda: FlowConfig(n=16.5)),
+        "FlowConfig-steps-float": (ConfigError, lambda: FlowConfig(steps=2.5)),
+        "FlowConfig-seed-float": (ConfigError, lambda: FlowConfig(seed=1.5)),
+        "FlowConfig-snapshot_every-float": (ConfigError, lambda: FlowConfig(snapshot_every=0.5)),
+        "FlowConfig-crosscheck_every-float": (
+            ConfigError,
+            lambda: FlowConfig(crosscheck_every=0.5),
+        ),
+        "make_grid-n1-float": (ConfigError, lambda: make_grid(surface, 0.0, 16.5)),
+        "make_grid-n2-float": (ConfigError, lambda: make_grid(surface, 0.0, 16, 16.5)),
         "run_flow-snapshot-without-out_dir": (
             ConfigError,
             lambda: run_flow(surface, LdGParams(), FlowConfig(n=16, steps=1, snapshot_every=1)),

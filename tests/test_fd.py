@@ -276,3 +276,38 @@ def test_pointwise_failure_is_raised():
 
     with pytest.raises(ArithmeticError, match="bad point"):
         c4_grad(scalar_only, 0.3, 0.1, 0.2, 1e-3)
+
+
+@pytest.mark.parametrize(
+    "stencil, steps, points",
+    [
+        (c4_dt, (1e-3,), 4),
+        (c4_grad, (1e-3,), 8),
+        (c4_hess, (1e-3,), 25),
+        (c2_c4_dt_grad, (1e-4, 1e-3), 11),
+    ],
+)
+def test_each_puts_a_list_through_one_stencil_call(stencil, steps, points, per_offset_calls):
+    def pair(t, a, b):
+        return [_tpoly(t, a, b), np.einsum("i...,j...->ij...", _poly(t, a, b), _tpoly(t, a, b))]
+
+    # the arrays of one call give the bits of one stencil call each
+    t, y1, y2 = 0.3, np.linspace(0.0, 1.0, 5), 0.4
+    counting = _Counting(pair)
+    got = _outputs(_fd._each(stencil, counting, t, y1, y2, *steps))
+    assert counting.calls == 1
+    assert per_offset_calls == []
+    for i in range(2):
+        want = _outputs(stencil(lambda s, a, b: pair(s, a, b)[i], t, y1, y2, *steps))
+        for g, w in zip(got, want):
+            assert_array_equal(g[i], w)
+
+    # an array without the coordinate axes fails the contract, and the whole
+    # list takes the per-offset path once
+    counting = _Counting(lambda t, a, b: [_tpoly(t, a, b), np.zeros(3)])
+    got = _outputs(_fd._each(stencil, counting, 0.3, 0.4, 1.2, *steps))
+    assert per_offset_calls == [(points,)]
+    assert counting.calls == 1 + points
+    for (value, zero), want in zip(got, _outputs(stencil(_tpoly, 0.3, 0.4, 1.2, *steps))):
+        assert_array_equal(value, want)
+        assert_array_equal(zero, np.zeros(3))

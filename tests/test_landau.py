@@ -444,6 +444,18 @@ def test_a_static_surface_with_a_relative_velocity_is_not_at_rest(torus_static, 
     assert change > 1e-4
 
 
+def test_a_static_surface_with_a_relative_velocity_has_no_energy_watchdog(torus_static):
+    # the transport terms of u give the energy no sign: at half the bound the
+    # energy rises, by an amount that scales with nothing unstable, and the
+    # run completes
+    drifting = replace(torus_static, **_trig_u(1.0, 0.7))
+    dt = 0.5 * stability_bound(make_grid(drifting, 0.0, 16), LdGParams())
+    cfg = FlowConfig(mode="FullQ_Jaumann", n=16, dt=dt, steps=120, method="rk4", seed=3)
+    result = run_flow(drifting, LdGParams(), cfg)
+    assert len(result.energies) == 121
+    assert np.max(np.diff(result.energies)) > landau.ENERGY_RISE_TOL
+
+
 @pytest.mark.parametrize("scenario", ["torus_static", "torus_drift"])
 def test_conforming_proxy_equals_q_to_cart(request, scenario):
     # the conforming assembly skips the zero coupling blocks of q_to_cart and

@@ -11,7 +11,14 @@ from surfrates.errors import (
     NotConformingError,
     RankError,
 )
-from surfrates.fields import QSplit, pi_q_components, q_to_cart, project
+from surfrates.fields import (
+    _SPLIT_BLOCKS,
+    QSplit,
+    TensorSplit,
+    pi_q_components,
+    project,
+    q_to_cart,
+)
 from surfrates.geometry import geometry_at, geometry_from_jet, motion_at, motion_grid
 from surfrates.probes import (
     probe_conforming_q_field,
@@ -178,6 +185,32 @@ def test_missing_split_raises(torus_drift, torus_events):
     closure = FieldClosure(2, lambda t, a, b: np.zeros((3, 3)))
     with pytest.raises(MissingSplitError):
         material_dt(torus_drift, closure, torus_events[0], "Decomposed")
+
+
+def _points_first(split_eval):
+    """split_eval with each block's component axes moved behind the point
+    axes: a closure that fails the stencil contract on arrays of points."""
+
+    def moved(t, a, b):
+        split = split_eval(t, a, b)
+        blocks = {
+            n: np.moveaxis(getattr(split, n), range(k), range(-k, 0))
+            for n, k in _SPLIT_BLOCKS[2].items()
+        }
+        return TensorSplit(rank=2, **blocks)
+
+    return moved
+
+
+@pytest.mark.parametrize("route", [material_dt, surface_laplace])
+def test_a_points_first_split_closure_is_evaluated_offset_by_offset(torus_drift, route):
+    # every array of the split is held to the stencil contract, so its blocks
+    # are not reshaped into the wrong components but taken one point at a time
+    field = probe_field(torus_drift, 2)
+    moved = FieldClosure(2, field.eval, _points_first(field.split_eval))
+    for ev in sample_events(torus_drift, 3, 11):
+        got = route(torus_drift, moved, ev, "Decomposed")
+        assert rel_residual(got, route(torus_drift, field, ev)) < 1e-6
 
 
 def test_corotating_field_has_zero_jaumann_rate(sphere_rot):
