@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._fd import c4_dt, c4_grad, c4_hess
-from .errors import ConfigError, DomainError, InversionError
+from .errors import ConfigError, DomainError, InversionError, _require_counts
 from .util import det2, inv2
 
 __all__ = [
@@ -287,7 +287,7 @@ def make_observer_pair(surface: MovingSurface, motion: Callable):
         if np.any(np.abs(det2(m.dX)) < 1e-12):
             raise InversionError("chart map Jacobian is singular at requested point")
         ua = base.u(t, m.X[0], m.X[1])
-        return np.einsum("ji...,j...->i...", inv2(m.dX), ua - m.Vt)
+        return np.einsum("ij...,j...->i...", inv2(m.dX), ua - m.Vt)
 
     observed = MovingSurface(
         name=base.name + "+observer",
@@ -500,6 +500,7 @@ def fd_variant(surface: MovingSurface, step: Optional[float] = None) -> MovingSu
 def sample_events(surface: MovingSurface, n: int, seed: int) -> list[Event]:
     """Seeded random events strictly inside the admissible domain; a non-periodic
     axis keeps 4% of its span plus four spatial steps clear at each end."""
+    _require_counts(n=n, seed=seed)
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)

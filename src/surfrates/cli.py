@@ -146,7 +146,7 @@ def _suite_derivatives(surface, ev, geom, mot, report: IdentityReport):
         # the Decomposed routes read split
         Pv, da = _advected_parts(surface, P.eval, ev)
         Rv, DmR = _advected_parts(surface, R.eval, ev)
-        split = _split_parts(surface, P.require_split(), _SPLIT_BLOCKS[rank], ev, lowered=True)
+        split = _split_parts(surface, P, _SPLIT_BLOCKS[rank], ev, lowered=True)
         db = _material_decomposed(geom, mot, rank, split)
         report.add(f"material-rank{rank}-dual-path", _rel(da, db), 1e-6)
         vals = {}
@@ -174,14 +174,12 @@ def _suite_derivatives(surface, ev, geom, mot, report: IdentityReport):
 
 def _suite_qtensor(surface, ev, geom, mot, report: IdentityReport):
     qcl = probe_q_field(surface)
-    fcl = qcl.as_field_closure(surface)
     ccl = probe_conforming_q_field(surface)
-    cfl = ccl.as_field_closure(surface)
     t, y1, y2 = ev.t, ev.y1, ev.y2
-    # each side's parts once: q_eval's blocks for the Q-split routes and the
+    # each side's parts once: the blocks for the Q-split routes and the
     # pointwise algebra, the full proxy and its material rate for the others
-    qparts = _split_parts(surface, qcl.q_eval, _Q_BLOCKS, ev)
-    Fv, dm_full = _advected_parts(surface, fcl.eval, ev)
+    qparts = _split_parts(surface, qcl, _Q_BLOCKS, ev)
+    Fv, dm_full = _advected_parts(surface, qcl.eval, ev)
 
     dmq = _q_formula(geom, mot, qparts, DerivKind.Material)
     report.add("qtensor-material-closure", _rel(q_to_cart(geom, dmq), dm_full), 1e-8)
@@ -189,7 +187,7 @@ def _suite_qtensor(surface, ev, geom, mot, report: IdentityReport):
     dj_full = _via_material(mot, 2, DerivKind.Jaumann, Fv, dm_full)
     report.add("qtensor-jaumann-closure", _rel(q_to_cart(geom, djq), dj_full), 1e-8)
     dcq = q_dt(surface, ccl, ev, DerivKind.ConformingMaterial, geom, mot)
-    dmc_full = material_dt(surface, cfl, ev, "CartesianProxy", geom, mot)
+    dmc_full = material_dt(surface, ccl, ev, "CartesianProxy", geom, mot)
     report.add(
         "qtensor-conforming-projection",
         _rel(q_to_cart(geom, dcq), project(geom, dmc_full, "CQ")),

@@ -12,8 +12,8 @@ event's trailing axes) come in two independent flavors:
   derivatives, this is "compute parts, then apply the formula": the value,
   covariant derivative and Bochner Laplacian of every block, scalar blocks
   included, come from two covariant sweeps (``_sweep_parts``) of one
-  ``split_eval`` or ``q_eval`` call at the sweep's points and one on their 8
-  axis offsets, packed by ``_fd._each``.  Both sweeps and the Beltrami
+  ``split_eval`` call at the sweep's points and one on their 8 axis
+  offsets, packed by ``_fd._each``.  Both sweeps and the Beltrami
   stencil take their covariant derivatives from
   ``geometry._covariant_derivative``.
 
@@ -31,6 +31,7 @@ from ._fd import _each, c4_grad, c4_hess
 from .chart_kernel import Event, MovingSurface
 from .errors import ConfigError, RankError, StencilError, _require_counts
 from .fields import (
+    _Q_BLOCKS,
     _SPLIT_BLOCKS,
     QSplit,
     TensorSplit,
@@ -45,7 +46,7 @@ from .geometry import (
     geometry_at,
     geometry_from_jet,
 )
-from .timederiv import FieldClosure, QFieldClosure
+from .timederiv import FieldClosure
 from .util import _scaled_norm
 
 __all__ = [
@@ -81,14 +82,16 @@ def scalar_laplace(
 
 
 def _sweep_parts(
-    surface: MovingSurface, fn: Callable, blocks: dict, event: Event, geom: GeometrySample
+    surface: MovingSurface, closure: FieldClosure, blocks: dict, event: Event, geom: GeometrySample
 ) -> dict[str, tuple]:
     """(value, covariant derivative T, Bochner Laplacian g^{kl} T_{|kl}) by
-    name of each block in the layout ``blocks`` (name: tangential rank) of
-    the split that ``fn(t, y1, y2)`` returns, at an event, from two covariant
-    sweeps: the blocks, then their T, each differenced by one ``c4_grad``
-    call (``_fd._each``).  T carries its new lower index after the block's
-    own indices.  ``fn`` is called 4 times in all."""
+    name of each block of the closure's split, whose layout the route reads
+    as ``blocks`` (name: tangential rank; ``closure.require_split``), at an
+    event, from two covariant sweeps: the blocks, then their T, each
+    differenced by one ``c4_grad`` call (``_fd._each``).  T carries its new
+    lower index after the block's own indices.  ``split_eval`` is called 4
+    times in all."""
+    fn = closure.require_split(blocks)
     h = surface.space_step
 
     def arrays(s, a, b):
@@ -154,7 +157,7 @@ def surface_laplace(
     if closure.rank != 2:
         raise RankError("the Decomposed Laplacian path applies to rank-2 fields")
 
-    p = _sweep_parts(surface, closure.require_split(), _SPLIT_BLOCKS[2], event, geom)
+    p = _sweep_parts(surface, closure, _SPLIT_BLOCKS[2], event, geom)
     (r, Dr, lap_r), (eL, DeL, lap_eL) = p["r2"], p["etaL2"]
     (eR, DeR, lap_eR), (phi, dphi_cov, lap_phi) = p["etaR2"], p["phi"]
     dH_cov = _grad_H_cov(surface, event)
@@ -208,12 +211,12 @@ def surface_laplace(
 
 def conforming_laplace(
     surface: MovingSurface,
-    qclosure: QFieldClosure,
+    closure: FieldClosure,
     event: Event,
     path: str = "ClosedForm",
     geom: GeometrySample | None = None,
 ) -> QSplit:
-    """Conforming Laplacian of a conforming Q-tensor field.
+    """Conforming Laplacian of a conforming Q-tensor field (``q_field``).
 
     ClosedForm uses the curvature-coupled expression in the (q, beta) blocks;
     Projected applies the mixed-block-killing projection to the full
@@ -222,20 +225,17 @@ def conforming_laplace(
     """
     if geom is None:
         geom = geometry_at(surface, event)
-    t, y1, y2 = event.t, event.y1, event.y2
-    qs = qclosure.q_eval(t, y1, y2)
-    _require_conforming(qs)
+    _require_conforming(closure.require_split(_Q_BLOCKS)(event.t, event.y1, event.y2))
 
     if path == "ClosedForm":
-        # the conforming subset of the Q layout: its coupling block is zero
-        p = _sweep_parts(surface, qclosure.q_eval, {"q2": 2, "beta": 0}, event, geom)
+        p = _sweep_parts(surface, closure, _Q_BLOCKS, event, geom)
         (q, _, lap_q), (beta, _, lap_beta) = p["q2"], p["beta"]
         _, trB2, B2c, B2_cov = _curvature_squares(geom)
         piQ_B2 = B2c - 0.5 * trB2 * geom.ginv
         qblock = lap_q - trB2 * q + 3.0 * beta * piQ_B2
         bblock = lap_beta + 2.0 * np.einsum("ij...,ij...->...", B2_cov, q) - 3.0 * beta * trB2
     elif path == "Projected":
-        full = scalar_laplace(surface, qclosure.as_field_closure(surface).eval, event, geom)
+        full = scalar_laplace(surface, closure.eval, event, geom)
         qblock, bblock = _conforming_blocks(geom, full)
     else:
         raise ConfigError(f"unknown conforming_laplace path {path!r}")
@@ -243,15 +243,15 @@ def conforming_laplace(
 
 
 def _conforming_route_residual(
-    surface: MovingSurface, qclosure: QFieldClosure, event: Event, geom: GeometrySample | None = None
+    surface: MovingSurface, closure: FieldClosure, event: Event, geom: GeometrySample | None = None
 ) -> np.ndarray:
     """Residual max(|dq2|, |dbeta|) / max(1, |q2|, |beta|) between the
     ClosedForm and Projected conforming Laplacians, with |.| the largest
     component, at each point of the event: an array of the event's shape."""
     if geom is None:
         geom = geometry_at(surface, event)
-    cf = conforming_laplace(surface, qclosure, event, "ClosedForm", geom)
-    cp = conforming_laplace(surface, qclosure, event, "Projected", geom)
+    cf = conforming_laplace(surface, closure, event, "ClosedForm", geom)
+    cp = conforming_laplace(surface, closure, event, "Projected", geom)
     nb = np.ndim(cf.beta)
     return np.maximum(
         _scaled_norm(cf.q2 - cp.q2, cf.q2, cf.beta, nb=nb, fro=False),

@@ -10,9 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from .chart_kernel import MovingSurface
-from .fields import QSplit, TensorSplit, pi_q_components, reconstruct
+from .fields import _SPLIT_BLOCKS, QSplit, TensorSplit, pi_q_components
 from .geometry import geometry_from_jet
-from .timederiv import FieldClosure, QFieldClosure, TangentialFieldClosure
+from .timederiv import FieldClosure, _from_blocks, q_field
 
 __all__ = [
     "probe_scalar",
@@ -77,11 +77,7 @@ def _probe(surface: MovingSurface, rank: int, scalar, vector, matrix, other) -> 
             return TensorSplit(rank=1, r2=eta, phi=phi)
         return TensorSplit(rank=2, r2=matrix(t, a, b), phi=phi, etaL2=eta, etaR2=other(t, a, b))
 
-    def _eval(t, a, b):
-        geom = geometry_from_jet(surface.jet(t, a, b))
-        return reconstruct(geom, split_eval(t, a, b))
-
-    return FieldClosure(rank=rank, eval=_eval, split_eval=split_eval)
+    return _from_blocks(surface, rank, split_eval, _SPLIT_BLOCKS[rank])
 
 
 def probe_field(surface: MovingSurface, rank: int) -> FieldClosure:
@@ -99,10 +95,14 @@ def probe_field_b(surface: MovingSurface, rank: int) -> FieldClosure:
     )
 
 
-def probe_tangential(rank: int) -> TangentialFieldClosure:
-    if rank == 1:
-        return TangentialFieldClosure(rank=1, comp_eval=probe_vector_comps)
-    return TangentialFieldClosure(rank=2, comp_eval=probe_matrix_comps)
+def probe_tangential(surface: MovingSurface, rank: int) -> FieldClosure:
+    """Tangential probe: the one block r2 of a split with no normal part."""
+    comps = probe_vector_comps if rank == 1 else probe_matrix_comps
+
+    def split_eval(t, a, b):
+        return TensorSplit(rank, r2=comps(t, a, b), phi=0.0)
+
+    return _from_blocks(surface, rank, split_eval, {"r2": rank})
 
 
 def _sym_probe(t, a, b):
@@ -110,7 +110,7 @@ def _sym_probe(t, a, b):
     return 0.5 * (m + np.einsum("ij...->ji...", m))
 
 
-def _q_probe(surface: MovingSurface, tangential, coupling, normal) -> QFieldClosure:
+def _q_probe(surface: MovingSurface, tangential, coupling, normal) -> FieldClosure:
     """The Q-field of the Q-projection of ``tangential(t, a, b)``, the coupling
     block ``coupling(t, a, b)`` and the normal block ``normal(t, a, b)``: the
     probes' and the flow cross-check's.  Without a coupling function the block
@@ -124,14 +124,14 @@ def _q_probe(surface: MovingSurface, tangential, coupling, normal) -> QFieldClos
         eta2 = np.zeros((2,) + q2.shape[2:]) if coupling is None else coupling(t, a, b)
         return QSplit(q2=q2, eta2=eta2, beta=normal(t, a, b))
 
-    return QFieldClosure(q_eval=q_eval)
+    return q_field(surface, q_eval)
 
 
-def probe_q_field(surface: MovingSurface) -> QFieldClosure:
+def probe_q_field(surface: MovingSurface) -> FieldClosure:
     """Q-tensor probe with all three blocks active."""
     return _q_probe(surface, _sym_probe, probe_vector_comps_b, probe_scalar)
 
 
-def probe_conforming_q_field(surface: MovingSurface) -> QFieldClosure:
+def probe_conforming_q_field(surface: MovingSurface) -> FieldClosure:
     """Conforming probe: no tangent-normal coupling block."""
     return _q_probe(surface, _sym_probe, None, probe_scalar_b)

@@ -39,7 +39,6 @@ from .fields import (
     TensorSplit,
     _require_conforming,
     pi_q_components,
-    q_split_to_split,
     q_to_cart,
     reconstruct,
 )
@@ -56,8 +55,7 @@ from .geometry import (
 __all__ = [
     "DerivKind",
     "FieldClosure",
-    "TangentialFieldClosure",
-    "QFieldClosure",
+    "q_field",
     "scalar_dot",
     "tangential_dt",
     "material_dt",
@@ -78,65 +76,57 @@ class DerivKind(str, Enum):
 
 @dataclass
 class FieldClosure:
-    """A field given by its Cartesian proxy closure (t, y1, y2) -> array.
+    """A field given by its Cartesian proxy ``eval`` and its blocks
+    ``split_eval``, closures (t, y1, y2) -> array and -> split.
 
     rank 0: scalar; rank 1: shape (3,); rank 2: shape (3, 3); component axes
-    are followed by the broadcast shape of the coordinates.  Stencils call
-    the closures once with arrays that carry a trailing stencil axis, on t
-    as on y1 and y2 (the space-time stencil: one call on 11 points): a
-    closure broadcasts over it or fails loudly (raises, or returns other
-    trailing axes), and a closure that fails is evaluated offset by offset
-    instead, so pointwise-only closures still work.  split_eval, if given,
-    must return the matching TensorSplit and agree with eval to 1e-8 after
-    reconstruction.  The proxy routes read eval and the Decomposed routes
-    split_eval; no value computed from one is shared with the other.
+    are followed by the broadcast shape of the coordinates.  ``layout`` is
+    the ``fields`` table of the blocks (name: tangential rank) that
+    split_eval returns: by default the TensorSplit of the rank
+    (``_SPLIT_BLOCKS``); a Q-tensor field (``q_field``) has the QSplit's
+    ``_Q_BLOCKS``, a tangential field ``{"r2": rank}``.  Stencils call the
+    closures once with arrays that carry a trailing stencil axis, on t as on
+    y1 and y2 (the space-time stencil: one call on 11 points): a closure
+    broadcasts over it or fails loudly (raises, or returns other trailing
+    axes), and a closure that fails is evaluated offset by offset instead,
+    so pointwise-only closures still work.  split_eval, if given, must agree
+    with eval to 1e-8 after reconstruction.  The proxy routes read eval and
+    the Decomposed routes split_eval; no value computed from one is shared
+    with the other.
     """
 
     rank: int
     eval: Callable
     split_eval: Callable | None = None
+    layout: dict | None = None
 
-    def require_split(self) -> Callable:
-        if self.split_eval is None:
+    def __post_init__(self):
+        if self.layout is None:
+            self.layout = _SPLIT_BLOCKS.get(self.rank)
+
+    def require_split(self, layout: dict) -> Callable:
+        """split_eval, for a route that reads the blocks of ``layout``."""
+        if self.split_eval is None or self.layout != layout:
             raise MissingSplitError(
-                "this computation path needs split_eval on the field closure"
+                f"this computation path needs split_eval with the blocks {list(layout)}"
             )
         return self.split_eval
 
 
-@dataclass
-class TangentialFieldClosure:
-    """A tangential field by contravariant components: (t,y1,y2) -> (2,) or (2,2)."""
+def _from_blocks(surface: MovingSurface, rank: int, split_eval, layout, to_proxy=reconstruct):
+    """The closure of the blocks ``split_eval`` returns in ``layout``, whose
+    proxy is ``to_proxy`` of them at one chart jet."""
 
-    rank: int
-    comp_eval: Callable
+    def _eval(t, y1, y2):
+        return to_proxy(geometry_from_jet(surface.jet(t, y1, y2)), split_eval(t, y1, y2))
+
+    return FieldClosure(rank, _eval, split_eval, layout)
 
 
-@dataclass
-class QFieldClosure:
-    """A Q-tensor field by its split closure (t, y1, y2) -> QSplit.
-
-    Every block carries the broadcast shape of the coordinates after its
-    component axes, as for FieldClosure: stencils call ``q_eval`` with a
-    trailing stencil axis on t, y1 and y2 (one call on 11 points gives the
-    parts of all three blocks), and a closure that fails loudly on it is
-    evaluated offset by offset.  q_dt reads q_eval's blocks; the full proxy
-    of ``as_field_closure`` is a separate side, and no value passes between
-    the two.
-    """
-
-    q_eval: Callable
-
-    def as_field_closure(self, surface: MovingSurface) -> FieldClosure:
-        def _eval(t, y1, y2):
-            geom = geometry_from_jet(surface.jet(t, y1, y2))
-            return q_to_cart(geom, self.q_eval(t, y1, y2))
-
-        def _split(t, y1, y2):
-            geom = geometry_from_jet(surface.jet(t, y1, y2))
-            return q_split_to_split(geom, self.q_eval(t, y1, y2))
-
-        return FieldClosure(rank=2, eval=_eval, split_eval=_split)
+def q_field(surface: MovingSurface, q_eval: Callable) -> FieldClosure:
+    """The Q-tensor field of the QSplit closure ``q_eval(t, y1, y2)``; its
+    proxy is the QSplit's ``q_to_cart`` at one chart jet."""
+    return _from_blocks(surface, 2, q_eval, _Q_BLOCKS, q_to_cart)
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +134,9 @@ class QFieldClosure:
 #
 # Each route below is "compute parts, then apply the formula".  A proxy-side
 # part comes from the Cartesian closure ``eval``, a Decomposed-side part from
-# ``split_eval`` or ``q_eval``, block by block as ``fields`` lays them out; no
-# value ever passes between the two sides, so every comparison of a proxy
-# route with a Decomposed route compares two independent computations.
+# ``split_eval``, block by block as the closure's ``fields`` layout lays them
+# out; no value ever passes between the two sides, so every comparison of a
+# proxy route with a Decomposed route compares two independent computations.
 
 
 class _Parts(NamedTuple):
@@ -168,16 +158,15 @@ class _Block(NamedTuple):
 
 
 def _split_parts(
-    surface: MovingSurface, fn: Callable, blocks: dict, event: Event, lowered: bool = False
+    surface: MovingSurface, closure: FieldClosure, blocks: dict, event: Event, lowered: bool = False
 ) -> dict[str, _Block]:
-    """_Block of every block of the split that ``fn(t, y1, y2)`` returns, by
-    name, from one space-time stencil call on 11 points (``_fd._each``).
-    ``blocks`` is the split's layout from ``fields``: ``_SPLIT_BLOCKS[rank]``
-    for a TensorSplit (``fn`` a closure's ``require_split()``), ``_Q_BLOCKS``
-    for a QSplit (``fn`` a ``q_eval``), or ``{"r2": rank}`` for one
-    tangential block.  With ``lowered``, each tangential block's covariant
-    proxy is formed at those points from one chart jet and differenced in
-    the same call."""
+    """_Block of every block of the closure's split, by name, from one
+    space-time stencil call on 11 points (``_fd._each``).  ``blocks`` is the
+    layout from ``fields`` that the route reads (``closure.require_split``):
+    ``_SPLIT_BLOCKS[rank]``, ``_Q_BLOCKS`` or ``{"r2": rank}``.  With
+    ``lowered``, each tangential block's covariant proxy is formed at those
+    points from one chart jet and differenced in the same call."""
+    fn = closure.require_split(blocks)
     ranks = list(blocks.values())
     every = ranks + [k for k in ranks if k and lowered]
 
@@ -288,18 +277,15 @@ def _check_path(kind: DerivKind, path: str, func: str) -> bool:
 
 def tangential_dt(
     surface: MovingSurface,
-    closure: TangentialFieldClosure,
+    closure: FieldClosure,
     event: Event,
     kind: DerivKind,
     path: str = "Decomposed",
     geom: GeometrySample | None = None,
     mot: MotionSample | None = None,
 ) -> np.ndarray:
-    """Tangential time derivative, returned in contravariant components.
-
-    The closure's components are read as the ``r2`` block of a one-block
-    split, so they take the parts builder of every split (``_split_parts``).
-    """
+    """Tangential time derivative of a tangential field (layout
+    ``{"r2": rank}``), returned in contravariant components."""
     kind = DerivKind(kind)
     if closure.rank not in (1, 2):
         raise RankError("tangential_dt supports rank 1 and 2")
@@ -307,11 +293,7 @@ def tangential_dt(
         raise ConfigError("ConformingMaterial applies to Q-tensor fields; use q_dt")
     geom, mot = _frame(surface, event, geom, mot)
     lowered = kind != DerivKind.Material and _check_path(kind, path, "tangential_dt")
-
-    def split(s, a, b):
-        return TensorSplit(closure.rank, r2=closure.comp_eval(s, a, b), phi=None)
-
-    parts = _split_parts(surface, split, {"r2": closure.rank}, event, lowered)
+    parts = _split_parts(surface, closure, {"r2": closure.rank}, event, lowered)
     return _tangential(geom, mot, parts["r2"], kind, path)
 
 
@@ -389,7 +371,7 @@ def material_dt(
         raise ConfigError(f"unknown material_dt path {path!r}")
 
     geom, mot = _frame(surface, event, geom, mot)
-    parts = _split_parts(surface, closure.require_split(), _SPLIT_BLOCKS[closure.rank], event)
+    parts = _split_parts(surface, closure, _SPLIT_BLOCKS[closure.rank], event)
     return _material_decomposed(geom, mot, closure.rank, parts)
 
 
@@ -425,9 +407,7 @@ def convected_dt(
         return _via_material(mot, closure.rank, kind, R, Dm)
 
     lowered = _check_path(kind, path, "convected_dt")
-    parts = _split_parts(
-        surface, closure.require_split(), _SPLIT_BLOCKS[closure.rank], event, lowered
-    )
+    parts = _split_parts(surface, closure, _SPLIT_BLOCKS[closure.rank], event, lowered)
     return _convected_decomposed(geom, mot, closure.rank, parts, kind, path)
 
 
@@ -462,13 +442,14 @@ def _q_formula(geom, mot, parts: dict[str, _Block], kind: DerivKind) -> QSplit:
 
 def q_dt(
     surface: MovingSurface,
-    closure: QFieldClosure,
+    closure: FieldClosure,
     event: Event,
     kind: DerivKind,
     geom: GeometrySample | None = None,
     mot: MotionSample | None = None,
 ) -> QSplit:
-    """Material, Jaumann, or conforming-material derivative of a Q-tensor field.
+    """Material, Jaumann, or conforming-material derivative of a Q-tensor
+    field (``q_field``).
 
     Returns the derivative's own Q-split blocks.  The upper and lower
     convected derivatives do not preserve Q-tensor structure; take them
@@ -480,4 +461,4 @@ def q_dt(
             "upper/lower convected derivatives leave the Q-tensor bundle; use convected_dt"
         )
     geom, mot = _frame(surface, event, geom, mot)
-    return _q_formula(geom, mot, _split_parts(surface, closure.q_eval, _Q_BLOCKS, event), kind)
+    return _q_formula(geom, mot, _split_parts(surface, closure, _Q_BLOCKS, event), kind)

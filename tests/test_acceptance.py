@@ -40,10 +40,10 @@ from surfrates.thinfilm import LIMIT_QUANTITIES, limit_study
 from surfrates.timederiv import (
     DerivKind,
     FieldClosure,
-    QFieldClosure,
     convected_dt,
     material_dt,
     q_dt,
+    q_field,
     scalar_dot,
     tangential_dt,
 )
@@ -176,7 +176,7 @@ def test_criterion_03_product_rules():
     )
 
 
-def test_criterion_04_observer_invariance():
+def test_criterion_04_observer_invariance(pull_back):
     surface = get_scenario("torus-breathing-drift")
     motion = rotating_chart_motion(0.35)
     base, observed, point_map = make_observer_pair(surface, motion)
@@ -186,22 +186,11 @@ def test_criterion_04_observer_invariance():
     rank2_a = probe_field(base, 2)
     q_a = probe_q_field(base)
 
-    def through_motion(f):
-        def g(t, z1, z2):
-            y = motion(t, z1, z2).X
-            return f(t, y[0], y[1])
-
-        return g
-
-    scalar_b = through_motion(scalar_a)
-    rank1_b = FieldClosure(1, through_motion(rank1_a.eval))
-    rank2_b = FieldClosure(2, through_motion(rank2_a.eval))
-
-    def q_eval_b(t, z1, z2):
+    def scalar_b(t, z1, z2):
         y = motion(t, z1, z2).X
-        return q_a.q_eval(t, y[0], y[1])
+        return scalar_a(t, y[0], y[1])
 
-    q_b = QFieldClosure(q_eval_b)
+    rank1_b, rank2_b, q_b = (pull_back(f, motion) for f in (rank1_a, rank2_a, q_a))
 
     worst = 0.0
     n_fields = 0
@@ -245,12 +234,12 @@ def test_criterion_05_jaumann_identities():
 
     # Table-5 alternative tangential rank-2 forms agree mutually
     surface = get_scenario("torus-breathing-drift")
-    closure = probe_tangential(2)
+    closure = probe_tangential(surface, 2)
     worst_alt = 0.0
     for ev in sample_events(surface, N_EVENTS, SEED):
         geom = geometry_at(surface, ev)
         mot = motion_at(surface, ev, geom)
-        M = closure.comp_eval(ev.t, ev.y1, ev.y2)
+        M = closure.split_eval(ev.t, ev.y1, ev.y2).r2
         forms = [
             tangential_dt(surface, closure, ev, DerivKind.Jaumann, "Decomposed"),
             tangential_dt(surface, closure, ev, DerivKind.Jaumann, "Average"),
@@ -272,7 +261,6 @@ def test_criterion_05_jaumann_identities():
 def test_criterion_06_qtensor_structure():
     surface = get_scenario("torus-breathing-drift")
     qcl = probe_q_field(surface)
-    fcl = qcl.as_field_closure(surface)
     worst_closure = 0.0
     worst_trace = 0.0
     for ev in sample_events(surface, N_EVENTS, SEED):
@@ -281,12 +269,12 @@ def test_criterion_06_qtensor_structure():
         for kind, full in (
             (
                 DerivKind.Material,
-                material_dt(surface, fcl, ev, "CartesianProxy", geom, mot),
+                material_dt(surface, qcl, ev, "CartesianProxy", geom, mot),
             ),
             (
                 DerivKind.Jaumann,
                 convected_dt(
-                    surface, fcl, ev, DerivKind.Jaumann, "ViaMaterial", geom, mot
+                    surface, qcl, ev, DerivKind.Jaumann, "ViaMaterial", geom, mot
                 ),
             ),
         ):
@@ -298,12 +286,12 @@ def test_criterion_06_qtensor_structure():
                 abs(float(np.trace(full))),
                 rel_residual(q_to_cart(geom, q_dt(surface, qcl, ev, kind)), full),
             )
-        qs = qcl.q_eval(ev.t, ev.y1, ev.y2)
+        qs = qcl.split_eval(ev.t, ev.y1, ev.y2)
         pred = float(qs.beta) * float(np.trace(mot.G)) - 2.0 * float(
             np.sum((geom.g @ mot.G) * qs.q2)
         )
-        dup = convected_dt(surface, fcl, ev, DerivKind.Upper, "ViaMaterial", geom, mot)
-        dlo = convected_dt(surface, fcl, ev, DerivKind.Lower, "ViaMaterial", geom, mot)
+        dup = convected_dt(surface, qcl, ev, DerivKind.Upper, "ViaMaterial", geom, mot)
+        dlo = convected_dt(surface, qcl, ev, DerivKind.Lower, "ViaMaterial", geom, mot)
         scale = max(1.0, abs(pred))
         worst_trace = max(
             worst_trace,
@@ -420,7 +408,7 @@ def _random_conforming_closure(surface, seed):
         beta = c[4] + c[5] * np.cos(y1 + ph[2]) + c[6] * np.sin(y2 + ph[3])
         return QSplit(q2=q2, eta2=np.zeros(2), beta=beta)
 
-    return QFieldClosure(q_eval)
+    return q_field(surface, q_eval)
 
 
 def test_criterion_08_decomposition_live_check():

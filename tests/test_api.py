@@ -42,9 +42,9 @@ def _rejections():
         FieldClosure,
         FlowConfig,
         LdGParams,
+        MissingSplitError,
         RankError,
         conforming_laplace,
-        TangentialFieldClosure,
         convected_dt,
         geometry_at,
         get_scenario,
@@ -52,32 +52,30 @@ def _rejections():
         material_dt,
         probe_conforming_q_field,
         probe_field,
+        probe_q_field,
         probe_tangential,
         project,
+        q_dt,
         run_flow,
         sample_events,
         split_tensor,
         surface_laplace,
         tangential_dt,
     )
-    from surfrates.cli import run_verify
+    from surfrates.cli import run_converge_fd, run_converge_thinfilm, run_verify
 
     surface = get_scenario("torus-breathing-drift")
     ev = sample_events(surface, 1, 5)[0]
     geom = geometry_at(surface, ev)
     f1, f2 = probe_field(surface, 1), probe_field(surface, 2)
     rank3 = FieldClosure(3, f2.eval)
+    tangential = probe_tangential(surface, 2)
     vec, mat = f1.eval(ev.t, ev.y1, ev.y2), f2.eval(ev.t, ev.y1, ev.y2)
     return {
         "split_tensor-rank3": (RankError, lambda: split_tensor(geom, mat, 3)),
         "project-rank1-Q": (RankError, lambda: project(geom, vec, "Q")),
         "project-name": (ConfigError, lambda: project(geom, mat, "Bogus")),
-        "tangential_dt-rank3": (
-            RankError,
-            lambda: tangential_dt(
-                surface, TangentialFieldClosure(3, probe_tangential(2).comp_eval), ev, "Upper"
-            ),
-        ),
+        "tangential_dt-rank3": (RankError, lambda: tangential_dt(surface, rank3, ev, "Upper")),
         "convected_dt-rank3": (RankError, lambda: convected_dt(surface, rank3, ev, "Upper")),
         "surface_laplace-path": (ConfigError, lambda: surface_laplace(surface, f2, ev, "Bogus")),
         "surface_laplace-rank1": (RankError, lambda: surface_laplace(surface, f1, ev, "Decomposed")),
@@ -89,11 +87,25 @@ def _rejections():
         "material_dt-rank3": (RankError, lambda: material_dt(surface, rank3, ev)),
         "tangential_dt-path": (
             ConfigError,
-            lambda: tangential_dt(surface, probe_tangential(2), ev, DerivKind.Upper, "Bogus"),
+            lambda: tangential_dt(surface, tangential, ev, DerivKind.Upper, "Bogus"),
         ),
         "tangential_dt-conforming": (
             ConfigError,
-            lambda: tangential_dt(surface, probe_tangential(2), ev, DerivKind.ConformingMaterial),
+            lambda: tangential_dt(surface, tangential, ev, DerivKind.ConformingMaterial),
+        ),
+        # a closure whose layout is not the one the route reads
+        "q_dt-full-field": (MissingSplitError, lambda: q_dt(surface, f2, ev, "Material")),
+        "material_dt-Decomposed-q-field": (
+            MissingSplitError,
+            lambda: material_dt(surface, probe_q_field(surface), ev, "Decomposed"),
+        ),
+        "conforming_laplace-full-field": (
+            MissingSplitError,
+            lambda: conforming_laplace(surface, f2, ev),
+        ),
+        "tangential_dt-full-field": (
+            MissingSplitError,
+            lambda: tangential_dt(surface, f2, ev, DerivKind.Upper),
         ),
         "convected_dt-conforming": (
             ConfigError,
@@ -105,6 +117,16 @@ def _rejections():
         "run_verify-n_events-float": (
             ConfigError,
             lambda: run_verify("torus-static", n_events=2.5),
+        ),
+        "sample_events-n-float": (ConfigError, lambda: sample_events(surface, 2.5, 5)),
+        "run_verify-seed-float": (ConfigError, lambda: run_verify("torus-static", seed=1.5)),
+        "run_converge_fd-seed-float": (
+            ConfigError,
+            lambda: run_converge_fd("torus-breathing", seed=1.5),
+        ),
+        "run_converge_thinfilm-seed-float": (
+            ConfigError,
+            lambda: run_converge_thinfilm("torus-breathing-drift", seed=1.5),
         ),
         "FlowConfig-n-float": (ConfigError, lambda: FlowConfig(n=16.5)),
         "FlowConfig-steps-float": (ConfigError, lambda: FlowConfig(steps=2.5)),

@@ -24,7 +24,7 @@ from surfrates.errors import ConfigError, StabilityError
 from surfrates.geometry import IdentityReport, MotionSample, check_identities
 from surfrates.landau import FLOW_MODES, FlowConfig, LdGParams, run_flow
 from surfrates.thinfilm import LIMIT_QUANTITIES
-from surfrates.timederiv import QFieldClosure
+from surfrates.timederiv import q_field
 
 
 def test_verify_exit_zero_and_report(tmp_path):
@@ -538,18 +538,11 @@ def _counting_probes(monkeypatch):
     def qfield(name):
         orig = getattr(cli, name)
 
-        class CountingQ(QFieldClosure):
-            def as_field_closure(self, surface):
-                f = super().as_field_closure(surface)
-                key = f"{name}.as_field_closure"
-                return replace(
-                    f,
-                    eval=counted((key, "eval"), f.eval),
-                    split_eval=counted((key, "split_eval"), f.split_eval),
-                )
-
         def probe(surface):
-            return CountingQ(counted((name, "q_eval"), orig(surface).q_eval))
+            # rebuilt on the counted blocks, so the calls that the proxy
+            # makes to read them count too
+            f = q_field(surface, counted((name, "split_eval"), orig(surface).split_eval))
+            return replace(f, eval=counted((name, "eval"), f.eval))
 
         monkeypatch.setattr(cli, name, probe)
 
@@ -564,9 +557,9 @@ def _counting_probes(monkeypatch):
 def test_verify_evaluates_each_closure_once_per_side(monkeypatch, n_events):
     # for the whole batch of events, each probe's split_eval is called once
     # (all Decomposed routes share its parts) and eval once for the proxy
-    # routes plus once inside the product closure of the scalar rate; q_eval
-    # serves its own parts, which the pointwise algebra reads too, and the
-    # full proxy built on it
+    # routes plus once inside the product closure of the scalar rate; a Q
+    # probe's split_eval serves its own parts, which the pointwise algebra
+    # reads too, and its proxy, which reads the blocks
     calls = _counting_probes(monkeypatch)
     assert run_verify("torus-breathing-drift", "derivatives", n_events=n_events, seed=5)[
         "all_pass"
@@ -581,23 +574,23 @@ def test_verify_evaluates_each_closure_once_per_side(monkeypatch, n_events):
     calls.clear()
     assert run_verify("torus-breathing-drift", "qtensor", n_events=n_events, seed=5)["all_pass"]
     assert dict(calls) == {
-        ("probe_q_field", "q_eval"): 2,
-        ("probe_q_field.as_field_closure", "eval"): 1,
-        ("probe_conforming_q_field", "q_eval"): 2,
-        ("probe_conforming_q_field.as_field_closure", "eval"): 1,
+        ("probe_q_field", "split_eval"): 2,
+        ("probe_q_field", "eval"): 1,
+        ("probe_conforming_q_field", "split_eval"): 2,
+        ("probe_conforming_q_field", "eval"): 1,
     }
 
     # the split routes of the Laplacian take every block from one packed
     # closure per sweep point set (4 calls); ClosedForm keeps its centre
-    # q_eval for the conforming check, Projected its own, and the full proxy
-    # of the Beltrami route makes one more
+    # split_eval for the conforming check, Projected its own, and the full
+    # proxy of the Beltrami route makes one more
     calls.clear()
     assert run_verify("torus-breathing-drift", "laplace", n_events=n_events, seed=5)["all_pass"]
     assert dict(calls) == {
         ("probe_field-2", "eval"): 1,
         ("probe_field-2", "split_eval"): 4,
-        ("probe_conforming_q_field", "q_eval"): 7,
-        ("probe_conforming_q_field.as_field_closure", "eval"): 1,
+        ("probe_conforming_q_field", "split_eval"): 7,
+        ("probe_conforming_q_field", "eval"): 1,
     }
 
 

@@ -17,7 +17,7 @@ from surfrates.errors import ConfigError, NotConformingError, StencilError
 from surfrates.fields import QSplit, TensorSplit, pi_q_components
 from surfrates.geometry import geometry_at
 from surfrates.probes import probe_conforming_q_field, probe_field
-from surfrates.timederiv import FieldClosure, QFieldClosure
+from surfrates.timederiv import FieldClosure, q_field
 from surfrates.util import rel_residual
 
 
@@ -94,7 +94,7 @@ def test_conforming_laplace_sphere_constant_beta(sphere_static):
     def q_eval(t, a, b):
         return QSplit(q2=np.zeros((2, 2)), eta2=np.zeros(2), beta=beta0)
 
-    qcl = QFieldClosure(q_eval)
+    qcl = q_field(sphere_static, q_eval)
     ev = Event(0.0, 1.3, 2.2)
     out = conforming_laplace(sphere_static, qcl, ev, "ClosedForm")
     assert_allclose(out.q2, 0.0, atol=1e-8)
@@ -268,8 +268,7 @@ def test_laplace_q_part_stays_q_tensor(torus_drift, torus_events):
     from surfrates.probes import probe_q_field
 
     qcl = probe_q_field(torus_drift)
-    fcl = qcl.as_field_closure(torus_drift)
     ev = torus_events[0]
-    la = surface_laplace(torus_drift, fcl, ev, "Beltrami")
+    la = surface_laplace(torus_drift, qcl, ev, "Beltrami")
     assert np.max(np.abs(la - la.T)) < 1e-8
     assert abs(np.trace(la)) < 1e-8

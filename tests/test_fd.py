@@ -311,3 +311,36 @@ def test_each_puts_a_list_through_one_stencil_call(stencil, steps, points, per_o
     for (value, zero), want in zip(got, _outputs(stencil(_tpoly, 0.3, 0.4, 1.2, *steps))):
         assert_array_equal(value, want)
         assert_array_equal(zero, np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "stencil, steps, points",
+    [
+        (c4_dt, (1e-3,), 4),
+        (c4_grad, (1e-3,), 8),
+        (c4_hess, (1e-3,), 25),
+        (c2_c4_dt_grad, (1e-4, 1e-3), 11),
+    ],
+)
+def test_each_sends_a_flat_block_of_the_coordinate_size_offset_by_offset(
+    stencil, steps, points, per_offset_calls
+):
+    # at a batch of events the stencil's coordinates are 2-D, and a block
+    # flattened in Fortran order has their size, so it would reshape without
+    # error into the wrong points; the trailing-axes check sends the list
+    # offset by offset instead, where the coordinates are 1-D and the flat
+    # block is the scalar itself
+    def scalar(t, a, b):
+        return _tpoly(t, a, b)[0]
+
+    def with_flat(t, a, b):
+        return [_tpoly(t, a, b), np.ravel(scalar(t, a, b), order="F")]
+
+    t, y1, y2 = 0.3, np.linspace(0.0, 1.0, 5), 0.4
+    got = _outputs(_fd._each(stencil, with_flat, t, y1, y2, *steps))
+    assert per_offset_calls == [(5, points)]
+    full = _outputs(stencil(_tpoly, t, y1, y2, *steps))
+    flat = _outputs(stencil(scalar, t, y1, y2, *steps))
+    for (value, block), want, want_block in zip(got, full, flat):
+        assert_array_equal(value, want)
+        assert_array_equal(block, want_block)

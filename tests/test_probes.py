@@ -53,16 +53,19 @@ def _closures(surface):
             field = probe(surface, rank)
             out[f"{name}-{rank}.eval"] = field.eval
             out[f"{name}-{rank}.split_eval"] = field.split_eval
-        out[f"probe_tangential-{rank}"] = probe_tangential(rank).comp_eval
+        tangential = probe_tangential(surface, rank)
+        out[f"probe_tangential-{rank}.eval"] = tangential.eval
+        # its one block: the split's phi is the scalar 0
+        out[f"probe_tangential-{rank}.split_eval.r2"] = (
+            lambda t, a, b, f=tangential.split_eval: f(t, a, b).r2
+        )
     for name, probe in (
         ("probe_q_field", probe_q_field),
         ("probe_conforming_q_field", probe_conforming_q_field),
     ):
         qfield = probe(surface)
-        out[f"{name}.q_eval"] = qfield.q_eval
-        full = qfield.as_field_closure(surface)
-        out[f"{name}.as_field_closure.eval"] = full.eval
-        out[f"{name}.as_field_closure.split_eval"] = full.split_eval
+        out[f"{name}.eval"] = qfield.eval
+        out[f"{name}.split_eval"] = qfield.split_eval
     return out
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -30,10 +32,9 @@ from surfrates.probes import (
 from surfrates.timederiv import (
     DerivKind,
     FieldClosure,
-    QFieldClosure,
-    TangentialFieldClosure,
     _advected,
     _Block,
+    _from_blocks,
     _material_decomposed,
     _Parts,
     _tangential,
@@ -41,6 +42,7 @@ from surfrates.timederiv import (
     convected_dt,
     material_dt,
     q_dt,
+    q_field,
     scalar_dot,
     tangential_dt,
 )
@@ -105,11 +107,11 @@ def test_jaumann_average_path(torus_drift, torus_events):
 
 def test_tangential_jaumann_alt_form(torus_drift, torus_events):
     # for tangential 2-tensors: A M + M A^T = 2 A Pi_Q(M)
-    closure = probe_tangential(2)
+    closure = probe_tangential(torus_drift, 2)
     for ev in torus_events:
         geom = geometry_at(torus_drift, ev)
         mot = motion_at(torus_drift, ev, geom)
-        M = closure.comp_eval(ev.t, ev.y1, ev.y2)
+        M = closure.split_eval(ev.t, ev.y1, ev.y2).r2
         lhs = mot.A @ M + M @ mot.A.T
         rhs = 2.0 * mot.A @ pi_q_components(geom, M)
         assert_allclose(lhs, rhs, atol=1e-8)
@@ -122,21 +124,19 @@ def test_tangential_jaumann_alt_form(torus_drift, torus_events):
 
 def test_q_dt_material_closure(torus_drift, torus_events):
     qcl = probe_q_field(torus_drift)
-    fcl = qcl.as_field_closure(torus_drift)
     for ev in torus_events[:3]:
         geom = geometry_at(torus_drift, ev)
         dq = q_dt(torus_drift, qcl, ev, DerivKind.Material)
-        full = material_dt(torus_drift, fcl, ev, "CartesianProxy")
+        full = material_dt(torus_drift, qcl, ev, "CartesianProxy")
         assert rel_residual(q_to_cart(geom, dq), full) < 1e-8
 
 
 def test_q_dt_jaumann_closure(torus_drift, torus_events):
     qcl = probe_q_field(torus_drift)
-    fcl = qcl.as_field_closure(torus_drift)
     for ev in torus_events[:3]:
         geom = geometry_at(torus_drift, ev)
         dq = q_dt(torus_drift, qcl, ev, DerivKind.Jaumann)
-        full = convected_dt(torus_drift, fcl, ev, DerivKind.Jaumann, "ViaMaterial")
+        full = convected_dt(torus_drift, qcl, ev, DerivKind.Jaumann, "ViaMaterial")
         assert rel_residual(q_to_cart(geom, dq), full) < 1e-8
 
 
@@ -173,11 +173,10 @@ def test_conforming_material_requires_conforming(torus_drift, torus_events):
 
 def test_conforming_material_matches_projected_material(torus_drift, torus_events):
     ccl = probe_conforming_q_field(torus_drift)
-    fcl = ccl.as_field_closure(torus_drift)
     for ev in torus_events[:3]:
         geom = geometry_at(torus_drift, ev)
         dq = q_dt(torus_drift, ccl, ev, DerivKind.ConformingMaterial)
-        full = material_dt(torus_drift, fcl, ev, "CartesianProxy")
+        full = material_dt(torus_drift, ccl, ev, "CartesianProxy")
         assert rel_residual(q_to_cart(geom, dq), project(geom, full, "CQ")) < 1e-8
 
 
@@ -223,7 +222,10 @@ def test_corotating_field_has_zero_jaumann_rate(sphere_rot):
             [0.3 * np.sin(y1) + 0.1 * np.cos(y2 - omega * t), 0.2 + 0.05 * np.sin(y2 - omega * t)]
         )
 
-    closure = TangentialFieldClosure(1, comp_eval)
+    def split_eval(t, y1, y2):
+        return TensorSplit(1, r2=comp_eval(t, y1, y2), phi=0.0)
+
+    closure = _from_blocks(sphere_rot, 1, split_eval, {"r2": 1})
     for ev in sample_events(sphere_rot, 3, 21):
         dj = tangential_dt(sphere_rot, closure, ev, DerivKind.Jaumann)
         assert np.max(np.abs(dj)) < 1e-8
@@ -247,7 +249,7 @@ def test_corotating_q_field_has_zero_jaumann_rate(sphere_rot):
         beta = 0.2 + 0.05 * np.sin(y2 - omega * t)
         return QSplit(q2=q2, eta2=eta, beta=beta)
 
-    qcl = QFieldClosure(q_eval)
+    qcl = q_field(sphere_rot, q_eval)
     for ev in sample_events(sphere_rot, 2, 23):
         dq = q_dt(sphere_rot, qcl, ev, DerivKind.Jaumann)
         assert np.max(np.abs(dq.q2)) < 1e-7
@@ -379,7 +381,7 @@ def _route_calls():
         ]:
             calls[f"tangential_dt-{kind.value}-{path}-rank{rank}"] = (
                 lambda s, ev, rank=rank, kind=kind, path=path: tangential_dt(
-                    s, probe_tangential(rank), ev, kind, path
+                    s, probe_tangential(s, rank), ev, kind, path
                 )
             )
     for kind in ("Material", "Jaumann"):
@@ -478,7 +480,7 @@ def test_rejected_tangential_dt_builds_no_frame(monkeypatch, torus_drift, rank, 
         raise AssertionError("a rejected call built a frame")
 
     monkeypatch.setattr(timederiv, "_frame", no_frame)
-    closure = TangentialFieldClosure(rank, probe_tangential(2).comp_eval)
+    closure = replace(probe_tangential(torus_drift, 2), rank=rank)
     with pytest.raises((RankError, ConfigError)):
         tangential_dt(torus_drift, closure, Event(0.4, 0.7, 1.1), kind)
 
